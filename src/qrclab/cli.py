@@ -19,6 +19,7 @@ from datetime import datetime
 from pathlib import Path
 
 from .config import (
+    SEED_LIMIT,
     config_hash,
     dump_echo,
     echo_config,
@@ -32,6 +33,7 @@ from .experiment import (
     run_case,
     scan_csv,
     theory_scan,
+    worker_count,
 )
 from .plot import render_overlay_svg, render_scan_svg
 
@@ -70,12 +72,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load(args, task_kind):
+def _load(args, task_kind=None):
+    """Parse --config and apply --seed and --out. Without a task kind (the
+    theory scan) the run is narma10 unless the config names a kind."""
     doc = load_config_file(args.config) if args.config else {}
+    if task_kind is None and not (isinstance(doc.get("task"), dict) and "kind" in doc["task"]):
+        task_kind = "narma10"
     config, output = parse_config(doc, task_kind=task_kind)
     if args.seed is not None:
         if args.seed < 0:
             raise SchemaError("--seed", "must be >= 0")
+        if args.seed >= SEED_LIMIT:
+            raise SchemaError("--seed", f"must be < 2**64, got {args.seed}")
         config = replace(config, master_seed=args.seed)
     if args.out:
         output = replace(output, dir=args.out)
@@ -176,20 +184,13 @@ def _parse_qubits(raw: str) -> list[int]:
 
 def cmd_theory_scan(args) -> int:
     try:
-        doc = load_config_file(args.config) if args.config else {}
-        has_kind = isinstance(doc.get("task"), dict) and "kind" in doc["task"]
-        config, output = parse_config(doc, task_kind=None if has_kind else "narma10")
-        if args.seed is not None:
-            if args.seed < 0:
-                raise SchemaError("--seed", "must be >= 0")
-            config = replace(config, master_seed=args.seed)
-        if args.out:
-            output = replace(output, dir=args.out)
+        config, output = _load(args)
         qubits = _parse_qubits(args.qubits)
         if not 0.0 < args.delta < 1.0:
             raise SchemaError("--delta", f"must be in (0, 1), got {args.delta}")
         if args.replicates < 1:
             raise SchemaError("--replicates", "must be >= 1")
+        worker_count()
     except SchemaError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SCHEMA

@@ -40,6 +40,7 @@ TOP_LEVEL_KEYS = (
 )
 
 DEFAULT_MASTER_SEED = 42
+SEED_LIMIT = 2**64  # seeds are 64-bit unsigned (sim.RandomStream)
 
 
 @dataclass(frozen=True)
@@ -59,7 +60,7 @@ def _section(doc: dict, name: str, allowed: tuple[str, ...]) -> dict:
     return sec
 
 
-def _get_int(sec: dict, path: str, key: str, default, minimum=None, allow_none=False):
+def _get_int(sec: dict, path: str, key: str, default, minimum=None, allow_none=False, limit=None):
     val = sec.get(key, default)
     if val is None and allow_none:
         return None
@@ -67,6 +68,8 @@ def _get_int(sec: dict, path: str, key: str, default, minimum=None, allow_none=F
         raise SchemaError(f"{path}.{key}", f"must be an integer, got {val!r}")
     if minimum is not None and val < minimum:
         raise SchemaError(f"{path}.{key}", f"must be >= {minimum}, got {val}")
+    if limit is not None and val >= limit:
+        raise SchemaError(f"{path}.{key}", f"must be < {limit}, got {val}")
     return val
 
 
@@ -115,6 +118,8 @@ def parse_config(
             raise SchemaError(key, "unknown key")
 
     master_seed = _get_int(doc, "<config>", "master_seed", DEFAULT_MASTER_SEED, minimum=0)
+    if master_seed >= SEED_LIMIT:
+        raise SchemaError("master_seed", f"must be < 2**64, got {master_seed}")
 
     task_sec = _section(doc, "task", ("kind", "T", "seed", "delay", "window"))
     kind = task_sec.get("kind", task_kind)
@@ -127,7 +132,7 @@ def parse_config(
     task = TaskSpec(
         kind=kind,
         T=_get_int(task_sec, "task", "T", 600, minimum=1),
-        seed=_get_int(task_sec, "task", "seed", None, minimum=0, allow_none=True),
+        seed=_get_int(task_sec, "task", "seed", None, minimum=0, allow_none=True, limit=SEED_LIMIT),
         delay=_get_int(task_sec, "task", "delay", 2, minimum=1),
         window=_get_int(task_sec, "task", "window", 2, minimum=2),
     )
@@ -137,7 +142,7 @@ def parse_config(
         n_qubits=_get_int(res_sec, "reservoir", "n_qubits", 4, minimum=2),
         depth=_get_int(res_sec, "reservoir", "depth", 3, minimum=1),
         topology=_get_enum(res_sec, "reservoir", "topology", "ring", TOPOLOGIES),
-        seed=_get_int(res_sec, "reservoir", "seed", None, minimum=0, allow_none=True),
+        seed=_get_int(res_sec, "reservoir", "seed", None, minimum=0, allow_none=True, limit=SEED_LIMIT),
     )
 
     enc_sec = _section(doc, "encoder", ("scheme", "layers", "scale"))
@@ -178,7 +183,9 @@ def parse_config(
     backend = BackendSpec(
         kind=_get_enum(back_sec, "backend", "type", "ideal", BACKEND_KINDS),
         shots=_get_int(back_sec, "backend", "shots", 1024, minimum=1),
-        shot_seed=_get_int(back_sec, "backend", "shot_seed", None, minimum=0, allow_none=True),
+        shot_seed=_get_int(
+            back_sec, "backend", "shot_seed", None, minimum=0, allow_none=True, limit=SEED_LIMIT
+        ),
     )
 
     proto_sec = _section(doc, "protocol", ("washout", "train_fraction"))

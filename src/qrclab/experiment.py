@@ -1,6 +1,12 @@
 """Temporal drivers: recurrent and windowed evolution, the train/test
 protocol, the STM delay sweep, and the qubit-width theory scan.
 
+Both drivers evolve through one fused kernel (``_advance`` and ``_measure``
+below, built on the batch helpers in ``sim``): fixed gate blocks compiled
+once, a (B, 2**n) batch of rows advanced per step, and one sign matrix for
+the features. ``sim.CHUNK_AMPLITUDES`` bounds each batch. ``step`` is the
+gate-by-gate reference the kernel is tested against.
+
 Seed derivation: one master seed yields labelled child seeds for
 {data, reservoir, encoder-interleave, shots} (see sim.RandomStream), so a
 single integer reproduces a whole run. Sweeps and scans derive per-replicate
@@ -15,8 +21,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .encoding import EncoderCircuit, EncoderSpec, build_encoder, encode_input
-from .errors import ConfigurationError, DataError
+from .encoding import EncoderCircuit, EncoderSpec, build_encoder, encode_input, scale_input
+from .errors import ConfigurationError, DataError, SchemaError
 from .readout import (
     DEFAULT_ALPHA,
     accuracy,
@@ -33,13 +39,14 @@ from .reservoir import (
     topology_edges,
 )
 from .sim import (
+    CHUNK_AMPLITUDES,
     PauliString,
     RandomStream,
     StateVector,
-    estimate_expectations,
-    expectation,
-    new_zero_state,
-    sample_counts,
+    apply_gate_rows,
+    compile_gates,
+    ry_layer,
+    sign_matrix,
 )
 from .tasks import TaskSpec, TimeSeries, generate
 
@@ -209,14 +216,104 @@ def step(
     reservoir: ReservoirCircuit,
 ) -> StateVector:
     """One reservoir time step: encode the input, then apply the fixed
-    reservoir (encoder first, matching the operator order of the channel)."""
+    reservoir (encoder first, matching the operator order of the channel).
+    Gate by gate on one state: the reference for the fused kernel below."""
     encode_input(encoder, u, state)
     apply_reservoir(reservoir, state)
     return state
 
 
-def _measure_ideal(state: StateVector, observables) -> list[float]:
-    return [expectation(state, obs) for obs in observables]
+# --------------------------------------------------------------------------
+# The fused evolution kernel: B = 1 row for the recurrent state, one row per
+# output row for reupload_k windows, at most CHUNK_AMPLITUDES per batch
+# --------------------------------------------------------------------------
+
+NORM_TOLERANCE = 1e-8  # max |sum |psi|**2 - 1| of a measured row
+
+
+def _input_rotations(inputs, encoder: EncoderCircuit) -> np.ndarray:
+    """RY matrices of every step and qubit, shape (T, n, 2, 2). The series
+    is validated here, once: it must be finite. Vector inputs are tiled
+    cyclically across the qubits, as in ``encode_input``."""
+    u = np.asarray(inputs, dtype=np.float64)
+    u = u[:, None] if u.ndim == 1 else u
+    if u.ndim != 2 or u.shape[1] == 0:
+        raise DataError("inputs must be a series of non-empty scalars or 1-d vectors")
+    if not np.all(np.isfinite(u)):
+        raise DataError("non-finite input value")
+    angles = scale_input(u, encoder.scale)[:, np.arange(encoder.n_qubits) % u.shape[1]]
+    cos, sin = np.cos(0.5 * angles), np.sin(0.5 * angles)
+    rotations = np.empty(angles.shape + (2, 2), dtype=np.complex128)
+    rotations[..., 0, 0] = cos
+    rotations[..., 0, 1] = -sin
+    rotations[..., 1, 0] = sin
+    rotations[..., 1, 1] = cos
+    return rotations
+
+
+def _fixed_blocks(encoder: EncoderCircuit, reservoir: ReservoirCircuit) -> list:
+    """The fixed gates after each encoder layer's RY layer, with the reservoir
+    folded into the last block: a dense row operator when its 4**n entries
+    fit in one chunk, else the gate list."""
+    n = reservoir.n_qubits
+    blocks = [list(layer.fixed_gates) for layer in encoder.layers]
+    blocks[-1] += reservoir.gates
+    if 4**n <= CHUNK_AMPLITUDES:
+        return [compile_gates(block, n) for block in blocks]
+    return blocks
+
+
+def _compile_run(series: TimeSeries, cfg: ExperimentConfig):
+    """What the kernel needs, built once per run: (n, input rotations, fixed
+    blocks, observables, sign matrix)."""
+    n = cfg.reservoir.n_qubits
+    encoder = build_encoder(cfg.encoder)
+    observables = build_observables(cfg.observables, n, cfg.reservoir.topology)
+    return (
+        n,
+        _input_rotations(series.inputs, encoder),
+        _fixed_blocks(encoder, build_reservoir(cfg.reservoir)),
+        observables,
+        sign_matrix(observables, n),
+    )
+
+
+def _advance(rows: np.ndarray, rotations: np.ndarray, blocks, n: int) -> np.ndarray:
+    """One time step on every row: per encoder layer, the RY layer, then
+    that layer's fixed block."""
+    for block in blocks:
+        rows = ry_layer(rows, rotations)
+        if isinstance(block, np.ndarray):
+            rows = rows @ block
+        else:
+            for gate in block:
+                apply_gate_rows(rows, gate, n)
+    return rows
+
+
+def _measure(rows: np.ndarray, signs: np.ndarray, shots: int = 0, stream=None) -> np.ndarray:
+    """Feature rows of a batch: exact expectations, or with a shot stream,
+    one count table per row from ``stream.uniform(size=shots)`` drawn in row
+    order, as ``sample_counts`` draws them. Raises DataError if any row's
+    norm drifted."""
+    probs = np.abs(rows) ** 2
+    drift = float(np.max(np.abs(probs.sum(axis=1) - 1.0)))
+    if drift > NORM_TOLERANCE:
+        raise DataError(f"state norm**2 drifted from 1 by {drift:.3e}")
+    if stream is None:
+        return probs @ signs.T
+    cdf = np.cumsum(probs, axis=1)
+    cdf[:, -1] = np.maximum(cdf[:, -1], 1.0)  # guard the last bin against rounding
+    counts = np.empty(probs.shape, dtype=np.int64)
+    for i in range(len(cdf)):
+        draws = stream.uniform(0.0, 1.0, size=shots)
+        counts[i] = np.bincount(np.searchsorted(cdf[i], draws, side="right"), minlength=cdf.shape[1])
+    return counts @ signs.T / shots
+
+
+def _feature_matrix(chunks: list, t_index: np.ndarray, observables) -> FeatureMatrix:
+    values = np.concatenate(chunks) if chunks else np.empty((0, len(observables)))
+    return FeatureMatrix(values, t_index, tuple(o.label for o in observables))
 
 
 def run_recurrent(series: TimeSeries, config: ExperimentConfig) -> FeatureMatrix:
@@ -230,34 +327,35 @@ def run_recurrent(series: TimeSeries, config: ExperimentConfig) -> FeatureMatrix
             "state, so expectations cannot be read non-destructively mid-run; "
             "use mode reupload_k for shots execution"
         )
-    encoder = build_encoder(cfg.encoder)
-    reservoir = build_reservoir(cfg.reservoir)
-    observables = build_observables(cfg.observables, cfg.reservoir.n_qubits, cfg.reservoir.topology)
+    n, rotations, blocks, observables, signs = _compile_run(series, cfg)
+    T = len(rotations)
     keep_from = max(cfg.protocol.washout, series.valid_from)
 
-    state = new_zero_state(cfg.reservoir.n_qubits)
-    rows: list[list[float]] = []
-    ts: list[int] = []
-    for t in range(len(series.inputs)):
-        step(state, series.inputs[t], encoder, reservoir)
+    state = np.zeros((1, 2**n), dtype=np.complex128)
+    state[0, 0] = 1.0
+    per_chunk = max(1, CHUNK_AMPLITUDES >> n)
+    kept: list = []
+    chunks: list = []
+    for t in range(T):
+        state = _advance(state, rotations[t : t + 1], blocks, n)
         if t >= keep_from:
-            rows.append(_measure_ideal(state, observables))
-            ts.append(t)
-    values = np.array(rows, dtype=np.float64).reshape(len(rows), len(observables))
-    return FeatureMatrix(values, np.array(ts, dtype=np.int64), tuple(o.label for o in observables))
+            kept.append(state)
+            if len(kept) == per_chunk or t == T - 1:
+                chunks.append(_measure(np.concatenate(kept), signs))
+                kept = []
+    return _feature_matrix(chunks, np.arange(keep_from, T, dtype=np.int64), observables)
 
 
 def run_windowed(series: TimeSeries, config: ExperimentConfig) -> FeatureMatrix:
     """reupload_k evolution: each row rebuilds a fresh state from the last k
-    inputs (or the whole prefix when k == "full"). The shots backend samples
-    one count table per row and estimates every observable from it."""
+    inputs (or the whole prefix when k == "full"). Rows evolve together, one
+    chunk at a time; with k == "full" step s advances only the rows t >= s.
+    The shots backend samples one count table per row and estimates every
+    observable from it."""
     cfg = resolve_seeds(config)
     k = cfg.mode.k
-    encoder = build_encoder(cfg.encoder)
-    reservoir = build_reservoir(cfg.reservoir)
-    observables = build_observables(cfg.observables, cfg.reservoir.n_qubits, cfg.reservoir.topology)
-
-    T = len(series.inputs)
+    n, rotations, blocks, observables, signs = _compile_run(series, cfg)
+    T = len(rotations)
     first_full = 0 if k == FULL_WINDOW else k - 1
     keep_from = max(cfg.protocol.washout, series.valid_from, first_full)
     if keep_from >= T:
@@ -267,21 +365,22 @@ def run_windowed(series: TimeSeries, config: ExperimentConfig) -> FeatureMatrix:
         )
 
     shot_stream = RandomStream(cfg.backend.shot_seed) if cfg.backend.kind == "shots" else None
-    rows: list = []
-    ts: list[int] = []
-    for t in range(keep_from, T):
-        state = new_zero_state(cfg.reservoir.n_qubits)
-        start = 0 if k == FULL_WINDOW else t - k + 1
-        for s in range(start, t + 1):
-            step(state, series.inputs[s], encoder, reservoir)
-        if shot_stream is None:
-            rows.append(_measure_ideal(state, observables))
+    t_index = np.arange(keep_from, T, dtype=np.int64)
+    chunks: list = []
+    per_chunk = max(1, CHUNK_AMPLITUDES >> n)
+    for start in range(0, len(t_index), per_chunk):
+        ts = t_index[start : start + per_chunk]
+        rows = np.zeros((len(ts), 2**n), dtype=np.complex128)
+        rows[:, 0] = 1.0
+        if k == FULL_WINDOW:
+            for s in range(ts[-1] + 1):
+                active = max(0, s - ts[0])  # rows t >= s: a suffix of the chunk
+                rows[active:] = _advance(rows[active:], rotations[s : s + 1], blocks, n)
         else:
-            counts = sample_counts(state, cfg.backend.shots, shot_stream)
-            rows.append(estimate_expectations(counts, cfg.backend.shots, observables))
-        ts.append(t)
-    values = np.array(rows, dtype=np.float64).reshape(len(rows), len(observables))
-    return FeatureMatrix(values, np.array(ts, dtype=np.int64), tuple(o.label for o in observables))
+            for j in range(k):
+                rows = _advance(rows, rotations[ts - k + 1 + j], blocks, n)
+        chunks.append(_measure(rows, signs, cfg.backend.shots, shot_stream))
+    return _feature_matrix(chunks, t_index, observables)
 
 
 def raw_window_features(series: TimeSeries, k: int, t_index) -> np.ndarray:
@@ -422,19 +521,20 @@ def _case_scores(cfg: ExperimentConfig) -> tuple[float, float, int]:
     )
 
 
-def _worker_count() -> int:
+def worker_count() -> int:
+    """Worker processes for sweeps and scans, from QRCLAB_THREADS."""
     raw = os.environ.get("QRCLAB_THREADS", "1")
     try:
         n = int(raw)
     except ValueError:
-        raise ConfigurationError(f"QRCLAB_THREADS must be an integer, got {raw!r}")
+        raise SchemaError("QRCLAB_THREADS", f"must be an integer, got {raw!r}")
     if n == 0:
         return os.cpu_count() or 1
     return max(n, 1)
 
 
 def _map_cases(configs):
-    workers = _worker_count()
+    workers = worker_count()
     if workers <= 1 or len(configs) <= 1:
         return [_case_scores(c) for c in configs]
     with ProcessPoolExecutor(max_workers=workers) as pool:

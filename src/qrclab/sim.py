@@ -10,6 +10,16 @@ Conventions (frozen; tests depend on them):
 
 All arithmetic is double-precision complex. Norm drift is asserted by
 callers/tests, never silently repaired here.
+
+Two layers of kernels live here. ``apply_gate``, ``expectation``,
+``sample_counts`` and ``estimate_expectations`` act on one ``StateVector``
+or its count table and are the reference path; ``tests/dense_oracle.py``
+checks ``apply_gate`` in turn. The batch helpers ``apply_gate_rows``,
+``compile_gates``, ``ry_layer`` and ``sign_matrix`` act on a ``(B, 2**n)``
+array of amplitude rows; the fused evolution kernel in ``experiment`` is
+built from them and tested against the reference path.
+``CHUNK_AMPLITUDES`` bounds how many amplitudes one batch holds, and so the
+memory of a run.
 """
 
 from __future__ import annotations
@@ -23,6 +33,11 @@ import numpy as np
 from .errors import ConfigurationError, DataError
 
 MAX_QUBITS = 24  # 2**24 complex128 amplitudes = 256 MB; desk-scale ceiling
+
+# Amplitudes per batch chunk (256 KB of complex128). A fixed gate block is
+# compiled to a dense 2**n x 2**n operator only if its 4**n entries fit too,
+# i.e. for n <= 7; wider blocks run gate by gate over the chunk.
+CHUNK_AMPLITUDES = 2**14
 
 GATE_KINDS = ("RY", "RZ", "CRY", "CRZ")
 
@@ -258,26 +273,102 @@ def sample_counts(state: StateVector, shots: int, rng: RandomStream) -> dict[int
     return {int(v): int(c) for v, c in zip(values, counts)}
 
 
-def _sign_for_index(index: int, obs: PauliString) -> int:
-    parity = 0
-    for q in obs.qubits:
-        parity ^= (index >> q) & 1
-    return 1 - 2 * parity
-
-
 def estimate_expectations(
     counts: dict[int, int], shots: int, obs_list
 ) -> np.ndarray:
-    """Estimate each observable from one joint Z-basis count table."""
+    """Estimate each observable from one joint Z-basis count table.
+
+    The table becomes a histogram over basis indices, and ``sign_matrix``
+    turns it into the signed count of every observable. The sums are exact
+    integers, so the estimates are exact multiples of 1/shots.
+    """
     if not counts:
         raise DataError("empty count table")
     total = sum(counts.values())
     if total != shots:
         raise DataError(f"counts sum to {total}, expected shots={shots}")
-    out = np.empty(len(obs_list), dtype=np.float64)
-    for k, obs in enumerate(obs_list):
-        acc = 0
-        for index, c in counts.items():
-            acc += _sign_for_index(index, obs) * c
-        out[k] = acc / shots
-    return out
+    index = np.fromiter(counts.keys(), dtype=np.int64, count=len(counts))
+    if index.min() < 0:
+        raise DataError("count table has a negative basis index")
+    tally = np.fromiter(counts.values(), dtype=np.float64, count=len(counts))
+    n = max([int(index.max()).bit_length(), 1] + [q + 1 for obs in obs_list for q in obs.qubits])
+    histogram = np.bincount(index, weights=tally, minlength=2**n)
+    return sign_matrix(obs_list, n) @ histogram / shots
+
+
+# --------------------------------------------------------------------------
+# Batch helpers: one (B, 2**n) array of amplitude rows at a time
+# --------------------------------------------------------------------------
+
+
+def apply_gate_rows(rows: np.ndarray, gate: GateOp, n: int) -> np.ndarray:
+    """Apply one gate in place to every row of a C-contiguous (B, 2**n) batch.
+
+    The batched twin of ``apply_gate``: the rows are viewed as at most
+    (B, hi, 2, mid, 2, lo) around the gate's qubits, RZ/CRZ multiply the two
+    target halves by their phases, and RY/CRY mix them.
+    """
+    b, t, c = rows.shape[0], gate.target, gate.control
+    if c is None:
+        view = rows.reshape(b, 2 ** (n - 1 - t), 2, 2**t)
+        a0, a1 = view[:, :, 0], view[:, :, 1]
+    else:
+        high, low = max(c, t), min(c, t)
+        view = rows.reshape(b, 2 ** (n - 1 - high), 2, 2 ** (high - low - 1), 2, 2**low)
+        if c > t:  # control on the high axis: keep its 1 half
+            a0, a1 = view[:, :, 1, :, 0], view[:, :, 1, :, 1]
+        else:
+            a0, a1 = view[:, :, 0, :, 1], view[:, :, 1, :, 1]
+    half = 0.5 * gate.angle
+    if gate.kind in ("RZ", "CRZ"):
+        a0 *= np.exp(-1j * half)
+        a1 *= np.exp(1j * half)
+    else:
+        cos, sin = np.cos(half), np.sin(half)
+        old0 = a0.copy()
+        a0 *= cos
+        a0 -= sin * a1
+        a1 *= cos
+        a1 += sin * old0
+    return rows
+
+
+def compile_gates(gates, n: int) -> np.ndarray:
+    """Dense row operator of a fixed gate list: ``rows @ M`` applies the
+    gates to every row. Built by pushing the identity's rows (the basis
+    states) through ``apply_gate_rows``, so M is the transpose of the
+    circuit's unitary."""
+    op = np.eye(2**n, dtype=np.complex128)
+    for gate in gates:
+        apply_gate_rows(op, gate, n)
+    return op
+
+
+def ry_layer(rows: np.ndarray, rotations: np.ndarray) -> np.ndarray:
+    """Apply RY on every qubit of every row; returns a new (B, 2**n) batch.
+
+    ``rotations`` has shape (B or 1, n, 2, 2): the RY matrix of each row
+    and qubit. Each pass rotates the leading axis (the top qubit) with one
+    batched 2x2 matmul, then cycles that axis to the end, so after n passes
+    every qubit has been rotated once and the layout is back in place.
+    """
+    b, n = rows.shape[0], rotations.shape[1]
+    for q in range(n - 1, -1, -1):
+        rows = (rotations[:, q] @ rows.reshape(b, 2, -1)).transpose(0, 2, 1).reshape(b, -1)
+    return rows
+
+
+def sign_matrix(obs_list, n: int) -> np.ndarray:
+    """(M, 2**n) array of +-1: each observable's eigenvalue on each basis
+    index, so ``probs @ S.T`` gives exact expectations and ``S @ counts``
+    signed shot counts."""
+    index = np.arange(2**n)
+    signs = np.empty((len(obs_list), 2**n))
+    for m, obs in enumerate(obs_list):
+        if any(q >= n for q in obs.qubits):
+            raise ConfigurationError(f"observable {obs.label} out of range for n={n}")
+        parity = np.zeros(2**n, dtype=np.int64)
+        for q in obs.qubits:
+            parity ^= (index >> q) & 1
+        signs[m] = 1 - 2 * parity
+    return signs

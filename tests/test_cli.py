@@ -95,6 +95,21 @@ class TestSchemaFailures:
         assert main(["theory-scan", "--qubits", "4,3", "--out", str(tmp_path)]) == 1
         assert main(["theory-scan", "--qubits", "x", "--out", str(tmp_path)]) == 1
 
+    def test_seed_beyond_64_bits_names_key(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, {"master_seed": 2**64})
+        assert main(["case-parity", "--config", cfg, "--out", str(tmp_path / "r")]) == 1
+        assert "master_seed" in capsys.readouterr().err
+        for command in ("case-memory", "theory-scan"):
+            assert main([command, "--seed", str(2**64), "--out", str(tmp_path / "r")]) == 1
+            assert "--seed" in capsys.readouterr().err
+        assert not (tmp_path / "r").exists()
+
+    def test_non_integer_threads_names_key(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("QRCLAB_THREADS", "two")
+        assert main(["theory-scan", "--out", str(tmp_path / "r")]) == 1
+        assert "QRCLAB_THREADS" in capsys.readouterr().err
+        assert not (tmp_path / "r").exists()
+
 
 class TestRuntimeFailures:
     def test_too_short_series_exit_2(self, tmp_path):

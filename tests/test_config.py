@@ -58,6 +58,15 @@ class TestStrictness:
         with pytest.raises(SchemaError, match="mode.type"):
             parse_config({"mode": {"type": "streamed"}}, task_kind="stm")
 
+    def test_seeds_limited_to_64_bits(self):
+        with pytest.raises(SchemaError, match="master_seed"):
+            parse_config({"master_seed": 2**64}, task_kind="stm")
+        for section, key in (("task", "seed"), ("reservoir", "seed"), ("backend", "shot_seed")):
+            with pytest.raises(SchemaError, match=f"{section}.{key}"):
+                parse_config({section: {key: 2**64}}, task_kind="stm")
+        cfg, _ = parse_config({"master_seed": 2**64 - 1}, task_kind="stm")
+        assert cfg.master_seed == 2**64 - 1
+
     def test_train_fraction_bounds(self):
         with pytest.raises(SchemaError, match="protocol.train_fraction"):
             parse_config({"protocol": {"train_fraction": 1.0}}, task_kind="stm")

@@ -1,0 +1,258 @@
+"""Parity of the fused evolution kernel with the gate-by-gate reference path.
+
+``run_recurrent`` and ``run_windowed`` evolve batches of rows through dense
+step operators (n <= 7) or batched gates (n >= 8). Here their features are
+compared with a loop of ``step`` + ``expectation`` (or ``sample_counts`` +
+``estimate_expectations`` on the shots backend) and with the independent
+dense-matrix oracle.
+"""
+
+from dataclasses import replace
+
+import numpy as np
+import pytest
+
+from qrclab import experiment, sim
+from qrclab.encoding import EncoderSpec, build_encoder, scale_input
+from qrclab.errors import DataError
+from qrclab.experiment import (
+    BackendSpec,
+    ExperimentConfig,
+    ModeSpec,
+    ObservableSpec,
+    ProtocolSpec,
+    build_observables,
+    resolve_seeds,
+    run_recurrent,
+    run_windowed,
+    step,
+)
+from qrclab.reservoir import ReservoirSpec, build_reservoir
+from qrclab.sim import (
+    GateOp,
+    PauliString,
+    RandomStream,
+    StateVector,
+    apply_gate,
+    apply_gate_rows,
+    compile_gates,
+    estimate_expectations,
+    expectation,
+    new_zero_state,
+    ry_layer,
+    sample_counts,
+)
+from qrclab.tasks import TaskSpec, TimeSeries, generate
+
+from dense_oracle import apply_dense, dense_gate_matrix, random_circuit
+
+TOL = 1e-12
+
+
+def kernel_config(n, k=None, layers=1, zz="all_pairs", T=30, washout=12, backend=None):
+    scheme = "angle" if layers == 1 else "reupload"
+    return ExperimentConfig(
+        task=TaskSpec("stm", T=T, seed=17),
+        reservoir=ReservoirSpec(n_qubits=n, seed=23),
+        encoder=EncoderSpec(n_qubits=n, scheme=scheme, layers=layers, interleave_seed=29),
+        observables=ObservableSpec(local_z=True, zz=zz),
+        mode=ModeSpec() if k is None else ModeSpec(kind="reupload_k", k=k),
+        backend=backend or BackendSpec(),
+        protocol=ProtocolSpec(washout=washout, train_fraction=0.5),
+        master_seed=31,
+    )
+
+
+def run_kernel(series, cfg):
+    return run_recurrent(series, cfg) if cfg.mode.kind == "recurrent" else run_windowed(series, cfg)
+
+
+def window_start(cfg, t):
+    k = cfg.mode.k
+    return 0 if cfg.mode.kind == "recurrent" or k == "full" else t - k + 1
+
+
+def reference_features(series, cfg, t_index):
+    """Gate by gate: ``step`` per input, a fresh state per windowed row."""
+    cfg = resolve_seeds(cfg)
+    n = cfg.reservoir.n_qubits
+    encoder, reservoir = build_encoder(cfg.encoder), build_reservoir(cfg.reservoir)
+    observables = build_observables(cfg.observables, n, cfg.reservoir.topology)
+    stream = RandomStream(cfg.backend.shot_seed) if cfg.backend.kind == "shots" else None
+    rows = []
+    state, done = new_zero_state(n), 0
+    for t in t_index:
+        if cfg.mode.kind != "recurrent":
+            state, done = new_zero_state(n), window_start(cfg, t)
+        for s in range(done, t + 1):
+            step(state, series.inputs[s], encoder, reservoir)
+        done = t + 1
+        if stream is None:
+            rows.append([expectation(state, obs) for obs in observables])
+        else:
+            counts = sample_counts(state, cfg.backend.shots, stream)
+            rows.append(estimate_expectations(counts, cfg.backend.shots, observables))
+    return np.array(rows)
+
+
+def oracle_row(series, cfg, t):
+    """One feature row from explicit Kronecker-product matrices."""
+    cfg = resolve_seeds(cfg)
+    n = cfg.reservoir.n_qubits
+    encoder, reservoir = build_encoder(cfg.encoder), build_reservoir(cfg.reservoir)
+    gates = []
+    for s in range(window_start(cfg, t), t + 1):
+        angle = float(scale_input(series.inputs[s]))
+        for layer in encoder.layers:
+            gates += [GateOp("RY", angle, target=q) for q in layer.angle_qubits]
+            gates += layer.fixed_gates
+        gates += reservoir.gates
+    zero = np.zeros(2**n, dtype=np.complex128)
+    zero[0] = 1.0
+    probs = np.abs(apply_dense(zero, gates, n)) ** 2
+    index = np.arange(2**n)
+    out = []
+    for obs in build_observables(cfg.observables, n, cfg.reservoir.topology):
+        parity = sum((index >> q) & 1 for q in obs.qubits) % 2
+        out.append(float(np.sum(probs * (1 - 2 * parity))))
+    return np.array(out)
+
+
+KERNEL_CASES = [
+    pytest.param(7, None, 1, id="recurrent-angle-n7"),
+    pytest.param(8, None, 2, id="recurrent-reupload2-n8"),
+    pytest.param(8, 3, 1, id="k3-angle-n8"),
+    pytest.param(7, 3, 2, id="k3-reupload2-n7"),
+    pytest.param(7, 10, 1, id="k10-angle-n7"),
+    pytest.param(8, 10, 2, id="k10-reupload2-n8"),
+    pytest.param(7, "full", 2, id="full-reupload2-n7"),
+    pytest.param(8, "full", 1, id="full-angle-n8"),
+]
+
+
+@pytest.mark.parametrize("n, k, layers", KERNEL_CASES)
+def test_kernel_matches_gate_by_gate_step(n, k, layers):
+    cfg = kernel_config(n, k=k, layers=layers)
+    series = generate(resolve_seeds(cfg).task)
+    got = run_kernel(series, cfg)
+    assert got.values.shape == (len(got.t_index), n + n * (n - 1) // 2)
+    want = reference_features(series, cfg, got.t_index)
+    np.testing.assert_allclose(got.values, want, rtol=0, atol=TOL)
+
+
+@pytest.mark.parametrize("n, k, layers", [(7, 3, 2), (8, "full", 2), (8, None, 1)])
+def test_kernel_matches_dense_oracle(n, k, layers):
+    cfg = kernel_config(n, k=k, layers=layers, T=16, washout=6)
+    series = generate(resolve_seeds(cfg).task)
+    got = run_kernel(series, cfg)
+    # a row's oracle costs one 2**n x 2**n product per gate of its whole window
+    for i in (0, -1) if isinstance(k, int) else (0,):
+        want = oracle_row(series, cfg, int(got.t_index[i]))
+        np.testing.assert_allclose(got.values[i], want, rtol=0, atol=TOL)
+
+
+@pytest.mark.parametrize("n, layers", [(7, 1), (8, 2)])
+def test_shots_match_sample_counts_exactly(n, layers):
+    shots = BackendSpec(kind="shots", shots=256, shot_seed=5)
+    cfg = kernel_config(n, k=3, layers=layers, backend=shots)
+    series = generate(resolve_seeds(cfg).task)
+    got = run_windowed(series, cfg)
+    np.testing.assert_array_equal(got.values, reference_features(series, cfg, got.t_index))
+
+
+def test_explicit_pairs_and_chunk_boundaries():
+    # 70 rows at n = 8 span two 64-row chunks; the recurrent buffer flushes twice
+    cfg = kernel_config(8, zz=((0, 7), (3, 4)), T=80, washout=10)
+    series = generate(resolve_seeds(cfg).task)
+    for mode in (ModeSpec(), ModeSpec(kind="reupload_k", k=2)):
+        cfg_mode = replace(cfg, mode=mode)
+        got = run_kernel(series, cfg_mode)
+        assert len(got.t_index) == 70
+        want = reference_features(series, cfg_mode, got.t_index)
+        np.testing.assert_allclose(got.values, want, rtol=0, atol=TOL)
+
+
+# --------------------------------------------------------------------------
+# The batch helpers against apply_gate and the dense oracle
+# --------------------------------------------------------------------------
+
+
+def random_rows(b, n, seed):
+    rng = np.random.default_rng(seed)
+    rows = rng.standard_normal((b, 2**n)) + 1j * rng.standard_normal((b, 2**n))
+    return rows / np.linalg.norm(rows, axis=1, keepdims=True)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5])
+def test_apply_gate_rows_matches_apply_gate(n):
+    gates = random_circuit(n, 40, seed=n)
+    rows = random_rows(4, n, seed=n)
+    got = rows.copy()
+    for gate in gates:
+        apply_gate_rows(got, gate, n)
+    for row, want in zip(got, rows):
+        state = StateVector(n, want.copy())
+        for gate in gates:
+            apply_gate(state, gate)
+        np.testing.assert_allclose(row, state.amplitudes, rtol=0, atol=TOL)
+
+
+def test_compile_gates_is_the_transposed_unitary():
+    n = 4
+    gates = random_circuit(n, 25, seed=3)
+    unitary = np.eye(2**n, dtype=np.complex128)
+    for gate in gates:
+        unitary = dense_gate_matrix(gate, n) @ unitary
+    np.testing.assert_allclose(compile_gates(gates, n), unitary.T, rtol=0, atol=TOL)
+
+
+def test_ry_layer_rotates_each_qubit_of_each_row():
+    n, b = 3, 2
+    angles = np.array([[0.3, 1.1, 2.0], [0.7, 0.2, 2.9]])
+    half = 0.5 * angles
+    rotations = np.stack(
+        [np.stack([np.cos(half), -np.sin(half)], -1), np.stack([np.sin(half), np.cos(half)], -1)], -2
+    ).astype(np.complex128)
+    rows = random_rows(b, n, seed=9)
+    got = ry_layer(rows, rotations)
+    for i in range(b):
+        gates = [GateOp("RY", float(angles[i, q]), target=q) for q in range(n)]
+        np.testing.assert_allclose(got[i], apply_dense(rows[i], gates, n), rtol=0, atol=TOL)
+
+
+def test_estimate_rejects_negative_basis_index():
+    with pytest.raises(DataError, match="negative"):
+        estimate_expectations({-1: 4}, 4, [PauliString((0,))])
+
+
+# --------------------------------------------------------------------------
+# Invariants checked on real runs
+# --------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("k", [None, 3])
+def test_non_finite_input_raises(k):
+    cfg = kernel_config(3, k=k)
+    series = generate(resolve_seeds(cfg).task)
+    inputs = series.inputs.copy()
+    inputs[0] = np.nan  # before the first window: only the up-front check sees it
+    with pytest.raises(DataError, match="non-finite"):
+        run_kernel(TimeSeries(inputs, series.targets, series.valid_from), cfg)
+
+
+@pytest.mark.parametrize("n, k", [(3, None), (3, "full"), (8, 2)])
+def test_corrupted_state_raises(monkeypatch, n, k):
+    # a block that is not unitary makes the norm drift past NORM_TOLERANCE
+    if n <= 7:
+        monkeypatch.setattr(experiment, "compile_gates", lambda gates, n: 1.001 * sim.compile_gates(gates, n))
+    else:
+        def leaky(rows, gate, n):
+            sim.apply_gate_rows(rows, gate, n)
+            rows *= 1.0001
+            return rows
+
+        monkeypatch.setattr(experiment, "apply_gate_rows", leaky)
+    cfg = kernel_config(n, k=k)
+    series = generate(resolve_seeds(cfg).task)
+    with pytest.raises(DataError, match="norm"):
+        run_kernel(series, cfg)
