@@ -18,14 +18,7 @@ from dataclasses import replace
 from datetime import datetime
 from pathlib import Path
 
-from .config import (
-    SEED_LIMIT,
-    config_hash,
-    dump_echo,
-    echo_config,
-    load_config_file,
-    parse_config,
-)
+from .config import config_hash, dump_echo, echo_config, load_config_file, parse_config
 from .errors import QRCLabError, SchemaError
 from .experiment import (
     features_csv,
@@ -36,6 +29,7 @@ from .experiment import (
     worker_count,
 )
 from .plot import render_overlay_svg, render_scan_svg
+from .sim import check_seed
 
 EXIT_OK = 0
 EXIT_SCHEMA = 1
@@ -80,11 +74,7 @@ def _load(args, task_kind=None):
         task_kind = "narma10"
     config, output = parse_config(doc, task_kind=task_kind)
     if args.seed is not None:
-        if args.seed < 0:
-            raise SchemaError("--seed", "must be >= 0")
-        if args.seed >= SEED_LIMIT:
-            raise SchemaError("--seed", f"must be < 2**64, got {args.seed}")
-        config = replace(config, master_seed=args.seed)
+        config = replace(config, master_seed=check_seed("--seed", args.seed))
     if args.out:
         output = replace(output, dir=args.out)
     return config, output

@@ -1,46 +1,30 @@
-"""Strict JSON config schema for the CLI.
+"""Strict JSON config schema for the CLI, derived from the spec dataclasses.
 
-Unknown keys are rejected with the offending key named; omitted optionals are
-filled from the reference defaults and echoed back, so a produced
-config_echo.json always re-parses to the identical run.
+Each section of the document is one spec of ``ExperimentConfig`` (``task``
+is its ``TaskSpec``, and so on) or ``output`` (``OutputOptions``); the
+config's own ``alpha`` and ``alpha_grid`` sit in ``readout`` and
+``master_seed`` at the top. A key is its field's name except where
+``_KEYS`` says otherwise, and a field ``_KEYS`` maps to None has no key. Field type hints give the JSON types, field
+defaults the defaults, each spec's ``__post_init__`` the value rules, and
+``validate`` the rules that span sections. Unknown keys are rejected with
+the offending key named; omitted keys are filled from the defaults and
+echoed back, so a produced config_echo.json always re-parses to the
+identical run.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
+import math
+import types
+import typing
+from dataclasses import dataclass, fields, is_dataclass, replace
+from functools import cache
 
-from .encoding import SCALE_TAGS, SCHEMES, EncoderSpec
 from .errors import SchemaError
-from .experiment import (
-    BACKEND_KINDS,
-    MODE_KINDS,
-    BackendSpec,
-    ExperimentConfig,
-    ModeSpec,
-    ObservableSpec,
-    ProtocolSpec,
-)
-from .readout import DEFAULT_ALPHA
-from .reservoir import TOPOLOGIES, ReservoirSpec
+from .experiment import FULL_WINDOW, ExperimentConfig, build_observables
 from .tasks import TASK_KINDS, TaskSpec
-
-TOP_LEVEL_KEYS = (
-    "master_seed",
-    "task",
-    "reservoir",
-    "encoder",
-    "observables",
-    "mode",
-    "backend",
-    "protocol",
-    "readout",
-    "output",
-)
-
-DEFAULT_MASTER_SEED = 42
-SEED_LIMIT = 2**64  # seeds are 64-bit unsigned (sim.RandomStream)
 
 
 @dataclass(frozen=True)
@@ -49,49 +33,117 @@ class OutputOptions:
     plots: bool = True
     features: bool = True
 
-
-def _section(doc: dict, name: str, allowed: tuple[str, ...]) -> dict:
-    sec = doc.get(name, {})
-    if not isinstance(sec, dict):
-        raise SchemaError(name, "must be an object")
-    for key in sec:
-        if key not in allowed:
-            raise SchemaError(f"{name}.{key}", "unknown key")
-    return sec
+    def __post_init__(self):
+        if not self.dir:
+            raise SchemaError("dir", "must be a non-empty string")
 
 
-def _get_int(sec: dict, path: str, key: str, default, minimum=None, allow_none=False, limit=None):
-    val = sec.get(key, default)
-    if val is None and allow_none:
-        return None
-    if isinstance(val, bool) or not isinstance(val, int):
-        raise SchemaError(f"{path}.{key}", f"must be an integer, got {val!r}")
-    if minimum is not None and val < minimum:
-        raise SchemaError(f"{path}.{key}", f"must be >= {minimum}, got {val}")
-    if limit is not None and val >= limit:
-        raise SchemaError(f"{path}.{key}", f"must be < {limit}, got {val}")
-    return val
+# The document key of each field path whose key is not the path itself. The
+# encoder is as wide as the reservoir, so both widths read one key. The
+# interleave seed is always derived from the master seed, so it has none.
+_KEYS = {
+    "encoder.n_qubits": "reservoir.n_qubits",
+    "encoder.interleave_seed": None,
+    "mode.kind": "mode.type",
+    "backend.kind": "backend.type",
+    "alpha": "readout.alpha",
+    "alpha_grid": "readout.alpha_grid",
+}
+
+_JSON_TYPES = {bool: "true or false", int: "an integer", float: "a finite number", str: "a string", type(None): "null"}
+_MISMATCH = object()
 
 
-def _get_number(sec: dict, path: str, key: str, default):
-    val = sec.get(key, default)
-    if isinstance(val, bool) or not isinstance(val, (int, float)):
-        raise SchemaError(f"{path}.{key}", f"must be a number, got {val!r}")
-    return float(val)
+def _key(path: str) -> str | None:
+    return _KEYS.get(path, path)
 
 
-def _get_bool(sec: dict, path: str, key: str, default: bool) -> bool:
-    val = sec.get(key, default)
-    if not isinstance(val, bool):
-        raise SchemaError(f"{path}.{key}", f"must be true or false, got {val!r}")
-    return val
+@cache
+def _hints(cls) -> dict:
+    return typing.get_type_hints(cls)
 
 
-def _get_enum(sec: dict, path: str, key: str, default: str, choices) -> str:
-    val = sec.get(key, default)
-    if val not in choices:
-        raise SchemaError(f"{path}.{key}", f"must be one of {list(choices)}, got {val!r}")
-    return val
+@cache
+def _layout() -> dict:
+    """{section: its keys}, top-level keys under "": the shape of every echo."""
+    echo = echo_config(ExperimentConfig(task=TaskSpec(TASK_KINDS[0])), OutputOptions())
+    layout = {name: set(value) for name, value in echo.items() if isinstance(value, dict)}
+    layout[""] = {name for name, value in echo.items() if not isinstance(value, dict)}
+    return layout
+
+
+def _describe(hint) -> str:
+    args = typing.get_args(hint)
+    if typing.get_origin(hint) in (typing.Union, types.UnionType):
+        return " or ".join(map(_describe, args))
+    if typing.get_origin(hint) is tuple:
+        return "[" + ", ".join("..." if a is Ellipsis else _describe(a) for a in args) + "]"
+    return _JSON_TYPES[hint]
+
+
+def _convert(value, hint):
+    """A JSON value in the Python form of a field's type hint, or _MISMATCH.
+    Lists become tuples and an integer becomes a float where a float is
+    wanted; a bool is never a number, and a number must be finite."""
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    if origin in (typing.Union, types.UnionType):
+        return next((out for out in (_convert(value, a) for a in args) if out is not _MISMATCH), _MISMATCH)
+    if origin is tuple:
+        items = args[:1] * len(value) if isinstance(value, list) and args[-1] is Ellipsis else args
+        if not isinstance(value, list) or len(items) != len(value):
+            return _MISMATCH
+        out = tuple(_convert(v, a) for v, a in zip(value, items))
+        return _MISMATCH if any(o is _MISMATCH for o in out) else out
+    if isinstance(value, bool) != (hint is bool):
+        return _MISMATCH
+    if hint is float and type(value) is int:
+        try:
+            value = float(value)
+        except OverflowError:
+            return _MISMATCH
+    if hint is float and not (isinstance(value, float) and math.isfinite(value)):
+        return _MISMATCH
+    return value if isinstance(value, hint) else _MISMATCH
+
+
+def _flatten(doc: dict) -> dict:
+    """{document key: value}; unknown keys and non-object sections raise."""
+    layout = _layout()
+    flat = {}
+    for name, value in doc.items():
+        if name in layout[""]:
+            flat[name] = value
+        elif name not in layout:
+            raise SchemaError(name, "unknown key")
+        elif not isinstance(value, dict):
+            raise SchemaError(name, "must be an object")
+        else:
+            for key, item in value.items():
+                if key not in layout[name]:
+                    raise SchemaError(f"{name}.{key}", "unknown key")
+                flat[f"{name}.{key}"] = item
+    return flat
+
+
+def _build(cls, prefix: str, flat: dict, base=None):
+    """``base``, or ``cls`` built from its field defaults, with every field
+    the document sets. A section field is built from its own section over
+    the field's default instance. A rule a spec breaks is re-raised under
+    its document key."""
+    kwargs = {}
+    for f in fields(cls):
+        hint, key = _hints(cls)[f.name], _key(prefix + f.name)
+        if is_dataclass(hint):
+            default = f.default if is_dataclass(f.default) else None
+            kwargs[f.name] = _build(hint, f"{prefix}{f.name}.", flat, default)
+        elif key in flat:
+            kwargs[f.name] = _convert(flat[key], hint)
+            if kwargs[f.name] is _MISMATCH:
+                raise SchemaError(key, f"must be {_describe(hint)}, got {flat[key]!r}")
+    try:
+        return cls(**kwargs) if base is None else replace(base, **kwargs)
+    except SchemaError as exc:
+        raise SchemaError(_key(prefix + exc.key), exc.message) from None
 
 
 def load_config_file(path: str) -> dict:
@@ -105,6 +157,14 @@ def load_config_file(path: str) -> dict:
     return doc
 
 
+def validate(config: ExperimentConfig) -> None:
+    """The rules that span sections, each named by a key to change."""
+    mode, T = config.mode, config.task.T
+    if mode.kind == "reupload_k" and mode.k != FULL_WINDOW and mode.k > T:
+        raise SchemaError("mode.k", f"window {mode.k} is longer than the series (task.T = {T})")
+    build_observables(config.observables, config.reservoir.n_qubits, config.reservoir.topology)
+
+
 def parse_config(
     doc: dict, task_kind: str | None = None
 ) -> tuple[ExperimentConfig, OutputOptions]:
@@ -113,170 +173,40 @@ def parse_config(
     ``task_kind`` is the kind implied by the CLI command; a conflicting
     explicit task.kind is a schema violation.
     """
-    for key in doc:
-        if key not in TOP_LEVEL_KEYS:
-            raise SchemaError(key, "unknown key")
-
-    master_seed = _get_int(doc, "<config>", "master_seed", DEFAULT_MASTER_SEED, minimum=0)
-    if master_seed >= SEED_LIMIT:
-        raise SchemaError("master_seed", f"must be < 2**64, got {master_seed}")
-
-    task_sec = _section(doc, "task", ("kind", "T", "seed", "delay", "window"))
-    kind = task_sec.get("kind", task_kind)
+    flat = _flatten(doc)
+    kind = flat.setdefault("task.kind", task_kind)
     if kind is None:
         raise SchemaError("task.kind", "missing (no task kind given by command or config)")
-    if kind not in TASK_KINDS:
-        raise SchemaError("task.kind", f"must be one of {list(TASK_KINDS)}, got {kind!r}")
     if task_kind is not None and kind != task_kind:
         raise SchemaError("task.kind", f"config says {kind!r} but the command runs {task_kind!r}")
-    task = TaskSpec(
-        kind=kind,
-        T=_get_int(task_sec, "task", "T", 600, minimum=1),
-        seed=_get_int(task_sec, "task", "seed", None, minimum=0, allow_none=True, limit=SEED_LIMIT),
-        delay=_get_int(task_sec, "task", "delay", 2, minimum=1),
-        window=_get_int(task_sec, "task", "window", 2, minimum=2),
-    )
+    config = _build(ExperimentConfig, "", flat)
+    validate(config)
+    return config, _build(OutputOptions, "output.", flat)
 
-    res_sec = _section(doc, "reservoir", ("n_qubits", "depth", "topology", "seed"))
-    reservoir = ReservoirSpec(
-        n_qubits=_get_int(res_sec, "reservoir", "n_qubits", 4, minimum=2),
-        depth=_get_int(res_sec, "reservoir", "depth", 3, minimum=1),
-        topology=_get_enum(res_sec, "reservoir", "topology", "ring", TOPOLOGIES),
-        seed=_get_int(res_sec, "reservoir", "seed", None, minimum=0, allow_none=True, limit=SEED_LIMIT),
-    )
 
-    enc_sec = _section(doc, "encoder", ("scheme", "layers", "scale"))
-    scheme = _get_enum(enc_sec, "encoder", "scheme", "angle", SCHEMES)
-    layers = _get_int(enc_sec, "encoder", "layers", 1, minimum=1)
-    if scheme == "angle" and layers != 1:
-        raise SchemaError("encoder.layers", "must be 1 for the plain angle scheme")
-    encoder = EncoderSpec(
-        n_qubits=reservoir.n_qubits,
-        scheme=scheme,
-        layers=layers,
-        scale=_get_enum(enc_sec, "encoder", "scale", "pi_linear", SCALE_TAGS),
-    )
+def _dump(obj, prefix: str, doc: dict) -> dict:
+    """Write each field of ``obj`` into ``doc`` under its document key."""
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        if is_dataclass(value):
+            _dump(value, f"{prefix}{f.name}.", doc)
+            continue
+        key = _key(prefix + f.name)
+        if key is None:
+            continue
+        section, _, name = key.rpartition(".")
+        (doc.setdefault(section, {}) if section else doc)[name] = _to_json(value)
+    return doc
 
-    obs_sec = _section(doc, "observables", ("local_z", "zz"))
-    zz = obs_sec.get("zz", None)
-    if zz is not None and zz not in ("edges", "all_pairs"):
-        if not isinstance(zz, list) or not all(
-            isinstance(p, list) and len(p) == 2 and all(isinstance(q, int) and not isinstance(q, bool) for q in p)
-            for p in zz
-        ):
-            raise SchemaError(
-                "observables.zz", "must be null, 'edges', 'all_pairs' or a list of [i, j] pairs"
-            )
-        zz = tuple((p[0], p[1]) for p in zz)
-    observables = ObservableSpec(
-        local_z=_get_bool(obs_sec, "observables", "local_z", True),
-        zz=zz,
-    )
 
-    mode_sec = _section(doc, "mode", ("type", "k"))
-    mode = ModeSpec(
-        kind=_get_enum(mode_sec, "mode", "type", "recurrent", MODE_KINDS),
-        k=_get_int(mode_sec, "mode", "k", 1, minimum=1),
-    )
-
-    back_sec = _section(doc, "backend", ("type", "shots", "shot_seed"))
-    backend = BackendSpec(
-        kind=_get_enum(back_sec, "backend", "type", "ideal", BACKEND_KINDS),
-        shots=_get_int(back_sec, "backend", "shots", 1024, minimum=1),
-        shot_seed=_get_int(
-            back_sec, "backend", "shot_seed", None, minimum=0, allow_none=True, limit=SEED_LIMIT
-        ),
-    )
-
-    proto_sec = _section(doc, "protocol", ("washout", "train_fraction"))
-    train_fraction = _get_number(proto_sec, "protocol", "train_fraction", 0.7)
-    if not 0.0 < train_fraction < 1.0:
-        raise SchemaError("protocol.train_fraction", f"must be in (0, 1), got {train_fraction}")
-    protocol = ProtocolSpec(
-        washout=_get_int(proto_sec, "protocol", "washout", 50, minimum=0),
-        train_fraction=train_fraction,
-    )
-
-    read_sec = _section(doc, "readout", ("alpha", "alpha_grid"))
-    alpha = _get_number(read_sec, "readout", "alpha", DEFAULT_ALPHA)
-    if alpha < 0:
-        raise SchemaError("readout.alpha", f"must be >= 0, got {alpha}")
-    grid = read_sec.get("alpha_grid", None)
-    if grid is not None:
-        if not isinstance(grid, list) or not grid or not all(
-            isinstance(a, (int, float)) and not isinstance(a, bool) and a >= 0 for a in grid
-        ):
-            raise SchemaError("readout.alpha_grid", "must be a non-empty list of numbers >= 0")
-        grid = tuple(float(a) for a in grid)
-
-    out_sec = _section(doc, "output", ("dir", "plots", "features"))
-    out_dir = out_sec.get("dir", "runs")
-    if not isinstance(out_dir, str) or not out_dir:
-        raise SchemaError("output.dir", "must be a non-empty string")
-    output = OutputOptions(
-        dir=out_dir,
-        plots=_get_bool(out_sec, "output", "plots", True),
-        features=_get_bool(out_sec, "output", "features", True),
-    )
-
-    config = ExperimentConfig(
-        task=task,
-        reservoir=reservoir,
-        encoder=encoder,
-        observables=observables,
-        mode=mode,
-        backend=backend,
-        protocol=protocol,
-        alpha=alpha,
-        alpha_grid=grid,
-        master_seed=master_seed,
-    )
-    return config, output
+def _to_json(value):
+    return [_to_json(v) for v in value] if isinstance(value, tuple) else value
 
 
 def echo_config(config: ExperimentConfig, output: OutputOptions) -> dict:
     """A schema-shaped document reproducing the run; derived seeds stay null
     so the master seed remains the single source of randomness."""
-    zz = config.observables.zz
-    if isinstance(zz, tuple):
-        zz = [list(p) for p in zz]
-    return {
-        "master_seed": config.master_seed,
-        "task": {
-            "kind": config.task.kind,
-            "T": config.task.T,
-            "seed": config.task.seed,
-            "delay": config.task.delay,
-            "window": config.task.window,
-        },
-        "reservoir": {
-            "n_qubits": config.reservoir.n_qubits,
-            "depth": config.reservoir.depth,
-            "topology": config.reservoir.topology,
-            "seed": config.reservoir.seed,
-        },
-        "encoder": {
-            "scheme": config.encoder.scheme,
-            "layers": config.encoder.layers,
-            "scale": config.encoder.scale,
-        },
-        "observables": {"local_z": config.observables.local_z, "zz": zz},
-        "mode": {"type": config.mode.kind, "k": config.mode.k},
-        "backend": {
-            "type": config.backend.kind,
-            "shots": config.backend.shots,
-            "shot_seed": config.backend.shot_seed,
-        },
-        "protocol": {
-            "washout": config.protocol.washout,
-            "train_fraction": config.protocol.train_fraction,
-        },
-        "readout": {
-            "alpha": config.alpha,
-            "alpha_grid": list(config.alpha_grid) if config.alpha_grid else None,
-        },
-        "output": {"dir": output.dir, "plots": output.plots, "features": output.features},
-    }
+    return _dump(output, "output.", _dump(config, "", {}))
 
 
 def config_hash(echo: dict) -> str:

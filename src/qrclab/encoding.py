@@ -12,8 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, DataError
-from .sim import GateOp, RandomStream, StateVector, apply_gate
+from .errors import ConfigurationError, DataError, SchemaError
+from .reservoir import topology_edges
+from .sim import GateOp, RandomStream, StateVector, apply_gate, check_seed
 
 SCHEMES = ("angle", "reupload")
 SCALE_TAGS = ("pi_linear",)
@@ -26,20 +27,6 @@ def scale_input(u, tag: str = "pi_linear"):
     return np.pi * np.clip(u, 0.0, 1.0)
 
 
-def _ring_edges(n: int) -> tuple[tuple[int, int], ...]:
-    # ring degenerates to a single edge for n=2; no edges for n=1
-    edges = []
-    for i in range(n):
-        j = (i + 1) % n
-        if i == j:
-            continue
-        pair = (i, j)
-        if (j, i) in edges or pair in edges:
-            continue
-        edges.append(pair)
-    return tuple(edges)
-
-
 @dataclass(frozen=True)
 class EncoderSpec:
     n_qubits: int
@@ -50,15 +37,16 @@ class EncoderSpec:
 
     def __post_init__(self):
         if self.n_qubits < 1:
-            raise ConfigurationError("encoder needs at least one qubit")
+            raise SchemaError("n_qubits", f"must be >= 1, got {self.n_qubits}")
         if self.scheme not in SCHEMES:
-            raise ConfigurationError(f"unknown encoding scheme {self.scheme!r}")
+            raise SchemaError("scheme", f"must be one of {list(SCHEMES)}, got {self.scheme!r}")
         if self.scale not in SCALE_TAGS:
-            raise ConfigurationError(f"unknown scale function {self.scale!r}")
+            raise SchemaError("scale", f"must be one of {list(SCALE_TAGS)}, got {self.scale!r}")
         if self.layers < 1:
-            raise ConfigurationError("layers must be >= 1")
+            raise SchemaError("layers", f"must be >= 1, got {self.layers}")
         if self.scheme == "angle" and self.layers != 1:
-            raise ConfigurationError("plain angle encoding has exactly one layer")
+            raise SchemaError("layers", "must be 1 for the plain angle scheme")
+        check_seed("interleave_seed", self.interleave_seed, optional=True)
 
 
 @dataclass(frozen=True)
@@ -89,11 +77,12 @@ def build_encoder(spec: EncoderSpec, rng: RandomStream | None = None) -> Encoder
             raise ConfigurationError("interleave seed unresolved; pass a stream or set the seed")
         rng = RandomStream(spec.interleave_seed)
     slots = tuple(range(spec.n_qubits))
+    ring = topology_edges("ring", spec.n_qubits) if spec.n_qubits > 1 else ()  # 1 qubit: no ring
     layers = []
     for _ in range(spec.layers):
         fixed: list[GateOp] = []
         if spec.scheme == "reupload":
-            for i, j in _ring_edges(spec.n_qubits):
+            for i, j in ring:
                 fixed.append(GateOp("CRZ", float(rng.uniform(0.0, 2 * np.pi)), target=j, control=i))
             for q in range(spec.n_qubits):
                 fixed.append(GateOp("RZ", float(rng.uniform(0.0, 2 * np.pi)), target=q))

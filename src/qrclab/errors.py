@@ -21,9 +21,14 @@ class MetricError(QRCLabError):
     """A requested metric is undefined for the given inputs."""
 
 
-class SchemaError(QRCLabError):
-    """Config file violates the strict schema; names the offending key."""
+class SchemaError(ConfigurationError):
+    """A config value breaks the schema. ``key`` names the offender: a spec
+    field, which ``parse_config`` turns into the document key (``task.T``)."""
 
     def __init__(self, key: str, message: str):
+        super().__init__(key, message)
         self.key = key
-        super().__init__(f"{key}: {message}")
+        self.message = message
+
+    def __str__(self):
+        return f"{self.key}: {self.message}"

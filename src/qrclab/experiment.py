@@ -44,6 +44,7 @@ from .sim import (
     RandomStream,
     StateVector,
     apply_gate_rows,
+    check_seed,
     compile_gates,
     ry_layer,
     sign_matrix,
@@ -73,12 +74,18 @@ class ObservableSpec:
 
     def __post_init__(self):
         if isinstance(self.zz, str) and self.zz not in ("edges", "all_pairs"):
-            raise ConfigurationError(f"zz must be 'edges', 'all_pairs' or pairs, got {self.zz!r}")
-        if isinstance(self.zz, (list, tuple)) and not isinstance(self.zz, str):
+            raise SchemaError("zz", f"must be 'edges', 'all_pairs' or pairs, got {self.zz!r}")
+        if isinstance(self.zz, (list, tuple)):
             pairs = tuple((int(i), int(j)) for i, j in self.zz)
             if any(i == j for i, j in pairs):
-                raise ConfigurationError("zz pairs must join distinct qubits")
+                raise SchemaError("zz", "pairs must join distinct qubits")
+            if any(min(p) < 0 for p in pairs):
+                raise SchemaError("zz", "qubit indices must be >= 0")
+            if len({frozenset(p) for p in pairs}) < len(pairs):
+                raise SchemaError("zz", "pairs must not repeat")
             object.__setattr__(self, "zz", pairs)
+        if not self.local_z and not self.zz:
+            raise SchemaError("local_z", "no observables configured: local_z is false and zz is empty")
 
 
 @dataclass(frozen=True)
@@ -88,9 +95,9 @@ class ModeSpec:
 
     def __post_init__(self):
         if self.kind not in MODE_KINDS:
-            raise ConfigurationError(f"unknown mode {self.kind!r}")
+            raise SchemaError("kind", f"must be one of {list(MODE_KINDS)}, got {self.kind!r}")
         if self.k != FULL_WINDOW and (not isinstance(self.k, int) or self.k < 1):
-            raise ConfigurationError(f"window k must be an integer >= 1 or '{FULL_WINDOW}'")
+            raise SchemaError("k", f"must be an integer >= 1 or '{FULL_WINDOW}', got {self.k!r}")
 
 
 @dataclass(frozen=True)
@@ -101,9 +108,10 @@ class BackendSpec:
 
     def __post_init__(self):
         if self.kind not in BACKEND_KINDS:
-            raise ConfigurationError(f"unknown backend {self.kind!r}")
+            raise SchemaError("kind", f"must be one of {list(BACKEND_KINDS)}, got {self.kind!r}")
         if self.shots < 1:
-            raise ConfigurationError("shots must be >= 1")
+            raise SchemaError("shots", f"must be >= 1, got {self.shots}")
+        check_seed("shot_seed", self.shot_seed, optional=True)
 
 
 @dataclass(frozen=True)
@@ -113,9 +121,9 @@ class ProtocolSpec:
 
     def __post_init__(self):
         if self.washout < 0:
-            raise ConfigurationError("washout must be >= 0")
+            raise SchemaError("washout", f"must be >= 0, got {self.washout}")
         if not 0.0 < self.train_fraction < 1.0:
-            raise ConfigurationError("train_fraction must be in (0, 1)")
+            raise SchemaError("train_fraction", f"must be in (0, 1), got {self.train_fraction}")
 
 
 @dataclass(frozen=True)
@@ -137,12 +145,15 @@ class ExperimentConfig:
 
     def __post_init__(self):
         if self.encoder.n_qubits != self.reservoir.n_qubits:
-            raise ConfigurationError(
-                f"encoder width {self.encoder.n_qubits} != reservoir width "
-                f"{self.reservoir.n_qubits}"
+            raise SchemaError(
+                "encoder",
+                f"width {self.encoder.n_qubits} != reservoir width {self.reservoir.n_qubits}",
             )
         if self.alpha < 0:
-            raise ConfigurationError("alpha must be >= 0")
+            raise SchemaError("alpha", f"must be >= 0, got {self.alpha}")
+        if self.alpha_grid is not None and (not self.alpha_grid or any(a < 0 for a in self.alpha_grid)):
+            raise SchemaError("alpha_grid", "must be a non-empty list of numbers >= 0")
+        check_seed("master_seed", self.master_seed)
 
 
 def resolve_seeds(config: ExperimentConfig) -> ExperimentConfig:
@@ -178,10 +189,8 @@ def build_observables(
             pairs = obs.zz
         for i, j in pairs:
             if i >= n_qubits or j >= n_qubits:
-                raise ConfigurationError(f"zz pair ({i}, {j}) out of range for N={n_qubits}")
+                raise SchemaError("observables.zz", f"pair ({i}, {j}) out of range for N={n_qubits}")
             out.append(PauliString((i, j)))
-    if not out:
-        raise ConfigurationError("no observables configured")
     return tuple(out)
 
 

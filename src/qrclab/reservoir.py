@@ -12,30 +12,21 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError
-from .sim import GateOp, RandomStream, StateVector, apply_gate
+from .errors import ConfigurationError, SchemaError
+from .sim import MAX_QUBITS, GateOp, RandomStream, StateVector, apply_gate, check_seed
 
 TOPOLOGIES = ("ring", "chain", "all_to_all")
 
 
 def topology_edges(topology: str, n_qubits: int) -> tuple[tuple[int, int], ...]:
     """Edge list for a topology: ring(N)=N for N>=3 (1 for N=2), chain(N)=N-1,
-    all_to_all(N)=N(N-1)/2. Edges are ascending (i, j) pairs."""
+    all_to_all(N)=N(N-1)/2. Edges are (i, j) pairs in ascending order of i."""
     if topology not in TOPOLOGIES:
         raise ConfigurationError(f"unknown topology {topology!r}")
     if n_qubits < 2:
         raise ConfigurationError(f"topology {topology!r} needs at least 2 qubits")
-    if topology == "ring":
-        seen = set()
-        edges = []
-        for i in range(n_qubits):
-            j = (i + 1) % n_qubits
-            key = frozenset((i, j))
-            if key in seen:
-                continue
-            seen.add(key)
-            edges.append((i, j))
-        return tuple(edges)
+    if topology == "ring":  # the closing edge (n-1, 0) last; N=2 has one edge
+        return tuple((i, (i + 1) % n_qubits) for i in range(n_qubits if n_qubits > 2 else 1))
     if topology == "chain":
         return tuple((i, i + 1) for i in range(n_qubits - 1))
     return tuple(
@@ -52,11 +43,12 @@ class ReservoirSpec:
 
     def __post_init__(self):
         if self.topology not in TOPOLOGIES:
-            raise ConfigurationError(f"unknown topology {self.topology!r}")
-        if self.n_qubits < 2:
-            raise ConfigurationError("reservoir needs at least 2 qubits")
+            raise SchemaError("topology", f"must be one of {list(TOPOLOGIES)}, got {self.topology!r}")
+        if not 2 <= self.n_qubits <= MAX_QUBITS:
+            raise SchemaError("n_qubits", f"must be in [2, {MAX_QUBITS}], got {self.n_qubits}")
         if self.depth < 1:
-            raise ConfigurationError("depth must be >= 1")
+            raise SchemaError("depth", f"must be >= 1, got {self.depth}")
+        check_seed("seed", self.seed, optional=True)
 
 
 @dataclass(frozen=True)

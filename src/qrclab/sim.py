@@ -25,12 +25,13 @@ memory of a run.
 from __future__ import annotations
 
 import hashlib
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .errors import ConfigurationError, DataError
+from .errors import ConfigurationError, DataError, SchemaError
 
 MAX_QUBITS = 24  # 2**24 complex128 amplitudes = 256 MB; desk-scale ceiling
 
@@ -47,6 +48,19 @@ GATE_KINDS = ("RY", "RZ", "CRY", "CRZ")
 # --------------------------------------------------------------------------
 
 
+def check_seed(key: str, seed, optional: bool = False) -> int | None:
+    """The rule for every seed: an integer in [0, 2**64), the range of a
+    PCG64 seed, or None if ``optional``. Returns it as a Python int; ``key``
+    names it in the error."""
+    if optional and seed is None:
+        return None
+    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral):
+        raise SchemaError(key, f"must be an integer, got {seed!r}")
+    if not 0 <= seed < 2**64:
+        raise SchemaError(key, f"must be in [0, 2**64), got {seed}")
+    return int(seed)
+
+
 class RandomStream:
     """A seeded PCG64 stream with labelled, hash-derived child streams.
 
@@ -58,11 +72,8 @@ class RandomStream:
     """
 
     def __init__(self, seed: int):
-        seed = int(seed)
-        if not 0 <= seed < 2**64:
-            raise ConfigurationError(f"seed must be a 64-bit unsigned integer, got {seed}")
-        self.seed = seed
-        self._gen = np.random.Generator(np.random.PCG64(seed))
+        self.seed = check_seed("seed", seed)
+        self._gen = np.random.Generator(np.random.PCG64(self.seed))
 
     def child(self, label: str) -> "RandomStream":
         digest = hashlib.sha256(f"{self.seed}/{label}".encode("utf-8")).digest()

@@ -12,8 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, DataError
-from .sim import RandomStream
+from .errors import ConfigurationError, DataError, SchemaError
+from .sim import RandomStream, check_seed
 
 log = logging.getLogger(__name__)
 
@@ -46,13 +46,14 @@ class TaskSpec:
 
     def __post_init__(self):
         if self.kind not in TASK_KINDS:
-            raise ConfigurationError(f"unknown task kind {self.kind!r}")
+            raise SchemaError("kind", f"must be one of {list(TASK_KINDS)}, got {self.kind!r}")
         if self.T < 1:
-            raise ConfigurationError("T must be positive")
+            raise SchemaError("T", f"must be >= 1, got {self.T}")
+        check_seed("seed", self.seed, optional=True)
         if self.delay < 1:
-            raise ConfigurationError("delay must be >= 1")
+            raise SchemaError("delay", f"must be >= 1, got {self.delay}")
         if self.window < 2:
-            raise ConfigurationError("window must be >= 2")
+            raise SchemaError("window", f"must be >= 2, got {self.window}")
 
 
 def generate(spec: TaskSpec) -> TimeSeries:

@@ -110,6 +110,35 @@ class TestSchemaFailures:
         assert "QRCLAB_THREADS" in capsys.readouterr().err
         assert not (tmp_path / "r").exists()
 
+    def test_bad_zz_pairs_name_key(self, tmp_path, capsys):
+        for pairs in ([[0, 0]], [[0, 1], [1, 0]], [[0, 9]], [[-1, 0]]):
+            cfg = write_config(tmp_path, dict(FAST_CASE) | {"observables": {"zz": pairs}})
+            assert main(["case-parity", "--config", cfg, "--out", str(tmp_path / "r")]) == 1
+            assert "observables.zz" in capsys.readouterr().err
+        assert not (tmp_path / "r").exists()
+
+    def test_non_finite_readout_names_key(self, tmp_path, capsys):
+        # json parses the non-standard NaN and Infinity literals
+        for key, text in (("alpha", "NaN"), ("alpha", "Infinity"), ("alpha_grid", "[0.1, Infinity]")):
+            path = tmp_path / "config.json"
+            path.write_text(f'{{"readout": {{"{key}": {text}}}}}')
+            assert main(["case-parity", "--config", str(path), "--out", str(tmp_path / "r")]) == 1
+            assert f"readout.{key}" in capsys.readouterr().err
+        assert not (tmp_path / "r").exists()
+
+    def test_reservoir_wider_than_simulator_names_key(self, tmp_path, capsys):
+        for n in (25, 10**400):
+            cfg = write_config(tmp_path, dict(FAST_CASE) | {"reservoir": {"n_qubits": n}})
+            assert main(["case-parity", "--config", cfg, "--out", str(tmp_path / "r")]) == 1
+            assert "reservoir.n_qubits" in capsys.readouterr().err
+        assert not (tmp_path / "r").exists()
+
+    def test_window_longer_than_series_names_key(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, dict(FAST_CASE) | {"mode": {"type": "reupload_k", "k": 121}})
+        assert main(["case-parity", "--config", cfg, "--out", str(tmp_path / "r")]) == 1
+        assert "mode.k" in capsys.readouterr().err
+        assert not (tmp_path / "r").exists()
+
 
 class TestRuntimeFailures:
     def test_too_short_series_exit_2(self, tmp_path):

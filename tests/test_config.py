@@ -8,7 +8,7 @@ from qrclab.config import (
     echo_config,
     parse_config,
 )
-from qrclab.errors import SchemaError
+from qrclab.errors import ConfigurationError, SchemaError
 
 
 class TestDefaults:
@@ -91,6 +91,37 @@ class TestStrictness:
         with pytest.raises(SchemaError, match="observables.zz"):
             parse_config({"observables": {"zz": [[0, 1, 2]]}}, task_kind="stm")
 
+    def test_zz_pairs_name_key(self):
+        for pairs in ([[0, 0]], [[0, 1], [1, 0]], [[0, 9]], [[-1, 0]]):
+            with pytest.raises(SchemaError, match="observables.zz"):
+                parse_config({"observables": {"zz": pairs}}, task_kind="stm")
+
+    def test_non_finite_numbers_rejected(self):
+        for section, key, value in (
+            ("readout", "alpha", float("nan")),
+            ("readout", "alpha", float("inf")),
+            ("readout", "alpha_grid", [0.1, float("inf")]),
+            ("protocol", "train_fraction", float("nan")),
+        ):
+            with pytest.raises(SchemaError, match=f"{section}.{key}"):
+                parse_config({section: {key: value}}, task_kind="stm")
+
+    def test_bools_are_not_numbers(self):
+        for section, key in (("task", "T"), ("readout", "alpha"), ("mode", "k"), ("task", "seed")):
+            with pytest.raises(SchemaError, match=f"{section}.{key}"):
+                parse_config({section: {key: True}}, task_kind="stm")
+
+    def test_window_longer_than_series(self):
+        doc = {"task": {"T": 100}, "mode": {"type": "reupload_k", "k": 101}}
+        with pytest.raises(SchemaError, match="mode.k"):
+            parse_config(doc, task_kind="stm")
+        doc["mode"]["k"] = 100
+        assert parse_config(doc, task_kind="stm")[0].mode.k == 100
+
+    def test_schema_error_is_a_configuration_error(self):
+        with pytest.raises(ConfigurationError, match="reservoir.depth"):
+            parse_config({"reservoir": {"depth": 0}}, task_kind="stm")
+
 
 class TestEcho:
     def test_round_trip_identity(self):
@@ -111,6 +142,14 @@ class TestEcho:
         cfg2, out2 = parse_config(echo, task_kind="parity")
         assert cfg2 == cfg and out2 == out
         assert echo_config(cfg2, out2) == echo
+
+    def test_full_window_round_trips(self):
+        doc = {"encoder": {"scheme": "reupload"}, "mode": {"type": "reupload_k", "k": "full"}}
+        cfg, out = parse_config(doc, task_kind="stm")
+        assert cfg.mode.k == "full"
+        echo = echo_config(cfg, out)
+        assert echo["mode"]["k"] == "full" and "interleave_seed" not in echo["encoder"]
+        assert parse_config(echo, task_kind="stm") == (cfg, out)
 
     def test_echo_parses_under_strict_schema(self):
         cfg, out = parse_config({}, task_kind="narma10")

@@ -5,7 +5,7 @@ import pytest
 
 from qrclab.encoding import EncoderSpec, build_encoder, encode_input, scale_input
 from qrclab.errors import ConfigurationError, DataError
-from qrclab.sim import PauliString, expectation, new_zero_state
+from qrclab.sim import PauliString, RandomStream, expectation, new_zero_state
 
 
 class TestEncoderSpec:
@@ -41,6 +41,21 @@ class TestBuildEncoder:
         spec = EncoderSpec(n_qubits=3, scheme="reupload", layers=2, interleave_seed=3)
         circ = build_encoder(spec)
         assert circ.fixed_gate_count == 2 * (3 + 3)
+
+    def test_ring_edges_and_draw_order(self):
+        # one CRZ per ring edge (0,1), (1,2), (2,0), then one RZ per qubit,
+        # drawn in that order from the interleave stream
+        circ = build_encoder(EncoderSpec(n_qubits=3, scheme="reupload", interleave_seed=7))
+        gates = circ.layers[0].fixed_gates
+        assert [(g.kind, g.control, g.target) for g in gates] == [
+            ("CRZ", 0, 1), ("CRZ", 1, 2), ("CRZ", 2, 0), ("RZ", None, 0), ("RZ", None, 1), ("RZ", None, 2),
+        ]
+        rng = RandomStream(7)
+        assert [g.angle for g in gates] == [float(rng.uniform(0.0, 2 * np.pi)) for _ in gates]
+
+    def test_single_qubit_reupload_has_no_ring(self):
+        circ = build_encoder(EncoderSpec(n_qubits=1, scheme="reupload", layers=2, interleave_seed=0))
+        assert [[g.kind for g in layer.fixed_gates] for layer in circ.layers] == [["RZ"], ["RZ"]]
 
     def test_deterministic(self):
         spec = EncoderSpec(n_qubits=3, scheme="reupload", layers=2, interleave_seed=11)
