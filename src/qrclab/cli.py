@@ -18,9 +18,10 @@ from dataclasses import replace
 from datetime import datetime
 from pathlib import Path
 
-from .config import config_hash, dump_echo, echo_config, load_config_file, parse_config
+from .config import config_hash, dump_echo, echo_config, load_config_file, parse_config, validate
 from .errors import QRCLabError, SchemaError
 from .experiment import (
+    _replicate_config,
     features_csv,
     predictions_csv,
     run_case,
@@ -180,6 +181,11 @@ def cmd_theory_scan(args) -> int:
             raise SchemaError("--delta", f"must be in (0, 1), got {args.delta}")
         if args.replicates < 1:
             raise SchemaError("--replicates", "must be >= 1")
+        for n in qubits:  # rules that depend on the scanned width
+            try:
+                validate(_replicate_config(config, 0, n))
+            except SchemaError as exc:
+                raise SchemaError("--qubits", f"width {n}: {exc}") from exc
         worker_count()
     except SchemaError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -66,16 +66,15 @@ class EncoderCircuit:
         return sum(len(layer.fixed_gates) for layer in self.layers)
 
 
-def build_encoder(spec: EncoderSpec, rng: RandomStream | None = None) -> EncoderCircuit:
+def build_encoder(spec: EncoderSpec) -> EncoderCircuit:
     """Build the encoder deterministically from (spec, interleave seed).
 
     Draw order per re-upload layer: CRZ angle for each ring edge in ascending
     order, then one RZ angle per qubit in ascending order.
     """
-    if rng is None:
-        if spec.interleave_seed is None:
-            raise ConfigurationError("interleave seed unresolved; pass a stream or set the seed")
-        rng = RandomStream(spec.interleave_seed)
+    if spec.interleave_seed is None:
+        raise ConfigurationError("interleave seed unresolved; fill it or go through resolve_seeds")
+    rng = RandomStream(spec.interleave_seed)
     slots = tuple(range(spec.n_qubits))
     ring = topology_edges("ring", spec.n_qubits) if spec.n_qubits > 1 else ()  # 1 qubit: no ring
     layers = []

@@ -3,9 +3,15 @@ protocol, the STM delay sweep, and the qubit-width theory scan.
 
 Both drivers evolve through one fused kernel (``_advance`` and ``_measure``
 below, built on the batch helpers in ``sim``): fixed gate blocks compiled
-once, a (B, 2**n) batch of rows advanced per step, and one sign matrix for
-the features. ``sim.CHUNK_AMPLITUDES`` bounds each batch. ``step`` is the
-gate-by-gate reference the kernel is tested against.
+once (dense for n <= 7, else gate lists with each diagonal run folded into a
+phase vector), a (B, 2**n) batch of rows advanced per step, and one sign
+matrix for the features. Each step's RY layer is two Kronecker half-factors
+from ``sim.ry_factors``, built once per chunk of steps: a recurrent run
+builds them per group of steps, a windowed run per chunk of rows, whose
+windows cover consecutive steps, so each advance takes a contiguous slice.
+``sim.CHUNK_AMPLITUDES`` bounds a chunk's rows and, apart, the factors of
+its steps. ``step`` is the gate-by-gate reference the kernel is tested
+against.
 
 Seed derivation: one master seed yields labelled child seeds for
 {data, reservoir, encoder-interleave, shots} (see sim.RandomStream), so a
@@ -46,6 +52,9 @@ from .sim import (
     apply_gate_rows,
     check_seed,
     compile_gates,
+    fold_diagonals,
+    ry_factor_size,
+    ry_factors,
     ry_layer,
     sign_matrix,
 )
@@ -263,13 +272,13 @@ def _input_rotations(inputs, encoder: EncoderCircuit) -> np.ndarray:
 def _fixed_blocks(encoder: EncoderCircuit, reservoir: ReservoirCircuit) -> list:
     """The fixed gates after each encoder layer's RY layer, with the reservoir
     folded into the last block: a dense row operator when its 4**n entries
-    fit in one chunk, else the gate list."""
+    fit in one chunk, else the gate list with its diagonal runs folded."""
     n = reservoir.n_qubits
     blocks = [list(layer.fixed_gates) for layer in encoder.layers]
     blocks[-1] += reservoir.gates
     if 4**n <= CHUNK_AMPLITUDES:
         return [compile_gates(block, n) for block in blocks]
-    return blocks
+    return [fold_diagonals(block, n) for block in blocks]
 
 
 def _compile_run(series: TimeSeries, cfg: ExperimentConfig):
@@ -287,16 +296,28 @@ def _compile_run(series: TimeSeries, cfg: ExperimentConfig):
     )
 
 
-def _advance(rows: np.ndarray, rotations: np.ndarray, blocks, n: int) -> np.ndarray:
+def _rows_per_chunk(n: int, extra_steps: int = 0) -> int:
+    """Rows per chunk, and steps per factor build: the rows hold at most
+    CHUNK_AMPLITUDES amplitudes, and so do the RY factors of their steps (one
+    per row plus ``extra_steps``). Never fewer than one row, so a window
+    too long for the budget builds its k steps of factors at once."""
+    steps = CHUNK_AMPLITUDES // ry_factor_size(n)
+    return max(1, min(CHUNK_AMPLITUDES >> n, steps - extra_steps))
+
+
+def _advance(rows: np.ndarray, factors, blocks, n: int) -> np.ndarray:
     """One time step on every row: per encoder layer, the RY layer, then
-    that layer's fixed block."""
+    that layer's fixed block (a phase vector in a gate list multiplies)."""
     for block in blocks:
-        rows = ry_layer(rows, rotations)
+        rows = ry_layer(rows, factors)
         if isinstance(block, np.ndarray):
             rows = rows @ block
-        else:
-            for gate in block:
-                apply_gate_rows(rows, gate, n)
+            continue
+        for op in block:
+            if isinstance(op, np.ndarray):
+                rows *= op
+            else:
+                apply_gate_rows(rows, op, n)
     return rows
 
 
@@ -342,16 +363,17 @@ def run_recurrent(series: TimeSeries, config: ExperimentConfig) -> FeatureMatrix
 
     state = np.zeros((1, 2**n), dtype=np.complex128)
     state[0, 0] = 1.0
-    per_chunk = max(1, CHUNK_AMPLITUDES >> n)
-    kept: list = []
+    per_chunk = _rows_per_chunk(n)
     chunks: list = []
-    for t in range(T):
-        state = _advance(state, rotations[t : t + 1], blocks, n)
-        if t >= keep_from:
-            kept.append(state)
-            if len(kept) == per_chunk or t == T - 1:
-                chunks.append(_measure(np.concatenate(kept), signs))
-                kept = []
+    for start in range(0, T, per_chunk):
+        hi, lo = ry_factors(rotations[start : start + per_chunk])
+        kept: list = []
+        for i in range(len(hi)):
+            state = _advance(state, (hi[i], lo[i]), blocks, n)
+            if start + i >= keep_from:
+                kept.append(state)
+        if kept:
+            chunks.append(_measure(np.concatenate(kept), signs))
     return _feature_matrix(chunks, np.arange(keep_from, T, dtype=np.int64), observables)
 
 
@@ -376,18 +398,21 @@ def run_windowed(series: TimeSeries, config: ExperimentConfig) -> FeatureMatrix:
     shot_stream = RandomStream(cfg.backend.shot_seed) if cfg.backend.kind == "shots" else None
     t_index = np.arange(keep_from, T, dtype=np.int64)
     chunks: list = []
-    per_chunk = max(1, CHUNK_AMPLITUDES >> n)
+    per_chunk = _rows_per_chunk(n, 0 if k == FULL_WINDOW else k - 1)
     for start in range(0, len(t_index), per_chunk):
         ts = t_index[start : start + per_chunk]
         rows = np.zeros((len(ts), 2**n), dtype=np.complex128)
         rows[:, 0] = 1.0
-        if k == FULL_WINDOW:
-            for s in range(ts[-1] + 1):
-                active = max(0, s - ts[0])  # rows t >= s: a suffix of the chunk
-                rows[active:] = _advance(rows[active:], rotations[s : s + 1], blocks, n)
-        else:
+        if k == FULL_WINDOW:  # every row starts at step 0; per_chunk steps of factors at a time
+            for group in range(0, ts[-1] + 1, per_chunk):
+                hi, lo = ry_factors(rotations[group : min(group + per_chunk, ts[-1] + 1)])
+                for i in range(len(hi)):
+                    active = max(0, group + i - ts[0])  # rows t >= s: a suffix of the chunk
+                    rows[active:] = _advance(rows[active:], (hi[i], lo[i]), blocks, n)
+        else:  # window j of row t is step t - k + 1 + j: one slice of the chunk's factors
+            hi, lo = ry_factors(rotations[ts[0] - k + 1 : ts[-1] + 1])
             for j in range(k):
-                rows = _advance(rows, rotations[ts - k + 1 + j], blocks, n)
+                rows = _advance(rows, (hi[j : j + len(ts)], lo[j : j + len(ts)]), blocks, n)
         chunks.append(_measure(rows, signs, cfg.backend.shots, shot_stream))
     return _feature_matrix(chunks, t_index, observables)
 
@@ -555,15 +580,12 @@ def _replicate_config(config: ExperimentConfig, r: int, n_qubits: int | None = N
     replicate so the scan compares reservoirs on identical series."""
     rep = RandomStream(config.master_seed).child(f"replicate-{r}")
     suffix = "" if n_qubits is None else f"-n{n_qubits}"
+    n_qubits = config.reservoir.n_qubits if n_qubits is None else n_qubits
     task = replace(config.task, seed=rep.child_seed("data"))
-    reservoir = replace(
-        config.reservoir,
-        n_qubits=n_qubits or config.reservoir.n_qubits,
-        seed=rep.child_seed(f"reservoir{suffix}"),
-    )
+    reservoir = replace(config.reservoir, n_qubits=n_qubits, seed=rep.child_seed(f"reservoir{suffix}"))
     encoder = replace(
         config.encoder,
-        n_qubits=n_qubits or config.encoder.n_qubits,
+        n_qubits=n_qubits,
         interleave_seed=rep.child_seed(f"encoder-interleave{suffix}"),
     )
     backend = replace(config.backend, shot_seed=rep.child_seed(f"shots{suffix}"))
@@ -654,21 +676,19 @@ def theory_scan(
 
 
 def features_csv(features: FeatureMatrix) -> str:
-    header = "t," + ",".join(features.labels)
-    lines = [header]
-    for i, t in enumerate(features.t_index):
-        vals = ",".join(f"{v:.17g}" for v in features.values[i])
-        lines.append(f"{int(t)},{vals}")
+    row = "%d," + ",".join(["%.17g"] * len(features.labels))
+    lines = ["t," + ",".join(features.labels)]
+    lines += [row % (t, *vals) for t, vals in zip(features.t_index.tolist(), features.values.tolist())]
     return "\n".join(lines) + "\n"
 
 
 def predictions_csv(result: RunResult) -> str:
+    columns = zip(result.features.t_index.tolist(), result.targets.tolist(), result.predictions.tolist())
     lines = ["t,target,prediction,split"]
-    for i, t in enumerate(result.features.t_index):
-        split = "train" if i < result.split_at else "test"
-        lines.append(
-            f"{int(t)},{result.targets[i]:.17g},{result.predictions[i]:.17g},{split}"
-        )
+    lines += [
+        "%d,%.17g,%.17g,%s" % (t, y, p, "train" if i < result.split_at else "test")
+        for i, (t, y, p) in enumerate(columns)
+    ]
     return "\n".join(lines) + "\n"
 
 

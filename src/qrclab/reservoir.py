@@ -57,12 +57,11 @@ class ReservoirCircuit:
     gates: tuple[GateOp, ...]
 
 
-def build_reservoir(spec: ReservoirSpec, rng: RandomStream | None = None) -> ReservoirCircuit:
+def build_reservoir(spec: ReservoirSpec) -> ReservoirCircuit:
     """Freeze the random reservoir gate list for the lifetime of a run."""
-    if rng is None:
-        if spec.seed is None:
-            raise ConfigurationError("reservoir seed unresolved; pass a stream or set the seed")
-        rng = RandomStream(spec.seed)
+    if spec.seed is None:
+        raise ConfigurationError("reservoir seed unresolved; fill it or go through resolve_seeds")
+    rng = RandomStream(spec.seed)
     edges = topology_edges(spec.topology, spec.n_qubits)
     gates: list[GateOp] = []
     for _ in range(spec.depth):

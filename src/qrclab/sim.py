@@ -15,11 +15,13 @@ Two layers of kernels live here. ``apply_gate``, ``expectation``,
 ``sample_counts`` and ``estimate_expectations`` act on one ``StateVector``
 or its count table and are the reference path; ``tests/dense_oracle.py``
 checks ``apply_gate`` in turn. The batch helpers ``apply_gate_rows``,
-``compile_gates``, ``ry_layer`` and ``sign_matrix`` act on a ``(B, 2**n)``
-array of amplitude rows; the fused evolution kernel in ``experiment`` is
-built from them and tested against the reference path.
-``CHUNK_AMPLITUDES`` bounds how many amplitudes one batch holds, and so the
-memory of a run.
+``compile_gates``, ``fold_diagonals``, ``ry_factors``, ``ry_layer`` and
+``sign_matrix`` act on a ``(B, 2**n)`` array of amplitude rows; the fused
+evolution kernel in ``experiment`` is built from them and tested against the
+reference path. The RY layer on every qubit is a Kronecker product, applied
+as two half-factors (two matmuls); a run of diagonal gates is one phase
+vector. ``CHUNK_AMPLITUDES`` bounds the entries of one batch of rows and,
+apart, of the RY factors built for its steps, and so the memory of a run.
 """
 
 from __future__ import annotations
@@ -35,9 +37,10 @@ from .errors import ConfigurationError, DataError, SchemaError
 
 MAX_QUBITS = 24  # 2**24 complex128 amplitudes = 256 MB; desk-scale ceiling
 
-# Amplitudes per batch chunk (256 KB of complex128). A fixed gate block is
-# compiled to a dense 2**n x 2**n operator only if its 4**n entries fit too,
-# i.e. for n <= 7; wider blocks run gate by gate over the chunk.
+# Entries per batch chunk (256 KB of complex128): a chunk's amplitude rows,
+# and apart the RY factors of its steps. A fixed gate block is compiled to a
+# dense 2**n x 2**n operator only if its 4**n entries fit too, i.e. for
+# n <= 7; wider blocks run gate by gate over the chunk, diagonal runs folded.
 CHUNK_AMPLITUDES = 2**14
 
 GATE_KINDS = ("RY", "RZ", "CRY", "CRZ")
@@ -355,18 +358,60 @@ def compile_gates(gates, n: int) -> np.ndarray:
     return op
 
 
-def ry_layer(rows: np.ndarray, rotations: np.ndarray) -> np.ndarray:
+def ry_factors(rotations: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Kronecker half-factors of the RY layer of each of S steps or rows.
+
+    ``rotations`` has shape (S, n, 2, 2): the RY matrix of each step and
+    qubit. The layer on every qubit is ``R[n-1] (x) ... (x) R[0]``; it splits
+    into ``hi`` (S, 2**a, 2**a) over the top a = n - n//2 qubits and, stored
+    transposed, ``lo`` (S, 2**b, 2**b) over the bottom b = n//2. Both are
+    built for all S at once, one qubit per broadcast product.
+    """
+    s, n = rotations.shape[:2]
+
+    def kron(qubits, transpose):
+        out = np.ones((s, 1, 1), dtype=np.complex128)
+        for q in qubits:  # top qubit first: it is the leading factor
+            r = rotations[:, q].swapaxes(1, 2) if transpose else rotations[:, q]
+            d = out.shape[1]
+            out = (out[:, :, None, :, None] * r[:, None, :, None, :]).reshape(s, 2 * d, 2 * d)
+        return out
+
+    b = n // 2
+    return kron(range(n - 1, b - 1, -1), False), kron(range(b - 1, -1, -1), True)
+
+
+def ry_factor_size(n: int) -> int:
+    """Entries of one step's ``ry_factors`` pair: 4**(n - n//2) + 4**(n//2)."""
+    return 4 ** (n - n // 2) + 4 ** (n // 2)
+
+
+def ry_layer(rows: np.ndarray, factors: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
     """Apply RY on every qubit of every row; returns a new (B, 2**n) batch.
 
-    ``rotations`` has shape (B or 1, n, 2, 2): the RY matrix of each row
-    and qubit. Each pass rotates the leading axis (the top qubit) with one
-    batched 2x2 matmul, then cycles that axis to the end, so after n passes
-    every qubit has been rotated once and the layout is back in place.
+    ``factors`` is a pair from ``ry_factors``: either one step's (2-d
+    arrays, shared by every row) or one per row (B leading). A row viewed as
+    the (2**a, 2**b) matrix X of its top and bottom qubits becomes
+    ``hi @ X @ lo``: two matmuls for the whole layer.
     """
-    b, n = rows.shape[0], rotations.shape[1]
-    for q in range(n - 1, -1, -1):
-        rows = (rotations[:, q] @ rows.reshape(b, 2, -1)).transpose(0, 2, 1).reshape(b, -1)
-    return rows
+    hi, lo = factors
+    b = rows.shape[0]
+    return (hi @ rows.reshape(b, hi.shape[-1], lo.shape[-1]) @ lo).reshape(b, -1)
+
+
+def fold_diagonals(gates, n: int) -> list:
+    """The gate list with each run of consecutive RZ/CRZ gates replaced by
+    one (2**n,) phase vector, its diagonal; ``rows *= phase`` applies the
+    run. Other gates pass through unchanged."""
+    out: list = []
+    for gate in gates:
+        if gate.kind not in ("RZ", "CRZ"):
+            out.append(gate)
+            continue
+        if not out or not isinstance(out[-1], np.ndarray):
+            out.append(np.ones(2**n, dtype=np.complex128))
+        apply_gate_rows(out[-1][None], gate, n)
+    return out
 
 
 def sign_matrix(obs_list, n: int) -> np.ndarray:

@@ -103,20 +103,18 @@ def narma10_recurrence(u: np.ndarray) -> np.ndarray:
     Returns y of length T+1 with y[0..10] = 0; the recurrence starts at t=10
     so the first computed value is y[11] (= 0.1 when u is identically zero).
     Iteration stops once |y| crosses the divergence bound; callers reject
-    such series, so the tail past that point is never consumed.
+    such series, so the tail past that point is never consumed. The loop
+    runs on Python floats: one step is a handful of scalar operations.
     """
+    u = np.asarray(u, dtype=np.float64).tolist()
     T = len(u)
-    y = np.zeros(T + 1)
+    y = [0.0] * (T + 1)
     for t in range(10, T):
-        y[t + 1] = (
-            0.3 * y[t]
-            + 0.05 * y[t] * np.sum(y[t - 9 : t + 1])
-            + 1.5 * u[t - 9] * u[t]
-            + 0.1
-        )
+        y_t = y[t]
+        y[t + 1] = 0.3 * y_t + 0.05 * y_t * sum(y[t - 9 : t + 1]) + 1.5 * u[t - 9] * u[t] + 0.1
         if abs(y[t + 1]) > NARMA_DIVERGENCE_BOUND:
             break
-    return y
+    return np.array(y)
 
 
 def gen_narma10(T: int, seed: int) -> TimeSeries:

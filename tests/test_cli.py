@@ -95,6 +95,18 @@ class TestSchemaFailures:
         assert main(["theory-scan", "--qubits", "4,3", "--out", str(tmp_path)]) == 1
         assert main(["theory-scan", "--qubits", "x", "--out", str(tmp_path)]) == 1
 
+    def test_scanned_width_errors_name_key(self, tmp_path, capsys):
+        out = str(tmp_path / "r")
+        for qubits in ("1,2", "0,2"):
+            assert main(["theory-scan", "--qubits", qubits, "--replicates", "1", "--out", out]) == 1
+            err = capsys.readouterr().err
+            assert "--qubits" in err and "n_qubits" in err
+        # a pair valid at the config's width but outside a scanned one
+        cfg = write_config(tmp_path, {"observables": {"zz": [[0, 3]]}})
+        assert main(["theory-scan", "--config", cfg, "--qubits", "2,3", "--replicates", "1", "--out", out]) == 1
+        assert "observables.zz" in capsys.readouterr().err
+        assert not (tmp_path / "r").exists()
+
     def test_seed_beyond_64_bits_names_key(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {"master_seed": 2**64})
         assert main(["case-parity", "--config", cfg, "--out", str(tmp_path / "r")]) == 1

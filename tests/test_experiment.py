@@ -12,6 +12,7 @@ from qrclab.experiment import (
     ModeSpec,
     ObservableSpec,
     ProtocolSpec,
+    RunResult,
     build_observables,
     confidence_term,
     features_csv,
@@ -419,6 +420,24 @@ class TestCsvRendering:
         lines = features_csv(fm).strip().split("\n")
         assert lines[0] == "t,Z0,Z0Z1"
         assert lines[1] == "7,0.5,-1"
+
+    def test_csv_bytes_equal_per_value_format(self):
+        # the writers format whole rows at once; each value must read as f"{v:.17g}"
+        values = np.array([[-0.0, 1e-300, 2 / 3], [5e-324, -1.0, 1e300], [0.1, 1.0, -2 / 3]])
+        fm = FeatureMatrix(values=values, t_index=np.array([3, 4, 5]), labels=("Z0", "Z1", "Z0Z1"))
+        want = ["t,Z0,Z1,Z0Z1"]
+        want += [f"{int(t)}," + ",".join(f"{v:.17g}" for v in row) for t, row in zip(fm.t_index, values)]
+        assert features_csv(fm) == "\n".join(want) + "\n"
+
+        targets = np.array([np.nan, -0.0, 2 / 3])
+        predictions = np.array([1e-300, np.nan, -np.inf])
+        res = RunResult(None, fm, targets, predictions, 2, {}, None)
+        want = ["t,target,prediction,split"]
+        want += [
+            f"{int(t)},{targets[i]:.17g},{predictions[i]:.17g},{'train' if i < 2 else 'test'}"
+            for i, t in enumerate(fm.t_index)
+        ]
+        assert predictions_csv(res) == "\n".join(want) + "\n"
 
     def test_predictions_csv_split_column(self):
         res = run_case(small_config(T=150, protocol=ProtocolSpec(washout=50, train_fraction=0.5)))

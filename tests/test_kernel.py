@@ -1,7 +1,8 @@
 """Parity of the fused evolution kernel with the gate-by-gate reference path.
 
-``run_recurrent`` and ``run_windowed`` evolve batches of rows through dense
-step operators (n <= 7) or batched gates (n >= 8). Here their features are
+``run_recurrent`` and ``run_windowed`` evolve batches of rows through the
+two-factor RY layer and dense step operators (n <= 7) or batched gates with
+folded diagonal runs (n >= 8). Here their features are
 compared with a loop of ``step`` + ``expectation`` (or ``sample_counts`` +
 ``estimate_expectations`` on the shots backend) and with the independent
 dense-matrix oracle.
@@ -38,7 +39,9 @@ from qrclab.sim import (
     compile_gates,
     estimate_expectations,
     expectation,
+    fold_diagonals,
     new_zero_state,
+    ry_factors,
     ry_layer,
     sample_counts,
 )
@@ -127,6 +130,7 @@ KERNEL_CASES = [
     pytest.param(8, 10, 2, id="k10-reupload2-n8"),
     pytest.param(7, "full", 2, id="full-reupload2-n7"),
     pytest.param(8, "full", 1, id="full-angle-n8"),
+    pytest.param(9, 3, 2, id="k3-reupload2-n9"),
 ]
 
 
@@ -161,7 +165,7 @@ def test_shots_match_sample_counts_exactly(n, layers):
 
 
 def test_explicit_pairs_and_chunk_boundaries():
-    # 70 rows at n = 8 span two 64-row chunks; the recurrent buffer flushes twice
+    # 70 rows at n = 8 span three chunks (32 steps or 31 windows of 2 each)
     cfg = kernel_config(8, zz=((0, 7), (3, 4)), T=80, washout=10)
     series = generate(resolve_seeds(cfg).task)
     for mode in (ModeSpec(), ModeSpec(kind="reupload_k", k=2)):
@@ -206,18 +210,42 @@ def test_compile_gates_is_the_transposed_unitary():
     np.testing.assert_allclose(compile_gates(gates, n), unitary.T, rtol=0, atol=TOL)
 
 
-def test_ry_layer_rotates_each_qubit_of_each_row():
-    n, b = 3, 2
-    angles = np.array([[0.3, 1.1, 2.0], [0.7, 0.2, 2.9]])
+@pytest.mark.parametrize("shared", [True, False], ids=["shared", "per-row"])
+@pytest.mark.parametrize("n", [2, 3, 8, 9])
+def test_ry_layer_rotates_each_qubit_of_each_row(n, shared):
+    b = 3
+    angles = np.random.default_rng(n).uniform(0.0, np.pi, size=(b, n))
+    if shared:
+        angles[:] = angles[0]
     half = 0.5 * angles
     rotations = np.stack(
         [np.stack([np.cos(half), -np.sin(half)], -1), np.stack([np.sin(half), np.cos(half)], -1)], -2
     ).astype(np.complex128)
     rows = random_rows(b, n, seed=9)
-    got = ry_layer(rows, rotations)
+    got = ry_layer(rows, ry_factors(rotations[:1] if shared else rotations))
     for i in range(b):
         gates = [GateOp("RY", float(angles[i, q]), target=q) for q in range(n)]
         np.testing.assert_allclose(got[i], apply_dense(rows[i], gates, n), rtol=0, atol=TOL)
+
+
+def test_fold_diagonals_matches_apply_gate():
+    n = 8
+    gates = random_circuit(n, 60, seed=11)
+    folded = fold_diagonals(gates, n)
+    assert any(isinstance(op, np.ndarray) for op in folded)
+    assert len(folded) < len(gates)
+    rows = random_rows(2, n, seed=12)
+    got = rows.copy()
+    for op in folded:
+        if isinstance(op, np.ndarray):
+            got *= op
+        else:
+            apply_gate_rows(got, op, n)
+    for row, want in zip(got, rows):
+        state = StateVector(n, want.copy())
+        for gate in gates:
+            apply_gate(state, gate)
+        np.testing.assert_allclose(row, state.amplitudes, rtol=0, atol=TOL)
 
 
 def test_estimate_rejects_negative_basis_index():

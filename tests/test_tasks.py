@@ -5,6 +5,7 @@ import pytest
 
 from qrclab.errors import ConfigurationError
 from qrclab.tasks import (
+    NARMA_DIVERGENCE_BOUND,
     TaskSpec,
     gen_narma10,
     gen_parity,
@@ -88,6 +89,25 @@ class TestNarma10:
         assert y[10] == 0.0
         assert abs(y[11] - 0.1) < 1e-15
         assert abs(y[12] - 0.1305) < 1e-15  # 0.3*0.1 + 0.05*0.1*0.1 + 0.1
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4])
+    def test_recurrence_matches_array_loop(self, seed):
+        # the recurrence as an ndarray loop with one np.sum per step
+        def array_loop(u):
+            y = np.zeros(len(u) + 1)
+            for t in range(10, len(u)):
+                y[t + 1] = 0.3 * y[t] + 0.05 * y[t] * np.sum(y[t - 9 : t + 1]) + 1.5 * u[t - 9] * u[t] + 0.1
+                if abs(y[t + 1]) > NARMA_DIVERGENCE_BOUND:
+                    break
+            return y
+
+        rng = np.random.default_rng(seed)
+        for u in (rng.uniform(0.0, 0.5, 400), np.full(200, 0.5), rng.uniform(0.0, 0.8, 300)):
+            want = array_loop(u)
+            got = narma10_recurrence(u)
+            assert got.shape == want.shape
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+        assert np.max(np.abs(array_loop(np.full(200, 0.5)))) > NARMA_DIVERGENCE_BOUND  # one diverges
 
     def test_target_is_one_step_ahead(self):
         ts = gen_narma10(100, seed=6)
