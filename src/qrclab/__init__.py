@@ -4,6 +4,10 @@ A fixed random circuit evolves a classical input sequence, Pauli-Z
 expectations become features, and a closed-form ridge readout is trained on
 them. Ships deterministic harnesses for the short-term-memory, temporal
 parity, and NARMA10 benchmarks plus a qubit-width generalization-gap scan.
+
+The package root exports what the README's library section documents; every
+other name is imported from its submodule (``qrclab.sim``,
+``qrclab.experiment``, ...).
 """
 
 from .errors import (
@@ -14,57 +18,7 @@ from .errors import (
     QRCLabError,
     SchemaError,
 )
-from .sim import (
-    GateOp,
-    PauliString,
-    RandomStream,
-    StateVector,
-    apply_gate,
-    estimate_expectations,
-    expectation,
-    new_zero_state,
-    sample_counts,
-)
-from .encoding import EncoderCircuit, EncoderSpec, build_encoder, encode_input, scale_input
-from .reservoir import (
-    ReservoirCircuit,
-    ReservoirSpec,
-    apply_reservoir,
-    build_reservoir,
-    serialize_gates,
-    topology_edges,
-)
-from .tasks import TaskSpec, TimeSeries, gen_narma10, gen_parity, gen_stm, generate, series_to_csv
-from .readout import (
-    DEFAULT_ALPHA,
-    DEFAULT_ALPHA_GRID,
-    RidgeModel,
-    accuracy,
-    fit_ridge,
-    model_to_json,
-    mse,
-    predict,
-    r2_score,
-)
-from .experiment import (
-    BackendSpec,
-    ExperimentConfig,
-    FeatureMatrix,
-    ModeSpec,
-    ObservableSpec,
-    ProtocolSpec,
-    RunResult,
-    ScanRow,
-    build_observables,
-    confidence_term,
-    raw_window_features,
-    resolve_seeds,
-    run_case,
-    run_recurrent,
-    run_windowed,
-    step,
-    stm_delay_sweep,
-    theory_scan,
-)
+from .tasks import TaskSpec
+from .experiment import ExperimentConfig, run_case, stm_delay_sweep, theory_scan
 
 __version__ = "0.1.0"

@@ -113,20 +113,14 @@ def _run_dir_name(hash8: str) -> str:
     return f"run_{stamp}_{hash8}"
 
 
-def cmd_case(command: str, args) -> int:
+def cmd_case(command: str, args):
+    """Set up a case command: its config, output options and run."""
     kind = CASE_KINDS[command]
-    try:
-        config, output = _load(args, kind)
-    except SchemaError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_SCHEMA
+    config, output = _load(args, kind)
 
-    echo = echo_config(config, output)
-    try:
+    def run():
         result = run_case(config)
-        test_t = result.features.t_index[result.split_at :]
         files = {
-            "config_echo.json": dump_echo(echo),
             "metrics.json": json.dumps(
                 {"task": kind, **result.metrics}
                 | ({"alpha_sweep": [list(r) for r in result.alpha_sweep]} if result.alpha_sweep else {}),
@@ -140,25 +134,15 @@ def cmd_case(command: str, args) -> int:
             files["features.csv"] = features_csv(result.features)
         if output.plots:
             files["overlay.svg"] = render_overlay_svg(
-                test_t,
+                result.features.t_index[result.split_at :],
                 result.targets[result.split_at :],
                 result.predictions[result.split_at :],
                 title=f"{kind}: test-horizon target vs prediction",
             )
-    except QRCLabError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_RUNTIME
+        summary = " ".join(f"{k}={v:.6f}" for k, v in sorted(result.metrics.items()))
+        return files, [f"{command} seed={config.master_seed} {summary}"]
 
-    try:
-        run_dir = _write_bundle(output.dir, _run_dir_name(config_hash(echo)), files)
-    except OSError as exc:
-        print(f"error: cannot write output bundle: {exc}", file=sys.stderr)
-        return EXIT_IO
-
-    summary = " ".join(f"{k}={v:.6f}" for k, v in sorted(result.metrics.items()))
-    print(f"{command} seed={config.master_seed} {summary}")
-    print(f"run_dir: {run_dir}")
-    return EXIT_OK
+    return config, output, run
 
 
 def _parse_qubits(raw: str) -> list[int]:
@@ -173,57 +157,70 @@ def _parse_qubits(raw: str) -> list[int]:
     return qubits
 
 
-def cmd_theory_scan(args) -> int:
-    try:
-        config, output = _load(args)
-        qubits = _parse_qubits(args.qubits)
-        if not 0.0 < args.delta < 1.0:
-            raise SchemaError("--delta", f"must be in (0, 1), got {args.delta}")
-        if args.replicates < 1:
-            raise SchemaError("--replicates", "must be >= 1")
-        for n in qubits:  # rules that depend on the scanned width
-            try:
-                validate(_replicate_config(config, 0, n))
-            except SchemaError as exc:
-                raise SchemaError("--qubits", f"width {n}: {exc}") from exc
-        worker_count()
-    except SchemaError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_SCHEMA
+def cmd_theory_scan(args):
+    """Set up the theory scan: its config, output options and run."""
+    config, output = _load(args)
+    qubits = _parse_qubits(args.qubits)
+    if not 0.0 < args.delta < 1.0:
+        raise SchemaError("--delta", f"must be in (0, 1), got {args.delta}")
+    if args.replicates < 1:
+        raise SchemaError("--replicates", "must be >= 1")
+    for n in qubits:  # rules that depend on the scanned width
+        try:
+            validate(_replicate_config(config, 0, n))
+        except SchemaError as exc:
+            raise SchemaError("--qubits", f"width {n}: {exc}") from exc
+    worker_count()
 
-    echo = echo_config(config, output)
-    try:
+    def run():
         rows = theory_scan(config, qubits, args.delta, args.replicates)
-        files = {
-            "config_echo.json": dump_echo(echo),
-            "scan.csv": scan_csv(rows),
-        }
+        files = {"scan.csv": scan_csv(rows)}
         if output.plots:
             files["scan.svg"] = render_scan_svg(rows)
+        return files, [
+            f"N={row.n_qubits} train={row.train_score:.6f} test={row.test_score:.6f} "
+            f"gap={row.gap:.6f} confidence={row.confidence_term:.6f}"
+            for row in rows
+        ]
+
+    return config, output, run
+
+
+def _run(config, output, run) -> int:
+    """Echo the config, run (exit 2 on a QRCLabError), write the bundle (exit
+    3 on an OSError), then print the run's summary lines and the run dir."""
+    echo = echo_config(config, output)
+    try:
+        files, summary = run()
     except QRCLabError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
 
     try:
-        run_dir = _write_bundle(output.dir, _run_dir_name(config_hash(echo)), files)
+        run_dir = _write_bundle(
+            output.dir, _run_dir_name(config_hash(echo)), {"config_echo.json": dump_echo(echo), **files}
+        )
     except OSError as exc:
         print(f"error: cannot write output bundle: {exc}", file=sys.stderr)
         return EXIT_IO
 
-    for row in rows:
-        print(
-            f"N={row.n_qubits} train={row.train_score:.6f} test={row.test_score:.6f} "
-            f"gap={row.gap:.6f} confidence={row.confidence_term:.6f}"
-        )
+    for line in summary:
+        print(line)
     print(f"run_dir: {run_dir}")
     return EXIT_OK
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if args.command in CASE_KINDS:
-        return cmd_case(args.command, args)
-    return cmd_theory_scan(args)
+    try:
+        if args.command in CASE_KINDS:
+            config, output, run = cmd_case(args.command, args)
+        else:
+            config, output, run = cmd_theory_scan(args)
+    except SchemaError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_SCHEMA
+    return _run(config, output, run)
 
 
 def entry():

@@ -61,10 +61,6 @@ class EncoderCircuit:
     scale: str
     layers: tuple[EncoderLayer, ...]
 
-    @property
-    def fixed_gate_count(self) -> int:
-        return sum(len(layer.fixed_gates) for layer in self.layers)
-
 
 def build_encoder(spec: EncoderSpec) -> EncoderCircuit:
     """Build the encoder deterministically from (spec, interleave seed).

@@ -16,7 +16,6 @@ import numpy as np
 from .errors import ConfigurationError, DataError, FitError, MetricError
 
 DEFAULT_ALPHA = 1e-2
-DEFAULT_ALPHA_GRID = tuple(float(a) for a in np.logspace(-6.0, 1.0, 8))
 
 
 @dataclass(frozen=True)
@@ -39,7 +38,7 @@ def _check_design(X: np.ndarray, y: np.ndarray):
         raise DataError("non-finite values in training data")
 
 
-def fit_ridge(X, y, alpha: float = DEFAULT_ALPHA, fit_bias: bool = True) -> RidgeModel:
+def fit_ridge(X, y, alpha: float = DEFAULT_ALPHA) -> RidgeModel:
     """Solve the ridge normal equations on the bias-augmented design.
 
     Raises FitError when the regularized system is not positive definite,
@@ -52,12 +51,8 @@ def fit_ridge(X, y, alpha: float = DEFAULT_ALPHA, fit_bias: bool = True) -> Ridg
         raise ConfigurationError(f"alpha must be >= 0, got {alpha}")
 
     m = X.shape[1]
-    if fit_bias:
-        design = np.hstack([X, np.ones((X.shape[0], 1))])
-        penalty = np.diag(np.r_[np.full(m, alpha), 0.0])
-    else:
-        design = X
-        penalty = alpha * np.eye(m)
+    design = np.hstack([X, np.ones((X.shape[0], 1))])
+    penalty = np.diag(np.r_[np.full(m, alpha), 0.0])
 
     gram = design.T @ design + penalty
     rhs = design.T @ y
@@ -69,9 +64,7 @@ def fit_ridge(X, y, alpha: float = DEFAULT_ALPHA, fit_bias: bool = True) -> Ridg
         ) from exc
     coeffs = np.linalg.solve(chol.T, np.linalg.solve(chol, rhs))
 
-    if fit_bias:
-        return RidgeModel(weights=coeffs[:m], bias=float(coeffs[m]), alpha=float(alpha))
-    return RidgeModel(weights=coeffs, bias=0.0, alpha=float(alpha))
+    return RidgeModel(weights=coeffs[:m], bias=float(coeffs[m]), alpha=float(alpha))
 
 
 def predict(model: RidgeModel, X) -> np.ndarray:

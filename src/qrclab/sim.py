@@ -29,7 +29,6 @@ from __future__ import annotations
 import hashlib
 import numbers
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -173,12 +172,6 @@ class StateVector:
         """|sum |a_i|**2 - 1|; callers assert this, it is never auto-repaired."""
         return abs(float(np.sum(np.abs(self.amplitudes) ** 2)) - 1.0)
 
-    def copy(self) -> "StateVector":
-        out = object.__new__(StateVector)
-        out.n_qubits = self.n_qubits
-        out.amplitudes = self.amplitudes.copy()
-        return out
-
     def __repr__(self) -> str:
         return f"StateVector(n_qubits={self.n_qubits})"
 
@@ -199,9 +192,7 @@ def new_zero_state(n_qubits: int) -> StateVector:
     return StateVector(n_qubits, amps)
 
 
-@lru_cache(maxsize=8192)
 def _rotation_matrix(kind: str, angle: float) -> np.ndarray:
-    # cached: fixed reservoir/encoder gates recur at every time step
     half = 0.5 * angle
     if kind in ("RY", "CRY"):
         c, s = np.cos(half), np.sin(half)

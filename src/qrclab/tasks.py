@@ -137,14 +137,3 @@ def gen_narma10(T: int, seed: int) -> TimeSeries:
         log.warning("narma10 series diverged for seed %d; substituting seed %d", current, current + 1)
         current += 1
     raise DataError(f"narma10 diverged for {NARMA_MAX_REDRAWS} consecutive seeds from {seed}")
-
-
-def series_to_csv(series: TimeSeries) -> str:
-    """CSV export with columns t,u,y,defined (17 significant digits)."""
-    lines = ["t,u,y,defined"]
-    for t in range(len(series.inputs)):
-        defined = int(t >= series.valid_from)
-        lines.append(
-            f"{t},{series.inputs[t]:.17g},{series.targets[t]:.17g},{defined}"
-        )
-    return "\n".join(lines) + "\n"

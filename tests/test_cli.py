@@ -193,6 +193,24 @@ class TestTheoryScan:
         second = (run_dir_from(capsys) / "scan.csv").read_bytes()
         assert first == second
 
+    def test_too_short_series_exit_2(self, tmp_path, capsys):
+        out = tmp_path / "r"
+        cfg = write_config(tmp_path, {"task": {"T": 40}})
+        argv = ["theory-scan", "--config", cfg, "--qubits", "2,3", "--replicates", "1", "--out", str(out)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists() or not any(out.iterdir())
+
+    def test_unwritable_output_exit_3(self, tmp_path, capsys):
+        blocker = tmp_path / "blocked"
+        blocker.write_text("a file, not a directory")
+        cfg = write_config(tmp_path, {"task": {"T": 100}, "protocol": {"washout": 20}})
+        argv = ["theory-scan", "--config", cfg, "--qubits", "2,3", "--replicates", "1", "--out", str(blocker)]
+        assert main(argv) == 3
+        assert "cannot write output bundle" in capsys.readouterr().err
+        assert blocker.read_text() == "a file, not a directory"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["blocked", "config.json"]
+
 
 class TestRoundTrip:
     def test_rerun_from_echo_is_byte_identical(self, tmp_path, capsys):

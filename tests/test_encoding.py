@@ -27,20 +27,20 @@ class TestBuildEncoder:
         circ = build_encoder(EncoderSpec(n_qubits=3, interleave_seed=1))
         assert len(circ.layers) == 1
         assert circ.layers[0].angle_qubits == (0, 1, 2)
-        assert circ.fixed_gate_count == 0
+        assert sum(len(layer.fixed_gates) for layer in circ.layers) == 0
 
     def test_reupload_fixed_gate_count(self):
         # two qubits: the ring degenerates to one edge, so each layer carries
         # 1 CRZ + 2 RZ fixed gates
         spec = EncoderSpec(n_qubits=2, scheme="reupload", layers=2, interleave_seed=3)
         circ = build_encoder(spec)
-        assert circ.fixed_gate_count == 2 * (1 + 2)
+        assert sum(len(layer.fixed_gates) for layer in circ.layers) == 2 * (1 + 2)
         assert all(len(layer.angle_qubits) == 2 for layer in circ.layers)
 
     def test_reupload_ring_count_three_qubits(self):
         spec = EncoderSpec(n_qubits=3, scheme="reupload", layers=2, interleave_seed=3)
         circ = build_encoder(spec)
-        assert circ.fixed_gate_count == 2 * (3 + 3)
+        assert sum(len(layer.fixed_gates) for layer in circ.layers) == 2 * (3 + 3)
 
     def test_ring_edges_and_draw_order(self):
         # one CRZ per ring edge (0,1), (1,2), (2,0), then one RZ per qubit,

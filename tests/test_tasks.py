@@ -12,7 +12,6 @@ from qrclab.tasks import (
     gen_stm,
     generate,
     narma10_recurrence,
-    series_to_csv,
 )
 
 
@@ -162,19 +161,3 @@ class TestTaskSpec:
     def test_unresolved_seed(self):
         with pytest.raises(ConfigurationError):
             generate(TaskSpec("stm", T=50))
-
-
-class TestCsvExport:
-    def test_layout(self):
-        ts = gen_stm(5, seed=0, delay=2)
-        lines = series_to_csv(ts).strip().split("\n")
-        assert lines[0] == "t,u,y,defined"
-        assert len(lines) == 6
-        first = lines[1].split(",")
-        assert first[0] == "0" and first[3] == "0"
-        assert lines[3].split(",")[3] == "1"  # t=2 is the first defined target
-
-    def test_roundtrip_precision(self):
-        ts = gen_stm(4, seed=8, delay=1)
-        row = series_to_csv(ts).strip().split("\n")[2].split(",")
-        assert float(row[1]) == ts.inputs[1]
