@@ -13,6 +13,15 @@ windows cover consecutive steps, so each advance takes a contiguous slice.
 its steps. ``step`` is the gate-by-gate reference the kernel is tested
 against.
 
+Scans and sweeps evolve replicates of one width in groups: a recurrent run
+advances R replicates as one (R, 2**n) batch, each row with its own RY
+factors and its own dense blocks, stacked as (R, d, d) and applied as
+``(rows[:, None] @ blocks)[:, 0]``. A single run (R = 1) keeps the shared
+2-d factors and blocks, ``rows @ block``, as ``ry_layer`` does for shared
+factors. R is at most ``CHUNK_AMPLITUDES // 4**n`` (at least 1), the budget
+that also makes blocks dense: 16 at n = 5, 4 at n = 6, 1 from n = 7 on.
+Input rotations are built per chunk of steps. A group is one pool task.
+
 Seed derivation: one master seed yields labelled child seeds for
 {data, reservoir, encoder-interleave, shots} (see sim.RandomStream), so a
 single integer reproduces a whole run. Sweeps and scans derive per-replicate
@@ -249,17 +258,23 @@ def step(
 NORM_TOLERANCE = 1e-8  # max |sum |psi|**2 - 1| of a measured row
 
 
-def _input_rotations(inputs, encoder: EncoderCircuit) -> np.ndarray:
-    """RY matrices of every step and qubit, shape (T, n, 2, 2). The series
-    is validated here, once: it must be finite. Vector inputs are tiled
-    cyclically across the qubits, as in ``encode_input``."""
+def _input_series(inputs) -> np.ndarray:
+    """The series as a (T, c) array of scalar (c = 1) or vector inputs. It
+    is validated here, once: it must be finite."""
     u = np.asarray(inputs, dtype=np.float64)
     u = u[:, None] if u.ndim == 1 else u
     if u.ndim != 2 or u.shape[1] == 0:
         raise DataError("inputs must be a series of non-empty scalars or 1-d vectors")
     if not np.all(np.isfinite(u)):
         raise DataError("non-finite input value")
-    angles = scale_input(u, encoder.scale)[:, np.arange(encoder.n_qubits) % u.shape[1]]
+    return u
+
+
+def _rotations(u: np.ndarray, encoder: EncoderCircuit) -> np.ndarray:
+    """RY matrices of inputs u (..., c) on every qubit, shape (..., n, 2, 2).
+    Vector inputs are tiled cyclically across the qubits, as in
+    ``encode_input``."""
+    angles = scale_input(u, encoder.scale)[..., np.arange(encoder.n_qubits) % u.shape[-1]]
     cos, sin = np.cos(0.5 * angles), np.sin(0.5 * angles)
     rotations = np.empty(angles.shape + (2, 2), dtype=np.complex128)
     rotations[..., 0, 0] = cos
@@ -282,14 +297,14 @@ def _fixed_blocks(encoder: EncoderCircuit, reservoir: ReservoirCircuit) -> list:
 
 
 def _compile_run(series: TimeSeries, cfg: ExperimentConfig):
-    """What the kernel needs, built once per run: (n, input rotations, fixed
+    """What the kernel needs, built once per run: (encoder, inputs, fixed
     blocks, observables, sign matrix)."""
     n = cfg.reservoir.n_qubits
     encoder = build_encoder(cfg.encoder)
     observables = build_observables(cfg.observables, n, cfg.reservoir.topology)
     return (
-        n,
-        _input_rotations(series.inputs, encoder),
+        encoder,
+        _input_series(series.inputs),
         _fixed_blocks(encoder, build_reservoir(cfg.reservoir)),
         observables,
         sign_matrix(observables, n),
@@ -305,13 +320,21 @@ def _rows_per_chunk(n: int, extra_steps: int = 0) -> int:
     return max(1, min(CHUNK_AMPLITUDES >> n, steps - extra_steps))
 
 
+def _group_size(n: int) -> int:
+    """Replicates of width n that one recurrent run evolves together: as many
+    as have their stacked dense blocks fit in one chunk, at least one."""
+    return max(1, CHUNK_AMPLITUDES // 4**n)
+
+
 def _advance(rows: np.ndarray, factors, blocks, n: int) -> np.ndarray:
     """One time step on every row: per encoder layer, the RY layer, then
-    that layer's fixed block (a phase vector in a gate list multiplies)."""
+    that layer's fixed block. A 2-d block is shared by every row, a stack of
+    (B, d, d) holds one per row, and in a gate list a phase vector
+    multiplies."""
     for block in blocks:
         rows = ry_layer(rows, factors)
         if isinstance(block, np.ndarray):
-            rows = rows @ block
+            rows = rows @ block if block.ndim == 2 else (rows[:, None] @ block)[:, 0]
             continue
         for op in block:
             if isinstance(op, np.ndarray):
@@ -350,31 +373,57 @@ def run_recurrent(series: TimeSeries, config: ExperimentConfig) -> FeatureMatrix
     """Evolve one persistent state through the whole series, reading exact
     expectations after every step; rows before max(washout, valid_from) are
     dropped. Ideal backend only."""
-    cfg = resolve_seeds(config)
-    if cfg.backend.kind != "ideal":
+    return run_recurrent_group([series], [config])[0]
+
+
+def run_recurrent_group(series_list, configs) -> list[FeatureMatrix]:
+    """``run_recurrent`` for R replicates of one width at once: configs that
+    differ only in their seeds, and series of one length. The R states
+    evolve as one (R, 2**n) batch, each row with its own RY factors and its
+    own dense blocks stacked as (R, d, d); R = 1 keeps the shared 2-d
+    factors and blocks. R may be at most ``_group_size(n)``."""
+    cfgs = [resolve_seeds(c) for c in configs]
+    if any(c.backend.kind != "ideal" for c in cfgs):
         raise ConfigurationError(
             "recurrent mode requires the ideal backend: sampling collapses the "
             "state, so expectations cannot be read non-destructively mid-run; "
             "use mode reupload_k for shots execution"
         )
-    n, rotations, blocks, observables, signs = _compile_run(series, cfg)
-    T = len(rotations)
-    keep_from = max(cfg.protocol.washout, series.valid_from)
+    runs = [_compile_run(s, c) for s, c in zip(series_list, cfgs)]
+    encoder, _, _, observables, signs = runs[0]
+    n, R = encoder.n_qubits, len(runs)
+    if R > _group_size(n):
+        raise ConfigurationError(f"{R} replicates of width {n} exceed the group size {_group_size(n)}")
+    inputs = [run[1] for run in runs]
+    blocks = runs[0][2] if R == 1 else [np.stack(layer) for layer in zip(*(run[2] for run in runs))]
+    del runs  # the stacked blocks replace the per-replicate ones
+    T = len(inputs[0])
+    keep = [max(c.protocol.washout, s.valid_from) for c, s in zip(cfgs, series_list)]
+    keep_from = min(keep)
 
-    state = np.zeros((1, 2**n), dtype=np.complex128)
-    state[0, 0] = 1.0
-    per_chunk = _rows_per_chunk(n)
+    state = np.zeros((R, 2**n), dtype=np.complex128)
+    state[:, 0] = 1.0
+    per_chunk = max(1, _rows_per_chunk(n) // R)
     chunks: list = []
     for start in range(0, T, per_chunk):
-        hi, lo = ry_factors(rotations[start : start + per_chunk])
+        rotations = _rotations(np.stack([u[start : start + per_chunk] for u in inputs], axis=1), encoder)
+        hi, lo = ry_factors(rotations.reshape(-1, n, 2, 2))
+        steps = (len(rotations), R) if R > 1 else (len(rotations),)
+        hi, lo = hi.reshape(steps + hi.shape[1:]), lo.reshape(steps + lo.shape[1:])
         kept: list = []
         for i in range(len(hi)):
             state = _advance(state, (hi[i], lo[i]), blocks, n)
             if start + i >= keep_from:
                 kept.append(state)
         if kept:
-            chunks.append(_measure(np.concatenate(kept), signs))
-    return _feature_matrix(chunks, np.arange(keep_from, T, dtype=np.int64), observables)
+            rows = np.stack(kept, axis=1).reshape(-1, 2**n)
+            chunks.append(_measure(rows, signs).reshape(R, len(kept), -1))
+    values = np.concatenate(chunks, axis=1) if chunks else np.empty((R, 0, len(observables)))
+    labels = tuple(o.label for o in observables)
+    return [
+        FeatureMatrix(values[r, k - keep_from :], np.arange(k, T, dtype=np.int64), labels)
+        for r, k in enumerate(keep)
+    ]
 
 
 def run_windowed(series: TimeSeries, config: ExperimentConfig) -> FeatureMatrix:
@@ -385,7 +434,8 @@ def run_windowed(series: TimeSeries, config: ExperimentConfig) -> FeatureMatrix:
     observable from it."""
     cfg = resolve_seeds(config)
     k = cfg.mode.k
-    n, rotations, blocks, observables, signs = _compile_run(series, cfg)
+    encoder, inputs, blocks, observables, signs = _compile_run(series, cfg)
+    n, rotations = encoder.n_qubits, _rotations(inputs, encoder)
     T = len(rotations)
     first_full = 0 if k == FULL_WINDOW else k - 1
     keep_from = max(cfg.protocol.washout, series.valid_from, first_full)
@@ -469,12 +519,16 @@ def run_case(config: ExperimentConfig) -> RunResult:
     cfg = resolve_seeds(config)
     _validate_lengths(cfg)
     series = generate(cfg.task)
-
     if cfg.mode.kind == "recurrent":
         features = run_recurrent(series, cfg)
     else:
         features = run_windowed(series, cfg)
+    return _fit_and_score(cfg, series, features)
 
+
+def _fit_and_score(cfg: ExperimentConfig, series: TimeSeries, features: FeatureMatrix) -> RunResult:
+    """Split the rows contiguously into train-then-test, fit the ridge
+    readout on the train rows, score both segments."""
     t_eff = features.values.shape[0]
     n_train = int(np.floor(cfg.protocol.train_fraction * t_eff))
     if n_train < 1 or n_train >= t_eff:
@@ -545,16 +599,6 @@ class ScanRow:
     delta: float
 
 
-def _case_scores(cfg: ExperimentConfig) -> tuple[float, float, int]:
-    res = run_case(cfg)
-    name, _ = task_metric(cfg.task.kind)
-    return (
-        float(res.metrics[f"train_{name}"]),
-        float(res.metrics[f"test_{name}"]),
-        len(res.targets) - res.split_at,
-    )
-
-
 def worker_count() -> int:
     """Worker processes for sweeps and scans, from QRCLAB_THREADS."""
     raw = os.environ.get("QRCLAB_THREADS", "1")
@@ -562,17 +606,76 @@ def worker_count() -> int:
         n = int(raw)
     except ValueError:
         raise SchemaError("QRCLAB_THREADS", f"must be an integer, got {raw!r}")
-    if n == 0:
-        return os.cpu_count() or 1
-    return max(n, 1)
+    if n < 0:
+        raise SchemaError("QRCLAB_THREADS", f"must be >= 0, got {n}")
+    return n or os.cpu_count() or 1
 
 
-def _map_cases(configs):
-    workers = worker_count()
-    if workers <= 1 or len(configs) <= 1:
-        return [_case_scores(c) for c in configs]
+def _group_scores(group: list) -> list:
+    """One pool task: a group of replicates of one width, each a list of
+    cells (configs) that differ only in the STM delay; a scan has one cell
+    per replicate. Returns (train score, test score, test rows) per cell.
+
+    A replicate's cells share its inputs and reservoir, since ``gen_stm``
+    draws the inputs before it reads the delay. On the ideal backend each
+    replicate is evolved once, from its cell with the smallest
+    ``valid_from``, the whole group through one ``_evolve``, and each cell
+    keeps the rows t >= max(washout, valid_from). The shots backend draws in
+    row order, so there each cell is its own run."""
+    for cells in group:
+        for cfg in cells:
+            _validate_lengths(cfg)
+    series = [[generate(cfg.task) for cfg in cells] for cells in group]
+    if group[0][0].backend.kind == "shots":
+        features = [[_evolve([s], [c])[0] for c, s in zip(cells, ss)] for cells, ss in zip(group, series)]
+    else:
+        first = [min(range(len(ss)), key=lambda j: ss[j].valid_from) for ss in series]
+        evolved = _evolve(
+            [ss[j] for ss, j in zip(series, first)], [cells[j] for cells, j in zip(group, first)]
+        )
+        features = [
+            [_rows_from(f, max(c.protocol.washout, s.valid_from)) for c, s in zip(cells, ss)]
+            for cells, ss, f in zip(group, series, evolved)
+        ]
+    name, _ = task_metric(group[0][0].task.kind)
+    scores = []
+    for cells, ss, fs in zip(group, series, features):
+        results = [_fit_and_score(c, s, f) for c, s, f in zip(cells, ss, fs)]
+        scores.append([
+            (float(r.metrics[f"train_{name}"]), float(r.metrics[f"test_{name}"]), len(r.targets) - r.split_at)
+            for r in results
+        ])
+    return scores
+
+
+def _evolve(series: list, configs: list) -> list[FeatureMatrix]:
+    """Feature matrices of replicates of one width: recurrent ones as one
+    batch, reupload_k ones one window run each."""
+    if configs[0].mode.kind == "recurrent":
+        return run_recurrent_group(series, configs)
+    return [run_windowed(s, c) for s, c in zip(series, configs)]
+
+
+def _rows_from(features: FeatureMatrix, t0: int) -> FeatureMatrix:
+    """The rows of a feature matrix with t >= t0."""
+    start = int(np.searchsorted(features.t_index, t0))
+    return FeatureMatrix(features.values[start:], features.t_index[start:], features.labels)
+
+
+def _map_cases(groups: list) -> list:
+    """``_group_scores`` of every group, in order, on at most one worker
+    process per group."""
+    workers = min(worker_count(), len(groups))
+    if workers <= 1:
+        return [_group_scores(g) for g in groups]
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(_case_scores, configs))
+        return list(pool.map(_group_scores, groups))
+
+
+def _replicate_groups(replicates: list, n: int) -> list:
+    """Consecutive replicates of width n, ``_group_size(n)`` per group."""
+    size = _group_size(n)
+    return [replicates[i : i + size] for i in range(0, len(replicates), size)]
 
 
 def _replicate_config(config: ExperimentConfig, r: int, n_qubits: int | None = None) -> ExperimentConfig:
@@ -615,15 +718,10 @@ def stm_delay_sweep(
     cells = []
     for r in range(replicates):
         base = _replicate_config(config, r)
-        for d in delays:
-            cells.append(replace(base, task=replace(base.task, kind="stm", delay=d)))
-    scores = _map_cases(cells)
-
-    out = []
-    for i, d in enumerate(delays):
-        vals = [scores[r * len(delays) + i][1] for r in range(replicates)]
-        out.append((d, float(np.mean(vals))))
-    return out
+        cells.append([replace(base, task=replace(base.task, kind="stm", delay=d)) for d in delays])
+    groups = _replicate_groups(cells, config.reservoir.n_qubits)
+    scores = [replicate for group in _map_cases(groups) for replicate in group]
+    return [(d, float(np.mean([replicate[i][1] for replicate in scores]))) for i, d in enumerate(delays)]
 
 
 def theory_scan(
@@ -641,11 +739,11 @@ def theory_scan(
     if replicates < 1:
         raise ConfigurationError("replicates must be >= 1")
 
-    cells = []
+    groups = []
     for n in qubits:
-        for r in range(replicates):
-            cells.append(_replicate_config(config, r, n_qubits=n))
-    scores = _map_cases(cells)
+        cells = [[_replicate_config(config, r, n_qubits=n)] for r in range(replicates)]
+        groups += _replicate_groups(cells, n)
+    scores = [cell for group in _map_cases(groups) for replicate in group for cell in replicate]
 
     rows = []
     for i, n in enumerate(qubits):

@@ -122,6 +122,12 @@ class TestSchemaFailures:
         assert "QRCLAB_THREADS" in capsys.readouterr().err
         assert not (tmp_path / "r").exists()
 
+    def test_negative_threads_names_key(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("QRCLAB_THREADS", "-1")
+        assert main(["theory-scan", "--out", str(tmp_path / "r")]) == 1
+        assert "QRCLAB_THREADS" in capsys.readouterr().err
+        assert not (tmp_path / "r").exists()
+
     def test_bad_zz_pairs_name_key(self, tmp_path, capsys):
         for pairs in ([[0, 0]], [[0, 1], [1, 0]], [[0, 9]], [[-1, 0]]):
             cfg = write_config(tmp_path, dict(FAST_CASE) | {"observables": {"zz": pairs}})

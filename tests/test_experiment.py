@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from qrclab.encoding import EncoderSpec, build_encoder, scale_input
-from qrclab.errors import ConfigurationError
+from qrclab import experiment
+from qrclab.errors import ConfigurationError, SchemaError
 from qrclab.experiment import (
     BackendSpec,
     ExperimentConfig,
@@ -26,6 +27,7 @@ from qrclab.experiment import (
     step,
     stm_delay_sweep,
     theory_scan,
+    worker_count,
 )
 from qrclab.reservoir import ReservoirSpec, build_reservoir
 from qrclab.sim import GateOp, new_zero_state
@@ -398,6 +400,38 @@ class TestTheoryScan:
         monkeypatch.setenv("QRCLAB_THREADS", "2")
         par = theory_scan(cfg, [2, 3], delta=0.1, replicates=2)
         assert seq == par
+
+    def test_pool_is_capped_at_the_task_count(self, monkeypatch):
+        sizes = []
+
+        class RecordingPool:  # records the pool size and maps in this process
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(experiment, "ProcessPoolExecutor", RecordingPool)
+        cfg = small_config(T=100, protocol=ProtocolSpec(washout=20, train_fraction=0.5))
+        monkeypatch.setenv("QRCLAB_THREADS", "5000")
+        rows = theory_scan(cfg, [2, 3], delta=0.1, replicates=2)
+        assert sizes == [2]  # one replicate group per width
+        monkeypatch.setenv("QRCLAB_THREADS", "0")  # auto, but one task: no pool
+        theory_scan(cfg, [2], delta=0.1, replicates=2)
+        monkeypatch.setenv("QRCLAB_THREADS", "1")
+        assert theory_scan(cfg, [2, 3], delta=0.1, replicates=2) == rows
+        assert sizes == [2]
+
+    def test_negative_threads_rejected(self, monkeypatch):
+        monkeypatch.setenv("QRCLAB_THREADS", "-1")
+        with pytest.raises(SchemaError, match="QRCLAB_THREADS"):
+            worker_count()
 
 
 class TestRawWindowFeatures:

@@ -13,9 +13,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from qrclab import experiment, sim
+from qrclab import experiment, sim, tasks
 from qrclab.encoding import EncoderSpec, build_encoder, scale_input
-from qrclab.errors import DataError
+from qrclab.errors import ConfigurationError, DataError
 from qrclab.experiment import (
     BackendSpec,
     ExperimentConfig,
@@ -284,3 +284,116 @@ def test_corrupted_state_raises(monkeypatch, n, k):
     series = generate(resolve_seeds(cfg).task)
     with pytest.raises(DataError, match="norm"):
         run_kernel(series, cfg)
+
+
+# --------------------------------------------------------------------------
+# Replicate groups: R replicates of one width evolved as one recurrent batch
+# --------------------------------------------------------------------------
+
+
+def replicate_configs(n, replicates, task=None):
+    base = kernel_config(n, T=20, washout=6)
+    if task is not None:
+        base = replace(base, task=task, protocol=ProtocolSpec(washout=12, train_fraction=0.5))
+    return [experiment._replicate_config(base, r) for r in replicates]
+
+
+def check_group(configs):
+    """The grouped run against one ``run_recurrent`` per replicate, and the
+    first and last replicates' first rows against the dense oracle."""
+    series = [generate(resolve_seeds(c).task) for c in configs]
+    got = experiment.run_recurrent_group(series, configs)
+    assert len(got) == len(configs)
+    for s, c, features in zip(series, configs, got):
+        want = run_recurrent(s, c)
+        np.testing.assert_array_equal(features.t_index, want.t_index)
+        np.testing.assert_allclose(features.values, want.values, rtol=0, atol=TOL)
+    for i in {0, len(configs) - 1}:
+        want = oracle_row(series[i], configs[i], int(got[i].t_index[0]))
+        np.testing.assert_allclose(got[i].values[0], want, rtol=0, atol=TOL)
+    return series, got
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, 8])
+def test_group_matches_per_replicate_runs(n):
+    # three replicates where the budget allows; R = 1 at n = 7 and at n = 8,
+    # where the blocks are gate lists
+    size = experiment._group_size(n)
+    assert size == {2: 1024, 3: 256, 4: 64, 5: 16, 6: 4, 7: 1, 8: 1}[n]
+    check_group(replicate_configs(n, range(min(size, 3))))
+
+
+def test_full_and_partial_groups_at_n6():
+    groups = experiment._replicate_groups(list(range(10)), 6)
+    assert groups == [[0, 1, 2, 3], [4, 5, 6, 7], [8, 9]]
+    check_group(replicate_configs(6, groups[0]))  # full: 4 stacked 64 x 64 blocks per layer
+    check_group(replicate_configs(6, groups[-1]))  # the partial last group
+
+
+def test_group_with_reupload_layers():
+    configs = replicate_configs(4, range(3))
+    check_group([replace(c, encoder=replace(c.encoder, scheme="reupload", layers=2)) for c in configs])
+
+
+def test_group_beyond_the_budget_is_rejected():
+    configs = replicate_configs(7, range(2))
+    series = [generate(resolve_seeds(c).task) for c in configs]
+    with pytest.raises(ConfigurationError, match="group size"):
+        experiment.run_recurrent_group(series, configs)
+
+
+def test_group_with_a_narma10_redraw(monkeypatch, caplog):
+    # at this bound replicate 2's series diverges (max |y| 0.611) and is
+    # redrawn from seed + 1 (0.469); the other three keep their first draw
+    monkeypatch.setattr(tasks, "NARMA_DIVERGENCE_BOUND", 0.6)
+    configs = replicate_configs(3, range(4), task=TaskSpec("narma10", T=40))
+    series, _ = check_group(configs)
+    assert caplog.text.count("diverged") == 1
+    redrawn = RandomStream(resolve_seeds(configs[2]).task.seed + 1).uniform(0.0, 0.5, size=40)
+    np.testing.assert_array_equal(series[2].inputs, redrawn / 0.5)
+    # the scan's pool task scores every replicate as run_case does
+    scores = experiment._group_scores([[c] for c in configs])
+    for (cell,), cfg in zip(scores, configs):
+        res = experiment.run_case(cfg)
+        assert cell == (res.metrics["train_r2"], res.metrics["test_r2"], len(res.targets) - res.split_at)
+
+
+def per_case_means(cells_by_replicate, name):
+    """Mean train and test scores of each column of cells, one ``run_case``
+    per cell: how scans and sweeps were scored before replicate groups."""
+    results = [[experiment.run_case(c) for c in cells] for cells in cells_by_replicate]
+    return [
+        tuple(np.mean([row[i].metrics[f"{part}_{name}"] for row in results]) for part in ("train", "test"))
+        for i in range(len(results[0]))
+    ]
+
+
+@pytest.mark.parametrize("k", [None, 3], ids=["recurrent", "k3"])
+def test_scan_matches_per_case_scores(k):
+    config = kernel_config(2, k=k, T=60, washout=12)
+    rows = experiment.theory_scan(config, [2, 3, 5], delta=0.05, replicates=3)
+    for row in rows:
+        cells = [[experiment._replicate_config(config, r, n_qubits=row.n_qubits)] for r in range(3)]
+        [(train, test)] = per_case_means(cells, "r2")
+        assert row.train_score == pytest.approx(train, rel=0, abs=TOL)
+        assert row.test_score == pytest.approx(test, rel=0, abs=TOL)
+
+
+@pytest.mark.parametrize(
+    "k, backend",
+    [(None, None), (3, None), ("full", None), (2, BackendSpec(kind="shots", shots=64))],
+    ids=["recurrent", "k3", "full", "k2-shots"],
+)
+def test_delay_sweep_matches_per_cell_scores(k, backend):
+    # unsorted delays: each replicate evolves once from its smallest delay
+    config = kernel_config(3, k=k, T=60, washout=12, backend=backend)
+    delays = [4, 1, 13]
+    got = experiment.stm_delay_sweep(config, delays, replicates=3)
+    cells = []
+    for r in range(3):
+        base = experiment._replicate_config(config, r)
+        cells.append([replace(base, task=replace(base.task, kind="stm", delay=d)) for d in delays])
+    want = per_case_means(cells, "r2")
+    assert [d for d, _ in got] == delays
+    for (_, score), (_, test) in zip(got, want):
+        assert score == pytest.approx(test, rel=0, abs=TOL)
