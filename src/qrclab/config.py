@@ -5,11 +5,11 @@ is its ``TaskSpec``, and so on) or ``output`` (``OutputOptions``); the
 config's own ``alpha`` and ``alpha_grid`` sit in ``readout`` and
 ``master_seed`` at the top. A key is its field's name except where
 ``_KEYS`` says otherwise, and a field ``_KEYS`` maps to None has no key. Field type hints give the JSON types, field
-defaults the defaults, each spec's ``__post_init__`` the value rules, and
-``validate`` the rules that span sections. Unknown keys are rejected with
-the offending key named; omitted keys are filled from the defaults and
-echoed back, so a produced config_echo.json always re-parses to the
-identical run.
+defaults the defaults, and each spec's ``__post_init__`` the value rules;
+``ExperimentConfig``'s holds the rules that span sections. Unknown keys are
+rejected with the offending key named; omitted keys are filled from the
+defaults and echoed back, so a produced config_echo.json always re-parses to
+the identical run.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from dataclasses import dataclass, fields, is_dataclass, replace
 from functools import cache
 
 from .errors import SchemaError
-from .experiment import FULL_WINDOW, ExperimentConfig, build_observables
+from .experiment import ExperimentConfig
 from .tasks import TASK_KINDS, TaskSpec
 
 
@@ -157,14 +157,6 @@ def load_config_file(path: str) -> dict:
     return doc
 
 
-def validate(config: ExperimentConfig) -> None:
-    """The rules that span sections, each named by a key to change."""
-    mode, T = config.mode, config.task.T
-    if mode.kind == "reupload_k" and mode.k != FULL_WINDOW and mode.k > T:
-        raise SchemaError("mode.k", f"window {mode.k} is longer than the series (task.T = {T})")
-    build_observables(config.observables, config.reservoir.n_qubits, config.reservoir.topology)
-
-
 def parse_config(
     doc: dict, task_kind: str | None = None
 ) -> tuple[ExperimentConfig, OutputOptions]:
@@ -179,9 +171,7 @@ def parse_config(
         raise SchemaError("task.kind", "missing (no task kind given by command or config)")
     if task_kind is not None and kind != task_kind:
         raise SchemaError("task.kind", f"config says {kind!r} but the command runs {task_kind!r}")
-    config = _build(ExperimentConfig, "", flat)
-    validate(config)
-    return config, _build(OutputOptions, "output.", flat)
+    return _build(ExperimentConfig, "", flat), _build(OutputOptions, "output.", flat)
 
 
 def _dump(obj, prefix: str, doc: dict) -> dict:

@@ -143,12 +143,19 @@ class ProtocolSpec:
         if not 0.0 < self.train_fraction < 1.0:
             raise SchemaError("train_fraction", f"must be in (0, 1), got {self.train_fraction}")
 
+    def train_rows(self, rows: int) -> int:
+        """How many of ``rows`` feature rows the contiguous split trains on."""
+        return int(np.floor(self.train_fraction * rows))
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Full description of one run; defaults mirror the reference setup
     (4 qubits, depth 3, ring topology, angle encoding, local Z, ideal
-    backend, washout 50, alpha 1e-2)."""
+    backend, washout 50, alpha 1e-2). Building one checks every rule that
+    spans its sections, so a config that builds runs: what can still stop
+    ``run_case`` is the data (DataError), the fit (FitError) or a metric
+    (MetricError). A rule's key is the field path of the value to change."""
 
     task: TaskSpec
     reservoir: ReservoirSpec = ReservoirSpec(n_qubits=4)
@@ -172,6 +179,32 @@ class ExperimentConfig:
         if self.alpha_grid is not None and (not self.alpha_grid or any(a < 0 for a in self.alpha_grid)):
             raise SchemaError("alpha_grid", "must be a non-empty list of numbers >= 0")
         check_seed("master_seed", self.master_seed)
+        task, mode, washout = self.task, self.mode, self.protocol.washout
+        windowed = mode.kind == "reupload_k" and mode.k != FULL_WINDOW
+        if windowed and mode.k > task.T:
+            raise SchemaError("mode.k", f"window {mode.k} is longer than the series (task.T = {task.T})")
+        build_observables(self.observables, self.reservoir.n_qubits, self.reservoir.topology)
+        if self.backend.kind == "shots" and mode.kind != "reupload_k":
+            raise SchemaError(
+                "backend.kind",
+                "shots needs mode reupload_k: sampling collapses the state, so a "
+                "recurrent run cannot read expectations mid-series",
+            )
+        horizon = max(task.delay, task.window, 10)
+        if task.T <= washout + horizon:
+            raise SchemaError("task.T", f"must be > washout {washout} + dependency horizon {horizon}, got {task.T}")
+        # The drivers keep the steps from the washout, the first target and
+        # the first full window on.
+        first = max(washout, task.valid_from, mode.k - 1 if windowed else 0)
+        t_eff = task.T - first
+        n_train = self.protocol.train_rows(t_eff)
+        if t_eff < 2:
+            raise SchemaError("task.T", f"keeps {t_eff} feature row, from step {first}; a train/test split needs 2")
+        if not 1 <= n_train < t_eff:
+            raise SchemaError(
+                "protocol.train_fraction",
+                f"splits {t_eff} feature rows into {n_train} train and {t_eff - n_train} test rows; each needs 1",
+            )
 
 
 def resolve_seeds(config: ExperimentConfig) -> ExperimentConfig:
@@ -383,12 +416,6 @@ def run_recurrent_group(series_list, configs) -> list[FeatureMatrix]:
     own dense blocks stacked as (R, d, d); R = 1 keeps the shared 2-d
     factors and blocks. R may be at most ``_group_size(n)``."""
     cfgs = [resolve_seeds(c) for c in configs]
-    if any(c.backend.kind != "ideal" for c in cfgs):
-        raise ConfigurationError(
-            "recurrent mode requires the ideal backend: sampling collapses the "
-            "state, so expectations cannot be read non-destructively mid-run; "
-            "use mode reupload_k for shots execution"
-        )
     runs = [_compile_run(s, c) for s, c in zip(series_list, cfgs)]
     encoder, _, _, observables, signs = runs[0]
     n, R = encoder.n_qubits, len(runs)
@@ -415,6 +442,7 @@ def run_recurrent_group(series_list, configs) -> list[FeatureMatrix]:
             state = _advance(state, (hi[i], lo[i]), blocks, n)
             if start + i >= keep_from:
                 kept.append(state)
+        del rotations, hi, lo  # free this chunk's factors before the next chunk builds its own
         if kept:
             rows = np.stack(kept, axis=1).reshape(-1, 2**n)
             chunks.append(_measure(rows, signs).reshape(R, len(kept), -1))
@@ -439,11 +467,6 @@ def run_windowed(series: TimeSeries, config: ExperimentConfig) -> FeatureMatrix:
     T = len(rotations)
     first_full = 0 if k == FULL_WINDOW else k - 1
     keep_from = max(cfg.protocol.washout, series.valid_from, first_full)
-    if keep_from >= T:
-        raise ConfigurationError(
-            f"no usable rows: series length {T} leaves no step >= {keep_from} "
-            f"(washout={cfg.protocol.washout}, window k={k})"
-        )
 
     shot_stream = RandomStream(cfg.backend.shot_seed) if cfg.backend.kind == "shots" else None
     t_index = np.arange(keep_from, T, dtype=np.int64)
@@ -459,10 +482,12 @@ def run_windowed(series: TimeSeries, config: ExperimentConfig) -> FeatureMatrix:
                 for i in range(len(hi)):
                     active = max(0, group + i - ts[0])  # rows t >= s: a suffix of the chunk
                     rows[active:] = _advance(rows[active:], (hi[i], lo[i]), blocks, n)
+                del hi, lo  # free these factors before the next group builds its own
         else:  # window j of row t is step t - k + 1 + j: one slice of the chunk's factors
             hi, lo = ry_factors(rotations[ts[0] - k + 1 : ts[-1] + 1])
             for j in range(k):
                 rows = _advance(rows, (hi[j : j + len(ts)], lo[j : j + len(ts)]), blocks, n)
+            del hi, lo  # free these factors before the next chunk builds its own
         chunks.append(_measure(rows, signs, cfg.backend.shots, shot_stream))
     return _feature_matrix(chunks, t_index, observables)
 
@@ -503,21 +528,10 @@ def task_metric(kind: str):
     return "r2", r2_score
 
 
-def _validate_lengths(cfg: ExperimentConfig):
-    spec = cfg.task
-    horizon = max(spec.delay, spec.window, 10)
-    if spec.T <= cfg.protocol.washout + horizon:
-        raise ConfigurationError(
-            f"T={spec.T} too short: needs more than washout {cfg.protocol.washout} "
-            f"+ dependency horizon {horizon}"
-        )
-
-
 def run_case(config: ExperimentConfig) -> RunResult:
     """The full protocol: generate the series, evolve, split contiguously
     into train-then-test, fit the ridge readout, score both segments."""
     cfg = resolve_seeds(config)
-    _validate_lengths(cfg)
     series = generate(cfg.task)
     if cfg.mode.kind == "recurrent":
         features = run_recurrent(series, cfg)
@@ -529,13 +543,7 @@ def run_case(config: ExperimentConfig) -> RunResult:
 def _fit_and_score(cfg: ExperimentConfig, series: TimeSeries, features: FeatureMatrix) -> RunResult:
     """Split the rows contiguously into train-then-test, fit the ridge
     readout on the train rows, score both segments."""
-    t_eff = features.values.shape[0]
-    n_train = int(np.floor(cfg.protocol.train_fraction * t_eff))
-    if n_train < 1 or n_train >= t_eff:
-        raise ConfigurationError(
-            f"empty train or test segment: T_eff={t_eff}, train rows={n_train}"
-        )
-
+    n_train = cfg.protocol.train_rows(features.values.shape[0])
     targets = series.targets[features.t_index]
     X_train, X_test = features.values[:n_train], features.values[n_train:]
     y_train, y_test = targets[:n_train], targets[n_train:]
@@ -622,9 +630,6 @@ def _group_scores(group: list) -> list:
     ``valid_from``, the whole group through one ``_evolve``, and each cell
     keeps the rows t >= max(washout, valid_from). The shots backend draws in
     row order, so there each cell is its own run."""
-    for cells in group:
-        for cfg in cells:
-            _validate_lengths(cfg)
     series = [[generate(cfg.task) for cfg in cells] for cells in group]
     if group[0][0].backend.kind == "shots":
         features = [[_evolve([s], [c])[0] for c, s in zip(cells, ss)] for cells, ss in zip(group, series)]

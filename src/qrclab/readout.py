@@ -8,7 +8,6 @@ iterative optimizer is involved.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -106,13 +105,3 @@ def mse(pred, target) -> float:
     if pred.shape != target.shape or pred.size == 0:
         raise MetricError("predictions and targets must be equal-length and non-empty")
     return float(np.mean((pred - target) ** 2))
-
-
-def model_to_json(model: RidgeModel) -> str:
-    return json.dumps(
-        {
-            "alpha": model.alpha,
-            "bias": model.bias,
-            "weights": [float(w) for w in model.weights],
-        }
-    )

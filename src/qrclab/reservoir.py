@@ -81,12 +81,3 @@ def apply_reservoir(circuit: ReservoirCircuit, state: StateVector) -> StateVecto
     for gate in circuit.gates:
         apply_gate(state, gate)
     return state
-
-
-def serialize_gates(circuit: ReservoirCircuit) -> str:
-    """Plain-text gate list for audit logs: `KIND control target angle`."""
-    lines = []
-    for g in circuit.gates:
-        control = "-" if g.control is None else str(g.control)
-        lines.append(f"{g.kind} {control} {g.target} {g.angle:.17g}")
-    return "\n".join(lines) + "\n"

@@ -54,6 +54,13 @@ class TaskSpec:
             raise SchemaError("delay", f"must be >= 1, got {self.delay}")
         if self.window < 2:
             raise SchemaError("window", f"must be >= 2, got {self.window}")
+        if self.kind == "narma10" and self.T < 30:
+            raise SchemaError("T", f"narma10 needs T >= 30, got {self.T}")
+
+    @property
+    def valid_from(self) -> int:
+        """The first step with a defined target, as ``generate`` flags it."""
+        return {"stm": self.delay, "parity": self.window - 1, "narma10": 10}[self.kind]
 
 
 def generate(spec: TaskSpec) -> TimeSeries:

@@ -4,7 +4,11 @@ import json
 import re
 from pathlib import Path
 
+import pytest
+
+from qrclab import cli
 from qrclab.cli import main
+from qrclab.errors import DataError
 
 FAST_CASE = {
     "task": {"T": 120},
@@ -158,15 +162,45 @@ class TestSchemaFailures:
         assert not (tmp_path / "r").exists()
 
 
-class TestRuntimeFailures:
-    def test_too_short_series_exit_2(self, tmp_path):
+    def test_too_short_series_exit_1(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {"task": {"T": 40}})
-        assert main(["case-parity", "--config", cfg, "--out", str(tmp_path / "r")]) == 2
+        assert main(["case-parity", "--config", cfg, "--out", str(tmp_path / "r")]) == 1
+        assert "task.T" in capsys.readouterr().err
+        assert not (tmp_path / "r").exists()
 
-    def test_no_partial_bundle_on_failure(self, tmp_path):
+    @pytest.mark.parametrize(
+        "command, doc, key",
+        [
+            ("case-memory", {"backend": {"type": "shots"}}, "backend.type"),
+            ("case-memory", {"protocol": {"train_fraction": 0.001}}, "protocol.train_fraction"),
+            ("case-memory", {"task": {"T": 101, "delay": 100}, "protocol": {"washout": 0}}, "task.T"),
+            ("case-parity", {"mode": {"type": "reupload_k", "k": 600}}, "task.T"),
+            ("case-narma10", {"task": {"T": 25}, "protocol": {"washout": 0}}, "task.T"),
+        ],
+    )
+    def test_rules_across_sections_name_key(self, tmp_path, capsys, command, doc, key):
+        cfg = write_config(tmp_path, doc)
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "r")]) == 1
+        assert key in capsys.readouterr().err
+        assert not (tmp_path / "r").exists()
+
+
+def fail_with_data_error(*args, **kwargs):
+    raise DataError("injected failure after setup")
+
+
+class TestRuntimeFailures:
+    def test_run_time_error_exit_2(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "run_case", fail_with_data_error)
+        cfg = write_config(tmp_path, FAST_CASE)
+        assert main(["case-parity", "--config", cfg, "--out", str(tmp_path / "r")]) == 2
+        assert capsys.readouterr().err == "error: injected failure after setup\n"
+
+    def test_no_partial_bundle_on_failure(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "run_case", fail_with_data_error)
         out = tmp_path / "r"
-        cfg = write_config(tmp_path, {"task": {"T": 40}})
-        main(["case-parity", "--config", cfg, "--out", str(out)])
+        cfg = write_config(tmp_path, FAST_CASE)
+        assert main(["case-parity", "--config", cfg, "--out", str(out)]) == 2
         assert not out.exists() or not any(out.iterdir())
 
     def test_unwritable_output_exit_3(self, tmp_path):
@@ -199,12 +233,20 @@ class TestTheoryScan:
         second = (run_dir_from(capsys) / "scan.csv").read_bytes()
         assert first == second
 
-    def test_too_short_series_exit_2(self, tmp_path, capsys):
+    def test_too_short_series_exit_1(self, tmp_path, capsys):
         out = tmp_path / "r"
         cfg = write_config(tmp_path, {"task": {"T": 40}})
         argv = ["theory-scan", "--config", cfg, "--qubits", "2,3", "--replicates", "1", "--out", str(out)]
+        assert main(argv) == 1
+        assert "task.T" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_run_time_error_exit_2(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "theory_scan", fail_with_data_error)
+        out = tmp_path / "r"
+        argv = ["theory-scan", "--qubits", "2,3", "--replicates", "1", "--out", str(out)]
         assert main(argv) == 2
-        assert capsys.readouterr().err.startswith("error: ")
+        assert capsys.readouterr().err == "error: injected failure after setup\n"
         assert not out.exists() or not any(out.iterdir())
 
     def test_unwritable_output_exit_3(self, tmp_path, capsys):

@@ -115,8 +115,11 @@ class TestStrictness:
         doc = {"task": {"T": 100}, "mode": {"type": "reupload_k", "k": 101}}
         with pytest.raises(SchemaError, match="mode.k"):
             parse_config(doc, task_kind="stm")
-        doc["mode"]["k"] = 100
-        assert parse_config(doc, task_kind="stm")[0].mode.k == 100
+        doc["mode"]["k"] = 100  # fits the series, but keeps one row: no train/test split
+        with pytest.raises(SchemaError, match="task.T"):
+            parse_config(doc, task_kind="stm")
+        doc["mode"]["k"] = 99
+        assert parse_config(doc, task_kind="stm")[0].mode.k == 99
 
     def test_schema_error_is_a_configuration_error(self):
         with pytest.raises(ConfigurationError, match="reservoir.depth"):

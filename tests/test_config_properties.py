@@ -1,10 +1,12 @@
-"""Property tests of the config schema: echo round trips, and every mutated
-document either parses or is rejected under a schema key, exit code 1."""
+"""Property tests of the config schema: echo round trips, every mutated
+document either parses or is rejected under a schema key, exit code 1, and
+every document that parses also runs."""
 
 import contextlib
 import io
 import itertools
 import json
+import math
 import tempfile
 from pathlib import Path
 
@@ -13,7 +15,9 @@ from hypothesis import strategies as st
 
 from qrclab.cli import CASE_KINDS, main
 from qrclab.config import dump_echo, echo_config, parse_config
-from qrclab.errors import SchemaError
+from qrclab.errors import DataError, FitError, MetricError, SchemaError
+from qrclab.experiment import BackendSpec, ModeSpec, ProtocolSpec, run_case
+from qrclab.tasks import TaskSpec
 
 PROPERTIES = settings(derandomize=True, database=None, deadline=None, max_examples=100)
 
@@ -34,58 +38,66 @@ def _schema_paths() -> frozenset:
 
 SCHEMA_PATHS = _schema_paths()
 
-# Keys a document keeps so that it stays valid: the others may be left to
-# their defaults without breaking a rule that spans keys.
-KEEP = {"task.kind", "task.T", "reservoir.n_qubits", "encoder.scheme", "observables.local_z", "observables.zz"}
-
-
 @st.composite
-def valid_docs(draw):
-    n = draw(st.integers(2, 6))
-    T = draw(st.integers(1, 1000))
-    scheme = draw(st.sampled_from(["angle", "reupload"]))
+def valid_docs(draw, max_T=2000, max_n=6, max_shots=10**6):
+    """A document that meets every config rule by construction. Each key is
+    set to a drawn value or left to its default; a key a rule spans is
+    decided before the keys whose range it bounds, so every range is drawn
+    from values that keep the document valid. ``max_T``, ``max_n`` and
+    ``max_shots`` only bound the runtime of a test that runs the document;
+    the washout range is [0, 1000] at the default ``max_T``."""
+    doc = {}
+
+    def setting(path, values, default=None, always=False):
+        """The value the config holds at ``path``: drawn and set, or left to
+        ``default``."""
+        if not (always or draw(st.booleans())):
+            return default
+        section, _, key = path.rpartition(".")
+        value = draw(values)
+        (doc.setdefault(section, {}) if section else doc)[key] = value
+        return value
+
+    setting("master_seed", SEEDS)
+    kind = setting("task.kind", st.sampled_from(sorted(COMMAND)), always=True)
+    delay = setting("task.delay", st.integers(1, 50), TaskSpec.delay)
+    window = setting("task.window", st.integers(2, 50), TaskSpec.window)
+    # room for T: washout + the widest horizon (50) + 1 <= max_T
+    washout = setting("protocol.washout", st.integers(0, 10) | st.integers(0, min(1000, max_T - 51)), ProtocolSpec.washout)
+    first_target = TaskSpec(kind, delay=delay, window=window).valid_from
+    shortest = max(washout + max(delay, window, 10) + 1, max(washout, first_target) + 2, 30 if kind == "narma10" else 1)
+    T = setting("task.T", st.integers(shortest, shortest + 3) | st.integers(shortest, max_T), always=True)
+    setting("task.seed", st.none() | SEEDS)
+
+    n = setting("reservoir.n_qubits", st.integers(2, max_n), always=True)
+    setting("reservoir.depth", st.integers(1, 5))
+    setting("reservoir.topology", st.sampled_from(["ring", "chain", "all_to_all"]))
+    setting("reservoir.seed", st.none() | SEEDS)
+    if setting("encoder.scheme", st.sampled_from(["angle", "reupload"]), always=True) == "reupload":
+        setting("encoder.layers", st.integers(1, 4))
+    setting("encoder.scale", st.just("pi_linear"))
+
     pairs = draw(st.lists(st.sampled_from(list(itertools.combinations(range(n), 2))), unique=True))
-    zz = draw(st.sampled_from([None, "edges", "all_pairs", [list(p) if draw(st.booleans()) else [p[1], p[0]] for p in pairs]]))
-    doc = {
-        "master_seed": draw(SEEDS),
-        "task": {
-            "kind": draw(st.sampled_from(sorted(COMMAND))),
-            "T": T,
-            "seed": draw(st.none() | SEEDS),
-            "delay": draw(st.integers(1, 50)),
-            "window": draw(st.integers(2, 50)),
-        },
-        "reservoir": {
-            "n_qubits": n,
-            "depth": draw(st.integers(1, 5)),
-            "topology": draw(st.sampled_from(["ring", "chain", "all_to_all"])),
-            "seed": draw(st.none() | SEEDS),
-        },
-        "encoder": {
-            "scheme": scheme,
-            "layers": 1 if scheme == "angle" else draw(st.integers(1, 4)),
-            "scale": "pi_linear",
-        },
-        "observables": {"local_z": draw(st.booleans()) or not zz, "zz": zz},
-        "mode": {
-            "type": draw(st.sampled_from(["recurrent", "reupload_k"])),
-            "k": draw(st.integers(1, T) | st.just("full")),
-        },
-        "backend": {
-            "type": draw(st.sampled_from(["ideal", "shots"])),
-            "shots": draw(st.integers(1, 10**6)),
-            "shot_seed": draw(st.none() | SEEDS),
-        },
-        "protocol": {
-            "washout": draw(st.integers(0, 1000)),
-            "train_fraction": draw(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)),
-        },
-        "readout": {"alpha": draw(ALPHAS), "alpha_grid": draw(st.none() | st.lists(ALPHAS, min_size=1, max_size=4))},
-        "output": {"dir": draw(st.text("ab/._", min_size=1, max_size=6)), "plots": draw(st.booleans()), "features": draw(st.booleans())},
-    }
-    for name, section in doc.items():
-        if isinstance(section, dict):
-            doc[name] = {k: v for k, v in section.items() if f"{name}.{k}" in KEEP or draw(st.booleans())}
+    explicit = [list(p) if draw(st.booleans()) else [p[1], p[0]] for p in pairs]
+    zz = setting("observables.zz", st.sampled_from([None, "edges", "all_pairs", explicit]), always=True)
+    setting("observables.local_z", st.just(True) if not zz else st.booleans(), always=True)
+
+    # shots needs reupload_k; a key holding its default may be left out
+    mode, backend = draw(st.sampled_from([("recurrent", "ideal"), ("reupload_k", "ideal"), ("reupload_k", "shots")]))
+    setting("mode.type", st.just(mode), always=mode != ModeSpec.kind)
+    setting("backend.type", st.just(backend), always=backend != BackendSpec.kind)
+    k = setting("mode.k", st.integers(1, T - 1) | st.just("full"), ModeSpec.k)  # T - 1 keeps 2 rows
+    setting("backend.shots", st.integers(1, max_shots))
+    setting("backend.shot_seed", st.none() | SEEDS)
+
+    rows = T - max(washout, first_target, k - 1 if mode == "reupload_k" and k != "full" else 0)
+    # 1 / rows may round down; one float above it, the split keeps a train row
+    setting("protocol.train_fraction", st.floats(math.nextafter(1 / rows, 1), 1.0, exclude_max=True))
+    setting("readout.alpha", ALPHAS)
+    setting("readout.alpha_grid", st.none() | st.lists(ALPHAS, min_size=1, max_size=4))
+    setting("output.dir", st.text("ab/._", min_size=1, max_size=6))
+    setting("output.plots", st.booleans())
+    setting("output.features", st.booleans())
     return doc
 
 
@@ -144,3 +156,43 @@ def test_mutated_document_parses_or_names_a_schema_key(doc, path, value):
         assert code == 1
         assert named in err.getvalue()
         assert not (Path(tmp) / "runs").exists()
+
+
+# Bounds on a document that is run, for its runtime only, and values for
+# the keys that rules span within them; short series are drawn more often.
+RUN_BOUNDS = {"max_T": 150, "max_n": 4, "max_shots": 256}
+SPANNED = {
+    "task.kind": st.sampled_from(sorted(COMMAND)),
+    "task.T": st.integers(1, 40) | st.integers(1, RUN_BOUNDS["max_T"]),
+    "task.delay": st.integers(1, 60),
+    "task.window": st.integers(2, 60),
+    "mode.type": st.sampled_from(["recurrent", "reupload_k"]),
+    "mode.k": st.integers(1, RUN_BOUNDS["max_T"]) | st.just("full"),
+    "backend.type": st.sampled_from(["ideal", "shots"]),
+    "protocol.washout": st.integers(0, 20) | st.integers(0, RUN_BOUNDS["max_T"]),
+    "observables.zz": st.lists(st.lists(st.integers(0, 5), min_size=2, max_size=2, unique=True), min_size=1, max_size=2),
+    "protocol.train_fraction": st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+}
+
+
+@PROPERTIES
+@given(valid_docs(**RUN_BOUNDS), st.lists(st.sampled_from(sorted(SPANNED)), min_size=1, max_size=3, unique=True), st.data())
+def test_document_that_parses_also_runs(doc, paths, data):
+    """A valid document, with up to three keys that rules span set or
+    dropped, either is rejected by the schema or runs: only the data, the
+    fit or a metric may stop it, never a ConfigurationError. RUN_BOUNDS caps
+    T, n and shots to bound the runtime and for no other reason."""
+    for path in paths:
+        section, _, key = path.rpartition(".")
+        if data.draw(st.booleans()):
+            doc.setdefault(section, {})[key] = data.draw(SPANNED[path])
+        else:
+            doc.get(section, {}).pop(key, None)
+    try:
+        cfg, _ = parse_config(doc, task_kind=doc["task"].get("kind"))
+    except SchemaError:
+        return
+    try:
+        run_case(cfg)
+    except (DataError, FitError, MetricError):
+        pass

@@ -161,10 +161,8 @@ class TestRunRecurrent:
         assert fm.values.shape == (0, 3)
 
     def test_shots_backend_rejected(self):
-        cfg = small_config(backend=BackendSpec(kind="shots", shots=64, shot_seed=1))
-        series = generate(resolve_seeds(cfg).task)
-        with pytest.raises(ConfigurationError, match="reupload_k"):
-            run_recurrent(series, cfg)
+        with pytest.raises(SchemaError, match="backend.kind.*reupload_k"):
+            small_config(backend=BackendSpec(kind="shots", shots=64, shot_seed=1))
 
 
 class TestRunWindowed:
@@ -199,14 +197,12 @@ class TestRunWindowed:
         assert fm.t_index[0] == 3  # first full window ends at k-1
 
     def test_range_shorter_than_window_rejected(self):
-        cfg = small_config(
-            T=90,
-            mode=ModeSpec(kind="reupload_k", k=200),
-            protocol=ProtocolSpec(washout=0, train_fraction=0.5),
-        )
-        series = generate(resolve_seeds(cfg).task)
-        with pytest.raises(ConfigurationError):
-            run_windowed(series, cfg)
+        with pytest.raises(SchemaError, match="mode.k"):
+            small_config(
+                T=90,
+                mode=ModeSpec(kind="reupload_k", k=200),
+                protocol=ProtocolSpec(washout=0, train_fraction=0.5),
+            )
 
     def test_shots_close_to_ideal(self):
         # 1024 shots: estimate sd per feature <= 1/sqrt(1024) on the +-1 scale
@@ -323,13 +319,12 @@ class TestRunCase:
         assert predictions_csv(a) == predictions_csv(b)
 
     def test_too_short_series_rejected(self):
-        with pytest.raises(ConfigurationError):
-            run_case(small_config(T=35, protocol=ProtocolSpec(washout=30, train_fraction=0.5)))
+        with pytest.raises(SchemaError, match="task.T"):
+            small_config(T=35, protocol=ProtocolSpec(washout=30, train_fraction=0.5))
 
     def test_empty_train_segment_rejected(self):
-        cfg = small_config(T=61, protocol=ProtocolSpec(washout=50, train_fraction=0.01))
-        with pytest.raises(ConfigurationError, match="segment"):
-            run_case(cfg)
+        with pytest.raises(SchemaError, match="protocol.train_fraction"):
+            small_config(T=61, protocol=ProtocolSpec(washout=50, train_fraction=0.01))
 
     def test_single_row_test_segment_has_undefined_r2(self):
         from qrclab.errors import MetricError

@@ -146,7 +146,7 @@ def test_kernel_matches_gate_by_gate_step(n, k, layers):
 
 @pytest.mark.parametrize("n, k, layers", [(7, 3, 2), (8, "full", 2), (8, None, 1)])
 def test_kernel_matches_dense_oracle(n, k, layers):
-    cfg = kernel_config(n, k=k, layers=layers, T=16, washout=6)
+    cfg = kernel_config(n, k=k, layers=layers, T=17, washout=6)
     series = generate(resolve_seeds(cfg).task)
     got = run_kernel(series, cfg)
     # a row's oracle costs one 2**n x 2**n product per gate of its whole window

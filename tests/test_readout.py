@@ -8,7 +8,6 @@ from qrclab.readout import (
     RidgeModel,
     accuracy,
     fit_ridge,
-    model_to_json,
     mse,
     predict,
     r2_score,
@@ -192,10 +191,3 @@ class TestAccuracy:
 class TestMisc:
     def test_mse(self):
         assert mse([1.0, 2.0], [0.0, 2.0]) == 0.5
-
-    def test_model_json_roundtrip(self):
-        import json
-
-        model = RidgeModel(weights=np.array([0.25, -1.5]), bias=0.125, alpha=0.01)
-        doc = json.loads(model_to_json(model))
-        assert doc == {"alpha": 0.01, "bias": 0.125, "weights": [0.25, -1.5]}

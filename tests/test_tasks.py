@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from qrclab.errors import ConfigurationError
+from qrclab.errors import ConfigurationError, SchemaError
 from qrclab.tasks import (
     NARMA_DIVERGENCE_BOUND,
     TaskSpec,
@@ -141,6 +141,9 @@ class TestNarma10:
     def test_too_short(self):
         with pytest.raises(ConfigurationError):
             gen_narma10(20, seed=0)
+        with pytest.raises(SchemaError, match="T"):
+            TaskSpec("narma10", T=29)
+        assert TaskSpec("narma10", T=30).T == 30
 
     def test_deterministic(self):
         a = gen_narma10(128, seed=13)
@@ -150,9 +153,14 @@ class TestNarma10:
 
 class TestTaskSpec:
     def test_dispatch(self):
-        assert generate(TaskSpec("stm", T=50, seed=1)).valid_from == 2
-        assert generate(TaskSpec("parity", T=50, seed=1, window=3)).valid_from == 2
-        assert generate(TaskSpec("narma10", T=50, seed=1)).valid_from == 10
+        # the spec's valid_from is the generated series' own
+        for spec, first in (
+            (TaskSpec("stm", T=50, seed=1), 2),
+            (TaskSpec("stm", T=50, seed=1, delay=7), 7),
+            (TaskSpec("parity", T=50, seed=1, window=3), 2),
+            (TaskSpec("narma10", T=50, seed=1), 10),
+        ):
+            assert generate(spec).valid_from == spec.valid_from == first
 
     def test_unknown_kind(self):
         with pytest.raises(ConfigurationError):
