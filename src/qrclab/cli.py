@@ -21,7 +21,7 @@ from pathlib import Path
 from .config import config_hash, dump_echo, echo_config, load_config_file, parse_config
 from .errors import QRCLabError, SchemaError
 from .experiment import (
-    _replicate_config,
+    check_scan_args,
     features_csv,
     predictions_csv,
     run_case,
@@ -147,29 +147,20 @@ def cmd_case(command: str, args):
 
 def _parse_qubits(raw: str) -> list[int]:
     try:
-        qubits = [int(part) for part in raw.split(",") if part.strip() != ""]
+        return [int(part) for part in raw.split(",") if part.strip() != ""]
     except ValueError:
         raise SchemaError("--qubits", f"must be comma-separated integers, got {raw!r}")
-    if not qubits:
-        raise SchemaError("--qubits", "must name at least one width")
-    if any(b <= a for a, b in zip(qubits, qubits[1:])):
-        raise SchemaError("--qubits", "must be strictly ascending")
-    return qubits
 
 
 def cmd_theory_scan(args):
     """Set up the theory scan: its config, output options and run."""
     config, output = _load(args)
     qubits = _parse_qubits(args.qubits)
-    if not 0.0 < args.delta < 1.0:
-        raise SchemaError("--delta", f"must be in (0, 1), got {args.delta}")
-    if args.replicates < 1:
-        raise SchemaError("--replicates", "must be >= 1")
-    for n in qubits:  # building a width's config checks the rules that depend on it
-        try:
-            _replicate_config(config, 0, n)
-        except SchemaError as exc:
-            raise SchemaError("--qubits", f"width {n}: {exc}") from exc
+    try:
+        check_scan_args(config, qubits, args.delta, args.replicates)
+    except SchemaError as exc:  # name the flag that set the argument
+        flag = {"qubit_list": "--qubits", "delta": "--delta", "replicates": "--replicates"}[exc.key]
+        raise SchemaError(flag, exc.message) from exc
     worker_count()
 
     def run():

@@ -1,26 +1,30 @@
 """Temporal drivers: recurrent and windowed evolution, the train/test
 protocol, the STM delay sweep, and the qubit-width theory scan.
 
-Both drivers evolve through one fused kernel (``_advance`` and ``_measure``
+Two schedules evolve through one fused kernel (``_advance`` and ``_measure``
 below, built on the batch helpers in ``sim``): fixed gate blocks compiled
 once (dense for n <= 7, else gate lists with each diagonal run folded into a
 phase vector), a (B, 2**n) batch of rows advanced per step, and one sign
 matrix for the features. Each step's RY layer is two Kronecker half-factors
-from ``sim.ry_factors``, built once per chunk of steps: a recurrent run
-builds them per group of steps, a windowed run per chunk of rows, whose
-windows cover consecutive steps, so each advance takes a contiguous slice.
-``sim.CHUNK_AMPLITUDES`` bounds a chunk's rows and, apart, the factors of
-its steps. ``step`` is the gate-by-gate reference the kernel is tested
-against.
+from ``sim.ry_factors``, built once per chunk of steps.
+``run_recurrent_group`` evolves one persistent state per replicate, for the
+recurrent mode and for the full window (``mode.k = "full"``): the evolution
+is unitary, with no reset, so re-uploading the whole prefix gives exactly
+the recurrent state. ``run_windowed`` evolves bounded windows, one row per
+output row; a chunk's windows cover consecutive steps, so each advance takes
+a contiguous slice of the chunk's factors. ``sim.CHUNK_AMPLITUDES`` bounds
+a chunk's rows and, apart, the factors of its steps. ``step`` is the
+gate-by-gate reference the kernel is tested against.
 
-Scans and sweeps evolve replicates of one width in groups: a recurrent run
-advances R replicates as one (R, 2**n) batch, each row with its own RY
-factors and its own dense blocks, stacked as (R, d, d) and applied as
-``(rows[:, None] @ blocks)[:, 0]``. A single run (R = 1) keeps the shared
-2-d factors and blocks, ``rows @ block``, as ``ry_layer`` does for shared
-factors. R is at most ``CHUNK_AMPLITUDES // 4**n`` (at least 1), the budget
-that also makes blocks dense: 16 at n = 5, 4 at n = 6, 1 from n = 7 on.
-Input rotations are built per chunk of steps. A group is one pool task.
+Scans and sweeps evolve replicates of one width in groups: a recurrent or
+full-window run advances R replicates as one (R, 2**n) batch, each row with
+its own RY factors and its own dense blocks, stacked as (R, d, d) and
+applied as ``(rows[:, None] @ blocks)[:, 0]``. A single run (R = 1) keeps
+the shared 2-d factors and blocks, ``rows @ block``, as ``ry_layer`` does
+for shared factors. R is at most ``CHUNK_AMPLITUDES // 4**n`` (at least 1),
+the budget that also makes blocks dense: 16 at n = 5, 4 at n = 6, 1 from
+n = 7 on. Input rotations are built per chunk of steps. A group is one pool
+task.
 
 Seed derivation: one master seed yields labelled child seeds for
 {data, reservoir, encoder-interleave, shots} (see sim.RandomStream), so a
@@ -117,6 +121,13 @@ class ModeSpec:
         if self.k != FULL_WINDOW and (not isinstance(self.k, int) or self.k < 1):
             raise SchemaError("k", f"must be an integer >= 1 or '{FULL_WINDOW}', got {self.k!r}")
 
+    @property
+    def bounded(self) -> bool:
+        """True for a reupload_k window of k steps. The recurrent state and
+        the full window, which re-uploads the whole prefix and so is the
+        recurrent state, are unbounded."""
+        return self.kind == "reupload_k" and self.k != FULL_WINDOW
+
 
 @dataclass(frozen=True)
 class BackendSpec:
@@ -180,8 +191,7 @@ class ExperimentConfig:
             raise SchemaError("alpha_grid", "must be a non-empty list of numbers >= 0")
         check_seed("master_seed", self.master_seed)
         task, mode, washout = self.task, self.mode, self.protocol.washout
-        windowed = mode.kind == "reupload_k" and mode.k != FULL_WINDOW
-        if windowed and mode.k > task.T:
+        if mode.bounded and mode.k > task.T:
             raise SchemaError("mode.k", f"window {mode.k} is longer than the series (task.T = {task.T})")
         build_observables(self.observables, self.reservoir.n_qubits, self.reservoir.topology)
         if self.backend.kind == "shots" and mode.kind != "reupload_k":
@@ -190,12 +200,12 @@ class ExperimentConfig:
                 "shots needs mode reupload_k: sampling collapses the state, so a "
                 "recurrent run cannot read expectations mid-series",
             )
-        horizon = max(task.delay, task.window, 10)
+        horizon = max({"stm": task.delay, "parity": task.window}.get(task.kind, 0), 10)  # the task's own lag
         if task.T <= washout + horizon:
             raise SchemaError("task.T", f"must be > washout {washout} + dependency horizon {horizon}, got {task.T}")
         # The drivers keep the steps from the washout, the first target and
         # the first full window on.
-        first = max(washout, task.valid_from, mode.k - 1 if windowed else 0)
+        first = max(washout, task.valid_from, mode.k - 1 if mode.bounded else 0)
         t_eff = task.T - first
         n_train = self.protocol.train_rows(t_eff)
         if t_eff < 2:
@@ -284,8 +294,8 @@ def step(
 
 
 # --------------------------------------------------------------------------
-# The fused evolution kernel: B = 1 row for the recurrent state, one row per
-# output row for reupload_k windows, at most CHUNK_AMPLITUDES per batch
+# The fused evolution kernel: one row per replicate's persistent state, one
+# row per output row for bounded windows, at most CHUNK_AMPLITUDES per batch
 # --------------------------------------------------------------------------
 
 NORM_TOLERANCE = 1e-8  # max |sum |psi|**2 - 1| of a measured row
@@ -383,7 +393,7 @@ def _measure(rows: np.ndarray, signs: np.ndarray, shots: int = 0, stream=None) -
     order, as ``sample_counts`` draws them. Raises DataError if any row's
     norm drifted."""
     probs = np.abs(rows) ** 2
-    drift = float(np.max(np.abs(probs.sum(axis=1) - 1.0)))
+    drift = float(np.max(np.abs(probs.sum(axis=1) - 1.0), initial=0.0))
     if drift > NORM_TOLERANCE:
         raise DataError(f"state norm**2 drifted from 1 by {drift:.3e}")
     if stream is None:
@@ -405,16 +415,24 @@ def _feature_matrix(chunks: list, t_index: np.ndarray, observables) -> FeatureMa
 def run_recurrent(series: TimeSeries, config: ExperimentConfig) -> FeatureMatrix:
     """Evolve one persistent state through the whole series, reading exact
     expectations after every step; rows before max(washout, valid_from) are
-    dropped. Ideal backend only."""
+    dropped. The config's mode must be recurrent."""
+    if config.mode.kind != "recurrent":
+        raise ConfigurationError(f"run_recurrent runs mode.kind 'recurrent', got {config.mode.kind!r}")
     return run_recurrent_group([series], [config])[0]
 
 
 def run_recurrent_group(series_list, configs) -> list[FeatureMatrix]:
-    """``run_recurrent`` for R replicates of one width at once: configs that
-    differ only in their seeds, and series of one length. The R states
-    evolve as one (R, 2**n) batch, each row with its own RY factors and its
-    own dense blocks stacked as (R, d, d); R = 1 keeps the shared 2-d
-    factors and blocks. R may be at most ``_group_size(n)``."""
+    """One persistent state per replicate, evolved through the whole series:
+    the recurrent mode, and the full window, whose re-upload of the whole
+    prefix is the recurrent state. Takes R replicates of one width: configs
+    that differ in their seeds and at most in the rows they keep, and series
+    of one length. The R states evolve as one (R, 2**n) batch, each row with
+    its own RY factors and its own dense blocks stacked as (R, d, d); R = 1
+    keeps the shared 2-d factors and blocks. R may be at most
+    ``_group_size(n)``. Each replicate keeps the rows t >= max(washout,
+    valid_from). On the shots backend each replicate draws from its own shot
+    stream, one ``uniform(size=shots)`` per kept row in t order, as
+    ``sample_counts`` draws them."""
     cfgs = [resolve_seeds(c) for c in configs]
     runs = [_compile_run(s, c) for s, c in zip(series_list, cfgs)]
     encoder, _, _, observables, signs = runs[0]
@@ -427,6 +445,8 @@ def run_recurrent_group(series_list, configs) -> list[FeatureMatrix]:
     T = len(inputs[0])
     keep = [max(c.protocol.washout, s.valid_from) for c, s in zip(cfgs, series_list)]
     keep_from = min(keep)
+    shots = cfgs[0].backend.shots
+    streams = [RandomStream(c.backend.shot_seed) for c in cfgs] if cfgs[0].backend.kind == "shots" else None
 
     state = np.zeros((R, 2**n), dtype=np.complex128)
     state[:, 0] = 1.0
@@ -443,9 +463,17 @@ def run_recurrent_group(series_list, configs) -> list[FeatureMatrix]:
             if start + i >= keep_from:
                 kept.append(state)
         del rotations, hi, lo  # free this chunk's factors before the next chunk builds its own
-        if kept:
-            rows = np.stack(kept, axis=1).reshape(-1, 2**n)
-            chunks.append(_measure(rows, signs).reshape(R, len(kept), -1))
+        if not kept:
+            continue
+        rows = np.stack(kept, axis=1)  # (R, kept steps, 2**n)
+        if streams is None:
+            chunks.append(_measure(rows.reshape(-1, 2**n), signs).reshape(R, len(kept), -1))
+            continue
+        measured = np.zeros(rows.shape[:2] + (len(observables),))
+        for r, stream in enumerate(streams):  # replicate r draws for its rows t >= keep[r] only
+            skip = max(0, keep[r] - max(start, keep_from))
+            measured[r, skip:] = _measure(rows[r, skip:], signs, shots, stream)
+        chunks.append(measured)
     values = np.concatenate(chunks, axis=1) if chunks else np.empty((R, 0, len(observables)))
     labels = tuple(o.label for o in observables)
     return [
@@ -456,38 +484,33 @@ def run_recurrent_group(series_list, configs) -> list[FeatureMatrix]:
 
 def run_windowed(series: TimeSeries, config: ExperimentConfig) -> FeatureMatrix:
     """reupload_k evolution: each row rebuilds a fresh state from the last k
-    inputs (or the whole prefix when k == "full"). Rows evolve together, one
-    chunk at a time; with k == "full" step s advances only the rows t >= s.
-    The shots backend samples one count table per row and estimates every
-    observable from it."""
+    inputs. Rows evolve together, one chunk at a time. The shots backend
+    samples one count table per row and estimates every observable from it.
+    A full window is the recurrent state, so ``run_recurrent_group`` evolves
+    it. The config's mode must be reupload_k."""
+    if config.mode.kind != "reupload_k":
+        raise ConfigurationError(f"run_windowed runs mode.kind 'reupload_k', got {config.mode.kind!r}")
     cfg = resolve_seeds(config)
+    if not cfg.mode.bounded:
+        return run_recurrent_group([series], [cfg])[0]
     k = cfg.mode.k
     encoder, inputs, blocks, observables, signs = _compile_run(series, cfg)
     n, rotations = encoder.n_qubits, _rotations(inputs, encoder)
-    T = len(rotations)
-    first_full = 0 if k == FULL_WINDOW else k - 1
-    keep_from = max(cfg.protocol.washout, series.valid_from, first_full)
+    keep_from = max(cfg.protocol.washout, series.valid_from, k - 1)
 
     shot_stream = RandomStream(cfg.backend.shot_seed) if cfg.backend.kind == "shots" else None
-    t_index = np.arange(keep_from, T, dtype=np.int64)
+    t_index = np.arange(keep_from, len(rotations), dtype=np.int64)
     chunks: list = []
-    per_chunk = _rows_per_chunk(n, 0 if k == FULL_WINDOW else k - 1)
+    per_chunk = _rows_per_chunk(n, k - 1)
     for start in range(0, len(t_index), per_chunk):
         ts = t_index[start : start + per_chunk]
         rows = np.zeros((len(ts), 2**n), dtype=np.complex128)
         rows[:, 0] = 1.0
-        if k == FULL_WINDOW:  # every row starts at step 0; per_chunk steps of factors at a time
-            for group in range(0, ts[-1] + 1, per_chunk):
-                hi, lo = ry_factors(rotations[group : min(group + per_chunk, ts[-1] + 1)])
-                for i in range(len(hi)):
-                    active = max(0, group + i - ts[0])  # rows t >= s: a suffix of the chunk
-                    rows[active:] = _advance(rows[active:], (hi[i], lo[i]), blocks, n)
-                del hi, lo  # free these factors before the next group builds its own
-        else:  # window j of row t is step t - k + 1 + j: one slice of the chunk's factors
-            hi, lo = ry_factors(rotations[ts[0] - k + 1 : ts[-1] + 1])
-            for j in range(k):
-                rows = _advance(rows, (hi[j : j + len(ts)], lo[j : j + len(ts)]), blocks, n)
-            del hi, lo  # free these factors before the next chunk builds its own
+        # window j of row t is step t - k + 1 + j: one slice of the chunk's factors
+        hi, lo = ry_factors(rotations[ts[0] - k + 1 : ts[-1] + 1])
+        for j in range(k):
+            rows = _advance(rows, (hi[j : j + len(ts)], lo[j : j + len(ts)]), blocks, n)
+        del hi, lo  # free these factors before the next chunk builds its own
         chunks.append(_measure(rows, signs, cfg.backend.shots, shot_stream))
     return _feature_matrix(chunks, t_index, observables)
 
@@ -628,11 +651,13 @@ def _group_scores(group: list) -> list:
     draws the inputs before it reads the delay. On the ideal backend each
     replicate is evolved once, from its cell with the smallest
     ``valid_from``, the whole group through one ``_evolve``, and each cell
-    keeps the rows t >= max(washout, valid_from). The shots backend draws in
-    row order, so there each cell is its own run."""
+    keeps the rows t >= max(washout, valid_from). The shots backend draws
+    per kept row, so there each column of cells (one delay across the
+    group's replicates) is its own evolution."""
     series = [[generate(cfg.task) for cfg in cells] for cells in group]
     if group[0][0].backend.kind == "shots":
-        features = [[_evolve([s], [c])[0] for c, s in zip(cells, ss)] for cells, ss in zip(group, series)]
+        columns = [_evolve(list(ss), list(cells)) for ss, cells in zip(zip(*series), zip(*group))]
+        features = [list(fs) for fs in zip(*columns)]
     else:
         first = [min(range(len(ss)), key=lambda j: ss[j].valid_from) for ss in series]
         evolved = _evolve(
@@ -654,11 +679,11 @@ def _group_scores(group: list) -> list:
 
 
 def _evolve(series: list, configs: list) -> list[FeatureMatrix]:
-    """Feature matrices of replicates of one width: recurrent ones as one
-    batch, reupload_k ones one window run each."""
-    if configs[0].mode.kind == "recurrent":
-        return run_recurrent_group(series, configs)
-    return [run_windowed(s, c) for s, c in zip(series, configs)]
+    """Feature matrices of replicates of one width: bounded windows one
+    ``run_windowed`` each, recurrent and full-window ones as one batch."""
+    if configs[0].mode.bounded:
+        return [run_windowed(s, c) for s, c in zip(series, configs)]
+    return run_recurrent_group(series, configs)
 
 
 def _rows_from(features: FeatureMatrix, t0: int) -> FeatureMatrix:
@@ -714,11 +739,11 @@ def stm_delay_sweep(
     encoder seeds are shared across delays within each replicate."""
     delays = [int(d) for d in delays]
     if not delays:
-        raise ConfigurationError("delays must be non-empty")
+        raise SchemaError("delays", "must name at least one delay")
     if any(d < 1 for d in delays):
-        raise ConfigurationError("delays must be >= 1")
+        raise SchemaError("delays", f"must be >= 1, got {delays}")
     if replicates < 1:
-        raise ConfigurationError("replicates must be >= 1")
+        raise SchemaError("replicates", f"must be >= 1, got {replicates}")
 
     cells = []
     for r in range(replicates):
@@ -729,21 +754,35 @@ def stm_delay_sweep(
     return [(d, float(np.mean([replicate[i][1] for replicate in scores]))) for i, d in enumerate(delays)]
 
 
+def check_scan_args(config: ExperimentConfig, qubit_list, delta: float, replicates: int) -> list[int]:
+    """The theory scan's argument rules, checked before anything runs: the
+    widths are non-empty and strictly ascending, delta is in (0, 1),
+    replicates >= 1, and each width's replicate config builds. Raises
+    SchemaError keyed ``qubit_list``, ``delta`` or ``replicates``; returns
+    the widths."""
+    qubits = [int(n) for n in qubit_list]
+    if not qubits:
+        raise SchemaError("qubit_list", "must name at least one width")
+    if any(b <= a for a, b in zip(qubits, qubits[1:])):
+        raise SchemaError("qubit_list", f"must be strictly ascending, got {qubits}")
+    if not 0.0 < delta < 1.0:
+        raise SchemaError("delta", f"must be in (0, 1), got {delta}")
+    if replicates < 1:
+        raise SchemaError("replicates", f"must be >= 1, got {replicates}")
+    for n in qubits:  # building a width's config checks the rules that depend on it
+        try:
+            _replicate_config(config, 0, n)
+        except SchemaError as exc:
+            raise SchemaError("qubit_list", f"width {n}: {exc}") from exc
+    return qubits
+
+
 def theory_scan(
     config: ExperimentConfig, qubit_list, delta: float, replicates: int = 10
 ) -> list[ScanRow]:
     """Replicate-averaged train/test scores per reservoir width, with the
     risk bound's sample-size confidence term."""
-    qubits = [int(n) for n in qubit_list]
-    if not qubits:
-        raise ConfigurationError("qubit list must be non-empty")
-    if any(b <= a for a, b in zip(qubits, qubits[1:])):
-        raise ConfigurationError("qubit list must be strictly ascending")
-    if not 0.0 < delta < 1.0:
-        raise ConfigurationError("delta must be in (0, 1)")
-    if replicates < 1:
-        raise ConfigurationError("replicates must be >= 1")
-
+    qubits = check_scan_args(config, qubit_list, delta, replicates)
     groups = []
     for n in qubits:
         cells = [[_replicate_config(config, r, n_qubits=n)] for r in range(replicates)]

@@ -176,6 +176,7 @@ class TestSchemaFailures:
             ("case-memory", {"task": {"T": 101, "delay": 100}, "protocol": {"washout": 0}}, "task.T"),
             ("case-parity", {"mode": {"type": "reupload_k", "k": 600}}, "task.T"),
             ("case-narma10", {"task": {"T": 25}, "protocol": {"washout": 0}}, "task.T"),
+            ("case-memory", {"task": {"T": 90, "delay": 100}, "protocol": {"washout": 0}}, "task.T"),
         ],
     )
     def test_rules_across_sections_name_key(self, tmp_path, capsys, command, doc, key):
@@ -183,6 +184,15 @@ class TestSchemaFailures:
         assert main([command, "--config", cfg, "--out", str(tmp_path / "r")]) == 1
         assert key in capsys.readouterr().err
         assert not (tmp_path / "r").exists()
+
+    @pytest.mark.parametrize(
+        "command, task",
+        [("case-parity", {"T": 90, "delay": 100}), ("case-memory", {"T": 90, "window": 100})],
+    )
+    def test_horizon_counts_only_the_task_own_lag(self, tmp_path, capsys, command, task):
+        # parity never reads task.delay and stm never reads task.window
+        cfg = write_config(tmp_path, {"task": task, "protocol": {"washout": 0}})
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "r")]) == 0
 
 
 def fail_with_data_error(*args, **kwargs):

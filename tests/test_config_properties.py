@@ -65,7 +65,8 @@ def valid_docs(draw, max_T=2000, max_n=6, max_shots=10**6):
     # room for T: washout + the widest horizon (50) + 1 <= max_T
     washout = setting("protocol.washout", st.integers(0, 10) | st.integers(0, min(1000, max_T - 51)), ProtocolSpec.washout)
     first_target = TaskSpec(kind, delay=delay, window=window).valid_from
-    shortest = max(washout + max(delay, window, 10) + 1, max(washout, first_target) + 2, 30 if kind == "narma10" else 1)
+    horizon = max({"stm": delay, "parity": window, "narma10": 10}[kind], 10)  # the lag the task reads
+    shortest = max(washout + horizon + 1, max(washout, first_target) + 2, 30 if kind == "narma10" else 1)
     T = setting("task.T", st.integers(shortest, shortest + 3) | st.integers(shortest, max_T), always=True)
     setting("task.seed", st.none() | SEEDS)
 

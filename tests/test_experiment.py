@@ -165,6 +165,17 @@ class TestRunRecurrent:
             small_config(backend=BackendSpec(kind="shots", shots=64, shot_seed=1))
 
 
+@pytest.mark.parametrize(
+    "driver, mode",
+    [(run_recurrent, ModeSpec(kind="reupload_k", k=3)), (run_windowed, ModeSpec())],
+    ids=["recurrent-on-reupload_k", "windowed-on-recurrent"],
+)
+def test_driver_rejects_the_other_mode(driver, mode):
+    cfg = small_config(kind="parity", T=120, mode=mode)
+    with pytest.raises(ConfigurationError, match="mode.kind"):
+        driver(generate(resolve_seeds(cfg).task), cfg)
+
+
 class TestRunWindowed:
     def test_k1_features_depend_only_on_current_input(self):
         # binary inputs: rows sharing u_t must produce identical features
@@ -364,7 +375,7 @@ class TestDelaySweep:
         assert len(rows) == 1 and rows[0][0] == 2
 
     def test_delay_zero_rejected(self):
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(ConfigurationError, match="delays"):
             stm_delay_sweep(small_config(), delays=[0], replicates=1)
 
     def test_empty_delays_rejected(self):
@@ -382,11 +393,11 @@ class TestTheoryScan:
             assert abs(r.confidence_term - confidence_term(r.m, 0.05)) < 1e-12
 
     def test_unsorted_qubits_rejected(self):
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(ConfigurationError, match="qubit_list"):
             theory_scan(small_config(), [3, 2], delta=0.05, replicates=1)
 
     def test_delta_bounds(self):
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(ConfigurationError, match="delta"):
             theory_scan(small_config(), [2, 3], delta=0.0, replicates=1)
 
     def test_parallel_matches_sequential(self, monkeypatch):

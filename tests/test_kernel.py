@@ -155,10 +155,15 @@ def test_kernel_matches_dense_oracle(n, k, layers):
         np.testing.assert_allclose(got.values[i], want, rtol=0, atol=TOL)
 
 
-@pytest.mark.parametrize("n, layers", [(7, 1), (8, 2)])
-def test_shots_match_sample_counts_exactly(n, layers):
+@pytest.mark.parametrize(
+    "n, layers, k",
+    [pytest.param(7, 1, 3, id="7-1"), pytest.param(8, 2, 3, id="8-2"), pytest.param(7, 2, "full", id="full-7-2")],
+)
+def test_shots_match_sample_counts_exactly(n, layers, k):
+    # a full window is one recurrent state, measured with the draws of a
+    # fresh state per row
     shots = BackendSpec(kind="shots", shots=256, shot_seed=5)
-    cfg = kernel_config(n, k=3, layers=layers, backend=shots)
+    cfg = kernel_config(n, k=k, layers=layers, backend=shots)
     series = generate(resolve_seeds(cfg).task)
     got = run_windowed(series, cfg)
     np.testing.assert_array_equal(got.values, reference_features(series, cfg, got.t_index))
@@ -299,15 +304,20 @@ def replicate_configs(n, replicates, task=None):
 
 
 def check_group(configs):
-    """The grouped run against one ``run_recurrent`` per replicate, and the
-    first and last replicates' first rows against the dense oracle."""
+    """The grouped run against one run per replicate (``run_recurrent``, or
+    ``run_windowed`` for a full window), exactly on the shots backend; on
+    the ideal backend also the first and last replicates' first rows
+    against the dense oracle."""
     series = [generate(resolve_seeds(c).task) for c in configs]
     got = experiment.run_recurrent_group(series, configs)
     assert len(got) == len(configs)
+    shots = configs[0].backend.kind == "shots"
     for s, c, features in zip(series, configs, got):
-        want = run_recurrent(s, c)
+        want = run_kernel(s, c)
         np.testing.assert_array_equal(features.t_index, want.t_index)
-        np.testing.assert_allclose(features.values, want.values, rtol=0, atol=TOL)
+        np.testing.assert_allclose(features.values, want.values, rtol=0, atol=0 if shots else TOL)
+    if shots:
+        return series, got
     for i in {0, len(configs) - 1}:
         want = oracle_row(series[i], configs[i], int(got[i].t_index[0]))
         np.testing.assert_allclose(got[i].values[0], want, rtol=0, atol=TOL)
@@ -328,6 +338,16 @@ def test_full_and_partial_groups_at_n6():
     assert groups == [[0, 1, 2, 3], [4, 5, 6, 7], [8, 9]]
     check_group(replicate_configs(6, groups[0]))  # full: 4 stacked 64 x 64 blocks per layer
     check_group(replicate_configs(6, groups[-1]))  # the partial last group
+    # a full-window shots group: each replicate draws from its own stream.
+    # 4 replicates take 32 steps per chunk, so 80 steps span three chunks,
+    # and replicate 1 keeps its rows from step 40 on, inside the second
+    shots = [
+        replace(c, mode=ModeSpec(kind="reupload_k", k="full"), backend=replace(c.backend, kind="shots", shots=64))
+        for c in replicate_configs(6, groups[0], task=TaskSpec("stm", T=80))
+    ]
+    shots[1] = replace(shots[1], protocol=ProtocolSpec(washout=40, train_fraction=0.5))
+    _, got = check_group(shots)
+    assert [int(f.t_index[0]) for f in got] == [12, 40, 12, 12]
 
 
 def test_group_with_reupload_layers():
@@ -368,7 +388,7 @@ def per_case_means(cells_by_replicate, name):
     ]
 
 
-@pytest.mark.parametrize("k", [None, 3], ids=["recurrent", "k3"])
+@pytest.mark.parametrize("k", [None, 3, "full"], ids=["recurrent", "k3", "full"])
 def test_scan_matches_per_case_scores(k):
     config = kernel_config(2, k=k, T=60, washout=12)
     rows = experiment.theory_scan(config, [2, 3, 5], delta=0.05, replicates=3)
@@ -381,8 +401,14 @@ def test_scan_matches_per_case_scores(k):
 
 @pytest.mark.parametrize(
     "k, backend",
-    [(None, None), (3, None), ("full", None), (2, BackendSpec(kind="shots", shots=64))],
-    ids=["recurrent", "k3", "full", "k2-shots"],
+    [
+        (None, None),
+        (3, None),
+        ("full", None),
+        (2, BackendSpec(kind="shots", shots=64)),
+        ("full", BackendSpec(kind="shots", shots=64)),
+    ],
+    ids=["recurrent", "k3", "full", "k2-shots", "full-shots"],
 )
 def test_delay_sweep_matches_per_cell_scores(k, backend):
     # unsorted delays: each replicate evolves once from its smallest delay
