@@ -68,16 +68,20 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _load(args, task_kind=None):
-    """Parse --config and apply --seed and --out. Without a task kind (the
-    theory scan) the run is narma10 unless the config names a kind."""
-    doc = load_config_file(args.config) if args.config else {}
+    """Parse --config and apply --seed and --out, each whenever it is given.
+    Without a task kind (the theory scan) the run is narma10 unless the
+    config names a kind. A config file that cannot be read raises OSError."""
+    doc = load_config_file(args.config) if args.config is not None else {}
     if task_kind is None and not (isinstance(doc.get("task"), dict) and "kind" in doc["task"]):
         task_kind = "narma10"
     config, output = parse_config(doc, task_kind=task_kind)
     if args.seed is not None:
         config = replace(config, master_seed=check_seed("--seed", args.seed))
-    if args.out:
-        output = replace(output, dir=args.out)
+    if args.out is not None:
+        try:
+            output = replace(output, dir=args.out)
+        except SchemaError as exc:  # name the flag that set the directory
+            raise SchemaError("--out", exc.message) from exc
     return config, output
 
 
@@ -211,6 +215,9 @@ def main(argv=None) -> int:
     except SchemaError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SCHEMA
+    except OSError as exc:  # the config file cannot be read
+        print(f"error: cannot read config {args.config}: {exc.strerror}", file=sys.stderr)
+        return EXIT_IO
     return _run(config, output, run)
 
 

@@ -150,7 +150,7 @@ def load_config_file(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or UnicodeDecodeError: JSON text is UTF-8
         raise SchemaError("<config>", f"not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise SchemaError("<config>", "top level must be an object")

@@ -23,8 +23,9 @@ applied as ``(rows[:, None] @ blocks)[:, 0]``. A single run (R = 1) keeps
 the shared 2-d factors and blocks, ``rows @ block``, as ``ry_layer`` does
 for shared factors. R is at most ``CHUNK_AMPLITUDES // 4**n`` (at least 1),
 the budget that also makes blocks dense: 16 at n = 5, 4 at n = 6, 1 from
-n = 7 on. Input rotations are built per chunk of steps. A group is one pool
-task.
+n = 7 on. Input rotations are built per chunk of steps. A group, with the
+STM delays to read from each replicate's one run (none for a scan), is one
+pool task.
 
 Seed derivation: one master seed yields labelled child seeds for
 {data, reservoir, encoder-interleave, shots} (see sim.RandomStream), so a
@@ -71,7 +72,7 @@ from .sim import (
     ry_layer,
     sign_matrix,
 )
-from .tasks import TaskSpec, TimeSeries, generate
+from .tasks import TaskSpec, TimeSeries, generate, stm_series
 
 MODE_KINDS = ("recurrent", "reupload_k")
 BACKEND_KINDS = ("ideal", "shots")
@@ -203,9 +204,7 @@ class ExperimentConfig:
         horizon = max({"stm": task.delay, "parity": task.window}.get(task.kind, 0), 10)  # the task's own lag
         if task.T <= washout + horizon:
             raise SchemaError("task.T", f"must be > washout {washout} + dependency horizon {horizon}, got {task.T}")
-        # The drivers keep the steps from the washout, the first target and
-        # the first full window on.
-        first = max(washout, task.valid_from, mode.k - 1 if mode.bounded else 0)
+        first = self.first_row(task.valid_from)
         t_eff = task.T - first
         n_train = self.protocol.train_rows(t_eff)
         if t_eff < 2:
@@ -215,6 +214,12 @@ class ExperimentConfig:
                 "protocol.train_fraction",
                 f"splits {t_eff} feature rows into {n_train} train and {t_eff - n_train} test rows; each needs 1",
             )
+
+    def first_row(self, valid_from: int) -> int:
+        """The first step the drivers keep, for a series whose targets start
+        at ``valid_from``: the washout, the first target and the first full
+        window are all behind it."""
+        return max(self.protocol.washout, valid_from, self.mode.k - 1 if self.mode.bounded else 0)
 
 
 def resolve_seeds(config: ExperimentConfig) -> ExperimentConfig:
@@ -425,15 +430,20 @@ def run_recurrent_group(series_list, configs) -> list[FeatureMatrix]:
     """One persistent state per replicate, evolved through the whole series:
     the recurrent mode, and the full window, whose re-upload of the whole
     prefix is the recurrent state. Takes R replicates of one width: configs
-    that differ in their seeds and at most in the rows they keep, and series
-    of one length. The R states evolve as one (R, 2**n) batch, each row with
-    its own RY factors and its own dense blocks stacked as (R, d, d); R = 1
-    keeps the shared 2-d factors and blocks. R may be at most
-    ``_group_size(n)``. Each replicate keeps the rows t >= max(washout,
-    valid_from). On the shots backend each replicate draws from its own shot
-    stream, one ``uniform(size=shots)`` per kept row in t order, as
-    ``sample_counts`` draws them."""
+    that differ in their seeds, and series of one length. The R states
+    evolve as one (R, 2**n) batch, each row with its own RY factors and its
+    own dense blocks stacked as (R, d, d); R = 1 keeps the shared 2-d
+    factors and blocks. R may be at most ``_group_size(n)``. Every replicate
+    keeps the rows from one ``first_row`` on, and they share one t_index;
+    configs and series that keep different rows raise ConfigurationError.
+    On the shots backend each replicate draws from its own shot stream, one
+    ``uniform(size=shots)`` per kept row in t order, as ``sample_counts``
+    draws them."""
     cfgs = [resolve_seeds(c) for c in configs]
+    firsts = {c.first_row(s.valid_from) for c, s in zip(cfgs, series_list)}
+    if len(firsts) > 1:
+        raise ConfigurationError(f"a group's replicates keep rows from different steps: {sorted(firsts)}")
+    keep_from = firsts.pop()
     runs = [_compile_run(s, c) for s, c in zip(series_list, cfgs)]
     encoder, _, _, observables, signs = runs[0]
     n, R = encoder.n_qubits, len(runs)
@@ -443,8 +453,6 @@ def run_recurrent_group(series_list, configs) -> list[FeatureMatrix]:
     blocks = runs[0][2] if R == 1 else [np.stack(layer) for layer in zip(*(run[2] for run in runs))]
     del runs  # the stacked blocks replace the per-replicate ones
     T = len(inputs[0])
-    keep = [max(c.protocol.washout, s.valid_from) for c, s in zip(cfgs, series_list)]
-    keep_from = min(keep)
     shots = cfgs[0].backend.shots
     streams = [RandomStream(c.backend.shot_seed) for c in cfgs] if cfgs[0].backend.kind == "shots" else None
 
@@ -468,18 +476,11 @@ def run_recurrent_group(series_list, configs) -> list[FeatureMatrix]:
         rows = np.stack(kept, axis=1)  # (R, kept steps, 2**n)
         if streams is None:
             chunks.append(_measure(rows.reshape(-1, 2**n), signs).reshape(R, len(kept), -1))
-            continue
-        measured = np.zeros(rows.shape[:2] + (len(observables),))
-        for r, stream in enumerate(streams):  # replicate r draws for its rows t >= keep[r] only
-            skip = max(0, keep[r] - max(start, keep_from))
-            measured[r, skip:] = _measure(rows[r, skip:], signs, shots, stream)
-        chunks.append(measured)
+        else:
+            chunks.append(np.stack([_measure(rows[r], signs, shots, s) for r, s in enumerate(streams)]))
     values = np.concatenate(chunks, axis=1) if chunks else np.empty((R, 0, len(observables)))
-    labels = tuple(o.label for o in observables)
-    return [
-        FeatureMatrix(values[r, k - keep_from :], np.arange(k, T, dtype=np.int64), labels)
-        for r, k in enumerate(keep)
-    ]
+    t_index = np.arange(keep_from, T, dtype=np.int64)
+    return [_feature_matrix([v], t_index, observables) for v in values]
 
 
 def run_windowed(series: TimeSeries, config: ExperimentConfig) -> FeatureMatrix:
@@ -496,7 +497,7 @@ def run_windowed(series: TimeSeries, config: ExperimentConfig) -> FeatureMatrix:
     k = cfg.mode.k
     encoder, inputs, blocks, observables, signs = _compile_run(series, cfg)
     n, rotations = encoder.n_qubits, _rotations(inputs, encoder)
-    keep_from = max(cfg.protocol.washout, series.valid_from, k - 1)
+    keep_from = cfg.first_row(series.valid_from)
 
     shot_stream = RandomStream(cfg.backend.shot_seed) if cfg.backend.kind == "shots" else None
     t_index = np.arange(keep_from, len(rotations), dtype=np.int64)
@@ -642,35 +643,20 @@ def worker_count() -> int:
     return n or os.cpu_count() or 1
 
 
-def _group_scores(group: list) -> list:
-    """One pool task: a group of replicates of one width, each a list of
-    cells (configs) that differ only in the STM delay; a scan has one cell
-    per replicate. Returns (train score, test score, test rows) per cell.
-
-    A replicate's cells share its inputs and reservoir, since ``gen_stm``
-    draws the inputs before it reads the delay. On the ideal backend each
-    replicate is evolved once, from its cell with the smallest
-    ``valid_from``, the whole group through one ``_evolve``, and each cell
-    keeps the rows t >= max(washout, valid_from). The shots backend draws
-    per kept row, so there each column of cells (one delay across the
-    group's replicates) is its own evolution."""
-    series = [[generate(cfg.task) for cfg in cells] for cells in group]
-    if group[0][0].backend.kind == "shots":
-        columns = [_evolve(list(ss), list(cells)) for ss, cells in zip(zip(*series), zip(*group))]
-        features = [list(fs) for fs in zip(*columns)]
-    else:
-        first = [min(range(len(ss)), key=lambda j: ss[j].valid_from) for ss in series]
-        evolved = _evolve(
-            [ss[j] for ss, j in zip(series, first)], [cells[j] for cells, j in zip(group, first)]
-        )
-        features = [
-            [_rows_from(f, max(c.protocol.washout, s.valid_from)) for c, s in zip(cells, ss)]
-            for cells, ss, f in zip(group, series, evolved)
-        ]
-    name, _ = task_metric(group[0][0].task.kind)
+def _group_scores(pool_task: tuple) -> list:
+    """One pool task: ``(configs, delays)``, replicate configs of one width,
+    evolved once as one ``_evolve``, and the STM delays to read. A scan has
+    no delays and scores each replicate on its own task. A sweep's configs
+    are each replicate's shortest-delay STM config; delay d reads the rows
+    t >= ``first_row(d)`` of that run against ``stm_series(inputs, d)``.
+    Returns per replicate a (train score, test score, test rows) per readout."""
+    configs, delays = pool_task
+    series = [generate(cfg.task) for cfg in configs]
+    name, _ = task_metric(configs[0].task.kind)
     scores = []
-    for cells, ss, fs in zip(group, series, features):
-        results = [_fit_and_score(c, s, f) for c, s, f in zip(cells, ss, fs)]
+    for cfg, s, f in zip(configs, series, _evolve(series, configs)):
+        readouts = [(stm_series(s.inputs, d), _rows_from(f, cfg.first_row(d))) for d in delays] or [(s, f)]
+        results = [_fit_and_score(cfg, *readout) for readout in readouts]
         scores.append([
             (float(r.metrics[f"train_{name}"]), float(r.metrics[f"test_{name}"]), len(r.targets) - r.split_at)
             for r in results
@@ -692,14 +678,14 @@ def _rows_from(features: FeatureMatrix, t0: int) -> FeatureMatrix:
     return FeatureMatrix(features.values[start:], features.t_index[start:], features.labels)
 
 
-def _map_cases(groups: list) -> list:
-    """``_group_scores`` of every group, in order, on at most one worker
-    process per group."""
-    workers = min(worker_count(), len(groups))
+def _map_cases(tasks: list) -> list:
+    """``_group_scores`` of every pool task, in order, on at most one worker
+    process per task."""
+    workers = min(worker_count(), len(tasks))
     if workers <= 1:
-        return [_group_scores(g) for g in groups]
+        return [_group_scores(t) for t in tasks]
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(_group_scores, groups))
+        return list(pool.map(_group_scores, tasks))
 
 
 def _replicate_groups(replicates: list, n: int) -> list:
@@ -735,8 +721,10 @@ def _replicate_config(config: ExperimentConfig, r: int, n_qubits: int | None = N
 def stm_delay_sweep(
     config: ExperimentConfig, delays, replicates: int = 10
 ) -> list[tuple[int, float]]:
-    """Mean test R^2 per delay, averaged over replicate seeds; reservoir and
-    encoder seeds are shared across delays within each replicate."""
+    """Mean test R^2 per delay, averaged over replicate seeds. Each replicate
+    evolves once, from its shortest delay's config, and each delay is a
+    readout of that run (``_group_scores``); on the shots backend the run is
+    sampled once, from that config's first kept row."""
     delays = [int(d) for d in delays]
     if not delays:
         raise SchemaError("delays", "must name at least one delay")
@@ -745,12 +733,13 @@ def stm_delay_sweep(
     if replicates < 1:
         raise SchemaError("replicates", f"must be >= 1, got {replicates}")
 
-    cells = []
+    replicate_configs = []
     for r in range(replicates):
         base = _replicate_config(config, r)
-        cells.append([replace(base, task=replace(base.task, kind="stm", delay=d)) for d in delays])
-    groups = _replicate_groups(cells, config.reservoir.n_qubits)
-    scores = [replicate for group in _map_cases(groups) for replicate in group]
+        cells = [replace(base, task=replace(base.task, kind="stm", delay=d)) for d in delays]  # checks every delay
+        replicate_configs.append(min(cells, key=lambda c: c.task.delay))
+    groups = _replicate_groups(replicate_configs, config.reservoir.n_qubits)
+    scores = [replicate for group in _map_cases([(g, delays) for g in groups]) for replicate in group]
     return [(d, float(np.mean([replicate[i][1] for replicate in scores]))) for i, d in enumerate(delays)]
 
 
@@ -785,8 +774,8 @@ def theory_scan(
     qubits = check_scan_args(config, qubit_list, delta, replicates)
     groups = []
     for n in qubits:
-        cells = [[_replicate_config(config, r, n_qubits=n)] for r in range(replicates)]
-        groups += _replicate_groups(cells, n)
+        replicate_configs = [_replicate_config(config, r, n_qubits=n) for r in range(replicates)]
+        groups += [(g, ()) for g in _replicate_groups(replicate_configs, n)]
     scores = [cell for group in _map_cases(groups) for replicate in group for cell in replicate]
 
     rows = []

@@ -79,11 +79,15 @@ def gen_stm(T: int, seed: int, delay: int = 2) -> TimeSeries:
         raise ConfigurationError("delay must be >= 1")
     if delay >= T:
         raise ConfigurationError(f"delay {delay} must be < T={T}")
-    rng = RandomStream(seed)
-    u = rng.uniform(0.0, 1.0, size=T)
-    y = np.full(T, np.nan)
-    y[delay:] = u[:-delay]
-    return TimeSeries(inputs=u, targets=y, valid_from=delay)
+    return stm_series(RandomStream(seed).uniform(0.0, 1.0, size=T), delay)
+
+
+def stm_series(inputs: np.ndarray, delay: int) -> TimeSeries:
+    """y_t = u_{t-delay} on ``inputs``, NaN before ``delay``: every delay's
+    STM series from one draw of inputs."""
+    targets = np.full(len(inputs), np.nan)
+    targets[delay:] = inputs[:-delay]
+    return TimeSeries(inputs=inputs, targets=targets, valid_from=delay)
 
 
 def gen_parity(T: int, seed: int, window: int = 2) -> TimeSeries:

@@ -88,6 +88,20 @@ class TestSchemaFailures:
         path.write_text("{not json")
         assert main(["case-parity", "--config", str(path)]) == 1
 
+    def test_config_not_utf8_exit_1(self, tmp_path, capsys):
+        path = tmp_path / "latin1.json"
+        path.write_bytes('{"task": {"T": 120}} \u00e9'.encode("latin-1"))
+        assert main(["case-parity", "--config", str(path), "--out", str(tmp_path / "r")]) == 1
+        assert capsys.readouterr().err.startswith("error: <config>: not valid JSON")
+        assert not (tmp_path / "r").exists()
+
+    def test_empty_out_flag_names_key(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)  # where the default runs/ would land
+        for command in ("case-parity", "theory-scan"):
+            assert main([command, "--out", ""]) == 1
+            assert capsys.readouterr().err == "error: --out: must be a non-empty string\n"
+        assert list(tmp_path.iterdir()) == []
+
     def test_kind_conflict(self, tmp_path):
         cfg = write_config(tmp_path, {"task": {"kind": "stm"}})
         assert main(["case-parity", "--config", cfg]) == 1
@@ -218,6 +232,16 @@ class TestRuntimeFailures:
         blocker.write_text("a file, not a directory")
         cfg = write_config(tmp_path, FAST_CASE)
         assert main(["case-parity", "--config", cfg, "--out", str(blocker)]) == 3
+
+    @pytest.mark.parametrize("name", ["missing.json", "a-directory", ""])
+    def test_unreadable_config_exit_3(self, tmp_path, capsys, name):
+        # an empty --config is applied as given, not read as no config
+        (tmp_path / "a-directory").mkdir()
+        path = str(tmp_path / name) if name else ""
+        assert main(["case-parity", "--config", path, "--out", str(tmp_path / "r")]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot read config {path}: ") and err.count("\n") == 1
+        assert not (tmp_path / "r").exists()
 
 
 class TestTheoryScan:

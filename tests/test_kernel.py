@@ -28,6 +28,7 @@ from qrclab.experiment import (
     run_windowed,
     step,
 )
+from qrclab.readout import fit_ridge, predict, r2_score
 from qrclab.reservoir import ReservoirSpec, build_reservoir
 from qrclab.sim import (
     GateOp,
@@ -45,7 +46,7 @@ from qrclab.sim import (
     ry_layer,
     sample_counts,
 )
-from qrclab.tasks import TaskSpec, TimeSeries, generate
+from qrclab.tasks import TaskSpec, TimeSeries, generate, stm_series
 
 from dense_oracle import apply_dense, dense_gate_matrix, random_circuit
 
@@ -339,15 +340,19 @@ def test_full_and_partial_groups_at_n6():
     check_group(replicate_configs(6, groups[0]))  # full: 4 stacked 64 x 64 blocks per layer
     check_group(replicate_configs(6, groups[-1]))  # the partial last group
     # a full-window shots group: each replicate draws from its own stream.
-    # 4 replicates take 32 steps per chunk, so 80 steps span three chunks,
-    # and replicate 1 keeps its rows from step 40 on, inside the second
+    # 4 replicates take 32 steps per chunk, so 80 steps span three chunks
     shots = [
         replace(c, mode=ModeSpec(kind="reupload_k", k="full"), backend=replace(c.backend, kind="shots", shots=64))
         for c in replicate_configs(6, groups[0], task=TaskSpec("stm", T=80))
     ]
-    shots[1] = replace(shots[1], protocol=ProtocolSpec(washout=40, train_fraction=0.5))
     _, got = check_group(shots)
-    assert [int(f.t_index[0]) for f in got] == [12, 40, 12, 12]
+    assert [int(f.t_index[0]) for f in got] == [12, 12, 12, 12]
+    # a group keeps one row range: a replicate that keeps its rows from step
+    # 40 on cannot join replicates that keep theirs from step 12 on
+    shots[1] = replace(shots[1], protocol=ProtocolSpec(washout=40, train_fraction=0.5))
+    series = [generate(resolve_seeds(c).task) for c in shots]
+    with pytest.raises(ConfigurationError, match=r"different steps: \[12, 40\]"):
+        experiment.run_recurrent_group(series, shots)
 
 
 def test_group_with_reupload_layers():
@@ -372,7 +377,7 @@ def test_group_with_a_narma10_redraw(monkeypatch, caplog):
     redrawn = RandomStream(resolve_seeds(configs[2]).task.seed + 1).uniform(0.0, 0.5, size=40)
     np.testing.assert_array_equal(series[2].inputs, redrawn / 0.5)
     # the scan's pool task scores every replicate as run_case does
-    scores = experiment._group_scores([[c] for c in configs])
+    scores = experiment._group_scores((configs, ()))
     for (cell,), cfg in zip(scores, configs):
         res = experiment.run_case(cfg)
         assert cell == (res.metrics["train_r2"], res.metrics["test_r2"], len(res.targets) - res.split_at)
@@ -421,5 +426,38 @@ def test_delay_sweep_matches_per_cell_scores(k, backend):
         cells.append([replace(base, task=replace(base.task, kind="stm", delay=d)) for d in delays])
     want = per_case_means(cells, "r2")
     assert [d for d, _ in got] == delays
+    if backend is not None:
+        # shots sample each replicate's run once, from delay 1's first kept
+        # row (the washout, 12): delays 1 and 4 keep the same rows as their
+        # own runs, and delay 13 reads the rows t >= 13 of those samples
+        want[2] = (None, np.mean([stm_readout_score(experiment.run_case(c[1]), 13) for c in cells]))
     for (_, score), (_, test) in zip(got, want):
         assert score == pytest.approx(test, rel=0, abs=TOL)
+
+
+def stm_readout_score(result, delay):
+    """Test R^2 of a delay-``delay`` readout fit, as ``run_case`` fits, on
+    the rows t >= delay of a finished STM run's features."""
+    keep = result.features.t_index >= delay
+    X, t = result.features.values[keep], result.features.t_index[keep]
+    y = stm_series(generate(result.config.task).inputs, delay).targets[t]
+    n_train = result.config.protocol.train_rows(len(t))
+    model = fit_ridge(X[:n_train], y[:n_train], alpha=result.config.alpha)
+    return r2_score(predict(model, X[n_train:]), y[n_train:])
+
+
+@pytest.mark.parametrize("k", [2, "full"])
+def test_shots_delay_sweep_evolves_each_replicate_once(monkeypatch, k):
+    # count the replicates each driver call evolves: one run per replicate,
+    # whatever the number of delays
+    monkeypatch.setenv("QRCLAB_THREADS", "1")  # in process, where the wrappers count
+    evolved = []
+    for name in ("run_windowed", "run_recurrent_group"):
+        def counted(series, configs, driver=getattr(experiment, name)):
+            evolved.append(len(configs) if isinstance(configs, list) else 1)
+            return driver(series, configs)
+
+        monkeypatch.setattr(experiment, name, counted)
+    config = kernel_config(3, k=k, T=60, washout=12, backend=BackendSpec(kind="shots", shots=16))
+    experiment.stm_delay_sweep(config, [4, 1, 13, 2], replicates=3)
+    assert evolved == ([1, 1, 1] if k == 2 else [3])

@@ -12,6 +12,7 @@ from qrclab.tasks import (
     gen_stm,
     generate,
     narma10_recurrence,
+    stm_series,
 )
 
 
@@ -26,6 +27,16 @@ class TestStm:
         ts = gen_stm(10, seed=1, delay=1)
         assert np.isnan(ts.targets[0])
         assert ts.targets[1] == ts.inputs[0]
+
+    @pytest.mark.parametrize("delay", [1, 3, 49])
+    def test_sweep_targets_reproduce_gen_stm(self, delay):
+        # an STM sweep draws the inputs once and builds each delay's targets
+        # with stm_series; gen_stm builds them the same way, bit for bit
+        ts = gen_stm(50, seed=7, delay=delay)
+        again = stm_series(gen_stm(50, seed=7, delay=1).inputs, delay)
+        assert again.inputs.tobytes() == ts.inputs.tobytes()
+        assert again.targets.tobytes() == ts.targets.tobytes()
+        assert again.valid_from == ts.valid_from == delay
 
     def test_deterministic(self):
         a = gen_stm(100, seed=7, delay=3)
