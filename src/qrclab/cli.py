@@ -50,17 +50,15 @@ def build_parser() -> argparse.ArgumentParser:
         description="Quantum reservoir computing benchmark runner",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    common = argparse.ArgumentParser(add_help=False)  # the flags every command takes
+    common.add_argument("--config", help="JSON config file (defaults used when omitted)")
+    common.add_argument("--seed", type=int, help="override the master seed")
+    common.add_argument("--out", help="override the output directory")
 
     for name in CASE_KINDS:
-        p = sub.add_parser(name, help=f"run the {name.removeprefix('case-')} case study")
-        p.add_argument("--config", help="JSON config file (defaults used when omitted)")
-        p.add_argument("--seed", type=int, help="override the master seed")
-        p.add_argument("--out", help="override the output directory")
+        sub.add_parser(name, parents=[common], help=f"run the {name.removeprefix('case-')} case study")
 
-    p = sub.add_parser("theory-scan", help="qubit-width generalization-gap scan")
-    p.add_argument("--config", help="JSON config file (defaults used when omitted)")
-    p.add_argument("--seed", type=int, help="override the master seed")
-    p.add_argument("--out", help="override the output directory")
+    p = sub.add_parser("theory-scan", parents=[common], help="qubit-width generalization-gap scan")
     p.add_argument("--qubits", default="2,3,4,5,6,7", help="comma-separated ascending widths")
     p.add_argument("--delta", type=float, default=0.05, help="risk bound failure probability")
     p.add_argument("--replicates", type=int, default=10, help="seed replicates per width")

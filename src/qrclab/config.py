@@ -39,10 +39,9 @@ class OutputOptions:
 
 
 # The document key of each field path whose key is not the path itself. The
-# encoder is as wide as the reservoir, so both widths read one key. The
 # interleave seed is always derived from the master seed, so it has none.
+# The encoder has no width: it is built at reservoir.n_qubits.
 _KEYS = {
-    "encoder.n_qubits": "reservoir.n_qubits",
     "encoder.interleave_seed": None,
     "mode.kind": "mode.type",
     "backend.kind": "backend.type",

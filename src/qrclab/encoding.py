@@ -29,15 +29,12 @@ def scale_input(u, tag: str = "pi_linear"):
 
 @dataclass(frozen=True)
 class EncoderSpec:
-    n_qubits: int
     scheme: str = "angle"
     layers: int = 1
     scale: str = "pi_linear"
     interleave_seed: int | None = None  # None = derive from the experiment master seed
 
     def __post_init__(self):
-        if self.n_qubits < 1:
-            raise SchemaError("n_qubits", f"must be >= 1, got {self.n_qubits}")
         if self.scheme not in SCHEMES:
             raise SchemaError("scheme", f"must be one of {list(SCHEMES)}, got {self.scheme!r}")
         if self.scale not in SCALE_TAGS:
@@ -62,8 +59,9 @@ class EncoderCircuit:
     layers: tuple[EncoderLayer, ...]
 
 
-def build_encoder(spec: EncoderSpec) -> EncoderCircuit:
-    """Build the encoder deterministically from (spec, interleave seed).
+def build_encoder(spec: EncoderSpec, n_qubits: int) -> EncoderCircuit:
+    """Build the encoder on ``n_qubits`` qubits deterministically from
+    (spec, interleave seed).
 
     Draw order per re-upload layer: CRZ angle for each ring edge in ascending
     order, then one RZ angle per qubit in ascending order.
@@ -71,18 +69,18 @@ def build_encoder(spec: EncoderSpec) -> EncoderCircuit:
     if spec.interleave_seed is None:
         raise ConfigurationError("interleave seed unresolved; fill it or go through resolve_seeds")
     rng = RandomStream(spec.interleave_seed)
-    slots = tuple(range(spec.n_qubits))
-    ring = topology_edges("ring", spec.n_qubits) if spec.n_qubits > 1 else ()  # 1 qubit: no ring
+    slots = tuple(range(n_qubits))
+    ring = topology_edges("ring", n_qubits) if n_qubits > 1 else ()  # 1 qubit: no ring
     layers = []
     for _ in range(spec.layers):
         fixed: list[GateOp] = []
         if spec.scheme == "reupload":
             for i, j in ring:
                 fixed.append(GateOp("CRZ", float(rng.uniform(0.0, 2 * np.pi)), target=j, control=i))
-            for q in range(spec.n_qubits):
+            for q in range(n_qubits):
                 fixed.append(GateOp("RZ", float(rng.uniform(0.0, 2 * np.pi)), target=q))
         layers.append(EncoderLayer(angle_qubits=slots, fixed_gates=tuple(fixed)))
-    return EncoderCircuit(n_qubits=spec.n_qubits, scale=spec.scale, layers=tuple(layers))
+    return EncoderCircuit(n_qubits=n_qubits, scale=spec.scale, layers=tuple(layers))
 
 
 def encode_input(circuit: EncoderCircuit, u, state: StateVector) -> StateVector:

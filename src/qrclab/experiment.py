@@ -36,7 +36,6 @@ sub-masters with labels ``replicate-<r>``.
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -64,6 +63,7 @@ from .sim import (
     RandomStream,
     StateVector,
     apply_gate_rows,
+    check_int,
     check_seed,
     compile_gates,
     fold_diagonals,
@@ -171,7 +171,7 @@ class ExperimentConfig:
 
     task: TaskSpec
     reservoir: ReservoirSpec = ReservoirSpec(n_qubits=4)
-    encoder: EncoderSpec = EncoderSpec(n_qubits=4)
+    encoder: EncoderSpec = EncoderSpec()
     observables: ObservableSpec = ObservableSpec()
     mode: ModeSpec = ModeSpec()
     backend: BackendSpec = BackendSpec()
@@ -181,11 +181,6 @@ class ExperimentConfig:
     master_seed: int = 42
 
     def __post_init__(self):
-        if self.encoder.n_qubits != self.reservoir.n_qubits:
-            raise SchemaError(
-                "encoder",
-                f"width {self.encoder.n_qubits} != reservoir width {self.reservoir.n_qubits}",
-            )
         if self.alpha < 0:
             raise SchemaError("alpha", f"must be >= 0, got {self.alpha}")
         if self.alpha_grid is not None and (not self.alpha_grid or any(a < 0 for a in self.alpha_grid)):
@@ -348,7 +343,7 @@ def _compile_run(series: TimeSeries, cfg: ExperimentConfig):
     """What the kernel needs, built once per run: (encoder, inputs, fixed
     blocks, observables, sign matrix)."""
     n = cfg.reservoir.n_qubits
-    encoder = build_encoder(cfg.encoder)
+    encoder = build_encoder(cfg.encoder, n)
     observables = build_observables(cfg.observables, n, cfg.reservoir.topology)
     return (
         encoder,
@@ -684,6 +679,7 @@ def _map_cases(tasks: list) -> list:
     workers = min(worker_count(), len(tasks))
     if workers <= 1:
         return [_group_scores(t) for t in tasks]
+    from concurrent.futures import ProcessPoolExecutor  # here, so a sequential run never imports it
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(_group_scores, tasks))
 
@@ -702,11 +698,7 @@ def _replicate_config(config: ExperimentConfig, r: int, n_qubits: int | None = N
     n_qubits = config.reservoir.n_qubits if n_qubits is None else n_qubits
     task = replace(config.task, seed=rep.child_seed("data"))
     reservoir = replace(config.reservoir, n_qubits=n_qubits, seed=rep.child_seed(f"reservoir{suffix}"))
-    encoder = replace(
-        config.encoder,
-        n_qubits=n_qubits,
-        interleave_seed=rep.child_seed(f"encoder-interleave{suffix}"),
-    )
+    encoder = replace(config.encoder, interleave_seed=rep.child_seed(f"encoder-interleave{suffix}"))
     backend = replace(config.backend, shot_seed=rep.child_seed(f"shots{suffix}"))
     return replace(
         config,
@@ -725,12 +717,12 @@ def stm_delay_sweep(
     evolves once, from its shortest delay's config, and each delay is a
     readout of that run (``_group_scores``); on the shots backend the run is
     sampled once, from that config's first kept row."""
-    delays = [int(d) for d in delays]
+    delays = [check_int("delays", d) for d in delays]
     if not delays:
         raise SchemaError("delays", "must name at least one delay")
     if any(d < 1 for d in delays):
         raise SchemaError("delays", f"must be >= 1, got {delays}")
-    if replicates < 1:
+    if check_int("replicates", replicates) < 1:
         raise SchemaError("replicates", f"must be >= 1, got {replicates}")
 
     replicate_configs = []
@@ -745,18 +737,18 @@ def stm_delay_sweep(
 
 def check_scan_args(config: ExperimentConfig, qubit_list, delta: float, replicates: int) -> list[int]:
     """The theory scan's argument rules, checked before anything runs: the
-    widths are non-empty and strictly ascending, delta is in (0, 1),
-    replicates >= 1, and each width's replicate config builds. Raises
-    SchemaError keyed ``qubit_list``, ``delta`` or ``replicates``; returns
-    the widths."""
-    qubits = [int(n) for n in qubit_list]
+    widths are non-empty integers, strictly ascending, delta is in (0, 1),
+    replicates is an integer >= 1, and each width's replicate config
+    builds. Raises SchemaError keyed ``qubit_list``, ``delta`` or
+    ``replicates``; returns the widths."""
+    qubits = [check_int("qubit_list", n) for n in qubit_list]
     if not qubits:
         raise SchemaError("qubit_list", "must name at least one width")
     if any(b <= a for a, b in zip(qubits, qubits[1:])):
         raise SchemaError("qubit_list", f"must be strictly ascending, got {qubits}")
     if not 0.0 < delta < 1.0:
         raise SchemaError("delta", f"must be in (0, 1), got {delta}")
-    if replicates < 1:
+    if check_int("replicates", replicates) < 1:
         raise SchemaError("replicates", f"must be >= 1, got {replicates}")
     for n in qubits:  # building a width's config checks the rules that depend on it
         try:
@@ -806,28 +798,23 @@ def theory_scan(
 # --------------------------------------------------------------------------
 
 
+def _csv(header: str, row: str, rows) -> str:
+    """CSV text: the header line, then the %-format ``row`` of each tuple."""
+    return "\n".join([header, *(row % values for values in rows)]) + "\n"
+
+
 def features_csv(features: FeatureMatrix) -> str:
     row = "%d," + ",".join(["%.17g"] * len(features.labels))
-    lines = ["t," + ",".join(features.labels)]
-    lines += [row % (t, *vals) for t, vals in zip(features.t_index.tolist(), features.values.tolist())]
-    return "\n".join(lines) + "\n"
+    values = ((t, *vals) for t, vals in zip(features.t_index.tolist(), features.values.tolist()))
+    return _csv("t," + ",".join(features.labels), row, values)
 
 
 def predictions_csv(result: RunResult) -> str:
-    columns = zip(result.features.t_index.tolist(), result.targets.tolist(), result.predictions.tolist())
-    lines = ["t,target,prediction,split"]
-    lines += [
-        "%d,%.17g,%.17g,%s" % (t, y, p, "train" if i < result.split_at else "test")
-        for i, (t, y, p) in enumerate(columns)
-    ]
-    return "\n".join(lines) + "\n"
+    split = ["train" if i < result.split_at else "test" for i in range(len(result.targets))]
+    values = zip(result.features.t_index.tolist(), result.targets.tolist(), result.predictions.tolist(), split)
+    return _csv("t,target,prediction,split", "%d,%.17g,%.17g,%s", values)
 
 
 def scan_csv(rows) -> str:
-    lines = ["n_qubits,train_score,test_score,gap,confidence_term"]
-    for row in rows:
-        lines.append(
-            f"{row.n_qubits},{row.train_score:.17g},{row.test_score:.17g},"
-            f"{row.gap:.17g},{row.confidence_term:.17g}"
-        )
-    return "\n".join(lines) + "\n"
+    values = ((r.n_qubits, r.train_score, r.test_score, r.gap, r.confidence_term) for r in rows)
+    return _csv("n_qubits,train_score,test_score,gap,confidence_term", "%s,%.17g,%.17g,%.17g,%.17g", values)

@@ -13,10 +13,7 @@ from .errors import ConfigurationError
 WIDTH = 640
 HEIGHT = 360
 MARGIN = 52
-TARGET_COLOR = "#1f77b4"
-PREDICTION_COLOR = "#d62728"
-TRAIN_COLOR = "#1f77b4"
-TEST_COLOR = "#d62728"
+COLORS = ("#1f77b4", "#d62728")  # the first and the second curve
 AXIS_COLOR = "#333333"
 FONT = "font-family=\"sans-serif\" font-size=\"11\""
 
@@ -68,6 +65,24 @@ def _document(body: list[str]) -> str:
     return head + "\n" + "\n".join(body) + "\n</svg>\n"
 
 
+def _two_curves(x, curves: dict, title: str, x_label: str, y_label: str, markers: bool) -> str:
+    """The figure of two named curves over one x axis, in ``COLORS`` order:
+    a polyline each, with point markers if asked, and a legend naming them."""
+    x_px, x_lo, x_hi = _scale(x, MARGIN, WIDTH - MARGIN)
+    y_px, y_lo, y_hi = _scale(np.concatenate(list(curves.values())), HEIGHT - MARGIN, MARGIN)  # SVG y grows down
+
+    body = _frame(title, x_label, y_label, x_lo, x_hi, y_lo, y_hi)
+    xs = [x_px(v) for v in x]
+    for values, color in zip(curves.values(), COLORS):
+        ys = [y_px(v) for v in values]
+        body.append(_polyline(xs, ys, color))
+        if markers:
+            body += [f'<circle cx="{cx:.2f}" cy="{cy:.2f}" r="3" fill="{color}"/>' for cx, cy in zip(xs, ys)]
+    legend = " ".join(f'<tspan fill="{color}">{name}</tspan>' for name, color in zip(curves, COLORS))
+    body.append(f'<text x="{WIDTH - MARGIN}" y="{MARGIN - 28}" text-anchor="end" {FONT}>{legend}</text>')
+    return _document(body)
+
+
 def render_overlay_svg(t, target, prediction, title: str = "target vs prediction") -> str:
     """Target/prediction overlay over a time axis, one polyline per curve."""
     t = np.asarray(t, dtype=np.float64)
@@ -77,20 +92,7 @@ def render_overlay_svg(t, target, prediction, title: str = "target vs prediction
         raise ConfigurationError("nothing to plot: empty series")
     if not (t.shape == target.shape == prediction.shape):
         raise ConfigurationError("t, target and prediction must have equal length")
-
-    x_px, x_lo, x_hi = _scale(t, MARGIN, WIDTH - MARGIN)
-    both = np.concatenate([target, prediction])
-    y_px, y_lo, y_hi = _scale(both, HEIGHT - MARGIN, MARGIN)  # inverted: SVG y grows down
-
-    body = _frame(title, "t", "value", x_lo, x_hi, y_lo, y_hi)
-    body.append(_polyline([x_px(v) for v in t], [y_px(v) for v in target], TARGET_COLOR))
-    body.append(_polyline([x_px(v) for v in t], [y_px(v) for v in prediction], PREDICTION_COLOR))
-    body.append(
-        f'<text x="{WIDTH - MARGIN}" y="{MARGIN - 28}" text-anchor="end" {FONT}>'
-        f'<tspan fill="{TARGET_COLOR}">target</tspan> '
-        f'<tspan fill="{PREDICTION_COLOR}">prediction</tspan></text>'
-    )
-    return _document(body)
+    return _two_curves(t, {"target": target, "prediction": prediction}, title, "t", "value", markers=False)
 
 
 def render_scan_svg(rows, title: str = "train/test score vs qubits") -> str:
@@ -101,21 +103,4 @@ def render_scan_svg(rows, title: str = "train/test score vs qubits") -> str:
     n = np.array([r.n_qubits for r in rows], dtype=np.float64)
     train = np.array([r.train_score for r in rows], dtype=np.float64)
     test = np.array([r.test_score for r in rows], dtype=np.float64)
-
-    x_px, x_lo, x_hi = _scale(n, MARGIN, WIDTH - MARGIN)
-    both = np.concatenate([train, test])
-    y_px, y_lo, y_hi = _scale(both, HEIGHT - MARGIN, MARGIN)
-
-    body = _frame(title, "n_qubits", "score", x_lo, x_hi, y_lo, y_hi)
-    for series, color in ((train, TRAIN_COLOR), (test, TEST_COLOR)):
-        xs = [x_px(v) for v in n]
-        ys = [y_px(v) for v in series]
-        body.append(_polyline(xs, ys, color))
-        for x, y in zip(xs, ys):
-            body.append(f'<circle cx="{x:.2f}" cy="{y:.2f}" r="3" fill="{color}"/>')
-    body.append(
-        f'<text x="{WIDTH - MARGIN}" y="{MARGIN - 28}" text-anchor="end" {FONT}>'
-        f'<tspan fill="{TRAIN_COLOR}">train</tspan> '
-        f'<tspan fill="{TEST_COLOR}">test</tspan></text>'
-    )
-    return _document(body)
+    return _two_curves(n, {"train": train, "test": test}, title, "n_qubits", "score", markers=True)

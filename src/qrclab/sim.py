@@ -56,11 +56,18 @@ def check_seed(key: str, seed, optional: bool = False) -> int | None:
     names it in the error."""
     if optional and seed is None:
         return None
-    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral):
-        raise SchemaError(key, f"must be an integer, got {seed!r}")
+    seed = check_int(key, seed)
     if not 0 <= seed < 2**64:
         raise SchemaError(key, f"must be in [0, 2**64), got {seed}")
-    return int(seed)
+    return seed
+
+
+def check_int(key: str, value) -> int:
+    """``value`` as a Python int. A numpy integer is one; a bool or a
+    non-integer raises SchemaError keyed ``key``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise SchemaError(key, f"must be an integer, got {value!r}")
+    return int(value)
 
 
 class RandomStream:

@@ -119,7 +119,7 @@ def parity_base_config() -> ExperimentConfig:
     return ExperimentConfig(
         task=TaskSpec("parity", T=600, window=2),
         reservoir=ReservoirSpec(n_qubits=4, depth=3, topology="ring"),
-        encoder=EncoderSpec(n_qubits=4),
+        encoder=EncoderSpec(),
         observables=ObservableSpec(local_z=True, zz="all_pairs"),
         mode=ModeSpec(kind="reupload_k", k=3),
     )

@@ -1,5 +1,7 @@
 """Temporal driver, protocol, sweep, and scan tests."""
 
+import concurrent.futures
+
 import numpy as np
 import pytest
 
@@ -40,7 +42,7 @@ def small_config(kind="stm", T=150, mode=None, backend=None, observables=None, *
     return ExperimentConfig(
         task=TaskSpec(kind, T=T, seed=kw.pop("task_seed", 3)),
         reservoir=ReservoirSpec(n_qubits=3, seed=11),
-        encoder=EncoderSpec(n_qubits=3, interleave_seed=12),
+        encoder=EncoderSpec(interleave_seed=12),
         observables=observables or ObservableSpec(),
         mode=mode or ModeSpec(),
         backend=backend or BackendSpec(),
@@ -63,7 +65,7 @@ def encoder_gates_for_input(circuit, u):
 
 class TestStep:
     def test_zero_angles_identity(self):
-        encoder = build_encoder(EncoderSpec(n_qubits=2, interleave_seed=0))
+        encoder = build_encoder(EncoderSpec(interleave_seed=0), 2)
         res = build_reservoir(ReservoirSpec(n_qubits=2, depth=1, seed=0))
         zeroed = type(res)(2, tuple(GateOp(g.kind, 0.0, g.target, g.control) for g in res.gates))
         state = step(new_zero_state(2), 0.0, encoder, zeroed)
@@ -71,9 +73,7 @@ class TestStep:
 
     @pytest.mark.parametrize("u_seq", [[0.3], [0.3, 0.8]])
     def test_matches_dense_oracle(self, u_seq):
-        encoder = build_encoder(
-            EncoderSpec(n_qubits=3, scheme="reupload", layers=2, interleave_seed=4)
-        )
+        encoder = build_encoder(EncoderSpec(scheme="reupload", layers=2, interleave_seed=4), 3)
         res = build_reservoir(ReservoirSpec(n_qubits=3, depth=2, seed=9))
         state = new_zero_state(3)
         oracle_gates = []
@@ -126,13 +126,13 @@ class TestResolveSeeds:
         assert resolved.reservoir.seed == 11
         assert resolved.encoder.interleave_seed == 12
 
-    def test_width_mismatch_rejected(self):
-        with pytest.raises(ConfigurationError):
-            ExperimentConfig(
-                task=TaskSpec("stm"),
-                reservoir=ReservoirSpec(n_qubits=3),
-                encoder=EncoderSpec(n_qubits=4),
-            )
+    def test_encoder_runs_at_the_reservoir_width(self):
+        # one register: the encoder has no width of its own
+        with pytest.raises(TypeError):
+            EncoderSpec(n_qubits=4)
+        cfg = resolve_seeds(ExperimentConfig(task=TaskSpec("stm"), reservoir=ReservoirSpec(n_qubits=3)))
+        encoder = experiment._compile_run(generate(cfg.task), cfg)[0]
+        assert encoder.n_qubits == 3 and encoder.layers[0].angle_qubits == (0, 1, 2)
 
 
 class TestRunRecurrent:
@@ -382,6 +382,20 @@ class TestDelaySweep:
         with pytest.raises(ConfigurationError):
             stm_delay_sweep(small_config(), delays=[], replicates=1)
 
+    @pytest.mark.parametrize(
+        "key, delays, replicates",
+        [("delays", [1.7], 1), ("delays", [True], 1), ("delays", [2, 2.0], 1), ("replicates", [2], 1.5),
+         ("replicates", [2], True)],
+    )
+    def test_non_integer_arguments_rejected(self, key, delays, replicates):
+        # never truncated: delay 1.7 is not delay 1
+        with pytest.raises(SchemaError, match=f"^{key}: must be an integer"):
+            stm_delay_sweep(small_config(), delays=delays, replicates=replicates)
+
+    def test_numpy_integers_accepted(self):
+        rows = stm_delay_sweep(small_config(), delays=np.array([2]), replicates=np.int64(2))
+        assert rows == stm_delay_sweep(small_config(), delays=[2], replicates=2)
+
 
 class TestTheoryScan:
     def test_rows_and_gap(self):
@@ -399,6 +413,21 @@ class TestTheoryScan:
     def test_delta_bounds(self):
         with pytest.raises(ConfigurationError, match="delta"):
             theory_scan(small_config(), [2, 3], delta=0.0, replicates=1)
+
+    @pytest.mark.parametrize(
+        "key, qubits, replicates",
+        [("qubit_list", [2.5, 3], 1), ("qubit_list", [2, 3.0], 1), ("qubit_list", [True, 2], 1),
+         ("replicates", [2], 1.5), ("replicates", [2], True)],
+    )
+    def test_non_integer_arguments_rejected(self, key, qubits, replicates):
+        # never truncated: width 2.5 is not width 2
+        with pytest.raises(SchemaError, match=f"^{key}: must be an integer"):
+            theory_scan(small_config(), qubits, delta=0.05, replicates=replicates)
+
+    def test_numpy_integers_accepted(self):
+        rows = theory_scan(small_config(), np.array([2, 3]), delta=0.05, replicates=np.int64(1))
+        assert rows == theory_scan(small_config(), [2, 3], delta=0.05, replicates=1)
+        assert [type(r.n_qubits) for r in rows] == [int, int]
 
     def test_parallel_matches_sequential(self, monkeypatch):
         cfg = small_config(T=100, protocol=ProtocolSpec(washout=20, train_fraction=0.5))
@@ -423,7 +452,7 @@ class TestTheoryScan:
             def map(self, fn, tasks):
                 return map(fn, tasks)
 
-        monkeypatch.setattr(experiment, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
         cfg = small_config(T=100, protocol=ProtocolSpec(washout=20, train_fraction=0.5))
         monkeypatch.setenv("QRCLAB_THREADS", "5000")
         rows = theory_scan(cfg, [2, 3], delta=0.1, replicates=2)

@@ -58,7 +58,7 @@ def kernel_config(n, k=None, layers=1, zz="all_pairs", T=30, washout=12, backend
     return ExperimentConfig(
         task=TaskSpec("stm", T=T, seed=17),
         reservoir=ReservoirSpec(n_qubits=n, seed=23),
-        encoder=EncoderSpec(n_qubits=n, scheme=scheme, layers=layers, interleave_seed=29),
+        encoder=EncoderSpec(scheme=scheme, layers=layers, interleave_seed=29),
         observables=ObservableSpec(local_z=True, zz=zz),
         mode=ModeSpec() if k is None else ModeSpec(kind="reupload_k", k=k),
         backend=backend or BackendSpec(),
@@ -80,7 +80,7 @@ def reference_features(series, cfg, t_index):
     """Gate by gate: ``step`` per input, a fresh state per windowed row."""
     cfg = resolve_seeds(cfg)
     n = cfg.reservoir.n_qubits
-    encoder, reservoir = build_encoder(cfg.encoder), build_reservoir(cfg.reservoir)
+    encoder, reservoir = build_encoder(cfg.encoder, n), build_reservoir(cfg.reservoir)
     observables = build_observables(cfg.observables, n, cfg.reservoir.topology)
     stream = RandomStream(cfg.backend.shot_seed) if cfg.backend.kind == "shots" else None
     rows = []
@@ -103,7 +103,7 @@ def oracle_row(series, cfg, t):
     """One feature row from explicit Kronecker-product matrices."""
     cfg = resolve_seeds(cfg)
     n = cfg.reservoir.n_qubits
-    encoder, reservoir = build_encoder(cfg.encoder), build_reservoir(cfg.reservoir)
+    encoder, reservoir = build_encoder(cfg.encoder, n), build_reservoir(cfg.reservoir)
     gates = []
     for s in range(window_start(cfg, t), t + 1):
         angle = float(scale_input(series.inputs[s]))

@@ -1,5 +1,6 @@
 """SVG renderer tests (structural, not visual)."""
 
+import hashlib
 import re
 
 import pytest
@@ -74,3 +75,20 @@ class TestScanPlot:
         import xml.etree.ElementTree as ET
 
         ET.fromstring(render_scan_svg([make_row(2), make_row(5)]))
+
+
+class TestBytes:
+    """The exact bytes of both figures on small fixed inputs, so a change to
+    the renderers that moves a byte of a bundle's SVG shows here."""
+
+    def test_overlay_bytes(self):
+        svg = render_overlay_svg([0, 1, 2, 3], [0.1, 0.5, -0.2, 0.9], [0.2, 0.4, 0.0, 0.7], title="parity: overlay")
+        assert hashlib.sha256(svg.encode("utf-8")).hexdigest() == (
+            "f0c5f2507550007e932ba1d2c160c355f9929bcbfb009646278b6ee84f04a785"
+        )
+
+    def test_scan_bytes(self):
+        svg = render_scan_svg([make_row(2, 0.9, 0.5), make_row(3, 0.8, 0.6), make_row(5, 0.95, 0.3)])
+        assert hashlib.sha256(svg.encode("utf-8")).hexdigest() == (
+            "df66dd600dfb6ff93b72042beb4e3301e52cd0bc729e9ebf526ce86781d63a1d"
+        )

@@ -104,7 +104,7 @@ class TestEntanglingEffect:
     def test_generic_seeds_entangle(self):
         # encode(0.5) then reservoir on 2 qubits: Schmidt rank 2 for at least
         # 95 of 100 seeds (both singular values of the reshaped state nonzero)
-        encoder = build_encoder(EncoderSpec(n_qubits=2, interleave_seed=0))
+        encoder = build_encoder(EncoderSpec(interleave_seed=0), 2)
         entangled = 0
         for seed in range(100):
             circ = build_reservoir(ReservoirSpec(n_qubits=2, depth=1, seed=seed))
