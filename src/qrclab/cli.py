@@ -52,7 +52,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     common = argparse.ArgumentParser(add_help=False)  # the flags every command takes
     common.add_argument("--config", help="JSON config file (defaults used when omitted)")
-    common.add_argument("--seed", type=int, help="override the master seed")
+    common.add_argument("--seed", help="override the master seed")
     common.add_argument("--out", help="override the output directory")
 
     for name in CASE_KINDS:
@@ -60,8 +60,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("theory-scan", parents=[common], help="qubit-width generalization-gap scan")
     p.add_argument("--qubits", default="2,3,4,5,6,7", help="comma-separated ascending widths")
-    p.add_argument("--delta", type=float, default=0.05, help="risk bound failure probability")
-    p.add_argument("--replicates", type=int, default=10, help="seed replicates per width")
+    p.add_argument("--delta", default="0.05", help="risk bound failure probability")
+    p.add_argument("--replicates", default="10", help="seed replicates per width")
     return parser
 
 
@@ -74,7 +74,7 @@ def _load(args, task_kind=None):
         task_kind = "narma10"
     config, output = parse_config(doc, task_kind=task_kind)
     if args.seed is not None:
-        config = replace(config, master_seed=check_seed("--seed", args.seed))
+        config = replace(config, master_seed=check_seed("--seed", _parse_number("--seed", args.seed)))
     if args.out is not None:
         try:
             output = replace(output, dir=args.out)
@@ -147,26 +147,30 @@ def cmd_case(command: str, args):
     return config, output, run
 
 
-def _parse_qubits(raw: str) -> list[int]:
+def _parse_number(flag: str, raw: str, kind=int):
+    """A numeric flag's value, ``kind(raw)``; a value that does not parse
+    raises SchemaError keyed by the flag, so it exits 1 like any rule."""
     try:
-        return [int(part) for part in raw.split(",") if part.strip() != ""]
+        return kind(raw)
     except ValueError:
-        raise SchemaError("--qubits", f"must be comma-separated integers, got {raw!r}")
+        raise SchemaError(flag, f"must be {'an integer' if kind is int else 'a number'}, got {raw!r}") from None
 
 
 def cmd_theory_scan(args):
     """Set up the theory scan: its config, output options and run."""
     config, output = _load(args)
-    qubits = _parse_qubits(args.qubits)
+    qubits = [_parse_number("--qubits", part) for part in args.qubits.split(",") if part.strip() != ""]
+    delta = _parse_number("--delta", args.delta, float)
+    replicates = _parse_number("--replicates", args.replicates)
     try:
-        check_scan_args(config, qubits, args.delta, args.replicates)
+        check_scan_args(config, qubits, delta, replicates)
     except SchemaError as exc:  # name the flag that set the argument
         flag = {"qubit_list": "--qubits", "delta": "--delta", "replicates": "--replicates"}[exc.key]
         raise SchemaError(flag, exc.message) from exc
     worker_count()
 
     def run():
-        rows = theory_scan(config, qubits, args.delta, args.replicates)
+        rows = theory_scan(config, qubits, delta, replicates)
         files = {"scan.csv": scan_csv(rows)}
         if output.plots:
             files["scan.svg"] = render_scan_svg(rows)

@@ -20,10 +20,8 @@ SCHEMES = ("angle", "reupload")
 SCALE_TAGS = ("pi_linear",)
 
 
-def scale_input(u, tag: str = "pi_linear"):
-    """Map raw inputs to rotation angles; pi_linear is pi * clamp(u, 0, 1)."""
-    if tag not in SCALE_TAGS:
-        raise ConfigurationError(f"unknown scale function {tag!r}")
+def scale_input(u):
+    """Map raw inputs to rotation angles: pi_linear, pi * clamp(u, 0, 1)."""
     return np.pi * np.clip(u, 0.0, 1.0)
 
 
@@ -55,7 +53,6 @@ class EncoderLayer:
 @dataclass(frozen=True)
 class EncoderCircuit:
     n_qubits: int
-    scale: str
     layers: tuple[EncoderLayer, ...]
 
 
@@ -80,7 +77,7 @@ def build_encoder(spec: EncoderSpec, n_qubits: int) -> EncoderCircuit:
             for q in range(n_qubits):
                 fixed.append(GateOp("RZ", float(rng.uniform(0.0, 2 * np.pi)), target=q))
         layers.append(EncoderLayer(angle_qubits=slots, fixed_gates=tuple(fixed)))
-    return EncoderCircuit(n_qubits=n_qubits, scale=spec.scale, layers=tuple(layers))
+    return EncoderCircuit(n_qubits=n_qubits, layers=tuple(layers))
 
 
 def encode_input(circuit: EncoderCircuit, u, state: StateVector) -> StateVector:
@@ -95,7 +92,7 @@ def encode_input(circuit: EncoderCircuit, u, state: StateVector) -> StateVector:
         raise DataError("input must be a non-empty scalar or 1-d vector")
     if not np.all(np.isfinite(u)):
         raise DataError("non-finite input value")
-    angles = scale_input(u, circuit.scale)
+    angles = scale_input(u)
     for layer in circuit.layers:
         for q in layer.angle_qubits:
             apply_gate(state, GateOp("RY", float(angles[q % u.size]), target=q))

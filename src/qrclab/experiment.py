@@ -6,7 +6,7 @@ below, built on the batch helpers in ``sim``): fixed gate blocks compiled
 once (dense for n <= 7, else gate lists with each diagonal run folded into a
 phase vector), a (B, 2**n) batch of rows advanced per step, and one sign
 matrix for the features. Each step's RY layer is two Kronecker half-factors
-from ``sim.ry_factors``, built once per chunk of steps.
+that ``sim.ry_factors`` builds from its input angles, once per chunk of steps.
 ``run_recurrent_group`` evolves one persistent state per replicate, for the
 recurrent mode and for the full window (``mode.k = "full"``): the evolution
 is unitary, with no reset, so re-uploading the whole prefix gives exactly
@@ -23,9 +23,9 @@ applied as ``(rows[:, None] @ blocks)[:, 0]``. A single run (R = 1) keeps
 the shared 2-d factors and blocks, ``rows @ block``, as ``ry_layer`` does
 for shared factors. R is at most ``CHUNK_AMPLITUDES // 4**n`` (at least 1),
 the budget that also makes blocks dense: 16 at n = 5, 4 at n = 6, 1 from
-n = 7 on. Input rotations are built per chunk of steps. A group, with the
-STM delays to read from each replicate's one run (none for a scan), is one
-pool task.
+n = 7 on. A group's input angles are stacked once, as (T, R, n), and each
+chunk of steps builds its factors from a slice. A group, with the STM delays
+to read from each replicate's one run (none for a scan), is one pool task.
 
 Seed derivation: one master seed yields labelled child seeds for
 {data, reservoir, encoder-interleave, shots} (see sim.RandomStream), so a
@@ -35,6 +35,7 @@ sub-masters with labels ``replicate-<r>``.
 
 from __future__ import annotations
 
+import numbers
 import os
 from dataclasses import dataclass, replace
 
@@ -301,30 +302,17 @@ def step(
 NORM_TOLERANCE = 1e-8  # max |sum |psi|**2 - 1| of a measured row
 
 
-def _input_series(inputs) -> np.ndarray:
-    """The series as a (T, c) array of scalar (c = 1) or vector inputs. It
-    is validated here, once: it must be finite."""
+def _input_angles(inputs, n: int) -> np.ndarray:
+    """The (T, n) RY angles of a series of scalar or vector inputs, vectors
+    tiled cyclically across the qubits as in ``encode_input``. The series is
+    validated here, once: it must be finite."""
     u = np.asarray(inputs, dtype=np.float64)
     u = u[:, None] if u.ndim == 1 else u
     if u.ndim != 2 or u.shape[1] == 0:
         raise DataError("inputs must be a series of non-empty scalars or 1-d vectors")
     if not np.all(np.isfinite(u)):
         raise DataError("non-finite input value")
-    return u
-
-
-def _rotations(u: np.ndarray, encoder: EncoderCircuit) -> np.ndarray:
-    """RY matrices of inputs u (..., c) on every qubit, shape (..., n, 2, 2).
-    Vector inputs are tiled cyclically across the qubits, as in
-    ``encode_input``."""
-    angles = scale_input(u, encoder.scale)[..., np.arange(encoder.n_qubits) % u.shape[-1]]
-    cos, sin = np.cos(0.5 * angles), np.sin(0.5 * angles)
-    rotations = np.empty(angles.shape + (2, 2), dtype=np.complex128)
-    rotations[..., 0, 0] = cos
-    rotations[..., 0, 1] = -sin
-    rotations[..., 1, 0] = sin
-    rotations[..., 1, 1] = cos
-    return rotations
+    return scale_input(u)[:, np.arange(n) % u.shape[1]]
 
 
 def _fixed_blocks(encoder: EncoderCircuit, reservoir: ReservoirCircuit) -> list:
@@ -340,14 +328,14 @@ def _fixed_blocks(encoder: EncoderCircuit, reservoir: ReservoirCircuit) -> list:
 
 
 def _compile_run(series: TimeSeries, cfg: ExperimentConfig):
-    """What the kernel needs, built once per run: (encoder, inputs, fixed
-    blocks, observables, sign matrix)."""
+    """What the kernel needs, built once per run: (encoder, input angles,
+    fixed blocks, observables, sign matrix)."""
     n = cfg.reservoir.n_qubits
     encoder = build_encoder(cfg.encoder, n)
     observables = build_observables(cfg.observables, n, cfg.reservoir.topology)
     return (
         encoder,
-        _input_series(series.inputs),
+        _input_angles(series.inputs, n),
         _fixed_blocks(encoder, build_reservoir(cfg.reservoir)),
         observables,
         sign_matrix(observables, n),
@@ -444,10 +432,10 @@ def run_recurrent_group(series_list, configs) -> list[FeatureMatrix]:
     n, R = encoder.n_qubits, len(runs)
     if R > _group_size(n):
         raise ConfigurationError(f"{R} replicates of width {n} exceed the group size {_group_size(n)}")
-    inputs = [run[1] for run in runs]
+    angles = np.stack([run[1] for run in runs], axis=1)  # (T, R, n)
     blocks = runs[0][2] if R == 1 else [np.stack(layer) for layer in zip(*(run[2] for run in runs))]
     del runs  # the stacked blocks replace the per-replicate ones
-    T = len(inputs[0])
+    T = len(angles)
     shots = cfgs[0].backend.shots
     streams = [RandomStream(c.backend.shot_seed) for c in cfgs] if cfgs[0].backend.kind == "shots" else None
 
@@ -456,16 +444,16 @@ def run_recurrent_group(series_list, configs) -> list[FeatureMatrix]:
     per_chunk = max(1, _rows_per_chunk(n) // R)
     chunks: list = []
     for start in range(0, T, per_chunk):
-        rotations = _rotations(np.stack([u[start : start + per_chunk] for u in inputs], axis=1), encoder)
-        hi, lo = ry_factors(rotations.reshape(-1, n, 2, 2))
-        steps = (len(rotations), R) if R > 1 else (len(rotations),)
+        chunk = angles[start : start + per_chunk]
+        hi, lo = ry_factors(chunk.reshape(-1, n))
+        steps = chunk.shape[:2] if R > 1 else chunk.shape[:1]
         hi, lo = hi.reshape(steps + hi.shape[1:]), lo.reshape(steps + lo.shape[1:])
         kept: list = []
         for i in range(len(hi)):
             state = _advance(state, (hi[i], lo[i]), blocks, n)
             if start + i >= keep_from:
                 kept.append(state)
-        del rotations, hi, lo  # free this chunk's factors before the next chunk builds its own
+        del hi, lo  # free this chunk's factors before the next chunk builds its own
         if not kept:
             continue
         rows = np.stack(kept, axis=1)  # (R, kept steps, 2**n)
@@ -490,12 +478,12 @@ def run_windowed(series: TimeSeries, config: ExperimentConfig) -> FeatureMatrix:
     if not cfg.mode.bounded:
         return run_recurrent_group([series], [cfg])[0]
     k = cfg.mode.k
-    encoder, inputs, blocks, observables, signs = _compile_run(series, cfg)
-    n, rotations = encoder.n_qubits, _rotations(inputs, encoder)
+    encoder, angles, blocks, observables, signs = _compile_run(series, cfg)
+    n = encoder.n_qubits
     keep_from = cfg.first_row(series.valid_from)
 
     shot_stream = RandomStream(cfg.backend.shot_seed) if cfg.backend.kind == "shots" else None
-    t_index = np.arange(keep_from, len(rotations), dtype=np.int64)
+    t_index = np.arange(keep_from, len(angles), dtype=np.int64)
     chunks: list = []
     per_chunk = _rows_per_chunk(n, k - 1)
     for start in range(0, len(t_index), per_chunk):
@@ -503,7 +491,7 @@ def run_windowed(series: TimeSeries, config: ExperimentConfig) -> FeatureMatrix:
         rows = np.zeros((len(ts), 2**n), dtype=np.complex128)
         rows[:, 0] = 1.0
         # window j of row t is step t - k + 1 + j: one slice of the chunk's factors
-        hi, lo = ry_factors(rotations[ts[0] - k + 1 : ts[-1] + 1])
+        hi, lo = ry_factors(angles[ts[0] - k + 1 : ts[-1] + 1])
         for j in range(k):
             rows = _advance(rows, (hi[j : j + len(ts)], lo[j : j + len(ts)]), blocks, n)
         del hi, lo  # free these factors before the next chunk builds its own
@@ -644,7 +632,7 @@ def _group_scores(pool_task: tuple) -> list:
     no delays and scores each replicate on its own task. A sweep's configs
     are each replicate's shortest-delay STM config; delay d reads the rows
     t >= ``first_row(d)`` of that run against ``stm_series(inputs, d)``.
-    Returns per replicate a (train score, test score, test rows) per readout."""
+    Returns per replicate a (train score, test score) per readout."""
     configs, delays = pool_task
     series = [generate(cfg.task) for cfg in configs]
     name, _ = task_metric(configs[0].task.kind)
@@ -652,10 +640,7 @@ def _group_scores(pool_task: tuple) -> list:
     for cfg, s, f in zip(configs, series, _evolve(series, configs)):
         readouts = [(stm_series(s.inputs, d), _rows_from(f, cfg.first_row(d))) for d in delays] or [(s, f)]
         results = [_fit_and_score(cfg, *readout) for readout in readouts]
-        scores.append([
-            (float(r.metrics[f"train_{name}"]), float(r.metrics[f"test_{name}"]), len(r.targets) - r.split_at)
-            for r in results
-        ])
+        scores.append([(float(r.metrics[f"train_{name}"]), float(r.metrics[f"test_{name}"])) for r in results])
     return scores
 
 
@@ -737,7 +722,8 @@ def stm_delay_sweep(
 
 def check_scan_args(config: ExperimentConfig, qubit_list, delta: float, replicates: int) -> list[int]:
     """The theory scan's argument rules, checked before anything runs: the
-    widths are non-empty integers, strictly ascending, delta is in (0, 1),
+    widths are non-empty integers, strictly ascending, delta is a number in
+    (0, 1),
     replicates is an integer >= 1, and each width's replicate config
     builds. Raises SchemaError keyed ``qubit_list``, ``delta`` or
     ``replicates``; returns the widths."""
@@ -746,6 +732,8 @@ def check_scan_args(config: ExperimentConfig, qubit_list, delta: float, replicat
         raise SchemaError("qubit_list", "must name at least one width")
     if any(b <= a for a, b in zip(qubits, qubits[1:])):
         raise SchemaError("qubit_list", f"must be strictly ascending, got {qubits}")
+    if isinstance(delta, bool) or not isinstance(delta, numbers.Real):
+        raise SchemaError("delta", f"must be a number, got {delta!r}")
     if not 0.0 < delta < 1.0:
         raise SchemaError("delta", f"must be in (0, 1), got {delta}")
     if check_int("replicates", replicates) < 1:
@@ -762,8 +750,11 @@ def theory_scan(
     config: ExperimentConfig, qubit_list, delta: float, replicates: int = 10
 ) -> list[ScanRow]:
     """Replicate-averaged train/test scores per reservoir width, with the
-    risk bound's sample-size confidence term."""
+    risk bound's sample-size confidence term. Every width and replicate
+    keeps the same rows, so the m test rows follow from the config."""
     qubits = check_scan_args(config, qubit_list, delta, replicates)
+    t_eff = config.task.T - config.first_row(config.task.valid_from)
+    m = t_eff - config.protocol.train_rows(t_eff)
     groups = []
     for n in qubits:
         replicate_configs = [_replicate_config(config, r, n_qubits=n) for r in range(replicates)]
@@ -773,23 +764,9 @@ def theory_scan(
     rows = []
     for i, n in enumerate(qubits):
         block = scores[i * replicates : (i + 1) * replicates]
-        m_values = {m for _, _, m in block}
-        if len(m_values) != 1:
-            raise ConfigurationError(f"inconsistent test sample counts across replicates: {m_values}")
-        m = m_values.pop()
         train = float(np.mean([b[0] for b in block]))
         test = float(np.mean([b[1] for b in block]))
-        rows.append(
-            ScanRow(
-                n_qubits=n,
-                train_score=train,
-                test_score=test,
-                gap=train - test,
-                confidence_term=confidence_term(m, delta),
-                m=m,
-                delta=delta,
-            )
-        )
+        rows.append(ScanRow(n, train, test, train - test, confidence_term(m, delta), m, delta))
     return rows
 
 

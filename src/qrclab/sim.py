@@ -356,24 +356,27 @@ def compile_gates(gates, n: int) -> np.ndarray:
     return op
 
 
-def ry_factors(rotations: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def ry_factors(angles: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Kronecker half-factors of the RY layer of each of S steps or rows.
 
-    ``rotations`` has shape (S, n, 2, 2): the RY matrix of each step and
-    qubit. The layer on every qubit is ``R[n-1] (x) ... (x) R[0]``; it splits
-    into ``hi`` (S, 2**a, 2**a) over the top a = n - n//2 qubits and, stored
+    ``angles`` has shape (S, n): the RY angle of each step and qubit. The
+    layer on every qubit is ``RY[n-1] (x) ... (x) RY[0]``; it splits into
+    ``hi`` (S, 2**a, 2**a) over the top a = n - n//2 qubits and, stored
     transposed, ``lo`` (S, 2**b, 2**b) over the bottom b = n//2. Both are
-    built for all S at once, one qubit per broadcast product.
+    built for all S at once in real numbers, one qubit per broadcast
+    product, and cast to complex once.
     """
-    s, n = rotations.shape[:2]
+    s, n = angles.shape
+    cos, sin = np.cos(0.5 * angles), np.sin(0.5 * angles)
+    rotations = np.stack([np.stack([cos, -sin], -1), np.stack([sin, cos], -1)], -2)  # (S, n, 2, 2)
 
     def kron(qubits, transpose):
-        out = np.ones((s, 1, 1), dtype=np.complex128)
+        out = np.ones((s, 1, 1))
         for q in qubits:  # top qubit first: it is the leading factor
             r = rotations[:, q].swapaxes(1, 2) if transpose else rotations[:, q]
             d = out.shape[1]
             out = (out[:, :, None, :, None] * r[:, None, :, None, :]).reshape(s, 2 * d, 2 * d)
-        return out
+        return out.astype(np.complex128)
 
     b = n // 2
     return kron(range(n - 1, b - 1, -1), False), kron(range(b - 1, -1, -1), True)

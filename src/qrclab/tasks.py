@@ -11,6 +11,7 @@ import logging
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConfigurationError, DataError, SchemaError
 from .sim import RandomStream, check_seed
@@ -98,13 +99,8 @@ def gen_parity(T: int, seed: int, window: int = 2) -> TimeSeries:
         raise ConfigurationError(f"window {window} must be <= T={T}")
     rng = RandomStream(seed)
     u = rng.integers(0, 2, size=T).astype(np.float64)
-    bits = u.astype(np.int64)
     y = np.full(T, np.nan)
-    for t in range(window - 1, T):
-        acc = 0
-        for b in bits[t - window + 1 : t + 1]:
-            acc ^= int(b)
-        y[t] = float(acc)
+    y[window - 1 :] = sliding_window_view(u, window).sum(axis=1) % 2
     return TimeSeries(inputs=u, targets=y, valid_from=window - 1)
 
 

@@ -9,6 +9,7 @@ import pytest
 from qrclab import cli
 from qrclab.cli import main
 from qrclab.errors import DataError
+from qrclab.experiment import confidence_term
 
 FAST_CASE = {
     "task": {"T": 120},
@@ -108,6 +109,21 @@ class TestSchemaFailures:
 
     def test_delta_zero(self, tmp_path):
         assert main(["theory-scan", "--delta", "0", "--out", str(tmp_path)]) == 1
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["theory-scan", "--replicates", "1.5"], "--replicates: must be an integer, got '1.5'"),
+            (["theory-scan", "--delta", "x"], "--delta: must be a number, got 'x'"),
+            (["case-parity", "--seed", "abc"], "--seed: must be an integer, got 'abc'"),
+        ],
+        ids=["replicates", "delta", "seed"],
+    )
+    def test_malformed_numeric_flag_names_flag(self, tmp_path, capsys, argv, message):
+        # one line and exit 1, as for any rule; not argparse's usage text and exit 2
+        assert main(argv + ["--out", str(tmp_path / "r")]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "r").exists()
 
     def test_bad_qubits_flag(self, tmp_path):
         assert main(["theory-scan", "--qubits", "4,3", "--out", str(tmp_path)]) == 1
@@ -249,12 +265,14 @@ class TestTheoryScan:
         cfg = write_config(tmp_path, {"task": {"T": 100}, "protocol": {"washout": 20}})
         code = main([
             "theory-scan", "--config", cfg, "--qubits", "2,3,4",
-            "--replicates", "2", "--out", str(tmp_path / "r"),
+            "--replicates", "2", "--delta", "0.1", "--out", str(tmp_path / "r"),
         ])
         assert code == 0
         run_dir = run_dir_from(capsys)
         lines = (run_dir / "scan.csv").read_text().strip().split("\n")
         assert len(lines) == 4  # header + 3 rows
+        # 80 feature rows from step 20: 56 train, 24 test
+        assert all(float(line.rsplit(",", 1)[1]) == confidence_term(24, 0.1) for line in lines[1:])
         assert (run_dir / "scan.svg").exists()
 
     def test_rerun_identical_scan_csv(self, tmp_path, capsys):

@@ -132,7 +132,3 @@ class TestScaleInput:
 
     def test_linear_inside(self):
         np.testing.assert_allclose(scale_input(0.25), np.pi / 4)
-
-    def test_unknown_tag(self):
-        with pytest.raises(ConfigurationError):
-            scale_input(0.5, tag="sqrt")

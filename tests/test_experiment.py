@@ -414,6 +414,25 @@ class TestTheoryScan:
         with pytest.raises(ConfigurationError, match="delta"):
             theory_scan(small_config(), [2, 3], delta=0.0, replicates=1)
 
+    @pytest.mark.parametrize("delta", ["0.5", None, True], ids=["str", "none", "bool"])
+    def test_non_number_delta_rejected(self, delta):
+        with pytest.raises(SchemaError, match="^delta: must be a number"):
+            theory_scan(small_config(), [2], delta=delta, replicates=1)
+
+    @pytest.mark.parametrize(
+        "kind, mode, washout",
+        [("stm", None, 30), ("parity", None, 0), ("narma10", None, 0), ("stm", ModeSpec("reupload_k", 7), 2)],
+        ids=["washout", "parity-target", "narma10-target", "window"],
+    )
+    def test_m_is_each_replicate_test_rows(self, kind, mode, washout):
+        # the first kept row is set by the washout, the first target or the first full window
+        cfg = small_config(kind, T=80, mode=mode, protocol=ProtocolSpec(washout=washout, train_fraction=0.7))
+        rows = theory_scan(cfg, [2, 3], delta=0.05, replicates=2)
+        for row in rows:
+            for r in range(2):
+                res = run_case(experiment._replicate_config(cfg, r, n_qubits=row.n_qubits))
+                assert row.m == len(res.targets) - res.split_at
+
     @pytest.mark.parametrize(
         "key, qubits, replicates",
         [("qubit_list", [2.5, 3], 1), ("qubit_list", [2, 3.0], 1), ("qubit_list", [True, 2], 1),
@@ -425,7 +444,7 @@ class TestTheoryScan:
             theory_scan(small_config(), qubits, delta=0.05, replicates=replicates)
 
     def test_numpy_integers_accepted(self):
-        rows = theory_scan(small_config(), np.array([2, 3]), delta=0.05, replicates=np.int64(1))
+        rows = theory_scan(small_config(), np.array([2, 3]), delta=np.float64(0.05), replicates=np.int64(1))
         assert rows == theory_scan(small_config(), [2, 3], delta=0.05, replicates=1)
         assert [type(r.n_qubits) for r in rows] == [int, int]
 

@@ -223,12 +223,8 @@ def test_ry_layer_rotates_each_qubit_of_each_row(n, shared):
     angles = np.random.default_rng(n).uniform(0.0, np.pi, size=(b, n))
     if shared:
         angles[:] = angles[0]
-    half = 0.5 * angles
-    rotations = np.stack(
-        [np.stack([np.cos(half), -np.sin(half)], -1), np.stack([np.sin(half), np.cos(half)], -1)], -2
-    ).astype(np.complex128)
     rows = random_rows(b, n, seed=9)
-    got = ry_layer(rows, ry_factors(rotations[:1] if shared else rotations))
+    got = ry_layer(rows, ry_factors(angles[:1] if shared else angles))
     for i in range(b):
         gates = [GateOp("RY", float(angles[i, q]), target=q) for q in range(n)]
         np.testing.assert_allclose(got[i], apply_dense(rows[i], gates, n), rtol=0, atol=TOL)
@@ -380,7 +376,7 @@ def test_group_with_a_narma10_redraw(monkeypatch, caplog):
     scores = experiment._group_scores((configs, ()))
     for (cell,), cfg in zip(scores, configs):
         res = experiment.run_case(cfg)
-        assert cell == (res.metrics["train_r2"], res.metrics["test_r2"], len(res.targets) - res.split_at)
+        assert cell == (res.metrics["train_r2"], res.metrics["test_r2"])
 
 
 def per_case_means(cells_by_replicate, name):
