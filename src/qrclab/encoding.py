@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import ConfigurationError, DataError, SchemaError
 from .reservoir import topology_edges
-from .sim import GateOp, RandomStream, StateVector, apply_gate, check_seed
+from .sim import GateOp, RandomStream, StateVector, apply_gate, check_int, check_seed
 
 SCHEMES = ("angle", "reupload")
 SCALE_TAGS = ("pi_linear",)
@@ -37,7 +37,7 @@ class EncoderSpec:
             raise SchemaError("scheme", f"must be one of {list(SCHEMES)}, got {self.scheme!r}")
         if self.scale not in SCALE_TAGS:
             raise SchemaError("scale", f"must be one of {list(SCALE_TAGS)}, got {self.scale!r}")
-        if self.layers < 1:
+        if check_int("layers", self.layers) < 1:
             raise SchemaError("layers", f"must be >= 1, got {self.layers}")
         if self.scheme == "angle" and self.layers != 1:
             raise SchemaError("layers", "must be 1 for the plain angle scheme")

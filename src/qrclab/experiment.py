@@ -1,31 +1,23 @@
 """Temporal drivers: recurrent and windowed evolution, the train/test
 protocol, the STM delay sweep, and the qubit-width theory scan.
 
-Two schedules evolve through one fused kernel (``_advance`` and ``_measure``
-below, built on the batch helpers in ``sim``): fixed gate blocks compiled
-once (dense for n <= 7, else gate lists with each diagonal run folded into a
-phase vector), a (B, 2**n) batch of rows advanced per step, and one sign
-matrix for the features. Each step's RY layer is two Kronecker half-factors
-that ``sim.ry_factors`` builds from its input angles, once per chunk of steps.
-``run_recurrent_group`` evolves one persistent state per replicate, for the
-recurrent mode and for the full window (``mode.k = "full"``): the evolution
-is unitary, with no reset, so re-uploading the whole prefix gives exactly
-the recurrent state. ``run_windowed`` evolves bounded windows, one row per
-output row; a chunk's windows cover consecutive steps, so each advance takes
-a contiguous slice of the chunk's factors. ``sim.CHUNK_AMPLITUDES`` bounds
-a chunk's rows and, apart, the factors of its steps. ``step`` is the
-gate-by-gate reference the kernel is tested against.
-
-Scans and sweeps evolve replicates of one width in groups: a recurrent or
-full-window run advances R replicates as one (R, 2**n) batch, each row with
-its own RY factors and its own dense blocks, stacked as (R, d, d) and
-applied as ``(rows[:, None] @ blocks)[:, 0]``. A single run (R = 1) keeps
-the shared 2-d factors and blocks, ``rows @ block``, as ``ry_layer`` does
-for shared factors. R is at most ``CHUNK_AMPLITUDES // 4**n`` (at least 1),
-the budget that also makes blocks dense: 16 at n = 5, 4 at n = 6, 1 from
-n = 7 on. A group's input angles are stacked once, as (T, R, n), and each
-chunk of steps builds its factors from a slice. A group, with the STM delays
-to read from each replicate's one run (none for a scan), is one pool task.
+Every run evolves through one driver, ``run_group``, and one fused kernel
+(``_advance`` and ``_measure``, built on the batch helpers in ``sim``). A
+group is R replicates of one width, held as an (R, B, 2**n) batch of
+amplitude rows: B = 1 persistent state per replicate for the recurrent mode
+and the full window (``mode.k = "full"``; the evolution is unitary, with no
+reset, so re-uploading the whole prefix gives exactly the recurrent state),
+and B output rows per chunk for a bounded window, each restarted from |0>.
+Input angles are stacked once as (R, T, n); ``sim.ry_factors`` turns a
+chunk's steps into (R, S, ...) Kronecker half-factors of the RY layer, and
+sub-step j takes the slice ``[:, j:j+B]``. The fixed gates are compiled
+once: dense (R, d, d) stacks for n <= 7, else (R = 1) gate lists with each
+diagonal run folded into a phase vector. One sign matrix gives the
+features. ``sim.CHUNK_AMPLITUDES`` bounds a chunk's R x B rows and, apart,
+the factors of its steps; R is at most ``CHUNK_AMPLITUDES // 4**n`` (at
+least 1): 16 at n = 5, 4 at n = 6, 1 from n = 7 on. ``run_recurrent`` and
+``run_windowed`` run one series; scans and sweeps run one group per pool
+task. ``step`` is the gate-by-gate reference the kernel is tested against.
 
 Seed derivation: one master seed yields labelled child seeds for
 {data, reservoir, encoder-interleave, shots} (see sim.RandomStream), so a
@@ -120,7 +112,7 @@ class ModeSpec:
     def __post_init__(self):
         if self.kind not in MODE_KINDS:
             raise SchemaError("kind", f"must be one of {list(MODE_KINDS)}, got {self.kind!r}")
-        if self.k != FULL_WINDOW and (not isinstance(self.k, int) or self.k < 1):
+        if self.k != FULL_WINDOW and (isinstance(self.k, str) or check_int("k", self.k) < 1):
             raise SchemaError("k", f"must be an integer >= 1 or '{FULL_WINDOW}', got {self.k!r}")
 
     @property
@@ -140,7 +132,7 @@ class BackendSpec:
     def __post_init__(self):
         if self.kind not in BACKEND_KINDS:
             raise SchemaError("kind", f"must be one of {list(BACKEND_KINDS)}, got {self.kind!r}")
-        if self.shots < 1:
+        if check_int("shots", self.shots) < 1:
             raise SchemaError("shots", f"must be >= 1, got {self.shots}")
         check_seed("shot_seed", self.shot_seed, optional=True)
 
@@ -151,7 +143,7 @@ class ProtocolSpec:
     train_fraction: float = 0.7
 
     def __post_init__(self):
-        if self.washout < 0:
+        if check_int("washout", self.washout) < 0:
             raise SchemaError("washout", f"must be >= 0, got {self.washout}")
         if not 0.0 < self.train_fraction < 1.0:
             raise SchemaError("train_fraction", f"must be in (0, 1), got {self.train_fraction}")
@@ -295,8 +287,8 @@ def step(
 
 
 # --------------------------------------------------------------------------
-# The fused evolution kernel: one row per replicate's persistent state, one
-# row per output row for bounded windows, at most CHUNK_AMPLITUDES per batch
+# The fused evolution kernel: (R, B, 2**n) batches of R replicates, at most
+# CHUNK_AMPLITUDES amplitudes per chunk
 # --------------------------------------------------------------------------
 
 NORM_TOLERANCE = 1e-8  # max |sum |psi|**2 - 1| of a measured row
@@ -315,89 +307,73 @@ def _input_angles(inputs, n: int) -> np.ndarray:
     return scale_input(u)[:, np.arange(n) % u.shape[1]]
 
 
-def _fixed_blocks(encoder: EncoderCircuit, reservoir: ReservoirCircuit) -> list:
-    """The fixed gates after each encoder layer's RY layer, with the reservoir
-    folded into the last block: a dense row operator when its 4**n entries
-    fit in one chunk, else the gate list with its diagonal runs folded."""
-    n = reservoir.n_qubits
-    blocks = [list(layer.fixed_gates) for layer in encoder.layers]
-    blocks[-1] += reservoir.gates
-    if 4**n <= CHUNK_AMPLITUDES:
-        return [compile_gates(block, n) for block in blocks]
-    return [fold_diagonals(block, n) for block in blocks]
+def _fixed_blocks(configs, n: int) -> list:
+    """Per encoder layer, the fixed gates after its RY layer, with the
+    reservoir folded into the last block: the replicates' dense row
+    operators stacked as (R, d, d) when a block's 4**n entries fit in one
+    chunk, else (one replicate, as ``_group_size`` allows) the gate list with
+    its diagonal runs folded."""
+    replicates = []
+    for cfg in configs:
+        blocks = [list(layer.fixed_gates) for layer in build_encoder(cfg.encoder, n).layers]
+        blocks[-1] += build_reservoir(cfg.reservoir).gates
+        replicates.append(blocks)
+    if 4**n > CHUNK_AMPLITUDES:
+        return [fold_diagonals(block, n) for block in replicates[0]]
+    return [np.stack([compile_gates(block, n) for block in layer]) for layer in zip(*replicates)]
 
 
-def _compile_run(series: TimeSeries, cfg: ExperimentConfig):
-    """What the kernel needs, built once per run: (encoder, input angles,
-    fixed blocks, observables, sign matrix)."""
-    n = cfg.reservoir.n_qubits
-    encoder = build_encoder(cfg.encoder, n)
-    observables = build_observables(cfg.observables, n, cfg.reservoir.topology)
-    return (
-        encoder,
-        _input_angles(series.inputs, n),
-        _fixed_blocks(encoder, build_reservoir(cfg.reservoir)),
-        observables,
-        sign_matrix(observables, n),
-    )
-
-
-def _rows_per_chunk(n: int, extra_steps: int = 0) -> int:
-    """Rows per chunk, and steps per factor build: the rows hold at most
-    CHUNK_AMPLITUDES amplitudes, and so do the RY factors of their steps (one
-    per row plus ``extra_steps``). Never fewer than one row, so a window
-    too long for the budget builds its k steps of factors at once."""
+def _rows_per_chunk(n: int, R: int = 1, extra_steps: int = 0) -> int:
+    """Rows per replicate per chunk (for a persistent state, steps per
+    chunk): the R x B rows hold at most CHUNK_AMPLITUDES amplitudes, and so
+    do the RY factors of their R x (B + ``extra_steps``) steps. Never fewer
+    than one row, so a window too long for the budget builds its k steps of
+    factors at once."""
     steps = CHUNK_AMPLITUDES // ry_factor_size(n)
-    return max(1, min(CHUNK_AMPLITUDES >> n, steps - extra_steps))
+    return max(1, min((CHUNK_AMPLITUDES >> n) // R, steps // R - extra_steps))
 
 
 def _group_size(n: int) -> int:
-    """Replicates of width n that one recurrent run evolves together: as many
-    as have their stacked dense blocks fit in one chunk, at least one."""
+    """Replicates of width n that one run evolves together: as many as have
+    their stacked dense blocks fit in one chunk, at least one."""
     return max(1, CHUNK_AMPLITUDES // 4**n)
 
 
 def _advance(rows: np.ndarray, factors, blocks, n: int) -> np.ndarray:
-    """One time step on every row: per encoder layer, the RY layer, then
-    that layer's fixed block. A 2-d block is shared by every row, a stack of
-    (B, d, d) holds one per row, and in a gate list a phase vector
-    multiplies."""
+    """One time step on an (R, B, 2**n) batch: per encoder layer, the RY
+    layer, then that layer's fixed block, an (R, d, d) stack or a gate list
+    in which a phase vector multiplies."""
     for block in blocks:
         rows = ry_layer(rows, factors)
         if isinstance(block, np.ndarray):
-            rows = rows @ block if block.ndim == 2 else (rows[:, None] @ block)[:, 0]
+            rows = rows @ block
             continue
         for op in block:
             if isinstance(op, np.ndarray):
                 rows *= op
             else:
-                apply_gate_rows(rows, op, n)
+                apply_gate_rows(rows.reshape(-1, 2**n), op, n)
     return rows
 
 
-def _measure(rows: np.ndarray, signs: np.ndarray, shots: int = 0, stream=None) -> np.ndarray:
-    """Feature rows of a batch: exact expectations, or with a shot stream,
-    one count table per row from ``stream.uniform(size=shots)`` drawn in row
-    order, as ``sample_counts`` draws them. Raises DataError if any row's
-    norm drifted."""
+def _measure(rows: np.ndarray, signs: np.ndarray, shots: int, streams) -> np.ndarray:
+    """Feature rows of an (R, B, 2**n) batch: exact expectations, or with one
+    shot stream per replicate, one count table per row from
+    ``stream.uniform(size=shots)`` drawn in row order, as ``sample_counts``
+    draws them. Raises DataError if any row's norm drifted."""
     probs = np.abs(rows) ** 2
-    drift = float(np.max(np.abs(probs.sum(axis=1) - 1.0), initial=0.0))
+    drift = float(np.max(np.abs(probs.sum(axis=-1) - 1.0), initial=0.0))
     if drift > NORM_TOLERANCE:
         raise DataError(f"state norm**2 drifted from 1 by {drift:.3e}")
-    if stream is None:
-        return probs @ signs.T
-    cdf = np.cumsum(probs, axis=1)
-    cdf[:, -1] = np.maximum(cdf[:, -1], 1.0)  # guard the last bin against rounding
+    if streams is None:
+        return (probs.reshape(-1, probs.shape[-1]) @ signs.T).reshape(*probs.shape[:-1], -1)
+    cdf = np.cumsum(probs, axis=-1)
+    cdf[..., -1] = np.maximum(cdf[..., -1], 1.0)  # guard the last bin against rounding
     counts = np.empty(probs.shape, dtype=np.int64)
-    for i in range(len(cdf)):
-        draws = stream.uniform(0.0, 1.0, size=shots)
-        counts[i] = np.bincount(np.searchsorted(cdf[i], draws, side="right"), minlength=cdf.shape[1])
+    for r, i in np.ndindex(cdf.shape[:-1]):
+        draws = streams[r].uniform(0.0, 1.0, size=shots)
+        counts[r, i] = np.bincount(np.searchsorted(cdf[r, i], draws, side="right"), minlength=cdf.shape[-1])
     return counts @ signs.T / shots
-
-
-def _feature_matrix(chunks: list, t_index: np.ndarray, observables) -> FeatureMatrix:
-    values = np.concatenate(chunks) if chunks else np.empty((0, len(observables)))
-    return FeatureMatrix(values, t_index, tuple(o.label for o in observables))
 
 
 def run_recurrent(series: TimeSeries, config: ExperimentConfig) -> FeatureMatrix:
@@ -406,97 +382,73 @@ def run_recurrent(series: TimeSeries, config: ExperimentConfig) -> FeatureMatrix
     dropped. The config's mode must be recurrent."""
     if config.mode.kind != "recurrent":
         raise ConfigurationError(f"run_recurrent runs mode.kind 'recurrent', got {config.mode.kind!r}")
-    return run_recurrent_group([series], [config])[0]
-
-
-def run_recurrent_group(series_list, configs) -> list[FeatureMatrix]:
-    """One persistent state per replicate, evolved through the whole series:
-    the recurrent mode, and the full window, whose re-upload of the whole
-    prefix is the recurrent state. Takes R replicates of one width: configs
-    that differ in their seeds, and series of one length. The R states
-    evolve as one (R, 2**n) batch, each row with its own RY factors and its
-    own dense blocks stacked as (R, d, d); R = 1 keeps the shared 2-d
-    factors and blocks. R may be at most ``_group_size(n)``. Every replicate
-    keeps the rows from one ``first_row`` on, and they share one t_index;
-    configs and series that keep different rows raise ConfigurationError.
-    On the shots backend each replicate draws from its own shot stream, one
-    ``uniform(size=shots)`` per kept row in t order, as ``sample_counts``
-    draws them."""
-    cfgs = [resolve_seeds(c) for c in configs]
-    firsts = {c.first_row(s.valid_from) for c, s in zip(cfgs, series_list)}
-    if len(firsts) > 1:
-        raise ConfigurationError(f"a group's replicates keep rows from different steps: {sorted(firsts)}")
-    keep_from = firsts.pop()
-    runs = [_compile_run(s, c) for s, c in zip(series_list, cfgs)]
-    encoder, _, _, observables, signs = runs[0]
-    n, R = encoder.n_qubits, len(runs)
-    if R > _group_size(n):
-        raise ConfigurationError(f"{R} replicates of width {n} exceed the group size {_group_size(n)}")
-    angles = np.stack([run[1] for run in runs], axis=1)  # (T, R, n)
-    blocks = runs[0][2] if R == 1 else [np.stack(layer) for layer in zip(*(run[2] for run in runs))]
-    del runs  # the stacked blocks replace the per-replicate ones
-    T = len(angles)
-    shots = cfgs[0].backend.shots
-    streams = [RandomStream(c.backend.shot_seed) for c in cfgs] if cfgs[0].backend.kind == "shots" else None
-
-    state = np.zeros((R, 2**n), dtype=np.complex128)
-    state[:, 0] = 1.0
-    per_chunk = max(1, _rows_per_chunk(n) // R)
-    chunks: list = []
-    for start in range(0, T, per_chunk):
-        chunk = angles[start : start + per_chunk]
-        hi, lo = ry_factors(chunk.reshape(-1, n))
-        steps = chunk.shape[:2] if R > 1 else chunk.shape[:1]
-        hi, lo = hi.reshape(steps + hi.shape[1:]), lo.reshape(steps + lo.shape[1:])
-        kept: list = []
-        for i in range(len(hi)):
-            state = _advance(state, (hi[i], lo[i]), blocks, n)
-            if start + i >= keep_from:
-                kept.append(state)
-        del hi, lo  # free this chunk's factors before the next chunk builds its own
-        if not kept:
-            continue
-        rows = np.stack(kept, axis=1)  # (R, kept steps, 2**n)
-        if streams is None:
-            chunks.append(_measure(rows.reshape(-1, 2**n), signs).reshape(R, len(kept), -1))
-        else:
-            chunks.append(np.stack([_measure(rows[r], signs, shots, s) for r, s in enumerate(streams)]))
-    values = np.concatenate(chunks, axis=1) if chunks else np.empty((R, 0, len(observables)))
-    t_index = np.arange(keep_from, T, dtype=np.int64)
-    return [_feature_matrix([v], t_index, observables) for v in values]
+    return run_group([series], [config])[0]
 
 
 def run_windowed(series: TimeSeries, config: ExperimentConfig) -> FeatureMatrix:
     """reupload_k evolution: each row rebuilds a fresh state from the last k
-    inputs. Rows evolve together, one chunk at a time. The shots backend
-    samples one count table per row and estimates every observable from it.
-    A full window is the recurrent state, so ``run_recurrent_group`` evolves
-    it. The config's mode must be reupload_k."""
+    inputs; a full window is the recurrent state. The shots backend samples
+    one count table per row and estimates every observable from it. The
+    config's mode must be reupload_k."""
     if config.mode.kind != "reupload_k":
         raise ConfigurationError(f"run_windowed runs mode.kind 'reupload_k', got {config.mode.kind!r}")
-    cfg = resolve_seeds(config)
-    if not cfg.mode.bounded:
-        return run_recurrent_group([series], [cfg])[0]
-    k = cfg.mode.k
-    encoder, angles, blocks, observables, signs = _compile_run(series, cfg)
-    n = encoder.n_qubits
-    keep_from = cfg.first_row(series.valid_from)
+    return run_group([series], [config])[0]
 
-    shot_stream = RandomStream(cfg.backend.shot_seed) if cfg.backend.kind == "shots" else None
-    t_index = np.arange(keep_from, len(angles), dtype=np.int64)
-    chunks: list = []
-    per_chunk = _rows_per_chunk(n, k - 1)
-    for start in range(0, len(t_index), per_chunk):
-        ts = t_index[start : start + per_chunk]
-        rows = np.zeros((len(ts), 2**n), dtype=np.complex128)
-        rows[:, 0] = 1.0
-        # window j of row t is step t - k + 1 + j: one slice of the chunk's factors
-        hi, lo = ry_factors(angles[ts[0] - k + 1 : ts[-1] + 1])
-        for j in range(k):
-            rows = _advance(rows, (hi[j : j + len(ts)], lo[j : j + len(ts)]), blocks, n)
-        del hi, lo  # free these factors before the next chunk builds its own
-        chunks.append(_measure(rows, signs, cfg.backend.shots, shot_stream))
-    return _feature_matrix(chunks, t_index, observables)
+
+def run_group(series_list, configs) -> list[FeatureMatrix]:
+    """Feature matrices of R replicates of one width and mode: configs that
+    differ in their seeds, and their series. The runs evolve as one
+    (R, B, 2**n) batch, each replicate with its own RY factors and its own
+    fixed blocks. A persistent state (recurrent, or a full window, whose
+    re-upload of the whole prefix is the recurrent state) is B = 1 row
+    advanced one step at a time; a bounded window of k steps restarts each
+    chunk's B output rows from |0> and advances them k sub-steps, row b of
+    sub-step j taking step t0 - k + 1 + j + b. R may be at most
+    ``_group_size(n)``. Every replicate keeps the rows from one
+    ``first_row`` to one series length, sharing one t_index; replicates that
+    keep different rows raise ConfigurationError. On the shots backend each
+    replicate draws from its own shot stream (``_measure``)."""
+    cfgs = [resolve_seeds(c) for c in configs]
+    firsts = sorted({c.first_row(s.valid_from) for c, s in zip(cfgs, series_list)})
+    ends = sorted({len(s.inputs) for s in series_list})
+    if len(firsts) > 1 or len(ends) > 1:
+        raise ConfigurationError(f"a group's replicates keep rows from different steps: {firsts} to {ends}")
+    (keep_from,), (T,) = firsts, ends
+    cfg, R = cfgs[0], len(cfgs)
+    n, bounded = cfg.reservoir.n_qubits, cfg.mode.bounded
+    if R > _group_size(n):
+        raise ConfigurationError(f"{R} replicates of width {n} exceed the group size {_group_size(n)}")
+    observables = build_observables(cfg.observables, n, cfg.reservoir.topology)
+    signs = sign_matrix(observables, n)
+    blocks = _fixed_blocks(cfgs, n)
+    angles = np.stack([_input_angles(s.inputs, n) for s in series_list])  # (R, T, n)
+    streams = [RandomStream(c.backend.shot_seed) for c in cfgs] if cfg.backend.kind == "shots" else None
+
+    w = cfg.mode.k if bounded else 1  # sub-steps that complete a row
+    per_chunk = _rows_per_chunk(n, R, w - 1)
+    rows = None
+    t_index = np.arange(keep_from, T, dtype=np.int64)
+    values = np.empty((R, len(t_index), len(observables)))
+    for t0 in range(keep_from if bounded else 0, T, per_chunk):
+        t1 = min(t0 + per_chunk, T)
+        hi, lo = ry_factors(angles[:, t0 - w + 1 : t1].reshape(-1, n))
+        hi, lo = hi.reshape(R, -1, *hi.shape[1:]), lo.reshape(R, -1, *lo.shape[1:])
+        if bounded or rows is None:  # a bounded window's rows start from |0> each chunk
+            rows = np.zeros((R, t1 - t0 if bounded else 1, 2**n), dtype=np.complex128)
+            rows[..., 0] = 1.0
+        B = rows.shape[1]
+        kept = []
+        for j in range(hi.shape[1] - B + 1):
+            rows = _advance(rows, (hi[:, j : j + B], lo[:, j : j + B]), blocks, n)
+            if j >= w - 1 and t0 + j - w + 1 >= keep_from:  # complete rows from step keep_from on
+                kept.append(rows)
+        del hi, lo  # free this chunk's factors before the next chunk builds its own
+        if kept:
+            values[:, max(t0, keep_from) - keep_from : t1 - keep_from] = _measure(
+                np.concatenate(kept, axis=1), signs, cfg.backend.shots, streams
+            )
+    labels = tuple(o.label for o in observables)
+    return [FeatureMatrix(v, t_index, labels) for v in values]
 
 
 def raw_window_features(series: TimeSeries, k: int, t_index) -> np.ndarray:
@@ -628,7 +580,7 @@ def worker_count() -> int:
 
 def _group_scores(pool_task: tuple) -> list:
     """One pool task: ``(configs, delays)``, replicate configs of one width,
-    evolved once as one ``_evolve``, and the STM delays to read. A scan has
+    evolved once as one ``run_group``, and the STM delays to read. A scan has
     no delays and scores each replicate on its own task. A sweep's configs
     are each replicate's shortest-delay STM config; delay d reads the rows
     t >= ``first_row(d)`` of that run against ``stm_series(inputs, d)``.
@@ -637,19 +589,11 @@ def _group_scores(pool_task: tuple) -> list:
     series = [generate(cfg.task) for cfg in configs]
     name, _ = task_metric(configs[0].task.kind)
     scores = []
-    for cfg, s, f in zip(configs, series, _evolve(series, configs)):
+    for cfg, s, f in zip(configs, series, run_group(series, configs)):
         readouts = [(stm_series(s.inputs, d), _rows_from(f, cfg.first_row(d))) for d in delays] or [(s, f)]
         results = [_fit_and_score(cfg, *readout) for readout in readouts]
         scores.append([(float(r.metrics[f"train_{name}"]), float(r.metrics[f"test_{name}"])) for r in results])
     return scores
-
-
-def _evolve(series: list, configs: list) -> list[FeatureMatrix]:
-    """Feature matrices of replicates of one width: bounded windows one
-    ``run_windowed`` each, recurrent and full-window ones as one batch."""
-    if configs[0].mode.bounded:
-        return [run_windowed(s, c) for s, c in zip(series, configs)]
-    return run_recurrent_group(series, configs)
 
 
 def _rows_from(features: FeatureMatrix, t0: int) -> FeatureMatrix:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, SchemaError
-from .sim import MAX_QUBITS, GateOp, RandomStream, StateVector, apply_gate, check_seed
+from .sim import MAX_QUBITS, GateOp, RandomStream, StateVector, apply_gate, check_int, check_seed
 
 TOPOLOGIES = ("ring", "chain", "all_to_all")
 
@@ -44,9 +44,9 @@ class ReservoirSpec:
     def __post_init__(self):
         if self.topology not in TOPOLOGIES:
             raise SchemaError("topology", f"must be one of {list(TOPOLOGIES)}, got {self.topology!r}")
-        if not 2 <= self.n_qubits <= MAX_QUBITS:
+        if not 2 <= check_int("n_qubits", self.n_qubits) <= MAX_QUBITS:
             raise SchemaError("n_qubits", f"must be in [2, {MAX_QUBITS}], got {self.n_qubits}")
-        if self.depth < 1:
+        if check_int("depth", self.depth) < 1:
             raise SchemaError("depth", f"must be >= 1, got {self.depth}")
         check_seed("seed", self.seed, optional=True)
 

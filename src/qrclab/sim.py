@@ -16,9 +16,9 @@ Two layers of kernels live here. ``apply_gate``, ``expectation``,
 or its count table and are the reference path; ``tests/dense_oracle.py``
 checks ``apply_gate`` in turn. The batch helpers ``apply_gate_rows``,
 ``compile_gates``, ``fold_diagonals``, ``ry_factors``, ``ry_layer`` and
-``sign_matrix`` act on a ``(B, 2**n)`` array of amplitude rows; the fused
-evolution kernel in ``experiment`` is built from them and tested against the
-reference path. The RY layer on every qubit is a Kronecker product, applied
+``sign_matrix`` act on a ``(B, 2**n)`` array of amplitude rows (``ry_layer``
+on any leading axes); the fused evolution kernel in ``experiment`` is built
+from them and tested against the reference path. The RY layer on every qubit is a Kronecker product, applied
 as two half-factors (two matmuls); a run of diagonal gates is one phase
 vector. ``CHUNK_AMPLITUDES`` bounds the entries of one batch of rows and,
 apart, of the RY factors built for its steps, and so the memory of a run.
@@ -388,16 +388,16 @@ def ry_factor_size(n: int) -> int:
 
 
 def ry_layer(rows: np.ndarray, factors: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
-    """Apply RY on every qubit of every row; returns a new (B, 2**n) batch.
+    """Apply RY on every qubit of every row; returns a new batch of the
+    shape of ``rows``, (..., 2**n).
 
-    ``factors`` is a pair from ``ry_factors``: either one step's (2-d
-    arrays, shared by every row) or one per row (B leading). A row viewed as
-    the (2**a, 2**b) matrix X of its top and bottom qubits becomes
+    ``factors`` is a pair from ``ry_factors``, broadcast against the rows'
+    leading axes: one step's, shared by every row, or one per row. A row
+    viewed as the (2**a, 2**b) matrix X of its top and bottom qubits becomes
     ``hi @ X @ lo``: two matmuls for the whole layer.
     """
     hi, lo = factors
-    b = rows.shape[0]
-    return (hi @ rows.reshape(b, hi.shape[-1], lo.shape[-1]) @ lo).reshape(b, -1)
+    return (hi @ rows.reshape(*rows.shape[:-1], hi.shape[-1], lo.shape[-1]) @ lo).reshape(rows.shape)
 
 
 def fold_diagonals(gates, n: int) -> list:

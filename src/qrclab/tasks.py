@@ -14,7 +14,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConfigurationError, DataError, SchemaError
-from .sim import RandomStream, check_seed
+from .sim import RandomStream, check_int, check_seed
 
 log = logging.getLogger(__name__)
 
@@ -48,12 +48,12 @@ class TaskSpec:
     def __post_init__(self):
         if self.kind not in TASK_KINDS:
             raise SchemaError("kind", f"must be one of {list(TASK_KINDS)}, got {self.kind!r}")
-        if self.T < 1:
+        if check_int("T", self.T) < 1:
             raise SchemaError("T", f"must be >= 1, got {self.T}")
         check_seed("seed", self.seed, optional=True)
-        if self.delay < 1:
+        if check_int("delay", self.delay) < 1:
             raise SchemaError("delay", f"must be >= 1, got {self.delay}")
-        if self.window < 2:
+        if check_int("window", self.window) < 2:
             raise SchemaError("window", f"must be >= 2, got {self.window}")
         if self.kind == "narma10" and self.T < 30:
             raise SchemaError("T", f"narma10 needs T >= 30, got {self.T}")

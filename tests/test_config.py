@@ -1,5 +1,6 @@
 """Strict config schema tests."""
 
+import numpy as np
 import pytest
 
 from qrclab.config import (
@@ -8,7 +9,11 @@ from qrclab.config import (
     echo_config,
     parse_config,
 )
+from qrclab.encoding import EncoderSpec
 from qrclab.errors import ConfigurationError, SchemaError
+from qrclab.experiment import BackendSpec, ModeSpec, ProtocolSpec
+from qrclab.reservoir import ReservoirSpec
+from qrclab.tasks import TaskSpec
 
 
 class TestDefaults:
@@ -174,3 +179,34 @@ class TestEcho:
         cfg, out = parse_config({}, task_kind="stm")
         text = dump_echo(echo_config(cfg, out))
         assert json.loads(text)["master_seed"] == 42
+
+
+class TestIntegerFields:
+    """Every integer field of a spec rejects a float or a bool when the spec
+    is built, keyed by the field; a numpy integer is an integer."""
+
+    CASES = [
+        ("T", lambda v: TaskSpec("stm", T=v), 200.5),
+        ("delay", lambda v: TaskSpec("stm", delay=v), 2.5),
+        ("window", lambda v: TaskSpec("parity", window=v), 3.0),
+        ("n_qubits", lambda v: ReservoirSpec(n_qubits=v), 4.0),
+        ("depth", lambda v: ReservoirSpec(n_qubits=4, depth=v), True),
+        ("layers", lambda v: EncoderSpec(layers=v), 1.0),
+        ("k", lambda v: ModeSpec(kind="reupload_k", k=v), True),
+        ("shots", lambda v: BackendSpec(kind="shots", shots=v), 64.0),
+        ("washout", lambda v: ProtocolSpec(washout=v), True),
+    ]
+
+    @pytest.mark.parametrize("key, build, value", CASES, ids=[c[0] for c in CASES])
+    def test_non_integer_rejected(self, key, build, value):
+        with pytest.raises(SchemaError, match=f"^{key}: must be an integer, got {value!r}$"):
+            build(value)
+
+    @pytest.mark.parametrize("key, build, value", CASES, ids=[c[0] for c in CASES])
+    def test_numpy_integer_accepted(self, key, build, value):
+        assert getattr(build(np.int64(value)), key) == int(value)
+
+    def test_k_is_an_integer_or_full(self):
+        assert ModeSpec(kind="reupload_k", k="full").k == "full"
+        with pytest.raises(SchemaError, match="^k: must be an integer >= 1 or 'full', got 'half'$"):
+            ModeSpec(kind="reupload_k", k="half")

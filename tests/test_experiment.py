@@ -126,12 +126,20 @@ class TestResolveSeeds:
         assert resolved.reservoir.seed == 11
         assert resolved.encoder.interleave_seed == 12
 
-    def test_encoder_runs_at_the_reservoir_width(self):
+    def test_encoder_runs_at_the_reservoir_width(self, monkeypatch):
         # one register: the encoder has no width of its own
         with pytest.raises(TypeError):
             EncoderSpec(n_qubits=4)
+        built = []
+
+        def recorded(spec, n_qubits):  # the width a run builds its encoder at
+            built.append(build_encoder(spec, n_qubits))
+            return built[-1]
+
+        monkeypatch.setattr(experiment, "build_encoder", recorded)
         cfg = resolve_seeds(ExperimentConfig(task=TaskSpec("stm"), reservoir=ReservoirSpec(n_qubits=3)))
-        encoder = experiment._compile_run(generate(cfg.task), cfg)[0]
+        run_recurrent(generate(cfg.task), cfg)
+        [encoder] = built
         assert encoder.n_qubits == 3 and encoder.layers[0].angle_qubits == (0, 1, 2)
 
 

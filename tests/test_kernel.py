@@ -306,7 +306,7 @@ def check_group(configs):
     the ideal backend also the first and last replicates' first rows
     against the dense oracle."""
     series = [generate(resolve_seeds(c).task) for c in configs]
-    got = experiment.run_recurrent_group(series, configs)
+    got = experiment.run_group(series, configs)
     assert len(got) == len(configs)
     shots = configs[0].backend.kind == "shots"
     for s, c, features in zip(series, configs, got):
@@ -348,7 +348,7 @@ def test_full_and_partial_groups_at_n6():
     shots[1] = replace(shots[1], protocol=ProtocolSpec(washout=40, train_fraction=0.5))
     series = [generate(resolve_seeds(c).task) for c in shots]
     with pytest.raises(ConfigurationError, match=r"different steps: \[12, 40\]"):
-        experiment.run_recurrent_group(series, shots)
+        experiment.run_group(series, shots)
 
 
 def test_group_with_reupload_layers():
@@ -360,7 +360,55 @@ def test_group_beyond_the_budget_is_rejected():
     configs = replicate_configs(7, range(2))
     series = [generate(resolve_seeds(c).task) for c in configs]
     with pytest.raises(ConfigurationError, match="group size"):
-        experiment.run_recurrent_group(series, configs)
+        experiment.run_group(series, configs)
+
+
+def test_group_of_different_lengths_is_rejected():
+    configs = replicate_configs(3, range(2), task=TaskSpec("narma10", T=80))
+    configs[1] = replace(configs[1], task=replace(configs[1].task, T=90))
+    series = [generate(resolve_seeds(c).task) for c in configs]
+    with pytest.raises(ConfigurationError, match=r"different steps: \[12\] to \[80, 90\]"):
+        experiment.run_group(series, configs)
+
+
+@pytest.mark.parametrize(
+    "k, backend", [(3, None), (2, BackendSpec(kind="shots", shots=64))], ids=["k3", "k2-shots"]
+)
+@pytest.mark.parametrize("n", [3, 6])
+def test_bounded_window_group_matches_reference(n, k, backend):
+    # replicates of a bounded window evolve as one group: each row against a
+    # fresh gate-by-gate window, exactly on shots. At n = 6, 4 replicates
+    # take 30 or 31 rows per chunk, so 68 rows span three chunks
+    configs = [
+        replace(c, mode=ModeSpec(kind="reupload_k", k=k), backend=backend or c.backend)
+        for c in replicate_configs(n, range(4), task=TaskSpec("stm", T=80))
+    ]
+    series = [generate(resolve_seeds(c).task) for c in configs]
+    got = experiment.run_group(series, configs)
+    assert len(got) == 4 and len(got[0].t_index) == 68
+    if n == 6:
+        assert experiment._rows_per_chunk(n, len(configs), k - 1) in (30, 31)
+    for s, c, features in zip(series, configs, got):
+        want = reference_features(s, c, features.t_index)
+        np.testing.assert_allclose(features.values, want, rtol=0, atol=0 if backend else TOL)
+
+
+def test_rows_per_chunk_stays_within_the_budget():
+    budget = sim.CHUNK_AMPLITUDES
+    for n in range(2, 11):
+        steps = budget // sim.ry_factor_size(n)
+        for R in range(1, experiment._group_size(n) + 1):
+            for k in range(1, 21):
+                def within(b):  # R x b rows and R x (b + k - 1) steps of factors
+                    return R * b * 2**n <= budget and R * (b + k - 1) <= steps
+
+                B = experiment._rows_per_chunk(n, R, k - 1)
+                assert within(B) or B == 1  # one row at least, even past the budget
+                assert not within(B + 1)
+            # a persistent state: the steps of one chunk shared among R replicates
+            assert experiment._rows_per_chunk(n, R) == max(1, max(1, min(budget >> n, steps)) // R)
+        for k in range(1, 21):  # one run: the rows and the factor steps of its k - 1 extra steps
+            assert experiment._rows_per_chunk(n, 1, k - 1) == max(1, min(budget >> n, steps - (k - 1)))
 
 
 def test_group_with_a_narma10_redraw(monkeypatch, caplog):
@@ -448,7 +496,7 @@ def test_shots_delay_sweep_evolves_each_replicate_once(monkeypatch, k):
     # whatever the number of delays
     monkeypatch.setenv("QRCLAB_THREADS", "1")  # in process, where the wrappers count
     evolved = []
-    for name in ("run_windowed", "run_recurrent_group"):
+    for name in ("run_windowed", "run_group"):
         def counted(series, configs, driver=getattr(experiment, name)):
             evolved.append(len(configs) if isinstance(configs, list) else 1)
             return driver(series, configs)
@@ -456,4 +504,4 @@ def test_shots_delay_sweep_evolves_each_replicate_once(monkeypatch, k):
         monkeypatch.setattr(experiment, name, counted)
     config = kernel_config(3, k=k, T=60, washout=12, backend=BackendSpec(kind="shots", shots=16))
     experiment.stm_delay_sweep(config, [4, 1, 13, 2], replicates=3)
-    assert evolved == ([1, 1, 1] if k == 2 else [3])
+    assert evolved == [3]
