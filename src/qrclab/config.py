@@ -4,26 +4,26 @@ Each section of the document is one spec of ``ExperimentConfig`` (``task``
 is its ``TaskSpec``, and so on) or ``output`` (``OutputOptions``); the
 config's own ``alpha`` and ``alpha_grid`` sit in ``readout`` and
 ``master_seed`` at the top. A key is its field's name except where
-``_KEYS`` says otherwise, and a field ``_KEYS`` maps to None has no key. Field type hints give the JSON types, field
-defaults the defaults, and each spec's ``__post_init__`` the value rules;
+``_KEYS`` says otherwise, and a field ``_KEYS`` maps to None has no key. The
+schema only maps keys: each value goes to its field unchanged, and each
+spec's ``__post_init__`` checks every field and stores it as a plain Python
+value (a list as a tuple, an integer as a float where a float is wanted);
 ``ExperimentConfig``'s holds the rules that span sections. Unknown keys are
-rejected with the offending key named; omitted keys are filled from the
-defaults and echoed back, so a produced config_echo.json always re-parses to
-the identical run.
+rejected with the offending key named; omitted keys are filled from the field
+defaults and echoed back, so a config_echo.json re-parses to the same run.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import math
-import types
 import typing
 from dataclasses import dataclass, fields, is_dataclass, replace
 from functools import cache
 
 from .errors import SchemaError
 from .experiment import ExperimentConfig
+from .sim import check_bool
 from .tasks import TASK_KINDS, TaskSpec
 
 
@@ -34,8 +34,10 @@ class OutputOptions:
     features: bool = True
 
     def __post_init__(self):
-        if not self.dir:
+        if not isinstance(self.dir, str) or not self.dir:
             raise SchemaError("dir", "must be a non-empty string")
+        object.__setattr__(self, "plots", check_bool("plots", self.plots))
+        object.__setattr__(self, "features", check_bool("features", self.features))
 
 
 # The document key of each field path whose key is not the path itself. The
@@ -48,9 +50,6 @@ _KEYS = {
     "alpha": "readout.alpha",
     "alpha_grid": "readout.alpha_grid",
 }
-
-_JSON_TYPES = {bool: "true or false", int: "an integer", float: "a finite number", str: "a string", type(None): "null"}
-_MISMATCH = object()
 
 
 def _key(path: str) -> str | None:
@@ -69,40 +68,6 @@ def _layout() -> dict:
     layout = {name: set(value) for name, value in echo.items() if isinstance(value, dict)}
     layout[""] = {name for name, value in echo.items() if not isinstance(value, dict)}
     return layout
-
-
-def _describe(hint) -> str:
-    args = typing.get_args(hint)
-    if typing.get_origin(hint) in (typing.Union, types.UnionType):
-        return " or ".join(map(_describe, args))
-    if typing.get_origin(hint) is tuple:
-        return "[" + ", ".join("..." if a is Ellipsis else _describe(a) for a in args) + "]"
-    return _JSON_TYPES[hint]
-
-
-def _convert(value, hint):
-    """A JSON value in the Python form of a field's type hint, or _MISMATCH.
-    Lists become tuples and an integer becomes a float where a float is
-    wanted; a bool is never a number, and a number must be finite."""
-    origin, args = typing.get_origin(hint), typing.get_args(hint)
-    if origin in (typing.Union, types.UnionType):
-        return next((out for out in (_convert(value, a) for a in args) if out is not _MISMATCH), _MISMATCH)
-    if origin is tuple:
-        items = args[:1] * len(value) if isinstance(value, list) and args[-1] is Ellipsis else args
-        if not isinstance(value, list) or len(items) != len(value):
-            return _MISMATCH
-        out = tuple(_convert(v, a) for v, a in zip(value, items))
-        return _MISMATCH if any(o is _MISMATCH for o in out) else out
-    if isinstance(value, bool) != (hint is bool):
-        return _MISMATCH
-    if hint is float and type(value) is int:
-        try:
-            value = float(value)
-        except OverflowError:
-            return _MISMATCH
-    if hint is float and not (isinstance(value, float) and math.isfinite(value)):
-        return _MISMATCH
-    return value if isinstance(value, hint) else _MISMATCH
 
 
 def _flatten(doc: dict) -> dict:
@@ -126,9 +91,9 @@ def _flatten(doc: dict) -> dict:
 
 def _build(cls, prefix: str, flat: dict, base=None):
     """``base``, or ``cls`` built from its field defaults, with every field
-    the document sets. A section field is built from its own section over
-    the field's default instance. A rule a spec breaks is re-raised under
-    its document key."""
+    the document sets, its value passed unchanged. A section field is built
+    from its own section over the field's default instance. A rule a spec
+    breaks is re-raised under its document key."""
     kwargs = {}
     for f in fields(cls):
         hint, key = _hints(cls)[f.name], _key(prefix + f.name)
@@ -136,9 +101,7 @@ def _build(cls, prefix: str, flat: dict, base=None):
             default = f.default if is_dataclass(f.default) else None
             kwargs[f.name] = _build(hint, f"{prefix}{f.name}.", flat, default)
         elif key in flat:
-            kwargs[f.name] = _convert(flat[key], hint)
-            if kwargs[f.name] is _MISMATCH:
-                raise SchemaError(key, f"must be {_describe(hint)}, got {flat[key]!r}")
+            kwargs[f.name] = flat[key]
     try:
         return cls(**kwargs) if base is None else replace(base, **kwargs)
     except SchemaError as exc:

@@ -37,11 +37,10 @@ class EncoderSpec:
             raise SchemaError("scheme", f"must be one of {list(SCHEMES)}, got {self.scheme!r}")
         if self.scale not in SCALE_TAGS:
             raise SchemaError("scale", f"must be one of {list(SCALE_TAGS)}, got {self.scale!r}")
-        if check_int("layers", self.layers) < 1:
-            raise SchemaError("layers", f"must be >= 1, got {self.layers}")
+        object.__setattr__(self, "layers", check_int("layers", self.layers, 1))
         if self.scheme == "angle" and self.layers != 1:
             raise SchemaError("layers", "must be 1 for the plain angle scheme")
-        check_seed("interleave_seed", self.interleave_seed, optional=True)
+        object.__setattr__(self, "interleave_seed", check_seed("interleave_seed", self.interleave_seed, optional=True))
 
 
 @dataclass(frozen=True)

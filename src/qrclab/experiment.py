@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import numbers
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -56,7 +56,9 @@ from .sim import (
     RandomStream,
     StateVector,
     apply_gate_rows,
+    check_bool,
     check_int,
+    check_real,
     check_seed,
     compile_gates,
     fold_diagonals,
@@ -89,17 +91,18 @@ class ObservableSpec:
     zz: str | tuple[tuple[int, int], ...] | None = None
 
     def __post_init__(self):
-        if isinstance(self.zz, str) and self.zz not in ("edges", "all_pairs"):
-            raise SchemaError("zz", f"must be 'edges', 'all_pairs' or pairs, got {self.zz!r}")
+        object.__setattr__(self, "local_z", check_bool("local_z", self.local_z))
         if isinstance(self.zz, (list, tuple)):
-            pairs = tuple((int(i), int(j)) for i, j in self.zz)
+            if not all(isinstance(p, (list, tuple)) and len(p) == 2 for p in self.zz):
+                raise SchemaError("zz", f"pairs must each be two qubit indices, got {self.zz!r}")
+            pairs = tuple((check_int("zz", i, 0), check_int("zz", j, 0)) for i, j in self.zz)
             if any(i == j for i, j in pairs):
                 raise SchemaError("zz", "pairs must join distinct qubits")
-            if any(min(p) < 0 for p in pairs):
-                raise SchemaError("zz", "qubit indices must be >= 0")
             if len({frozenset(p) for p in pairs}) < len(pairs):
                 raise SchemaError("zz", "pairs must not repeat")
             object.__setattr__(self, "zz", pairs)
+        elif self.zz is not None and self.zz not in ("edges", "all_pairs"):
+            raise SchemaError("zz", f"must be 'edges', 'all_pairs' or pairs, got {self.zz!r}")
         if not self.local_z and not self.zz:
             raise SchemaError("local_z", "no observables configured: local_z is false and zz is empty")
 
@@ -112,8 +115,9 @@ class ModeSpec:
     def __post_init__(self):
         if self.kind not in MODE_KINDS:
             raise SchemaError("kind", f"must be one of {list(MODE_KINDS)}, got {self.kind!r}")
-        if self.k != FULL_WINDOW and (isinstance(self.k, str) or check_int("k", self.k) < 1):
+        if isinstance(self.k, str) and self.k != FULL_WINDOW:
             raise SchemaError("k", f"must be an integer >= 1 or '{FULL_WINDOW}', got {self.k!r}")
+        object.__setattr__(self, "k", self.k if self.k == FULL_WINDOW else check_int("k", self.k, 1))
 
     @property
     def bounded(self) -> bool:
@@ -132,9 +136,8 @@ class BackendSpec:
     def __post_init__(self):
         if self.kind not in BACKEND_KINDS:
             raise SchemaError("kind", f"must be one of {list(BACKEND_KINDS)}, got {self.kind!r}")
-        if check_int("shots", self.shots) < 1:
-            raise SchemaError("shots", f"must be >= 1, got {self.shots}")
-        check_seed("shot_seed", self.shot_seed, optional=True)
+        object.__setattr__(self, "shots", check_int("shots", self.shots, 1))
+        object.__setattr__(self, "shot_seed", check_seed("shot_seed", self.shot_seed, optional=True))
 
 
 @dataclass(frozen=True)
@@ -143,8 +146,8 @@ class ProtocolSpec:
     train_fraction: float = 0.7
 
     def __post_init__(self):
-        if check_int("washout", self.washout) < 0:
-            raise SchemaError("washout", f"must be >= 0, got {self.washout}")
+        object.__setattr__(self, "washout", check_int("washout", self.washout, 0))
+        object.__setattr__(self, "train_fraction", check_real("train_fraction", self.train_fraction))
         if not 0.0 < self.train_fraction < 1.0:
             raise SchemaError("train_fraction", f"must be in (0, 1), got {self.train_fraction}")
 
@@ -174,11 +177,19 @@ class ExperimentConfig:
     master_seed: int = 42
 
     def __post_init__(self):
+        sections = (TaskSpec, ReservoirSpec, EncoderSpec, ObservableSpec, ModeSpec, BackendSpec, ProtocolSpec)
+        for f, spec in zip(fields(self), sections):  # the first fields, in order
+            if not isinstance(getattr(self, f.name), spec):
+                raise SchemaError(f.name, f"must be a {spec.__name__}, got {getattr(self, f.name)!r}")
+        object.__setattr__(self, "alpha", check_real("alpha", self.alpha))
         if self.alpha < 0:
             raise SchemaError("alpha", f"must be >= 0, got {self.alpha}")
-        if self.alpha_grid is not None and (not self.alpha_grid or any(a < 0 for a in self.alpha_grid)):
-            raise SchemaError("alpha_grid", "must be a non-empty list of numbers >= 0")
-        check_seed("master_seed", self.master_seed)
+        if (grid := self.alpha_grid) is not None:
+            grid = tuple(check_real("alpha_grid", a) for a in grid) if isinstance(grid, (list, tuple)) else ()
+            if not grid or min(grid) < 0:
+                raise SchemaError("alpha_grid", "must be a non-empty list of numbers >= 0")
+            object.__setattr__(self, "alpha_grid", grid)
+        object.__setattr__(self, "master_seed", check_seed("master_seed", self.master_seed))
         task, mode, washout = self.task, self.mode, self.protocol.washout
         if mode.bounded and mode.k > task.T:
             raise SchemaError("mode.k", f"window {mode.k} is longer than the series (task.T = {task.T})")
@@ -406,13 +417,17 @@ def run_group(series_list, configs) -> list[FeatureMatrix]:
     sub-step j taking step t0 - k + 1 + j + b. R may be at most
     ``_group_size(n)``. Every replicate keeps the rows from one
     ``first_row`` to one series length, sharing one t_index; replicates that
-    keep different rows raise ConfigurationError. On the shots backend each
-    replicate draws from its own shot stream (``_measure``)."""
+    keep different rows, or whose width, topology, encoder layers,
+    observables, mode or backend differ, raise ConfigurationError. On the
+    shots backend each replicate draws from its own shot stream (``_measure``)."""
     cfgs = [resolve_seeds(c) for c in configs]
     firsts = sorted({c.first_row(s.valid_from) for c, s in zip(cfgs, series_list)})
     ends = sorted({len(s.inputs) for s in series_list})
     if len(firsts) > 1 or len(ends) > 1:
         raise ConfigurationError(f"a group's replicates keep rows from different steps: {firsts} to {ends}")
+    if len({(c.reservoir.n_qubits, c.reservoir.topology, c.encoder.layers, c.observables, c.mode,
+              c.backend.kind, c.backend.shots) for c in cfgs}) > 1:
+        raise ConfigurationError("a group's replicates differ in more than their seeds")
     (keep_from,), (T,) = firsts, ends
     cfg, R = cfgs[0], len(cfgs)
     n, bounded = cfg.reservoir.n_qubits, cfg.mode.bounded
@@ -573,9 +588,7 @@ def worker_count() -> int:
         n = int(raw)
     except ValueError:
         raise SchemaError("QRCLAB_THREADS", f"must be an integer, got {raw!r}")
-    if n < 0:
-        raise SchemaError("QRCLAB_THREADS", f"must be >= 0, got {n}")
-    return n or os.cpu_count() or 1
+    return check_int("QRCLAB_THREADS", n, 0) or os.cpu_count() or 1
 
 
 def _group_scores(pool_task: tuple) -> list:
@@ -646,13 +659,10 @@ def stm_delay_sweep(
     evolves once, from its shortest delay's config, and each delay is a
     readout of that run (``_group_scores``); on the shots backend the run is
     sampled once, from that config's first kept row."""
-    delays = [check_int("delays", d) for d in delays]
+    delays = [check_int("delays", d, 1) for d in delays]
     if not delays:
         raise SchemaError("delays", "must name at least one delay")
-    if any(d < 1 for d in delays):
-        raise SchemaError("delays", f"must be >= 1, got {delays}")
-    if check_int("replicates", replicates) < 1:
-        raise SchemaError("replicates", f"must be >= 1, got {replicates}")
+    check_int("replicates", replicates, 1)
 
     replicate_configs = []
     for r in range(replicates):
@@ -680,8 +690,7 @@ def check_scan_args(config: ExperimentConfig, qubit_list, delta: float, replicat
         raise SchemaError("delta", f"must be a number, got {delta!r}")
     if not 0.0 < delta < 1.0:
         raise SchemaError("delta", f"must be in (0, 1), got {delta}")
-    if check_int("replicates", replicates) < 1:
-        raise SchemaError("replicates", f"must be >= 1, got {replicates}")
+    check_int("replicates", replicates, 1)
     for n in qubits:  # building a width's config checks the rules that depend on it
         try:
             _replicate_config(config, 0, n)

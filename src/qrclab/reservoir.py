@@ -44,11 +44,9 @@ class ReservoirSpec:
     def __post_init__(self):
         if self.topology not in TOPOLOGIES:
             raise SchemaError("topology", f"must be one of {list(TOPOLOGIES)}, got {self.topology!r}")
-        if not 2 <= check_int("n_qubits", self.n_qubits) <= MAX_QUBITS:
-            raise SchemaError("n_qubits", f"must be in [2, {MAX_QUBITS}], got {self.n_qubits}")
-        if check_int("depth", self.depth) < 1:
-            raise SchemaError("depth", f"must be >= 1, got {self.depth}")
-        check_seed("seed", self.seed, optional=True)
+        object.__setattr__(self, "n_qubits", check_int("n_qubits", self.n_qubits, 2, MAX_QUBITS))
+        object.__setattr__(self, "depth", check_int("depth", self.depth, 1))
+        object.__setattr__(self, "seed", check_seed("seed", self.seed, optional=True))
 
 
 @dataclass(frozen=True)

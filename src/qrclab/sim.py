@@ -27,6 +27,7 @@ apart, of the RY factors built for its steps, and so the memory of a run.
 from __future__ import annotations
 
 import hashlib
+import math
 import numbers
 from dataclasses import dataclass
 
@@ -56,18 +57,41 @@ def check_seed(key: str, seed, optional: bool = False) -> int | None:
     names it in the error."""
     if optional and seed is None:
         return None
-    seed = check_int(key, seed)
-    if not 0 <= seed < 2**64:
+    if not 0 <= (seed := check_int(key, seed)) < 2**64:
         raise SchemaError(key, f"must be in [0, 2**64), got {seed}")
     return seed
 
 
-def check_int(key: str, value) -> int:
-    """``value`` as a Python int. A numpy integer is one; a bool or a
-    non-integer raises SchemaError keyed ``key``."""
+def check_int(key: str, value, low: int | None = None, high: int | None = None) -> int:
+    """``value`` as a Python int, at least ``low`` and at most ``high`` when
+    given. A numpy integer is one; a bool, a non-integer or a value out of
+    bounds raises SchemaError keyed ``key``."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise SchemaError(key, f"must be an integer, got {value!r}")
-    return int(value)
+    value = int(value)
+    if (low is not None and value < low) or (high is not None and value > high):
+        bound = f">= {low}" if high is None else f"in [{low}, {high}]"
+        raise SchemaError(key, f"must be {bound}, got {value}")
+    return value
+
+
+def check_real(key: str, value) -> float:
+    """``value`` as a finite Python float. A numpy number is one; a bool, a
+    non-number, NaN, an infinity or an integer too large for a float raises
+    SchemaError keyed ``key``."""
+    try:
+        if not isinstance(value, bool) and isinstance(value, numbers.Real) and math.isfinite(value):
+            return float(value)
+    except OverflowError:  # an integer too large for a float
+        pass
+    raise SchemaError(key, f"must be a finite number, got {value!r}")
+
+
+def check_bool(key: str, value) -> bool:
+    """``value`` if it is a bool; anything else raises SchemaError keyed ``key``."""
+    if not isinstance(value, bool):
+        raise SchemaError(key, f"must be true or false, got {value!r}")
+    return value
 
 
 class RandomStream:

@@ -48,13 +48,10 @@ class TaskSpec:
     def __post_init__(self):
         if self.kind not in TASK_KINDS:
             raise SchemaError("kind", f"must be one of {list(TASK_KINDS)}, got {self.kind!r}")
-        if check_int("T", self.T) < 1:
-            raise SchemaError("T", f"must be >= 1, got {self.T}")
-        check_seed("seed", self.seed, optional=True)
-        if check_int("delay", self.delay) < 1:
-            raise SchemaError("delay", f"must be >= 1, got {self.delay}")
-        if check_int("window", self.window) < 2:
-            raise SchemaError("window", f"must be >= 2, got {self.window}")
+        object.__setattr__(self, "T", check_int("T", self.T, 1))
+        object.__setattr__(self, "seed", check_seed("seed", self.seed, optional=True))
+        object.__setattr__(self, "delay", check_int("delay", self.delay, 1))
+        object.__setattr__(self, "window", check_int("window", self.window, 2))
         if self.kind == "narma10" and self.T < 30:
             raise SchemaError("T", f"narma10 needs T >= 30, got {self.T}")
 

@@ -1,9 +1,13 @@
 """Strict config schema tests."""
 
+import json
+import re
+
 import numpy as np
 import pytest
 
 from qrclab.config import (
+    OutputOptions,
     config_hash,
     dump_echo,
     echo_config,
@@ -11,7 +15,7 @@ from qrclab.config import (
 )
 from qrclab.encoding import EncoderSpec
 from qrclab.errors import ConfigurationError, SchemaError
-from qrclab.experiment import BackendSpec, ModeSpec, ProtocolSpec
+from qrclab.experiment import BackendSpec, ExperimentConfig, ModeSpec, ObservableSpec, ProtocolSpec
 from qrclab.reservoir import ReservoirSpec
 from qrclab.tasks import TaskSpec
 
@@ -210,3 +214,51 @@ class TestIntegerFields:
         assert ModeSpec(kind="reupload_k", k="full").k == "full"
         with pytest.raises(SchemaError, match="^k: must be an integer >= 1 or 'full', got 'half'$"):
             ModeSpec(kind="reupload_k", k="half")
+
+
+STM = TaskSpec("stm")
+
+
+class TestSpecFields:
+    """Every spec field is checked and stored by its spec, however the spec
+    is built: a value of the wrong kind raises SchemaError keyed by the
+    field, and a numpy number is stored as a Python number."""
+
+    CASES = [
+        ("zz", lambda: ObservableSpec(zz=((0.5, 1.7),)), "must be an integer, got 0.5"),
+        ("alpha", lambda: ExperimentConfig(STM, alpha=True), "must be a finite number, got True"),
+        ("alpha", lambda: ExperimentConfig(STM, alpha=float("nan")), "must be a finite number, got nan"),
+        ("alpha", lambda: ExperimentConfig(STM, alpha="x"), "must be a finite number, got 'x'"),
+        ("train_fraction", lambda: ProtocolSpec(train_fraction="0.7"), "must be a finite number, got '0.7'"),
+        ("alpha_grid", lambda: ExperimentConfig(STM, alpha_grid="ab"), "must be a non-empty list of numbers >= 0"),
+        ("local_z", lambda: ObservableSpec(local_z="no"), "must be true or false, got 'no'"),
+        ("plots", lambda: OutputOptions(plots="no"), "must be true or false, got 'no'"),
+        ("dir", lambda: OutputOptions(dir=5), "must be a non-empty string"),
+        ("task", lambda: ExperimentConfig(task="stm"), "must be a TaskSpec, got 'stm'"),
+        ("reservoir", lambda: ExperimentConfig(STM, reservoir=5), "must be a ReservoirSpec, got 5"),
+        ("mode", lambda: ExperimentConfig(STM, mode="recurrent"), "must be a ModeSpec, got 'recurrent'"),
+    ]
+    IDS = ["zz-float", "alpha-bool", "alpha-nan", "alpha-str", "train_fraction-str", "alpha_grid-str",
+           "local_z-str", "plots-str", "dir-int", "task-str", "reservoir-int", "mode-str"]
+
+    @pytest.mark.parametrize("key, build, message", CASES, ids=IDS)
+    def test_wrong_value_names_the_field(self, key, build, message):
+        with pytest.raises(SchemaError, match=f"^{key}: {re.escape(message)}$"):
+            build()
+
+    def test_numpy_integer_echo_re_parses(self):
+        cfg = ExperimentConfig(TaskSpec("stm", T=np.int64(200)), reservoir=ReservoirSpec(n_qubits=np.int64(4)))
+        echo = json.loads(dump_echo(echo_config(cfg, OutputOptions())))
+        assert echo["task"]["T"] == 200
+        assert parse_config(echo, task_kind="stm") == (cfg, OutputOptions())
+
+    def test_numpy_numbers_stored_as_python_numbers(self):
+        cfg = ExperimentConfig(
+            TaskSpec("stm", T=np.int32(200), seed=np.uint64(7)),
+            protocol=ProtocolSpec(train_fraction=np.float32(0.5)),
+            alpha=np.float64(0.25),
+            alpha_grid=[np.int64(1), np.float32(0.5)],
+        )
+        assert type(cfg.task.T) is int and type(cfg.task.seed) is int
+        assert type(cfg.protocol.train_fraction) is float and type(cfg.alpha) is float
+        assert cfg.alpha_grid == (1.0, 0.5) and all(type(a) is float for a in cfg.alpha_grid)

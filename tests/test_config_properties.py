@@ -1,6 +1,7 @@
 """Property tests of the config schema: echo round trips, every mutated
-document either parses or is rejected under a schema key, exit code 1, and
-every document that parses also runs."""
+document either parses or is rejected under a schema key, exit code 1, every
+spec field set from Python either is rejected under its own key or echoes
+back to the same config, and every document that parses also runs."""
 
 import contextlib
 import io
@@ -8,8 +9,10 @@ import itertools
 import json
 import math
 import tempfile
+from dataclasses import fields, is_dataclass, replace
 from pathlib import Path
 
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -157,6 +160,57 @@ def test_mutated_document_parses_or_names_a_schema_key(doc, path, value):
         assert code == 1
         assert named in err.getvalue()
         assert not (Path(tmp) / "runs").exists()
+
+
+def _spec_fields() -> list:
+    """(section, field) of every spec field, section "" for the config's own
+    fields. The interleave seed has no document key (it is always derived
+    from the master seed), so an echo cannot carry it and it is left out."""
+    cfg, out = parse_config({}, task_kind="stm")
+    paths = [("output", f.name) for f in fields(out)]
+    for f in fields(cfg):
+        section = getattr(cfg, f.name)
+        paths += [(f.name, g.name) for g in fields(section)] if is_dataclass(section) else [("", f.name)]
+    return [p for p in paths if p != ("encoder", "interleave_seed")]
+
+
+SPEC_FIELDS = _spec_fields()
+# a field a rule spans may be rejected under the key of that rule
+FIELD_PATHS = {f"{s}.{f}" if s else f for s, f in SPEC_FIELDS}
+NUMPY_NUMBERS = (
+    st.integers(-(2**63), 2**63 - 1).map(np.int64)
+    | st.integers(0, 2**64 - 1).map(np.uint64)
+    | st.floats().map(np.float64)
+    | st.floats(width=32).map(np.float32)
+)
+
+
+@PROPERTIES
+@given(st.sampled_from(SPEC_FIELDS), json_values() | NUMPY_NUMBERS)
+def test_spec_field_set_from_python_is_rejected_under_its_key_or_echoes(path, value):
+    """Any value, put into any spec field through the Python constructors,
+    either raises SchemaError keyed by that field (or, from a rule spanning
+    sections, by a field path the rule names) or builds a config whose echo
+    dumps and re-parses to the same config."""
+    section, name = path
+    cfg, out = parse_config({}, task_kind="stm")
+    owner = out if section == "output" else getattr(cfg, section) if section else cfg
+    try:
+        spec = replace(owner, **{name: value})
+    except SchemaError as exc:
+        assert exc.key == name
+        return
+    if section == "output":
+        out = spec
+    elif section:
+        try:
+            cfg = replace(cfg, **{section: spec})
+        except SchemaError as exc:
+            assert exc.key in FIELD_PATHS
+            return
+    else:
+        cfg = spec
+    _assert_round_trip(cfg, out, cfg.task.kind)
 
 
 # Bounds on a document that is run, for its runtime only, and values for

@@ -386,6 +386,10 @@ class TestDelaySweep:
         with pytest.raises(ConfigurationError, match="delays"):
             stm_delay_sweep(small_config(), delays=[0], replicates=1)
 
+    def test_out_of_range_delay_is_named(self):
+        with pytest.raises(SchemaError, match=r"^delays: must be >= 1, got 0$"):
+            stm_delay_sweep(small_config(), delays=[1, 0, 3], replicates=1)
+
     def test_empty_delays_rejected(self):
         with pytest.raises(ConfigurationError):
             stm_delay_sweep(small_config(), delays=[], replicates=1)

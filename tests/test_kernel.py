@@ -372,6 +372,29 @@ def test_group_of_different_lengths_is_rejected():
 
 
 @pytest.mark.parametrize(
+    "change",
+    [
+        lambda c: replace(c, reservoir=replace(c.reservoir, n_qubits=4)),
+        lambda c: replace(c, observables=ObservableSpec()),
+        lambda c: replace(c, encoder=EncoderSpec(scheme="reupload", layers=2)),
+        lambda c: replace(c, mode=ModeSpec(kind="reupload_k", k=3)),
+        lambda c: replace(c, mode=ModeSpec(kind="reupload_k", k=3), backend=BackendSpec(kind="shots", shots=64)),
+    ],
+    ids=["n_qubits", "observables", "layers", "mode", "backend"],
+)
+def test_group_that_differs_in_more_than_seeds_is_rejected(change):
+    # the driver reads width, observables, mode and backend from one config,
+    # so a replicate that differs in them would run as the first one
+    configs = replicate_configs(3, range(2))
+    if change(configs[0]).backend.kind == "shots":  # shots needs reupload_k in every replicate
+        configs[0] = replace(configs[0], mode=ModeSpec(kind="reupload_k", k=3))
+    configs[1] = change(configs[1])
+    series = [generate(resolve_seeds(c).task) for c in configs]
+    with pytest.raises(ConfigurationError, match="differ in more than their seeds"):
+        experiment.run_group(series, configs)
+
+
+@pytest.mark.parametrize(
     "k, backend", [(3, None), (2, BackendSpec(kind="shots", shots=64))], ids=["k3", "k2-shots"]
 )
 @pytest.mark.parametrize("n", [3, 6])
