@@ -11,10 +11,13 @@ and B output rows per chunk for a bounded window, each restarted from |0>.
 Input angles are stacked once as (R, T, n); ``sim.ry_factors`` turns a
 chunk's steps into (R, S, ...) Kronecker half-factors of the RY layer, and
 sub-step j takes the slice ``[:, j:j+B]``. The fixed gates are compiled
-once: dense (R, d, d) stacks for n <= 7, else (R = 1) gate lists with each
-diagonal run folded into a phase vector. One sign matrix gives the
+once: dense (R, d, d) stacks for n <= 7, else (R = 1) op lists from
+``sim.fuse_halves``: (H, L) half-factor pairs, which ``sim.ry_layer``
+applies as it applies the RY layer, and the gates that cross the hi/lo cut
+(a CRY each, a phase vector per CRZ run); from n = 13, where a pair would
+not fit in one chunk, every gate crosses. One sign matrix gives the
 features. ``sim.CHUNK_AMPLITUDES`` bounds a chunk's R x B rows and, apart,
-the factors of its steps; R is at most ``CHUNK_AMPLITUDES // 4**n`` (at
+the factors of its steps and each fused pair; R is at most ``CHUNK_AMPLITUDES // 4**n`` (at
 least 1): 16 at n = 5, 4 at n = 6, 1 from n = 7 on. ``run_recurrent`` and
 ``run_windowed`` run one series; scans and sweeps run one group per pool
 task. ``step`` is the gate-by-gate reference the kernel is tested against.
@@ -61,10 +64,11 @@ from .sim import (
     check_real,
     check_seed,
     compile_gates,
-    fold_diagonals,
+    fuse_halves,
     ry_factor_size,
     ry_factors,
     ry_layer,
+    shown,
     sign_matrix,
 )
 from .tasks import TaskSpec, TimeSeries, generate, stm_series
@@ -192,7 +196,7 @@ class ExperimentConfig:
         object.__setattr__(self, "master_seed", check_seed("master_seed", self.master_seed))
         task, mode, washout = self.task, self.mode, self.protocol.washout
         if mode.bounded and mode.k > task.T:
-            raise SchemaError("mode.k", f"window {mode.k} is longer than the series (task.T = {task.T})")
+            raise SchemaError("mode.k", f"window {shown(mode.k)} is longer than the series (task.T = {task.T})")
         build_observables(self.observables, self.reservoir.n_qubits, self.reservoir.topology)
         if self.backend.kind == "shots" and mode.kind != "reupload_k":
             raise SchemaError(
@@ -254,7 +258,7 @@ def build_observables(
             pairs = obs.zz
         for i, j in pairs:
             if i >= n_qubits or j >= n_qubits:
-                raise SchemaError("observables.zz", f"pair ({i}, {j}) out of range for N={n_qubits}")
+                raise SchemaError("observables.zz", f"pair ({shown(i)}, {shown(j)}) out of range for N={n_qubits}")
             out.append(PauliString((i, j)))
     return tuple(out)
 
@@ -322,15 +326,16 @@ def _fixed_blocks(configs, n: int) -> list:
     """Per encoder layer, the fixed gates after its RY layer, with the
     reservoir folded into the last block: the replicates' dense row
     operators stacked as (R, d, d) when a block's 4**n entries fit in one
-    chunk, else (one replicate, as ``_group_size`` allows) the gate list with
-    its diagonal runs folded."""
+    chunk, else (one replicate, as ``_group_size`` allows) the block fused
+    by ``sim.fuse_halves``, in which only the gates that cross its hi/lo
+    cut are left (from n = 13, every gate)."""
     replicates = []
     for cfg in configs:
         blocks = [list(layer.fixed_gates) for layer in build_encoder(cfg.encoder, n).layers]
         blocks[-1] += build_reservoir(cfg.reservoir).gates
         replicates.append(blocks)
     if 4**n > CHUNK_AMPLITUDES:
-        return [fold_diagonals(block, n) for block in replicates[0]]
+        return [fuse_halves(block, n) for block in replicates[0]]
     return [np.stack([compile_gates(block, n) for block in layer]) for layer in zip(*replicates)]
 
 
@@ -352,15 +357,17 @@ def _group_size(n: int) -> int:
 
 def _advance(rows: np.ndarray, factors, blocks, n: int) -> np.ndarray:
     """One time step on an (R, B, 2**n) batch: per encoder layer, the RY
-    layer, then that layer's fixed block, an (R, d, d) stack or a gate list
-    in which a phase vector multiplies."""
+    layer, then that layer's fixed block, an (R, d, d) stack or a fused op
+    list of (H, L) pairs, phase vectors and crossing gates."""
     for block in blocks:
         rows = ry_layer(rows, factors)
         if isinstance(block, np.ndarray):
             rows = rows @ block
             continue
         for op in block:
-            if isinstance(op, np.ndarray):
+            if isinstance(op, tuple):
+                rows = ry_layer(rows, op)
+            elif isinstance(op, np.ndarray):
                 rows *= op
             else:
                 apply_gate_rows(rows.reshape(-1, 2**n), op, n)
@@ -685,11 +692,11 @@ def check_scan_args(config: ExperimentConfig, qubit_list, delta: float, replicat
     if not qubits:
         raise SchemaError("qubit_list", "must name at least one width")
     if any(b <= a for a, b in zip(qubits, qubits[1:])):
-        raise SchemaError("qubit_list", f"must be strictly ascending, got {qubits}")
+        raise SchemaError("qubit_list", f"must be strictly ascending, got [{', '.join(map(shown, qubits))}]")
     if isinstance(delta, bool) or not isinstance(delta, numbers.Real):
         raise SchemaError("delta", f"must be a number, got {delta!r}")
     if not 0.0 < delta < 1.0:
-        raise SchemaError("delta", f"must be in (0, 1), got {delta}")
+        raise SchemaError("delta", f"must be in (0, 1), got {shown(delta)}")
     check_int("replicates", replicates, 1)
     for n in qubits:  # building a width's config checks the rules that depend on it
         try:

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, DataError, FitError, MetricError
+from .sim import shown
 
 DEFAULT_ALPHA = 1e-2
 
@@ -47,7 +48,7 @@ def fit_ridge(X, y, alpha: float = DEFAULT_ALPHA) -> RidgeModel:
     y = np.asarray(y, dtype=np.float64)
     _check_design(X, y)
     if alpha < 0:
-        raise ConfigurationError(f"alpha must be >= 0, got {alpha}")
+        raise ConfigurationError(f"alpha must be >= 0, got {shown(alpha)}")
 
     m = X.shape[1]
     design = np.hstack([X, np.ones((X.shape[0], 1))])

@@ -15,13 +15,18 @@ Two layers of kernels live here. ``apply_gate``, ``expectation``,
 ``sample_counts`` and ``estimate_expectations`` act on one ``StateVector``
 or its count table and are the reference path; ``tests/dense_oracle.py``
 checks ``apply_gate`` in turn. The batch helpers ``apply_gate_rows``,
-``compile_gates``, ``fold_diagonals``, ``ry_factors``, ``ry_layer`` and
+``compile_gates``, ``fuse_halves``, ``ry_factors``, ``ry_layer`` and
 ``sign_matrix`` act on a ``(B, 2**n)`` array of amplitude rows (``ry_layer``
 on any leading axes); the fused evolution kernel in ``experiment`` is built
-from them and tested against the reference path. The RY layer on every qubit is a Kronecker product, applied
-as two half-factors (two matmuls); a run of diagonal gates is one phase
-vector. ``CHUNK_AMPLITUDES`` bounds the entries of one batch of rows and,
-apart, of the RY factors built for its steps, and so the memory of a run.
+from them and tested against the reference path. A row is viewed as a
+matrix over its top a = n - n//2 and bottom b = n//2 qubits. The RY layer
+on every qubit is a Kronecker product, applied as two half-factors (two
+matmuls); for n <= 12 ``fuse_halves`` compiles the fixed gates that stay
+within one half to such factors too, and leaves only the gates that cross
+the cut: CRYs, and CRZ runs as one phase vector. ``CHUNK_AMPLITUDES``
+bounds the entries of one batch of rows and, apart, of the RY factors
+built for its steps and of each fused pair; a fused block holds one pair
+per run of half-local gates.
 """
 
 from __future__ import annotations
@@ -40,7 +45,9 @@ MAX_QUBITS = 24  # 2**24 complex128 amplitudes = 256 MB; desk-scale ceiling
 # Entries per batch chunk (256 KB of complex128): a chunk's amplitude rows,
 # and apart the RY factors of its steps. A fixed gate block is compiled to a
 # dense 2**n x 2**n operator only if its 4**n entries fit too, i.e. for
-# n <= 7; wider blocks run gate by gate over the chunk, diagonal runs folded.
+# n <= 7. Wider blocks are fused into hi/lo half-factor pairs while one
+# pair fits (n <= 12), and only the gates that cross the cut run one by one
+# over the chunk; from n = 13 on every gate does, diagonal runs folded.
 CHUNK_AMPLITUDES = 2**14
 
 GATE_KINDS = ("RY", "RZ", "CRY", "CRZ")
@@ -58,8 +65,17 @@ def check_seed(key: str, seed, optional: bool = False) -> int | None:
     if optional and seed is None:
         return None
     if not 0 <= (seed := check_int(key, seed)) < 2**64:
-        raise SchemaError(key, f"must be in [0, 2**64), got {seed}")
+        raise SchemaError(key, f"must be in [0, 2**64), got {shown(seed)}")
     return seed
+
+
+def shown(value) -> str:
+    """``value`` as an error message shows it: its repr, or for an integer
+    of more than 128 bits, its size (Python cannot print one of more than
+    4,300 digits)."""
+    if isinstance(value, numbers.Integral) and not isinstance(value, bool) and int(value).bit_length() > 128:
+        return f"{'a negative' if value < 0 else 'an'} integer of {int(value).bit_length()} bits"
+    return repr(value)
 
 
 def check_int(key: str, value, low: int | None = None, high: int | None = None) -> int:
@@ -71,7 +87,7 @@ def check_int(key: str, value, low: int | None = None, high: int | None = None) 
     value = int(value)
     if (low is not None and value < low) or (high is not None and value > high):
         bound = f">= {low}" if high is None else f"in [{low}, {high}]"
-        raise SchemaError(key, f"must be {bound}, got {value}")
+        raise SchemaError(key, f"must be {bound}, got {shown(value)}")
     return value
 
 
@@ -84,7 +100,7 @@ def check_real(key: str, value) -> float:
             return float(value)
     except OverflowError:  # an integer too large for a float
         pass
-    raise SchemaError(key, f"must be a finite number, got {value!r}")
+    raise SchemaError(key, f"must be a finite number, got {shown(value)}")
 
 
 def check_bool(key: str, value) -> bool:
@@ -411,31 +427,75 @@ def ry_factor_size(n: int) -> int:
     return 4 ** (n - n // 2) + 4 ** (n // 2)
 
 
-def ry_layer(rows: np.ndarray, factors: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
-    """Apply RY on every qubit of every row; returns a new batch of the
-    shape of ``rows``, (..., 2**n).
+def ry_layer(rows: np.ndarray, factors: tuple) -> np.ndarray:
+    """Apply an (H, L) pair of half-factors to every row; returns a new
+    batch of the shape of ``rows``, (..., 2**n).
 
-    ``factors`` is a pair from ``ry_factors``, broadcast against the rows'
-    leading axes: one step's, shared by every row, or one per row. A row
-    viewed as the (2**a, 2**b) matrix X of its top and bottom qubits becomes
-    ``hi @ X @ lo``: two matmuls for the whole layer.
+    A row viewed as the (2**a, 2**b) matrix X of its top a = n - n//2 and
+    bottom b = n//2 qubits becomes ``H @ X @ L``. ``factors`` is a pair from
+    ``ry_factors`` (the RY layer of one step, shared by every row, or one
+    per row, broadcast against the rows' leading axes) or a fixed pair from
+    ``fuse_halves``, where either half may be None and its matmul is skipped.
     """
     hi, lo = factors
-    return (hi @ rows.reshape(*rows.shape[:-1], hi.shape[-1], lo.shape[-1]) @ lo).reshape(rows.shape)
+    out = rows.reshape(*rows.shape[:-1], -1, rows.shape[-1] // hi.shape[-1] if lo is None else lo.shape[-1])
+    if hi is not None:
+        out = hi @ out
+    if lo is not None:
+        out = out @ lo
+    return out.reshape(rows.shape)
 
 
-def fold_diagonals(gates, n: int) -> list:
-    """The gate list with each run of consecutive RZ/CRZ gates replaced by
-    one (2**n,) phase vector, its diagonal; ``rows *= phase`` applies the
-    run. Other gates pass through unchanged."""
+def fuse_halves(gates, n: int) -> list:
+    """A fixed gate list as ops on the split of ``ry_layer``. Gates on the
+    bottom b = n//2 qubits only join a pending L (``compile_gates`` on b
+    qubits); gates on the top a qubits only join a pending H (compiled on
+    a qubits, indices shifted by -b, transposed). The halves commute, so
+    each run of such gates is one (H, L) pair, a half None if no gate fell
+    in it. A gate that crosses the cut ends the run: a CRY stays a GateOp,
+    and consecutive CRZs fold into one (2**n,) phase vector, their
+    diagonal, applied as ``rows *= phase``. A run of only RZ/CRZ gates
+    joins that phase vector instead of forming a pair.
+
+    A pair holds at most ``ry_factor_size(n)`` entries. Where that exceeds
+    ``CHUNK_AMPLITUDES`` (n >= 13) nothing is fused: every gate counts as
+    crossing, so RYs and CRYs stay GateOps and each diagonal run is one
+    phase vector."""
+    b = n // 2
+    fuse = ry_factor_size(n) <= CHUNK_AMPLITUDES
     out: list = []
-    for gate in gates:
-        if gate.kind not in ("RZ", "CRZ"):
-            out.append(gate)
-            continue
+    run: list = []  # the pending half-local gates
+
+    def phase(gate):
         if not out or not isinstance(out[-1], np.ndarray):
             out.append(np.ones(2**n, dtype=np.complex128))
         apply_gate_rows(out[-1][None], gate, n)
+
+    def flush():
+        if all(g.kind in ("RZ", "CRZ") for g in run):
+            for gate in run:
+                phase(gate)
+        else:
+            low = [g for g in run if g.target < b]
+            high = [
+                GateOp(g.kind, g.angle, g.target - b, None if g.control is None else g.control - b)
+                for g in run
+                if g.target >= b
+            ]
+            out.append((compile_gates(high, n - b).T.copy() if high else None, compile_gates(low, b) if low else None))
+        run.clear()
+
+    for gate in gates:
+        qubits = (gate.target,) if gate.control is None else (gate.target, gate.control)
+        if fuse and (max(qubits) < b or min(qubits) >= b):
+            run.append(gate)
+            continue
+        flush()
+        if gate.kind in ("RZ", "CRZ"):
+            phase(gate)
+        else:
+            out.append(gate)
+    flush()
     return out
 
 

@@ -246,6 +246,23 @@ class TestSpecFields:
         with pytest.raises(SchemaError, match=f"^{key}: {re.escape(message)}$"):
             build()
 
+    HUGE = [
+        ("delay", lambda: TaskSpec("stm", delay=-(10**5000)), "must be >= 1, got a negative integer of 16610 bits"),
+        ("alpha", lambda: ExperimentConfig(STM, alpha=10**5000), "must be a finite number, got an integer of 16610 bits"),
+        ("seed", lambda: TaskSpec("stm", seed=10**5000), "must be in [0, 2**64), got an integer of 16610 bits"),
+        ("mode.k", lambda: ExperimentConfig(STM, mode=ModeSpec(kind="reupload_k", k=10**5000)),
+         "window an integer of 16610 bits is longer than the series (task.T = 600)"),
+        ("observables.zz", lambda: ExperimentConfig(STM, observables=ObservableSpec(zz=((0, 10**5000),))),
+         "pair (0, an integer of 16610 bits) out of range for N=4"),
+    ]
+
+    @pytest.mark.parametrize("key, build, message", HUGE, ids=[c[0] for c in HUGE])
+    def test_huge_integer_shown_by_its_size(self, key, build, message):
+        # an integer of more than 4,300 digits cannot be printed: the message
+        # gives its size, so the error is still the keyed SchemaError
+        with pytest.raises(SchemaError, match=f"^{key}: {re.escape(message)}$"):
+            build()
+
     def test_numpy_integer_echo_re_parses(self):
         cfg = ExperimentConfig(TaskSpec("stm", T=np.int64(200)), reservoir=ReservoirSpec(n_qubits=np.int64(4)))
         echo = json.loads(dump_echo(echo_config(cfg, OutputOptions())))

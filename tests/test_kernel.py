@@ -1,8 +1,9 @@
 """Parity of the fused evolution kernel with the gate-by-gate reference path.
 
 ``run_recurrent`` and ``run_windowed`` evolve batches of rows through the
-two-factor RY layer and dense step operators (n <= 7) or batched gates with
-folded diagonal runs (n >= 8). Here their features are
+two-factor RY layer and dense step operators (n <= 7) or fused hi/lo half
+factors, with only the gates that cross the cut left (n >= 8). Here their
+features are
 compared with a loop of ``step`` + ``expectation`` (or ``sample_counts`` +
 ``estimate_expectations`` on the shots backend) and with the independent
 dense-matrix oracle.
@@ -31,6 +32,7 @@ from qrclab.experiment import (
 from qrclab.readout import fit_ridge, predict, r2_score
 from qrclab.reservoir import ReservoirSpec, build_reservoir
 from qrclab.sim import (
+    CHUNK_AMPLITUDES,
     GateOp,
     PauliString,
     RandomStream,
@@ -40,8 +42,9 @@ from qrclab.sim import (
     compile_gates,
     estimate_expectations,
     expectation,
-    fold_diagonals,
+    fuse_halves,
     new_zero_state,
+    ry_factor_size,
     ry_factors,
     ry_layer,
     sample_counts,
@@ -53,11 +56,11 @@ from dense_oracle import apply_dense, dense_gate_matrix, random_circuit
 TOL = 1e-12
 
 
-def kernel_config(n, k=None, layers=1, zz="all_pairs", T=30, washout=12, backend=None):
+def kernel_config(n, k=None, layers=1, zz="all_pairs", T=30, washout=12, backend=None, topology="ring"):
     scheme = "angle" if layers == 1 else "reupload"
     return ExperimentConfig(
         task=TaskSpec("stm", T=T, seed=17),
-        reservoir=ReservoirSpec(n_qubits=n, seed=23),
+        reservoir=ReservoirSpec(n_qubits=n, seed=23, topology=topology),
         encoder=EncoderSpec(scheme=scheme, layers=layers, interleave_seed=29),
         observables=ObservableSpec(local_z=True, zz=zz),
         mode=ModeSpec() if k is None else ModeSpec(kind="reupload_k", k=k),
@@ -145,20 +148,41 @@ def test_kernel_matches_gate_by_gate_step(n, k, layers):
     np.testing.assert_allclose(got.values, want, rtol=0, atol=TOL)
 
 
-@pytest.mark.parametrize("n, k, layers", [(7, 3, 2), (8, "full", 2), (8, None, 1)])
+@pytest.mark.parametrize("n", [10, 12])
+@pytest.mark.parametrize("k", [None, 3], ids=["recurrent", "k3"])
+@pytest.mark.parametrize("layers", [1, 2], ids=["angle", "reupload2"])
+@pytest.mark.parametrize("topology", ["ring", "chain", "all_to_all"])
+def test_wide_kernel_matches_gate_by_gate_step(n, k, layers, topology):
+    # wide blocks are fused into hi/lo factors; ring and all_to_all leave
+    # crossing CRYs (and, with reupload, crossing CRZs), chain one CRY per depth layer
+    cfg = kernel_config(n, k=k, layers=layers, zz="edges", T=18, washout=6, topology=topology)
+    series = generate(resolve_seeds(cfg).task)
+    got = run_kernel(series, cfg)
+    want = reference_features(series, cfg, got.t_index)
+    np.testing.assert_allclose(got.values, want, rtol=0, atol=TOL)
+
+
+@pytest.mark.parametrize("n, k, layers", [(7, 3, 2), (8, "full", 2), (8, None, 1), (10, 1, 1)])
 def test_kernel_matches_dense_oracle(n, k, layers):
     cfg = kernel_config(n, k=k, layers=layers, T=17, washout=6)
     series = generate(resolve_seeds(cfg).task)
     got = run_kernel(series, cfg)
-    # a row's oracle costs one 2**n x 2**n product per gate of its whole window
-    for i in (0, -1) if isinstance(k, int) else (0,):
+    # a row's oracle costs one 2**n x 2**n product per gate of its whole
+    # window: at n = 10 one row of a one-step window (at n = 12 a 256 MB
+    # matrix per gate, so not there)
+    for i in (0, -1) if isinstance(k, int) and n < 10 else (0,):
         want = oracle_row(series, cfg, int(got.t_index[i]))
         np.testing.assert_allclose(got.values[i], want, rtol=0, atol=TOL)
 
 
 @pytest.mark.parametrize(
     "n, layers, k",
-    [pytest.param(7, 1, 3, id="7-1"), pytest.param(8, 2, 3, id="8-2"), pytest.param(7, 2, "full", id="full-7-2")],
+    [
+        pytest.param(7, 1, 3, id="7-1"),
+        pytest.param(8, 2, 3, id="8-2"),
+        pytest.param(10, 1, 3, id="10-1"),
+        pytest.param(7, 2, "full", id="full-7-2"),
+    ],
 )
 def test_shots_match_sample_counts_exactly(n, layers, k):
     # a full window is one recurrent state, measured with the draws of a
@@ -230,24 +254,62 @@ def test_ry_layer_rotates_each_qubit_of_each_row(n, shared):
         np.testing.assert_allclose(got[i], apply_dense(rows[i], gates, n), rtol=0, atol=TOL)
 
 
-def test_fold_diagonals_matches_apply_gate():
-    n = 8
-    gates = random_circuit(n, 60, seed=11)
-    folded = fold_diagonals(gates, n)
-    assert any(isinstance(op, np.ndarray) for op in folded)
-    assert len(folded) < len(gates)
-    rows = random_rows(2, n, seed=12)
-    got = rows.copy()
-    for op in folded:
-        if isinstance(op, np.ndarray):
-            got *= op
+def apply_fused(rows, ops, n):
+    """``rows`` through a ``fuse_halves`` op list, as ``experiment._advance``
+    applies a fused block."""
+    for op in ops:
+        if isinstance(op, tuple):
+            rows = ry_layer(rows, op)
+        elif isinstance(op, np.ndarray):
+            rows *= op
         else:
-            apply_gate_rows(got, op, n)
+            apply_gate_rows(rows, op, n)
+    return rows
+
+
+@pytest.mark.parametrize("n", [8, 9, 13])
+def test_fuse_halves_matches_apply_gate(n):
+    # at n = 9 the halves differ: a = 5 top qubits, b = 4 bottom ones; at
+    # n = 13 a pair would not fit in one chunk, so nothing is fused
+    b = n // 2
+    gates = random_circuit(n, 80, seed=11)
+    gates += [GateOp("CRZ", 0.7, target=0, control=n - 1), GateOp("CRZ", 1.1, target=b, control=b - 1)]
+    gates += [GateOp("CRY", 0.4, target=b - 1, control=b), GateOp("CRZ", 0.9, target=b + 1, control=n - 1)]
+    gates += [GateOp("RZ", 0.5, target=0), GateOp("RZ", 1.3, target=n - 1)]
+    fused = ry_factor_size(n) <= CHUNK_AMPLITUDES
+    assert fused == (n < 13)
+
+    def crossing(g):
+        return not fused or g.control is not None and (g.control < b) != (g.target < b)
+
+    assert {g.kind for g in gates if crossing(g)} >= {"CRY", "CRZ"}
+    assert {g.kind for g in gates if not crossing(g)} == ({"RY", "RZ", "CRY", "CRZ"} if fused else set())
+    ops = fuse_halves(gates, n)
+    assert [op for op in ops if isinstance(op, GateOp)] == [g for g in gates if crossing(g) and g.kind in ("RY", "CRY")]
+    # the gates after the last crossing CRY are RZ/CRZ only: one phase vector, not a pair
+    assert ops[-2] == gates[-4] and isinstance(ops[-1], np.ndarray)
+    pairs = [op for op in ops if isinstance(op, tuple)]
+    assert bool(pairs) == fused and all(h is None or h.shape == (2 ** (n - b),) * 2 for h, _ in pairs)
+    assert all(lo is None or lo.shape == (2**b,) * 2 for _, lo in pairs)
+    rows = random_rows(2, n, seed=12)
+    got = apply_fused(rows.copy(), ops, n)
     for row, want in zip(got, rows):
         state = StateVector(n, want.copy())
         for gate in gates:
             apply_gate(state, gate)
         np.testing.assert_allclose(row, state.amplitudes, rtol=0, atol=TOL)
+
+
+@pytest.mark.parametrize(
+    "topology, layers, most", [("ring", 1, 13), ("chain", 1, 7), ("ring", 2, 15)]
+)
+def test_fused_blocks_leave_the_crossing_gates(topology, layers, most):
+    # ops per step at n = 10 (depth 3): the parent's gate lists had 33, 30
+    # and 35; each crossing CRY ends a run of half-local gates, and a run
+    # of RZ/CRZ gates only (the re-upload interleave) is one phase vector
+    cfg = resolve_seeds(kernel_config(10, layers=layers, topology=topology))
+    blocks = experiment._fixed_blocks([cfg], 10)
+    assert sum(len(block) for block in blocks) <= most
 
 
 def test_estimate_rejects_negative_basis_index():
@@ -276,7 +338,10 @@ def test_corrupted_state_raises(monkeypatch, n, k):
     if n <= 7:
         monkeypatch.setattr(experiment, "compile_gates", lambda gates, n: 1.001 * sim.compile_gates(gates, n))
     else:
-        def leaky(rows, gate, n):
+        calls = []
+
+        def leaky(rows, gate, n):  # the ring's crossing CRYs stay per-gate calls
+            calls.append(gate)
             sim.apply_gate_rows(rows, gate, n)
             rows *= 1.0001
             return rows
@@ -286,6 +351,8 @@ def test_corrupted_state_raises(monkeypatch, n, k):
     series = generate(resolve_seeds(cfg).task)
     with pytest.raises(DataError, match="norm"):
         run_kernel(series, cfg)
+    if n > 7:
+        assert calls and all(g.kind == "CRY" for g in calls)
 
 
 # --------------------------------------------------------------------------

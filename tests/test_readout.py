@@ -71,6 +71,8 @@ class TestFitRidge:
     def test_negative_alpha_rejected(self):
         with pytest.raises(ConfigurationError):
             fit_ridge(np.eye(3), np.ones(3), alpha=-1.0)
+        with pytest.raises(ConfigurationError, match="got a negative integer of 16610 bits"):
+            fit_ridge(np.eye(3), np.ones(3), alpha=-(10**5000))
 
     def test_non_finite_rejected(self):
         X = np.array([[1.0], [np.nan]])
