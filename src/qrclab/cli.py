@@ -4,8 +4,8 @@ Commands: ``case-memory``, ``case-parity``, ``case-narma10``, ``theory-scan``.
 Each run writes a timestamped output bundle (atomically, via temp-dir rename)
 containing config_echo.json plus the run's CSV/JSON/SVG artifacts.
 
-Exit codes: 0 success, 1 config/schema violation, 2 runtime or fit error,
-3 I/O error.
+Exit codes: 0 success, 1 config/schema violation, 2 runtime or fit error
+or out of memory, 3 I/O error.
 """
 
 from __future__ import annotations
@@ -184,13 +184,17 @@ def cmd_theory_scan(args):
 
 
 def _run(config, output, run) -> int:
-    """Echo the config, run (exit 2 on a QRCLabError), write the bundle (exit
-    3 on an OSError), then print the run's summary lines and the run dir."""
+    """Echo the config, run (exit 2 on a QRCLabError or a MemoryError),
+    write the bundle (exit 3 on an OSError), then print the run's summary
+    lines and the run dir."""
     echo = echo_config(config, output)
     try:
         files, summary = run()
     except QRCLabError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_RUNTIME
+    except MemoryError as exc:  # a width too large for this machine's memory
+        print("error: out of memory" + (f": {exc}" if str(exc) else ""), file=sys.stderr)
         return EXIT_RUNTIME
 
     try:

@@ -8,17 +8,22 @@ amplitude rows: B = 1 persistent state per replicate for the recurrent mode
 and the full window (``mode.k = "full"``; the evolution is unitary, with no
 reset, so re-uploading the whole prefix gives exactly the recurrent state),
 and B output rows per chunk for a bounded window, each restarted from |0>.
-Input angles are stacked once as (R, T, n); ``sim.ry_factors`` turns a
-chunk's steps into (R, S, ...) Kronecker half-factors of the RY layer, and
-sub-step j takes the slice ``[:, j:j+B]``. The fixed gates are compiled
-once: dense (R, d, d) stacks for n <= 7, else (R = 1) op lists from
-``sim.fuse_halves``: (H, L) half-factor pairs, which ``sim.ry_layer``
-applies as it applies the RY layer, and the gates that cross the hi/lo cut
-(a CRY each, a phase vector per CRZ run); from n = 13, where a pair would
-not fit in one chunk, every gate crosses. One sign matrix gives the
-features. ``sim.CHUNK_AMPLITUDES`` bounds a chunk's R x B rows and, apart,
-the factors of its steps and each fused pair; R is at most ``CHUNK_AMPLITUDES // 4**n`` (at
-least 1): 16 at n = 5, 4 at n = 6, 1 from n = 7 on. ``run_recurrent`` and
+Input angles are stacked once as (R, T, n), and each chunk's steps become
+(R, S, ...) RY layers, of which sub-step j takes the slice ``[:, j:j+B]``.
+The fixed gates are compiled once. For n <= 7 they are dense (R, d, d)
+stacks, and the run evolves in the eigenbasis of Pauli-Y: the blocks are
+moved to that frame once (``_y_frame``), ``sim.ry_phases`` makes each RY
+layer one phase multiply, so a step is ``(rows * phase) @ block``, and the
+kept rows go back through ``sim.butterfly`` before they are measured.
+Otherwise (R = 1) they are op lists from ``sim.fuse_halves``: (H, L)
+half-factor pairs, which ``sim.ry_layer`` applies as it applies the RY
+layer from ``sim.ry_factors``, and the gates that cross the hi/lo cut (a
+CRY each, a phase vector per CRZ run); from n = 13, where a pair would not
+fit in one chunk, every gate crosses. One sign matrix gives the features.
+``sim.CHUNK_AMPLITUDES`` bounds a chunk's R x B rows and, apart, the RY
+layers of its steps (at least one step's) and each fused pair; R is at
+most ``CHUNK_AMPLITUDES // 4**n`` (at least 1): 16 at n = 5, 4 at n = 6, 1
+from n = 7 on. ``run_recurrent`` and
 ``run_windowed`` run one series; scans and sweeps run one group per pool
 task. ``step`` is the gate-by-gate reference the kernel is tested against.
 
@@ -55,10 +60,12 @@ from .reservoir import (
 )
 from .sim import (
     CHUNK_AMPLITUDES,
+    Y_FRAME,
     PauliString,
     RandomStream,
     StateVector,
     apply_gate_rows,
+    butterfly,
     check_bool,
     check_int,
     check_real,
@@ -68,6 +75,7 @@ from .sim import (
     ry_factor_size,
     ry_factors,
     ry_layer,
+    ry_phases,
     shown,
     sign_matrix,
 )
@@ -325,10 +333,11 @@ def _input_angles(inputs, n: int) -> np.ndarray:
 def _fixed_blocks(configs, n: int) -> list:
     """Per encoder layer, the fixed gates after its RY layer, with the
     reservoir folded into the last block: the replicates' dense row
-    operators stacked as (R, d, d) when a block's 4**n entries fit in one
-    chunk, else (one replicate, as ``_group_size`` allows) the block fused
-    by ``sim.fuse_halves``, in which only the gates that cross its hi/lo
-    cut are left (from n = 13, every gate)."""
+    operators M stacked as (R, d, d) and moved to the Y frame (see
+    ``_y_frame``) when a block's 4**n entries fit in one chunk, else (one
+    replicate, as ``_group_size`` allows) the block fused by
+    ``sim.fuse_halves``, in which only the gates that cross its hi/lo cut
+    are left (from n = 13, every gate)."""
     replicates = []
     for cfg in configs:
         blocks = [list(layer.fixed_gates) for layer in build_encoder(cfg.encoder, n).layers]
@@ -336,15 +345,26 @@ def _fixed_blocks(configs, n: int) -> list:
         replicates.append(blocks)
     if 4**n > CHUNK_AMPLITUDES:
         return [fuse_halves(block, n) for block in replicates[0]]
-    return [np.stack([compile_gates(block, n) for block in layer]) for layer in zip(*replicates)]
+    return [_y_frame(np.stack([compile_gates(block, n) for block in layer]), n) for layer in zip(*replicates)]
+
+
+def _y_frame(ops: np.ndarray, n: int) -> np.ndarray:
+    """An (R, d, d) stack of row operators M, in place, as they act on rows
+    held in the Y frame (``rows @ conj(W)``, see ``sim.ry_phases``):
+    W^T M conj(W) / 2**n."""
+    butterfly(ops, Y_FRAME.conj())
+    butterfly(ops, Y_FRAME, axis=-2)
+    ops /= 2**n
+    return ops
 
 
 def _rows_per_chunk(n: int, R: int = 1, extra_steps: int = 0) -> int:
     """Rows per replicate per chunk (for a persistent state, steps per
     chunk): the R x B rows hold at most CHUNK_AMPLITUDES amplitudes, and so
-    do the RY factors of their R x (B + ``extra_steps``) steps. Never fewer
-    than one row, so a window too long for the budget builds its k steps of
-    factors at once."""
+    do the RY factors of their R x (B + ``extra_steps``) steps (the Y
+    frame's 2**n phases per step take no more). Never fewer than one row,
+    so a window too long for the budget builds its k steps of RY layers at
+    once."""
     steps = CHUNK_AMPLITUDES // ry_factor_size(n)
     return max(1, min((CHUNK_AMPLITUDES >> n) // R, steps // R - extra_steps))
 
@@ -355,15 +375,18 @@ def _group_size(n: int) -> int:
     return max(1, CHUNK_AMPLITUDES // 4**n)
 
 
-def _advance(rows: np.ndarray, factors, blocks, n: int) -> np.ndarray:
+def _advance(rows: np.ndarray, layer, blocks, n: int) -> np.ndarray:
     """One time step on an (R, B, 2**n) batch: per encoder layer, the RY
-    layer, then that layer's fixed block, an (R, d, d) stack or a fused op
-    list of (H, L) pairs, phase vectors and crossing gates."""
+    layer, then that layer's fixed block. Dense blocks, (R, d, d) stacks,
+    act in the Y frame, where the RY layer is ``layer``, one phase array.
+    Fused blocks, op lists of (H, L) pairs, phase vectors and crossing
+    gates, act on plain rows, where ``layer`` is an (H, L) pair of RY
+    factors."""
     for block in blocks:
-        rows = ry_layer(rows, factors)
         if isinstance(block, np.ndarray):
-            rows = rows @ block
+            rows = (rows * layer) @ block
             continue
+        rows = ry_layer(rows, layer)
         for op in block:
             if isinstance(op, tuple):
                 rows = ry_layer(rows, op)
@@ -416,7 +439,7 @@ def run_windowed(series: TimeSeries, config: ExperimentConfig) -> FeatureMatrix:
 def run_group(series_list, configs) -> list[FeatureMatrix]:
     """Feature matrices of R replicates of one width and mode: configs that
     differ in their seeds, and their series. The runs evolve as one
-    (R, B, 2**n) batch, each replicate with its own RY factors and its own
+    (R, B, 2**n) batch, each replicate with its own RY layers and its own
     fixed blocks. A persistent state (recurrent, or a full window, whose
     re-upload of the whole prefix is the recurrent state) is B = 1 row
     advanced one step at a time; a bounded window of k steps restarts each
@@ -443,6 +466,7 @@ def run_group(series_list, configs) -> list[FeatureMatrix]:
     observables = build_observables(cfg.observables, n, cfg.reservoir.topology)
     signs = sign_matrix(observables, n)
     blocks = _fixed_blocks(cfgs, n)
+    dense = isinstance(blocks[0], np.ndarray)  # evolved in the Y frame
     angles = np.stack([_input_angles(s.inputs, n) for s in series_list])  # (R, T, n)
     streams = [RandomStream(c.backend.shot_seed) for c in cfgs] if cfg.backend.kind == "shots" else None
 
@@ -453,21 +477,29 @@ def run_group(series_list, configs) -> list[FeatureMatrix]:
     values = np.empty((R, len(t_index), len(observables)))
     for t0 in range(keep_from if bounded else 0, T, per_chunk):
         t1 = min(t0 + per_chunk, T)
-        hi, lo = ry_factors(angles[:, t0 - w + 1 : t1].reshape(-1, n))
-        hi, lo = hi.reshape(R, -1, *hi.shape[1:]), lo.reshape(R, -1, *lo.shape[1:])
+        kept = []  # also frees the last chunk's measured rows before this chunk's RY layers are built
+        chunk = angles[:, t0 - w + 1 : t1]  # (R, S, n)
+        if dense:
+            layers = ry_phases(chunk.reshape(-1, n)).reshape(R, -1, 2**n)
+        else:
+            layers = [f.reshape(R, -1, *f.shape[1:]) for f in ry_factors(chunk.reshape(-1, n))]
         if bounded or rows is None:  # a bounded window's rows start from |0> each chunk
             rows = np.zeros((R, t1 - t0 if bounded else 1, 2**n), dtype=np.complex128)
-            rows[..., 0] = 1.0
+            rows[..., : 2**n if dense else 1] = 1.0  # in the Y frame, |0> is all ones
         B = rows.shape[1]
-        kept = []
-        for j in range(hi.shape[1] - B + 1):
-            rows = _advance(rows, (hi[:, j : j + B], lo[:, j : j + B]), blocks, n)
+        for j in range(chunk.shape[1] - B + 1):
+            layer = layers[:, j : j + B] if dense else [f[:, j : j + B] for f in layers]
+            rows = _advance(rows, layer, blocks, n)
             if j >= w - 1 and t0 + j - w + 1 >= keep_from:  # complete rows from step keep_from on
                 kept.append(rows)
-        del hi, lo  # free this chunk's factors before the next chunk builds its own
+        del layers, layer  # free this chunk's RY layers before the next chunk builds its own
         if kept:
+            kept = np.concatenate(kept, axis=1)
+            if dense:  # back from the Y frame: rows @ W^T / 2**n
+                butterfly(kept, Y_FRAME.T)
+                kept /= 2**n
             values[:, max(t0, keep_from) - keep_from : t1 - keep_from] = _measure(
-                np.concatenate(kept, axis=1), signs, cfg.backend.shots, streams
+                kept, signs, cfg.backend.shots, streams
             )
     labels = tuple(o.label for o in observables)
     return [FeatureMatrix(v, t_index, labels) for v in values]

@@ -15,18 +15,26 @@ Two layers of kernels live here. ``apply_gate``, ``expectation``,
 ``sample_counts`` and ``estimate_expectations`` act on one ``StateVector``
 or its count table and are the reference path; ``tests/dense_oracle.py``
 checks ``apply_gate`` in turn. The batch helpers ``apply_gate_rows``,
-``compile_gates``, ``fuse_halves``, ``ry_factors``, ``ry_layer`` and
-``sign_matrix`` act on a ``(B, 2**n)`` array of amplitude rows (``ry_layer``
-on any leading axes); the fused evolution kernel in ``experiment`` is built
-from them and tested against the reference path. A row is viewed as a
-matrix over its top a = n - n//2 and bottom b = n//2 qubits. The RY layer
-on every qubit is a Kronecker product, applied as two half-factors (two
-matmuls); for n <= 12 ``fuse_halves`` compiles the fixed gates that stay
-within one half to such factors too, and leaves only the gates that cross
-the cut: CRYs, and CRZ runs as one phase vector. ``CHUNK_AMPLITUDES``
-bounds the entries of one batch of rows and, apart, of the RY factors
-built for its steps and of each fused pair; a fused block holds one pair
-per run of half-local gates.
+``compile_gates``, ``fuse_halves``, ``ry_factors``, ``ry_layer``,
+``ry_phases``, ``butterfly`` and ``sign_matrix`` act on a ``(B, 2**n)``
+array of amplitude rows (``ry_layer`` on any leading axes, ``butterfly``
+on any axis); the fused evolution kernel in ``experiment`` is built from them and
+tested against the reference path.
+
+The RY layer on every qubit is a Kronecker product, applied in one of two
+ways. In the eigenbasis of Pauli-Y it is diagonal: ``ry_phases`` gives its
+2**n phases, and ``butterfly`` moves rows into and out of that frame one
+qubit at a time. Otherwise a row is viewed as a matrix over its top
+a = n - n//2 and bottom b = n//2 qubits, and the layer is two half-factors
+(two matmuls); for n <= 12 ``fuse_halves`` compiles the fixed gates that
+stay within one half to such factors too, and leaves only the gates that
+cross the cut: CRYs, and CRZ runs as one phase vector.
+
+``CHUNK_AMPLITUDES`` bounds the entries of one batch of rows and, apart,
+of the RY layers built for its steps (phases or factor pairs) and of each
+fused pair; a fused block holds one pair per run of half-local gates.
+From n = 13 one step's factor pair, ``ry_factor_size(n)``, is already larger
+than the budget, so there it bounds only the rows.
 """
 
 from __future__ import annotations
@@ -43,11 +51,13 @@ from .errors import ConfigurationError, DataError, SchemaError
 MAX_QUBITS = 24  # 2**24 complex128 amplitudes = 256 MB; desk-scale ceiling
 
 # Entries per batch chunk (256 KB of complex128): a chunk's amplitude rows,
-# and apart the RY factors of its steps. A fixed gate block is compiled to a
-# dense 2**n x 2**n operator only if its 4**n entries fit too, i.e. for
-# n <= 7. Wider blocks are fused into hi/lo half-factor pairs while one
-# pair fits (n <= 12), and only the gates that cross the cut run one by one
-# over the chunk; from n = 13 on every gate does, diagonal runs folded.
+# and apart the RY layers of its steps, up to one step's layer (from n = 13
+# one step's factor pair is larger). A fixed gate block is compiled to a
+# dense 2**n x 2**n operator, run in the Y frame, only if its 4**n entries
+# fit too, i.e. for n <= 7. Wider blocks are fused into hi/lo half-factor
+# pairs while one pair fits (n <= 12), and only the gates that cross the cut
+# run one by one over the chunk; from n = 13 on every gate does, diagonal
+# runs folded.
 CHUNK_AMPLITUDES = 2**14
 
 GATE_KINDS = ("RY", "RZ", "CRY", "CRZ")
@@ -497,6 +507,82 @@ def fuse_halves(gates, n: int) -> list:
             out.append(gate)
     flush()
     return out
+
+
+# Y's eigenvectors, for +1 and -1, as columns, unnormalized: W1^dagger W1 = 2I
+# exactly, so a frame change and back scales by exactly 2**n
+Y_FRAME = np.array([[1, 1], [1j, -1j]])
+
+
+def ry_phases(angles: np.ndarray) -> np.ndarray:
+    """The RY layer of each of S steps or rows in the Y frame: (S, 2**n)
+    phases from (S, n) angles, ``exp(-0.5j * angles @ Z)`` with Z the
+    (n, 2**n) ``sign_matrix`` of local Z on each qubit.
+
+    With W = W1 (x) ... (x) W1, W1 = ``Y_FRAME`` holding Y's eigenvectors
+    as columns, ``RY[n-1] (x) ... (x) RY[0] = W diag(phase) W^dagger / 2**n``.
+    So a row held in the frame, ``rows @ conj(W)``, takes the layer as one
+    multiply by its phases. They are built from real cosines and sines (a
+    complex exp of every entry costs several times more), one qubit at a
+    time in place, with the S steps as the long last axis until the end.
+    """
+    s, n = angles.shape
+    half = 0.5 * angles.T
+    up = np.empty((n, s), dtype=np.complex128)  # each qubit's phase where its bit is 1
+    up.real, up.imag = np.cos(half), np.sin(half)
+    out = np.empty((2**n, s), dtype=np.complex128)
+    out[0] = 1.0
+    for q in range(n):  # the indices with bit q set take the ones below it times its phase
+        low = out[: 2**q]
+        np.multiply(low, up[q], out=out[2**q : 2 ** (q + 1)])
+        low *= up[q].conj()
+    return out.T.copy()
+
+
+def butterfly(rows: np.ndarray, m: np.ndarray, axis: int = -1) -> np.ndarray:
+    """Apply the 2x2 matrix ``m`` to every qubit of ``axis`` (2**n long) of
+    a C-contiguous array, in place: one pass per qubit, each turning every
+    pair (a0, a1) along the axis into ``(a0, a1) @ m``, so no 2**n x 2**n
+    matrix is built. On the last axis that is ``rows @ (m (x) ... (x) m)``,
+    on the one before ``(m (x) ... (x) m).T @ rows``. With ``m`` =
+    ``Y_FRAME.conj()`` rows move into the Y frame; with ``Y_FRAME.T`` and a
+    scale by 2**-n, back.
+
+    The passes swap between ``rows`` and one scratch array of its size. On
+    the last axis a pair is two short runs, so the passes go over a
+    transposed copy instead, with the memory of ``rows`` as the scratch."""
+    axis %= rows.ndim
+    d = rows.shape[axis]
+    if axis < rows.ndim - 1:
+        view = rows.reshape(math.prod(rows.shape[:axis]), d, -1)
+        out = _butterfly_passes(view, np.empty_like(view), m)
+        if out is not view:
+            view[...] = out
+        return rows
+    cols = rows.reshape(-1, d).T.copy()[None]
+    if _butterfly_passes(cols, rows.reshape(1, d, -1), m) is not cols:
+        cols[...] = rows.reshape(cols.shape)
+    rows.reshape(-1, d)[...] = cols[0].T
+    return rows
+
+
+def _butterfly_passes(src: np.ndarray, dst: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """The passes of ``butterfly`` over axis 1 of a (P, 2**n, Q) array
+    ``src``, with ``dst`` of its shape as the scratch; returns the one of
+    the two that holds the result. A pair is two runs of Q * 2**q entries."""
+    run = src.shape[2]
+    while run < src[0].size:
+        a = src.reshape(len(src), -1, 2, run)
+        b = dst.reshape(a.shape)
+        np.multiply(a[:, :, 0], m[0, 0], out=b[:, :, 0])
+        np.multiply(a[:, :, 1], m[1, 0], out=b[:, :, 1])
+        b[:, :, 0] += b[:, :, 1]
+        np.multiply(a[:, :, 0], m[0, 1], out=b[:, :, 1])
+        a[:, :, 1] *= m[1, 1]
+        b[:, :, 1] += a[:, :, 1]
+        src, dst = dst, src
+        run *= 2
+    return src
 
 
 def sign_matrix(obs_list, n: int) -> np.ndarray:

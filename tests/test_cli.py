@@ -243,6 +243,21 @@ class TestRuntimeFailures:
         assert main(["case-parity", "--config", cfg, "--out", str(out)]) == 2
         assert not out.exists() or not any(out.iterdir())
 
+    @pytest.mark.parametrize(
+        "exc", [MemoryError(), MemoryError("Unable to allocate 3.00 GiB for an array with shape (24, 16777216)")]
+    )
+    def test_out_of_memory_exit_2(self, tmp_path, capsys, monkeypatch, exc):
+        # a run too wide for the machine: one error line, no traceback, no bundle
+        def fail(*args, **kwargs):
+            raise exc
+
+        monkeypatch.setattr(cli, "run_case", fail)
+        out = tmp_path / "r"
+        assert main(["case-memory", "--config", write_config(tmp_path, FAST_CASE), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: out of memory") and err.count("\n") == 1 and "Traceback" not in err
+        assert not out.exists() or not any(out.iterdir())
+
     def test_unwritable_output_exit_3(self, tmp_path):
         blocker = tmp_path / "blocked"
         blocker.write_text("a file, not a directory")

@@ -1,11 +1,12 @@
 """Parity of the fused evolution kernel with the gate-by-gate reference path.
 
-``run_recurrent`` and ``run_windowed`` evolve batches of rows through the
-two-factor RY layer and dense step operators (n <= 7) or fused hi/lo half
+``run_recurrent`` and ``run_windowed`` evolve batches of rows in the
+eigenbasis of Pauli-Y through one phase multiply per RY layer and dense step
+operators (n <= 7), or through the two-factor RY layer and fused hi/lo half
 factors, with only the gates that cross the cut left (n >= 8). Here their
-features are
-compared with a loop of ``step`` + ``expectation`` (or ``sample_counts`` +
-``estimate_expectations`` on the shots backend) and with the independent
+features are compared with a loop of ``step`` + ``expectation`` (or
+``sample_counts`` + ``estimate_expectations`` on the shots backend), by hand
+and by a hypothesis property over drawn configs, and with the independent
 dense-matrix oracle.
 """
 
@@ -13,9 +14,11 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qrclab import experiment, sim, tasks
-from qrclab.encoding import EncoderSpec, build_encoder, scale_input
+from qrclab.encoding import SCHEMES, EncoderSpec, build_encoder, scale_input
 from qrclab.errors import ConfigurationError, DataError
 from qrclab.experiment import (
     BackendSpec,
@@ -30,15 +33,17 @@ from qrclab.experiment import (
     step,
 )
 from qrclab.readout import fit_ridge, predict, r2_score
-from qrclab.reservoir import ReservoirSpec, build_reservoir
+from qrclab.reservoir import TOPOLOGIES, ReservoirSpec, build_reservoir
 from qrclab.sim import (
     CHUNK_AMPLITUDES,
+    Y_FRAME,
     GateOp,
     PauliString,
     RandomStream,
     StateVector,
     apply_gate,
     apply_gate_rows,
+    butterfly,
     compile_gates,
     estimate_expectations,
     expectation,
@@ -47,6 +52,7 @@ from qrclab.sim import (
     ry_factor_size,
     ry_factors,
     ry_layer,
+    ry_phases,
     sample_counts,
 )
 from qrclab.tasks import TaskSpec, TimeSeries, generate, stm_series
@@ -194,6 +200,80 @@ def test_shots_match_sample_counts_exactly(n, layers, k):
     np.testing.assert_array_equal(got.values, reference_features(series, cfg, got.t_index))
 
 
+@pytest.mark.parametrize("n", [4, 7])
+def test_long_run_keeps_the_reference_accuracy(n):
+    # 600 steps of one persistent state in the Y frame: the exact +-1/+-i
+    # frame with a 2**-n scale stays within about 5e-14 of the gate-by-gate
+    # path; a frame normalized by 1/sqrt(2) per qubit drifts to about 5e-13
+    cfg = kernel_config(n, zz="edges", T=600, washout=12)
+    series = generate(resolve_seeds(cfg).task)
+    got = run_recurrent(series, cfg)
+    want = reference_features(series, cfg, got.t_index)
+    assert np.max(np.abs(got.values - want)) <= 1e-13
+
+
+def test_dense_path_makes_no_ry_layer_call(monkeypatch):
+    def refused(rows, factors):
+        raise AssertionError("ry_layer called on the dense path")
+
+    monkeypatch.setattr(experiment, "ry_layer", refused)
+    for k in (None, 3, "full"):
+        cfg = kernel_config(4, k=k)
+        run_kernel(generate(resolve_seeds(cfg).task), cfg)
+
+
+@st.composite
+def kernel_groups(draw, widths):
+    """R replicate configs of one drawn width in ``widths``, circuit, mode,
+    backend and observables, small enough to run gate by gate (T <= 24)."""
+    n = draw(st.integers(*widths))
+    topology = draw(st.sampled_from(TOPOLOGIES))
+    scheme = draw(st.sampled_from(SCHEMES))
+    layers = 1 if scheme == "angle" else draw(st.integers(1, 2))
+    T = draw(st.integers(12, 24))
+    washout = draw(st.integers(0, T - 11))
+    k = draw(st.sampled_from([None, "full", "int"]))
+    mode = ModeSpec() if k is None else ModeSpec(kind="reupload_k", k=draw(st.integers(1, T - 1)) if k == "int" else k)
+    backend = BackendSpec()
+    if k is not None and draw(st.booleans()):
+        backend = BackendSpec(kind="shots", shots=draw(st.integers(1, 64)))
+    zz = draw(st.sampled_from([None, "edges", "all_pairs", "pairs"]))
+    if zz == "pairs":
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        zz = tuple(draw(st.lists(st.sampled_from(pairs), min_size=1, max_size=3, unique=True)))
+    local_z = draw(st.booleans()) if zz else True
+    base = ExperimentConfig(
+        task=TaskSpec("stm", T=T),
+        reservoir=ReservoirSpec(n_qubits=n, topology=topology, depth=draw(st.integers(1, 3))),
+        encoder=EncoderSpec(scheme=scheme, layers=layers),
+        observables=ObservableSpec(local_z=local_z, zz=zz),
+        mode=mode,
+        backend=backend,
+        protocol=ProtocolSpec(washout=washout, train_fraction=0.5),
+        master_seed=draw(st.integers(0, 2**64 - 1)),
+    )
+    R = draw(st.integers(1, min(experiment._group_size(n), 3)))
+    return [experiment._replicate_config(base, r) for r in range(R)]
+
+
+@pytest.mark.parametrize("widths, examples", [((2, 7), 30), ((8, 9), 10)], ids=["dense", "fused"])
+def test_run_group_matches_the_gate_by_gate_reference(widths, examples):
+    # drawn apart per path, so each gets its examples: Y-frame dense blocks
+    # at n <= 7, fused pairs and crossing gates at n = 8, 9 (slower to run
+    # gate by gate, so fewer)
+    @settings(derandomize=True, database=None, deadline=None, max_examples=examples)
+    @given(kernel_groups(widths))
+    def matches(configs):
+        series = [generate(resolve_seeds(c).task) for c in configs]
+        got = experiment.run_group(series, configs)
+        shots = configs[0].backend.kind == "shots"
+        for s, c, features in zip(series, configs, got):
+            want = reference_features(s, c, features.t_index)
+            np.testing.assert_allclose(features.values, want, rtol=0, atol=0 if shots else TOL)
+
+    matches()
+
+
 def test_explicit_pairs_and_chunk_boundaries():
     # 70 rows at n = 8 span three chunks (32 steps or 31 windows of 2 each)
     cfg = kernel_config(8, zz=((0, 7), (3, 4)), T=80, washout=10)
@@ -252,6 +332,33 @@ def test_ry_layer_rotates_each_qubit_of_each_row(n, shared):
     for i in range(b):
         gates = [GateOp("RY", float(angles[i, q]), target=q) for q in range(n)]
         np.testing.assert_allclose(got[i], apply_dense(rows[i], gates, n), rtol=0, atol=TOL)
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_y_frame_turns_the_ry_layer_into_phases(n):
+    # rows moved into the frame (rows @ conj(W)), multiplied by their phases
+    # and moved back (@ W^T / 2**n) take the RY layer of two half-factors
+    angles = np.random.default_rng(n).uniform(-np.pi, 2 * np.pi, size=(3, n))
+    rows = random_rows(3, n, seed=n + 20)
+    frame = butterfly(rows.copy(), Y_FRAME.conj())
+    frame *= ry_phases(angles)
+    got = butterfly(frame, Y_FRAME.T) / 2**n
+    np.testing.assert_allclose(got, ry_layer(rows, ry_factors(angles)), rtol=0, atol=TOL)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_butterfly_is_the_kronecker_power(n):
+    # an odd n ends its passes in the scratch array, an even n in place
+    m = np.array([[0.3 + 1j, -2.0], [0.5j, 1.5 - 0.25j]])
+    power = np.ones((1, 1))
+    for _ in range(n):
+        power = np.kron(power, m)
+    rows = random_rows(4, n, seed=5).reshape(2, 2, 2**n)
+    stack = random_rows(2 * 2**n, n, seed=6).reshape(2, 2**n, 2**n)
+    for x, axis, want in ((rows, -1, rows @ power), (stack, -2, power.T @ stack)):
+        got = x.copy()
+        butterfly(got, m, axis)  # in place
+        np.testing.assert_allclose(got, want, rtol=0, atol=TOL)
 
 
 def apply_fused(rows, ops, n):
