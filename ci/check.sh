@@ -33,6 +33,12 @@ first=$($QRCLAB case-parity --config "$RUNNER_TEMP/wide.json" --out "$RUNNER_TEM
 again=$($QRCLAB case-parity --config "$first/config_echo.json" | sed -n 's/^run_dir: //p')
 test "$first" != "$again"
 for file in features.csv predictions.csv; do cmp "$first/$file" "$again/$file"; done
+# n = 13, where no block is fused and every gate runs on its own over chunks of 2 rows
+echo '{"task":{"T":40},"reservoir":{"n_qubits":13},"mode":{"type":"reupload_k","k":3},"protocol":{"washout":12},"output":{"plots":false}}' > "$RUNNER_TEMP/unfused.json"
+first=$($QRCLAB case-parity --config "$RUNNER_TEMP/unfused.json" --out "$RUNNER_TEMP/unfused" | sed -n 's/^run_dir: //p')
+again=$($QRCLAB case-parity --config "$first/config_echo.json" | sed -n 's/^run_dir: //p')
+test "$first" != "$again"
+for file in features.csv predictions.csv; do cmp "$first/$file" "$again/$file"; done
 echo '{"qbits": 4}' > "$RUNNER_TEMP/unknown-key.json"
 status=0
 $QRCLAB case-parity --config "$RUNNER_TEMP/unknown-key.json" --out "$RUNNER_TEMP/runs" || status=$?

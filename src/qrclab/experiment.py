@@ -18,14 +18,13 @@ kept rows go back through ``sim.butterfly`` before they are measured.
 Otherwise (R = 1) they are op lists from ``sim.fuse_halves``: (H, L)
 half-factor pairs, which ``sim.ry_layer`` applies as it applies the RY
 layer from ``sim.ry_factors``, and the gates that cross the hi/lo cut (a
-CRY each, a phase vector per CRZ run); from n = 13, where a pair would not
-fit in one chunk, every gate crosses. One sign matrix gives the features.
-``sim.CHUNK_AMPLITUDES`` bounds a chunk's R x B rows and, apart, the RY
-layers of its steps (at least one step's) and each fused pair; R is at
-most ``CHUNK_AMPLITUDES // 4**n`` (at least 1): 16 at n = 5, 4 at n = 6, 1
-from n = 7 on. ``run_recurrent`` and
-``run_windowed`` run one series; scans and sweeps run one group per pool
-task. ``step`` is the gate-by-gate reference the kernel is tested against.
+CRY each, a phase vector per CRZ run); from n = 13 every gate crosses. One
+sign matrix gives the features. Which form a width takes, how many
+replicates a group stacks and how many rows a chunk holds all follow from
+one budget, ``CHUNK_AMPLITUDES``, stated with its rules above ``run_group``.
+``run_recurrent`` and ``run_windowed`` run one series; scans and sweeps run
+one group per pool task. ``step`` is the gate-by-gate reference the kernel
+is tested against.
 
 Seed derivation: one master seed yields labelled child seeds for
 {data, reservoir, encoder-interleave, shots} (see sim.RandomStream), so a
@@ -59,7 +58,6 @@ from .reservoir import (
     topology_edges,
 )
 from .sim import (
-    CHUNK_AMPLITUDES,
     Y_FRAME,
     PauliString,
     RandomStream,
@@ -310,8 +308,7 @@ def step(
 
 
 # --------------------------------------------------------------------------
-# The fused evolution kernel: (R, B, 2**n) batches of R replicates, at most
-# CHUNK_AMPLITUDES amplitudes per chunk
+# The fused evolution kernel: (R, B, 2**n) batches of R replicates
 # --------------------------------------------------------------------------
 
 NORM_TOLERANCE = 1e-8  # max |sum |psi|**2 - 1| of a measured row
@@ -330,21 +327,48 @@ def _input_angles(inputs, n: int) -> np.ndarray:
     return scale_input(u)[:, np.arange(n) % u.shape[1]]
 
 
+# The kernel's one budget, in complex128 entries (256 KB). Each rule of a
+# width's plan is one expression on it: a chunk's R x B rows fit, at least
+# one per replicate (``_rows_per_chunk``); a fixed block is dense, in the Y
+# frame, if its 4**n entries fit (n <= 7), and a group stacks as many dense
+# blocks as fit (``_group_size``); a wider block is fused into hi/lo pairs
+# if one ``ry_factor_size(n)`` pair fits (n <= 12). A chunk's RY layers
+# follow from its rows: R x (B + k - 1) steps (k = 1 for a persistent
+# state) of 2**n phases or one factor pair each. For its B rows that is at
+# most the budget again on the dense path and 2.5 times it (640 KB) on the
+# others through n = 14; from n = 15 one step's pair alone is larger.
+CHUNK_AMPLITUDES = 2**14
+
+
+def _rows_per_chunk(n: int, R: int = 1) -> int:
+    """Rows per replicate per chunk (for a persistent state, steps per
+    chunk): as many as keep R x B rows of 2**n amplitudes within
+    ``CHUNK_AMPLITUDES``, at least one."""
+    return max(1, (CHUNK_AMPLITUDES >> n) // R)
+
+
+def _group_size(n: int) -> int:
+    """Replicates of width n that one run evolves together: as many as have
+    their stacked dense blocks fit in one chunk, at least one."""
+    return max(1, CHUNK_AMPLITUDES // 4**n)
+
+
 def _fixed_blocks(configs, n: int) -> list:
     """Per encoder layer, the fixed gates after its RY layer, with the
     reservoir folded into the last block: the replicates' dense row
     operators M stacked as (R, d, d) and moved to the Y frame (see
     ``_y_frame``) when a block's 4**n entries fit in one chunk, else (one
-    replicate, as ``_group_size`` allows) the block fused by
-    ``sim.fuse_halves``, in which only the gates that cross its hi/lo cut
-    are left (from n = 13, every gate)."""
+    replicate, as ``_group_size`` allows) the block from
+    ``sim.fuse_halves``, fused into hi/lo pairs when one pair fits, so that
+    only the gates that cross the cut are left (from n = 13, every gate)."""
     replicates = []
     for cfg in configs:
         blocks = [list(layer.fixed_gates) for layer in build_encoder(cfg.encoder, n).layers]
         blocks[-1] += build_reservoir(cfg.reservoir).gates
         replicates.append(blocks)
     if 4**n > CHUNK_AMPLITUDES:
-        return [fuse_halves(block, n) for block in replicates[0]]
+        fuse = ry_factor_size(n) <= CHUNK_AMPLITUDES
+        return [fuse_halves(block, n, fuse) for block in replicates[0]]
     return [_y_frame(np.stack([compile_gates(block, n) for block in layer]), n) for layer in zip(*replicates)]
 
 
@@ -356,23 +380,6 @@ def _y_frame(ops: np.ndarray, n: int) -> np.ndarray:
     butterfly(ops, Y_FRAME, axis=-2)
     ops /= 2**n
     return ops
-
-
-def _rows_per_chunk(n: int, R: int = 1, extra_steps: int = 0) -> int:
-    """Rows per replicate per chunk (for a persistent state, steps per
-    chunk): the R x B rows hold at most CHUNK_AMPLITUDES amplitudes, and so
-    do the RY factors of their R x (B + ``extra_steps``) steps (the Y
-    frame's 2**n phases per step take no more). Never fewer than one row,
-    so a window too long for the budget builds its k steps of RY layers at
-    once."""
-    steps = CHUNK_AMPLITUDES // ry_factor_size(n)
-    return max(1, min((CHUNK_AMPLITUDES >> n) // R, steps // R - extra_steps))
-
-
-def _group_size(n: int) -> int:
-    """Replicates of width n that one run evolves together: as many as have
-    their stacked dense blocks fit in one chunk, at least one."""
-    return max(1, CHUNK_AMPLITUDES // 4**n)
 
 
 def _advance(rows: np.ndarray, layer, blocks, n: int) -> np.ndarray:
@@ -471,7 +478,7 @@ def run_group(series_list, configs) -> list[FeatureMatrix]:
     streams = [RandomStream(c.backend.shot_seed) for c in cfgs] if cfg.backend.kind == "shots" else None
 
     w = cfg.mode.k if bounded else 1  # sub-steps that complete a row
-    per_chunk = _rows_per_chunk(n, R, w - 1)
+    per_chunk = _rows_per_chunk(n, R)
     rows = None
     t_index = np.arange(keep_from, T, dtype=np.int64)
     values = np.empty((R, len(t_index), len(observables)))

@@ -26,15 +26,9 @@ ways. In the eigenbasis of Pauli-Y it is diagonal: ``ry_phases`` gives its
 2**n phases, and ``butterfly`` moves rows into and out of that frame one
 qubit at a time. Otherwise a row is viewed as a matrix over its top
 a = n - n//2 and bottom b = n//2 qubits, and the layer is two half-factors
-(two matmuls); for n <= 12 ``fuse_halves`` compiles the fixed gates that
-stay within one half to such factors too, and leaves only the gates that
-cross the cut: CRYs, and CRZ runs as one phase vector.
-
-``CHUNK_AMPLITUDES`` bounds the entries of one batch of rows and, apart,
-of the RY layers built for its steps (phases or factor pairs) and of each
-fused pair; a fused block holds one pair per run of half-local gates.
-From n = 13 one step's factor pair, ``ry_factor_size(n)``, is already larger
-than the budget, so there it bounds only the rows.
+(two matmuls); ``fuse_halves`` compiles the fixed gates that stay within
+one half to such factors too, when its caller's budget lets it, and leaves
+only the gates that cross the cut: CRYs, and CRZ runs as one phase vector.
 """
 
 from __future__ import annotations
@@ -49,16 +43,6 @@ import numpy as np
 from .errors import ConfigurationError, DataError, SchemaError
 
 MAX_QUBITS = 24  # 2**24 complex128 amplitudes = 256 MB; desk-scale ceiling
-
-# Entries per batch chunk (256 KB of complex128): a chunk's amplitude rows,
-# and apart the RY layers of its steps, up to one step's layer (from n = 13
-# one step's factor pair is larger). A fixed gate block is compiled to a
-# dense 2**n x 2**n operator, run in the Y frame, only if its 4**n entries
-# fit too, i.e. for n <= 7. Wider blocks are fused into hi/lo half-factor
-# pairs while one pair fits (n <= 12), and only the gates that cross the cut
-# run one by one over the chunk; from n = 13 on every gate does, diagonal
-# runs folded.
-CHUNK_AMPLITUDES = 2**14
 
 GATE_KINDS = ("RY", "RZ", "CRY", "CRZ")
 
@@ -456,7 +440,7 @@ def ry_layer(rows: np.ndarray, factors: tuple) -> np.ndarray:
     return out.reshape(rows.shape)
 
 
-def fuse_halves(gates, n: int) -> list:
+def fuse_halves(gates, n: int, fuse: bool) -> list:
     """A fixed gate list as ops on the split of ``ry_layer``. Gates on the
     bottom b = n//2 qubits only join a pending L (``compile_gates`` on b
     qubits); gates on the top a qubits only join a pending H (compiled on
@@ -467,12 +451,10 @@ def fuse_halves(gates, n: int) -> list:
     diagonal, applied as ``rows *= phase``. A run of only RZ/CRZ gates
     joins that phase vector instead of forming a pair.
 
-    A pair holds at most ``ry_factor_size(n)`` entries. Where that exceeds
-    ``CHUNK_AMPLITUDES`` (n >= 13) nothing is fused: every gate counts as
-    crossing, so RYs and CRYs stay GateOps and each diagonal run is one
-    phase vector."""
+    A pair holds at most ``ry_factor_size(n)`` entries. Without ``fuse``
+    nothing is fused: every gate counts as crossing, so RYs and CRYs stay
+    GateOps and each diagonal run is one phase vector."""
     b = n // 2
-    fuse = ry_factor_size(n) <= CHUNK_AMPLITUDES
     out: list = []
     run: list = []  # the pending half-local gates
 
@@ -573,13 +555,7 @@ def _butterfly_passes(src: np.ndarray, dst: np.ndarray, m: np.ndarray) -> np.nda
     run = src.shape[2]
     while run < src[0].size:
         a = src.reshape(len(src), -1, 2, run)
-        b = dst.reshape(a.shape)
-        np.multiply(a[:, :, 0], m[0, 0], out=b[:, :, 0])
-        np.multiply(a[:, :, 1], m[1, 0], out=b[:, :, 1])
-        b[:, :, 0] += b[:, :, 1]
-        np.multiply(a[:, :, 0], m[0, 1], out=b[:, :, 1])
-        a[:, :, 1] *= m[1, 1]
-        b[:, :, 1] += a[:, :, 1]
+        np.matmul(m.T, a, out=dst.reshape(a.shape))
         src, dst = dst, src
         run *= 2
     return src

@@ -35,7 +35,6 @@ from qrclab.experiment import (
 from qrclab.readout import fit_ridge, predict, r2_score
 from qrclab.reservoir import TOPOLOGIES, ReservoirSpec, build_reservoir
 from qrclab.sim import (
-    CHUNK_AMPLITUDES,
     Y_FRAME,
     GateOp,
     PauliString,
@@ -49,7 +48,6 @@ from qrclab.sim import (
     expectation,
     fuse_halves,
     new_zero_state,
-    ry_factor_size,
     ry_factors,
     ry_layer,
     ry_phases,
@@ -154,13 +152,23 @@ def test_kernel_matches_gate_by_gate_step(n, k, layers):
     np.testing.assert_allclose(got.values, want, rtol=0, atol=TOL)
 
 
-@pytest.mark.parametrize("n", [10, 12])
-@pytest.mark.parametrize("k", [None, 3], ids=["recurrent", "k3"])
-@pytest.mark.parametrize("layers", [1, 2], ids=["angle", "reupload2"])
-@pytest.mark.parametrize("topology", ["ring", "chain", "all_to_all"])
+WIDE_CASES = [
+    pytest.param(n, k, layers, topology, id=f"{topology}-{'angle' if layers == 1 else 'reupload2'}-{mode}-{n}")
+    for topology in ("ring", "chain", "all_to_all")
+    for layers in (1, 2)
+    for k, mode in ((None, "recurrent"), (3, "k3"))
+    for n in (10, 12)
+] + [
+    pytest.param(13, None, 1, "ring", id="ring-angle-recurrent-13"),
+    pytest.param(13, 3, 1, "ring", id="ring-angle-k3-13"),
+]
+
+
+@pytest.mark.parametrize("n, k, layers, topology", WIDE_CASES)
 def test_wide_kernel_matches_gate_by_gate_step(n, k, layers, topology):
     # wide blocks are fused into hi/lo factors; ring and all_to_all leave
-    # crossing CRYs (and, with reupload, crossing CRZs), chain one CRY per depth layer
+    # crossing CRYs (and, with reupload, crossing CRZs), chain one CRY per
+    # depth layer. At n = 13 nothing is fused and a chunk holds 2 rows.
     cfg = kernel_config(n, k=k, layers=layers, zz="edges", T=18, washout=6, topology=topology)
     series = generate(resolve_seeds(cfg).task)
     got = run_kernel(series, cfg)
@@ -275,7 +283,8 @@ def test_run_group_matches_the_gate_by_gate_reference(widths, examples):
 
 
 def test_explicit_pairs_and_chunk_boundaries():
-    # 70 rows at n = 8 span three chunks (32 steps or 31 windows of 2 each)
+    # 70 rows at n = 8 span two chunks (64 steps or 64 windows of 2 each)
+    assert experiment._rows_per_chunk(8) == 64
     cfg = kernel_config(8, zz=((0, 7), (3, 4)), T=80, washout=10)
     series = generate(resolve_seeds(cfg).task)
     for mode in (ModeSpec(), ModeSpec(kind="reupload_k", k=2)):
@@ -377,21 +386,20 @@ def apply_fused(rows, ops, n):
 @pytest.mark.parametrize("n", [8, 9, 13])
 def test_fuse_halves_matches_apply_gate(n):
     # at n = 9 the halves differ: a = 5 top qubits, b = 4 bottom ones; at
-    # n = 13 a pair would not fit in one chunk, so nothing is fused
+    # n = 13, as the kernel runs it, nothing is fused
     b = n // 2
     gates = random_circuit(n, 80, seed=11)
     gates += [GateOp("CRZ", 0.7, target=0, control=n - 1), GateOp("CRZ", 1.1, target=b, control=b - 1)]
     gates += [GateOp("CRY", 0.4, target=b - 1, control=b), GateOp("CRZ", 0.9, target=b + 1, control=n - 1)]
     gates += [GateOp("RZ", 0.5, target=0), GateOp("RZ", 1.3, target=n - 1)]
-    fused = ry_factor_size(n) <= CHUNK_AMPLITUDES
-    assert fused == (n < 13)
+    fused = n < 13
 
     def crossing(g):
         return not fused or g.control is not None and (g.control < b) != (g.target < b)
 
     assert {g.kind for g in gates if crossing(g)} >= {"CRY", "CRZ"}
     assert {g.kind for g in gates if not crossing(g)} == ({"RY", "RZ", "CRY", "CRZ"} if fused else set())
-    ops = fuse_halves(gates, n)
+    ops = fuse_halves(gates, n, fused)
     assert [op for op in ops if isinstance(op, GateOp)] == [g for g in gates if crossing(g) and g.kind in ("RY", "CRY")]
     # the gates after the last crossing CRY are RZ/CRZ only: one phase vector, not a pair
     assert ops[-2] == gates[-4] and isinstance(ops[-1], np.ndarray)
@@ -510,7 +518,8 @@ def test_full_and_partial_groups_at_n6():
     check_group(replicate_configs(6, groups[0]))  # full: 4 stacked 64 x 64 blocks per layer
     check_group(replicate_configs(6, groups[-1]))  # the partial last group
     # a full-window shots group: each replicate draws from its own stream.
-    # 4 replicates take 32 steps per chunk, so 80 steps span three chunks
+    # 4 replicates take 64 steps per chunk, so 80 steps span two chunks
+    assert experiment._rows_per_chunk(6, 4) == 64
     shots = [
         replace(c, mode=ModeSpec(kind="reupload_k", k="full"), backend=replace(c.backend, kind="shots", shots=64))
         for c in replicate_configs(6, groups[0], task=TaskSpec("stm", T=80))
@@ -575,7 +584,7 @@ def test_group_that_differs_in_more_than_seeds_is_rejected(change):
 def test_bounded_window_group_matches_reference(n, k, backend):
     # replicates of a bounded window evolve as one group: each row against a
     # fresh gate-by-gate window, exactly on shots. At n = 6, 4 replicates
-    # take 30 or 31 rows per chunk, so 68 rows span three chunks
+    # take 64 rows per chunk, so 68 rows span two chunks
     configs = [
         replace(c, mode=ModeSpec(kind="reupload_k", k=k), backend=backend or c.backend)
         for c in replicate_configs(n, range(4), task=TaskSpec("stm", T=80))
@@ -584,28 +593,49 @@ def test_bounded_window_group_matches_reference(n, k, backend):
     got = experiment.run_group(series, configs)
     assert len(got) == 4 and len(got[0].t_index) == 68
     if n == 6:
-        assert experiment._rows_per_chunk(n, len(configs), k - 1) in (30, 31)
+        assert experiment._rows_per_chunk(n, len(configs)) == 64
     for s, c, features in zip(series, configs, got):
         want = reference_features(s, c, features.t_index)
         np.testing.assert_allclose(features.values, want, rtol=0, atol=0 if backend else TOL)
 
 
 def test_rows_per_chunk_stays_within_the_budget():
-    budget = sim.CHUNK_AMPLITUDES
-    for n in range(2, 11):
-        steps = budget // sim.ry_factor_size(n)
+    budget = experiment.CHUNK_AMPLITUDES
+    for n in range(2, 15):
         for R in range(1, experiment._group_size(n) + 1):
-            for k in range(1, 21):
-                def within(b):  # R x b rows and R x (b + k - 1) steps of factors
-                    return R * b * 2**n <= budget and R * (b + k - 1) <= steps
+            B = experiment._rows_per_chunk(n, R)  # R x B rows of 2**n amplitudes
+            assert R * B * 2**n <= budget or B == 1  # one row at least, even past the budget
+            assert R * (B + 1) * 2**n > budget
 
-                B = experiment._rows_per_chunk(n, R, k - 1)
-                assert within(B) or B == 1  # one row at least, even past the budget
-                assert not within(B + 1)
-            # a persistent state: the steps of one chunk shared among R replicates
-            assert experiment._rows_per_chunk(n, R) == max(1, max(1, min(budget >> n, steps)) // R)
-        for k in range(1, 21):  # one run: the rows and the factor steps of its k - 1 extra steps
-            assert experiment._rows_per_chunk(n, 1, k - 1) == max(1, min(budget >> n, steps - (k - 1)))
+
+# Each width's plan, from the one budget: the form of its fixed blocks, its
+# group size, and its rows per chunk for one replicate and for a full group
+PLAN = {
+    2: ("dense", 1024, 4096, 4),
+    3: ("dense", 256, 2048, 8),
+    4: ("dense", 64, 1024, 16),
+    5: ("dense", 16, 512, 32),
+    6: ("dense", 4, 256, 64),
+    7: ("dense", 1, 128, 128),
+    8: ("fused", 1, 64, 64),
+    9: ("fused", 1, 32, 32),
+    10: ("fused", 1, 16, 16),
+    11: ("fused", 1, 8, 8),
+    12: ("fused", 1, 4, 4),
+    13: ("unfused", 1, 2, 2),
+    14: ("unfused", 1, 1, 1),
+}
+
+
+@pytest.mark.parametrize("n", sorted(PLAN))
+def test_each_width_keeps_its_plan(n):
+    blocks = experiment._fixed_blocks([resolve_seeds(kernel_config(n))], n)
+    if isinstance(blocks[0], np.ndarray):
+        form = "dense"
+    else:
+        form = "fused" if any(isinstance(op, tuple) for block in blocks for op in block) else "unfused"
+    size = experiment._group_size(n)
+    assert (form, size, experiment._rows_per_chunk(n), experiment._rows_per_chunk(n, size)) == PLAN[n]
 
 
 def test_group_with_a_narma10_redraw(monkeypatch, caplog):
