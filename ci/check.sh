@@ -27,6 +27,12 @@ first=$($QRCLAB case-memory --config "$RUNNER_TEMP/echo.json" --out "$RUNNER_TEM
 again=$($QRCLAB case-memory --config "$first/config_echo.json" | sed -n 's/^run_dir: //p')
 test "$first" != "$again"
 for file in config_echo.json features.csv predictions.csv; do cmp "$first/$file" "$again/$file"; done
+# n = 7, the widest dense width: the largest frame matrix W, and a chunk of 128 steps
+echo '{"reservoir":{"n_qubits":7},"output":{"plots":false}}' > "$RUNNER_TEMP/dense.json"
+first=$($QRCLAB case-narma10 --config "$RUNNER_TEMP/dense.json" --out "$RUNNER_TEMP/dense" | sed -n 's/^run_dir: //p')
+again=$($QRCLAB case-narma10 --config "$first/config_echo.json" | sed -n 's/^run_dir: //p')
+test "$first" != "$again"
+for file in features.csv predictions.csv; do cmp "$first/$file" "$again/$file"; done
 # an odd width (a = 5, b = 4) whose fused blocks keep crossing CRYs and CRZs
 echo '{"task":{"T":80},"reservoir":{"n_qubits":9,"topology":"all_to_all"},"encoder":{"scheme":"reupload","layers":2},"mode":{"type":"reupload_k","k":2},"output":{"plots":false}}' > "$RUNNER_TEMP/wide.json"
 first=$($QRCLAB case-parity --config "$RUNNER_TEMP/wide.json" --out "$RUNNER_TEMP/wide" | sed -n 's/^run_dir: //p')

@@ -11,10 +11,11 @@ and B output rows per chunk for a bounded window, each restarted from |0>.
 Input angles are stacked once as (R, T, n), and each chunk's steps become
 (R, S, ...) RY layers, of which sub-step j takes the slice ``[:, j:j+B]``.
 The fixed gates are compiled once. For n <= 7 they are dense (R, d, d)
-stacks, and the run evolves in the eigenbasis of Pauli-Y: the blocks are
-moved to that frame once (``_y_frame``), ``sim.ry_phases`` makes each RY
-layer one phase multiply, so a step is ``(rows * phase) @ block``, and the
-kept rows go back through ``sim.butterfly`` before they are measured.
+stacks, and the run evolves in the eigenbasis of Pauli-Y: with W from
+``sim.y_frame``, the blocks are moved to that frame once by one matmul on
+each side, ``sim.ry_phases`` makes each RY layer one phase multiply, so a
+step is ``(rows * phase) @ block``, and the kept rows go back by one matmul
+with W before they are measured.
 Otherwise (R = 1) they are op lists from ``sim.fuse_halves``: (H, L)
 half-factor pairs, which ``sim.ry_layer`` applies as it applies the RY
 layer from ``sim.ry_factors``, and the gates that cross the hi/lo cut (a
@@ -58,12 +59,10 @@ from .reservoir import (
     topology_edges,
 )
 from .sim import (
-    Y_FRAME,
     PauliString,
     RandomStream,
     StateVector,
     apply_gate_rows,
-    butterfly,
     check_bool,
     check_int,
     check_real,
@@ -76,6 +75,7 @@ from .sim import (
     ry_phases,
     shown,
     sign_matrix,
+    y_frame,
 )
 from .tasks import TaskSpec, TimeSeries, generate, stm_series
 
@@ -356,11 +356,13 @@ def _group_size(n: int) -> int:
 def _fixed_blocks(configs, n: int) -> list:
     """Per encoder layer, the fixed gates after its RY layer, with the
     reservoir folded into the last block: the replicates' dense row
-    operators M stacked as (R, d, d) and moved to the Y frame (see
-    ``_y_frame``) when a block's 4**n entries fit in one chunk, else (one
-    replicate, as ``_group_size`` allows) the block from
-    ``sim.fuse_halves``, fused into hi/lo pairs when one pair fits, so that
-    only the gates that cross the cut are left (from n = 13, every gate)."""
+    operators M stacked as (R, d, d) and moved to the Y frame, as
+    ``W^T M conj(W) / 2**n`` with W = ``sim.y_frame(n)``, to act on rows
+    held there as ``rows @ conj(W)`` (see ``sim.ry_phases``), when a
+    block's 4**n entries fit in one chunk, else (one replicate, as
+    ``_group_size`` allows) the block from ``sim.fuse_halves``, fused into
+    hi/lo pairs when one pair fits, so that only the gates that cross the
+    cut are left (from n = 13, every gate)."""
     replicates = []
     for cfg in configs:
         blocks = [list(layer.fixed_gates) for layer in build_encoder(cfg.encoder, n).layers]
@@ -369,17 +371,8 @@ def _fixed_blocks(configs, n: int) -> list:
     if 4**n > CHUNK_AMPLITUDES:
         fuse = ry_factor_size(n) <= CHUNK_AMPLITUDES
         return [fuse_halves(block, n, fuse) for block in replicates[0]]
-    return [_y_frame(np.stack([compile_gates(block, n) for block in layer]), n) for layer in zip(*replicates)]
-
-
-def _y_frame(ops: np.ndarray, n: int) -> np.ndarray:
-    """An (R, d, d) stack of row operators M, in place, as they act on rows
-    held in the Y frame (``rows @ conj(W)``, see ``sim.ry_phases``):
-    W^T M conj(W) / 2**n."""
-    butterfly(ops, Y_FRAME.conj())
-    butterfly(ops, Y_FRAME, axis=-2)
-    ops /= 2**n
-    return ops
+    w = y_frame(n)
+    return [w.T @ np.stack([compile_gates(block, n) for block in layer]) @ w.conj() / 2**n for layer in zip(*replicates)]
 
 
 def _advance(rows: np.ndarray, layer, blocks, n: int) -> np.ndarray:
@@ -474,6 +467,7 @@ def run_group(series_list, configs) -> list[FeatureMatrix]:
     signs = sign_matrix(observables, n)
     blocks = _fixed_blocks(cfgs, n)
     dense = isinstance(blocks[0], np.ndarray)  # evolved in the Y frame
+    back = y_frame(n).T / 2**n if dense else None  # rows @ back leaves the frame
     angles = np.stack([_input_angles(s.inputs, n) for s in series_list])  # (R, T, n)
     streams = [RandomStream(c.backend.shot_seed) for c in cfgs] if cfg.backend.kind == "shots" else None
 
@@ -502,9 +496,8 @@ def run_group(series_list, configs) -> list[FeatureMatrix]:
         del layers, layer  # free this chunk's RY layers before the next chunk builds its own
         if kept:
             kept = np.concatenate(kept, axis=1)
-            if dense:  # back from the Y frame: rows @ W^T / 2**n
-                butterfly(kept, Y_FRAME.T)
-                kept /= 2**n
+            if dense:
+                kept = kept @ back
             values[:, max(t0, keep_from) - keep_from : t1 - keep_from] = _measure(
                 kept, signs, cfg.backend.shots, streams
             )

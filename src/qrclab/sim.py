@@ -16,19 +16,20 @@ Two layers of kernels live here. ``apply_gate``, ``expectation``,
 or its count table and are the reference path; ``tests/dense_oracle.py``
 checks ``apply_gate`` in turn. The batch helpers ``apply_gate_rows``,
 ``compile_gates``, ``fuse_halves``, ``ry_factors``, ``ry_layer``,
-``ry_phases``, ``butterfly`` and ``sign_matrix`` act on a ``(B, 2**n)``
-array of amplitude rows (``ry_layer`` on any leading axes, ``butterfly``
-on any axis); the fused evolution kernel in ``experiment`` is built from them and
+``ry_phases``, ``y_frame`` and ``sign_matrix`` act on, or build operators
+for, a ``(B, 2**n)`` array of amplitude rows (``ry_layer`` on any leading
+axes); the fused evolution kernel in ``experiment`` is built from them and
 tested against the reference path.
 
 The RY layer on every qubit is a Kronecker product, applied in one of two
 ways. In the eigenbasis of Pauli-Y it is diagonal: ``ry_phases`` gives its
-2**n phases, and ``butterfly`` moves rows into and out of that frame one
-qubit at a time. Otherwise a row is viewed as a matrix over its top
-a = n - n//2 and bottom b = n//2 qubits, and the layer is two half-factors
-(two matmuls); ``fuse_halves`` compiles the fixed gates that stay within
-one half to such factors too, when its caller's budget lets it, and leaves
-only the gates that cross the cut: CRYs, and CRZ runs as one phase vector.
+2**n phases, and one matmul with the frame matrix W from ``y_frame``
+moves rows into or out of that frame. Otherwise a row is viewed as a
+matrix over its top a = n - n//2 and bottom b = n//2 qubits, and the layer
+is two half-factors (two matmuls); ``fuse_halves`` compiles the fixed
+gates that stay within one half to such factors too, when its caller's
+budget lets it, and leaves only the gates that cross the cut: CRYs, and
+CRZ runs as one phase vector.
 """
 
 from __future__ import annotations
@@ -403,17 +404,22 @@ def ry_factors(angles: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     s, n = angles.shape
     cos, sin = np.cos(0.5 * angles), np.sin(0.5 * angles)
     rotations = np.stack([np.stack([cos, -sin], -1), np.stack([sin, cos], -1)], -2)  # (S, n, 2, 2)
-
-    def kron(qubits, transpose):
-        out = np.ones((s, 1, 1))
-        for q in qubits:  # top qubit first: it is the leading factor
-            r = rotations[:, q].swapaxes(1, 2) if transpose else rotations[:, q]
-            d = out.shape[1]
-            out = (out[:, :, None, :, None] * r[:, None, :, None, :]).reshape(s, 2 * d, 2 * d)
-        return out.astype(np.complex128)
-
     b = n // 2
-    return kron(range(n - 1, b - 1, -1), False), kron(range(b - 1, -1, -1), True)
+    # top qubit first: it is the leading factor
+    hi = _kron([rotations[:, q] for q in range(n - 1, b - 1, -1)], s)
+    lo = _kron([rotations[:, q].swapaxes(1, 2) for q in range(b - 1, -1, -1)], s)
+    return hi.astype(np.complex128), lo.astype(np.complex128)
+
+
+def _kron(factors, s: int) -> np.ndarray:
+    """(s, 2**m, 2**m) stack of Kronecker products ``F[0] (x) ... (x)
+    F[m-1]`` of m 2x2 factors, each (2, 2) or (s, 2, 2): one broadcast
+    product per factor, with no ``np.kron`` call."""
+    out = np.ones((s, 1, 1))
+    for f in factors:
+        d = out.shape[1]
+        out = (out[:, :, None, :, None] * f[..., None, :, None, :]).reshape(s, 2 * d, 2 * d)
+    return out
 
 
 def ry_factor_size(n: int) -> int:
@@ -496,13 +502,22 @@ def fuse_halves(gates, n: int, fuse: bool) -> list:
 Y_FRAME = np.array([[1, 1], [1j, -1j]])
 
 
+def y_frame(n: int) -> np.ndarray:
+    """The (2**n, 2**n) frame matrix W = W1 (x) ... (x) W1, W1 = ``Y_FRAME``:
+    ``rows @ conj(W)`` moves rows into the eigenbasis of Pauli-Y, and
+    ``rows @ W.T / 2**n`` back. Its entries are +-1 and +-i, so both are
+    exact up to the rounding of the sums."""
+    return _kron([Y_FRAME] * n, 1)[0]
+
+
 def ry_phases(angles: np.ndarray) -> np.ndarray:
     """The RY layer of each of S steps or rows in the Y frame: (S, 2**n)
     phases from (S, n) angles, ``exp(-0.5j * angles @ Z)`` with Z the
     (n, 2**n) ``sign_matrix`` of local Z on each qubit.
 
-    With W = W1 (x) ... (x) W1, W1 = ``Y_FRAME`` holding Y's eigenvectors
-    as columns, ``RY[n-1] (x) ... (x) RY[0] = W diag(phase) W^dagger / 2**n``.
+    With W = ``y_frame(n)``, the Kronecker power of W1 = ``Y_FRAME``
+    holding Y's eigenvectors as columns,
+    ``RY[n-1] (x) ... (x) RY[0] = W diag(phase) W^dagger / 2**n``.
     So a row held in the frame, ``rows @ conj(W)``, takes the layer as one
     multiply by its phases. They are built from real cosines and sines (a
     complex exp of every entry costs several times more), one qubit at a
@@ -519,46 +534,6 @@ def ry_phases(angles: np.ndarray) -> np.ndarray:
         np.multiply(low, up[q], out=out[2**q : 2 ** (q + 1)])
         low *= up[q].conj()
     return out.T.copy()
-
-
-def butterfly(rows: np.ndarray, m: np.ndarray, axis: int = -1) -> np.ndarray:
-    """Apply the 2x2 matrix ``m`` to every qubit of ``axis`` (2**n long) of
-    a C-contiguous array, in place: one pass per qubit, each turning every
-    pair (a0, a1) along the axis into ``(a0, a1) @ m``, so no 2**n x 2**n
-    matrix is built. On the last axis that is ``rows @ (m (x) ... (x) m)``,
-    on the one before ``(m (x) ... (x) m).T @ rows``. With ``m`` =
-    ``Y_FRAME.conj()`` rows move into the Y frame; with ``Y_FRAME.T`` and a
-    scale by 2**-n, back.
-
-    The passes swap between ``rows`` and one scratch array of its size. On
-    the last axis a pair is two short runs, so the passes go over a
-    transposed copy instead, with the memory of ``rows`` as the scratch."""
-    axis %= rows.ndim
-    d = rows.shape[axis]
-    if axis < rows.ndim - 1:
-        view = rows.reshape(math.prod(rows.shape[:axis]), d, -1)
-        out = _butterfly_passes(view, np.empty_like(view), m)
-        if out is not view:
-            view[...] = out
-        return rows
-    cols = rows.reshape(-1, d).T.copy()[None]
-    if _butterfly_passes(cols, rows.reshape(1, d, -1), m) is not cols:
-        cols[...] = rows.reshape(cols.shape)
-    rows.reshape(-1, d)[...] = cols[0].T
-    return rows
-
-
-def _butterfly_passes(src: np.ndarray, dst: np.ndarray, m: np.ndarray) -> np.ndarray:
-    """The passes of ``butterfly`` over axis 1 of a (P, 2**n, Q) array
-    ``src``, with ``dst`` of its shape as the scratch; returns the one of
-    the two that holds the result. A pair is two runs of Q * 2**q entries."""
-    run = src.shape[2]
-    while run < src[0].size:
-        a = src.reshape(len(src), -1, 2, run)
-        np.matmul(m.T, a, out=dst.reshape(a.shape))
-        src, dst = dst, src
-        run *= 2
-    return src
 
 
 def sign_matrix(obs_list, n: int) -> np.ndarray:

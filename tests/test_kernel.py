@@ -1,9 +1,10 @@
 """Parity of the fused evolution kernel with the gate-by-gate reference path.
 
 ``run_recurrent`` and ``run_windowed`` evolve batches of rows in the
-eigenbasis of Pauli-Y through one phase multiply per RY layer and dense step
-operators (n <= 7), or through the two-factor RY layer and fused hi/lo half
-factors, with only the gates that cross the cut left (n >= 8). Here their
+eigenbasis of Pauli-Y, entered and left by one matmul with the frame matrix
+W, through one phase multiply per RY layer and dense step operators
+(n <= 7), or through the two-factor RY layer and fused hi/lo half factors,
+with only the gates that cross the cut left (n >= 8). Here their
 features are compared with a loop of ``step`` + ``expectation`` (or
 ``sample_counts`` + ``estimate_expectations`` on the shots backend), by hand
 and by a hypothesis property over drawn configs, and with the independent
@@ -42,7 +43,6 @@ from qrclab.sim import (
     StateVector,
     apply_gate,
     apply_gate_rows,
-    butterfly,
     compile_gates,
     estimate_expectations,
     expectation,
@@ -52,6 +52,7 @@ from qrclab.sim import (
     ry_layer,
     ry_phases,
     sample_counts,
+    y_frame,
 )
 from qrclab.tasks import TaskSpec, TimeSeries, generate, stm_series
 
@@ -159,8 +160,9 @@ WIDE_CASES = [
     for k, mode in ((None, "recurrent"), (3, "k3"))
     for n in (10, 12)
 ] + [
-    pytest.param(13, None, 1, "ring", id="ring-angle-recurrent-13"),
-    pytest.param(13, 3, 1, "ring", id="ring-angle-k3-13"),
+    pytest.param(n, k, 1, "ring", id=f"ring-angle-{mode}-{n}")
+    for n in (13, 14, 15)
+    for k, mode in ((None, "recurrent"), (3, "k3"))
 ]
 
 
@@ -168,7 +170,9 @@ WIDE_CASES = [
 def test_wide_kernel_matches_gate_by_gate_step(n, k, layers, topology):
     # wide blocks are fused into hi/lo factors; ring and all_to_all leave
     # crossing CRYs (and, with reupload, crossing CRZs), chain one CRY per
-    # depth layer. At n = 13 nothing is fused and a chunk holds 2 rows.
+    # depth layer. From n = 13 nothing is fused and a chunk holds 2 rows,
+    # from n = 14 one; at n = 15 one step's RY factor pair alone is larger
+    # than the budget.
     cfg = kernel_config(n, k=k, layers=layers, zz="edges", T=18, washout=6, topology=topology)
     series = generate(resolve_seeds(cfg).task)
     got = run_kernel(series, cfg)
@@ -264,11 +268,13 @@ def kernel_groups(draw, widths):
     return [experiment._replicate_config(base, r) for r in range(R)]
 
 
-@pytest.mark.parametrize("widths, examples", [((2, 7), 30), ((8, 9), 10)], ids=["dense", "fused"])
+@pytest.mark.parametrize(
+    "widths, examples", [((2, 7), 30), ((8, 9), 10), ((10, 12), 6)], ids=["dense", "fused", "wide"]
+)
 def test_run_group_matches_the_gate_by_gate_reference(widths, examples):
     # drawn apart per path, so each gets its examples: Y-frame dense blocks
-    # at n <= 7, fused pairs and crossing gates at n = 8, 9 (slower to run
-    # gate by gate, so fewer)
+    # at n <= 7, fused pairs and crossing gates at n = 8, 9 and at n = 10..12,
+    # the widest fused widths (slower to run gate by gate, so fewer)
     @settings(derandomize=True, database=None, deadline=None, max_examples=examples)
     @given(kernel_groups(widths))
     def matches(configs):
@@ -349,25 +355,17 @@ def test_y_frame_turns_the_ry_layer_into_phases(n):
     # and moved back (@ W^T / 2**n) take the RY layer of two half-factors
     angles = np.random.default_rng(n).uniform(-np.pi, 2 * np.pi, size=(3, n))
     rows = random_rows(3, n, seed=n + 20)
-    frame = butterfly(rows.copy(), Y_FRAME.conj())
-    frame *= ry_phases(angles)
-    got = butterfly(frame, Y_FRAME.T) / 2**n
+    w = y_frame(n)
+    got = (rows @ w.conj() * ry_phases(angles)) @ w.T / 2**n
     np.testing.assert_allclose(got, ry_layer(rows, ry_factors(angles)), rtol=0, atol=TOL)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
-def test_butterfly_is_the_kronecker_power(n):
-    # an odd n ends its passes in the scratch array, an even n in place
-    m = np.array([[0.3 + 1j, -2.0], [0.5j, 1.5 - 0.25j]])
+def test_y_frame_is_the_kronecker_power(n):
     power = np.ones((1, 1))
     for _ in range(n):
-        power = np.kron(power, m)
-    rows = random_rows(4, n, seed=5).reshape(2, 2, 2**n)
-    stack = random_rows(2 * 2**n, n, seed=6).reshape(2, 2**n, 2**n)
-    for x, axis, want in ((rows, -1, rows @ power), (stack, -2, power.T @ stack)):
-        got = x.copy()
-        butterfly(got, m, axis)  # in place
-        np.testing.assert_allclose(got, want, rtol=0, atol=TOL)
+        power = np.kron(power, Y_FRAME)
+    np.testing.assert_array_equal(y_frame(n), power)
 
 
 def apply_fused(rows, ops, n):
