@@ -22,29 +22,31 @@ fi
 # exactly 1
 $QRCLAB case-parity --out "$RUNNER_TEMP/runs"
 $QRCLAB theory-scan --qubits 2,3 --replicates 2 --out "$RUNNER_TEMP/runs"
-echo '{"readout":{"alpha":1,"alpha_grid":[0,1,0.5]},"observables":{"zz":[[1,0],[2,3]]},"mode":{"type":"reupload_k","k":3}}' > "$RUNNER_TEMP/echo.json"
-first=$($QRCLAB case-memory --config "$RUNNER_TEMP/echo.json" --out "$RUNNER_TEMP/echo" | sed -n 's/^run_dir: //p')
-again=$($QRCLAB case-memory --config "$first/config_echo.json" | sed -n 's/^run_dir: //p')
-test "$first" != "$again"
-for file in config_echo.json features.csv predictions.csv; do cmp "$first/$file" "$again/$file"; done
+
+# rerun COMMAND NAME DOC FILE...: run COMMAND on the config DOC, rerun it from
+# its bundle's config_echo.json, and compare each FILE of the two bundles
+rerun() {
+  local command=$1 name=$2 doc=$3 first again
+  shift 3
+  echo "$doc" > "$RUNNER_TEMP/$name.json"
+  first=$($QRCLAB "$command" --config "$RUNNER_TEMP/$name.json" --out "$RUNNER_TEMP/$name" | sed -n 's/^run_dir: //p')
+  again=$($QRCLAB "$command" --config "$first/config_echo.json" | sed -n 's/^run_dir: //p')
+  test "$first" != "$again"
+  for file in "$@"; do cmp "$first/$file" "$again/$file"; done
+}
+rerun case-memory echo '{"readout":{"alpha":1,"alpha_grid":[0,1,0.5]},"observables":{"zz":[[1,0],[2,3]]},"mode":{"type":"reupload_k","k":3}}' \
+  config_echo.json features.csv predictions.csv
 # n = 7, the widest dense width: the largest frame matrix W, and a chunk of 128 steps
-echo '{"reservoir":{"n_qubits":7},"output":{"plots":false}}' > "$RUNNER_TEMP/dense.json"
-first=$($QRCLAB case-narma10 --config "$RUNNER_TEMP/dense.json" --out "$RUNNER_TEMP/dense" | sed -n 's/^run_dir: //p')
-again=$($QRCLAB case-narma10 --config "$first/config_echo.json" | sed -n 's/^run_dir: //p')
-test "$first" != "$again"
-for file in features.csv predictions.csv; do cmp "$first/$file" "$again/$file"; done
-# an odd width (a = 5, b = 4) whose fused blocks keep crossing CRYs and CRZs
-echo '{"task":{"T":80},"reservoir":{"n_qubits":9,"topology":"all_to_all"},"encoder":{"scheme":"reupload","layers":2},"mode":{"type":"reupload_k","k":2},"output":{"plots":false}}' > "$RUNNER_TEMP/wide.json"
-first=$($QRCLAB case-parity --config "$RUNNER_TEMP/wide.json" --out "$RUNNER_TEMP/wide" | sed -n 's/^run_dir: //p')
-again=$($QRCLAB case-parity --config "$first/config_echo.json" | sed -n 's/^run_dir: //p')
-test "$first" != "$again"
-for file in features.csv predictions.csv; do cmp "$first/$file" "$again/$file"; done
-# n = 13, where no block is fused and every gate runs on its own over chunks of 2 rows
-echo '{"task":{"T":40},"reservoir":{"n_qubits":13},"mode":{"type":"reupload_k","k":3},"protocol":{"washout":12},"output":{"plots":false}}' > "$RUNNER_TEMP/unfused.json"
-first=$($QRCLAB case-parity --config "$RUNNER_TEMP/unfused.json" --out "$RUNNER_TEMP/unfused" | sed -n 's/^run_dir: //p')
-again=$($QRCLAB case-parity --config "$first/config_echo.json" | sed -n 's/^run_dir: //p')
-test "$first" != "$again"
-for file in features.csv predictions.csv; do cmp "$first/$file" "$again/$file"; done
+rerun case-narma10 dense '{"reservoir":{"n_qubits":7},"output":{"plots":false}}' features.csv predictions.csv
+# an odd width (groups of 5 and 4 qubits) whose fused blocks keep crossing CRYs and CRZs
+rerun case-parity wide '{"task":{"T":80},"reservoir":{"n_qubits":9,"topology":"all_to_all"},"encoder":{"scheme":"reupload","layers":2},"mode":{"type":"reupload_k","k":2},"output":{"plots":false}}' \
+  features.csv predictions.csv
+# n = 13, the narrowest width of three fused groups (5, 4 and 4 qubits), over chunks of 2 rows
+rerun case-parity three '{"task":{"T":40},"reservoir":{"n_qubits":13},"mode":{"type":"reupload_k","k":3},"protocol":{"washout":12},"output":{"plots":false}}' \
+  features.csv predictions.csv
+# n = 19, the narrowest width of four fused groups (5, 5, 5 and 4 qubits)
+rerun case-parity four '{"task":{"T":16},"reservoir":{"n_qubits":19},"protocol":{"washout":4},"output":{"plots":false}}' \
+  features.csv predictions.csv
 echo '{"qbits": 4}' > "$RUNNER_TEMP/unknown-key.json"
 status=0
 $QRCLAB case-parity --config "$RUNNER_TEMP/unknown-key.json" --out "$RUNNER_TEMP/runs" || status=$?

@@ -10,19 +10,18 @@ reset, so re-uploading the whole prefix gives exactly the recurrent state),
 and B output rows per chunk for a bounded window, each restarted from |0>.
 Input angles are stacked once as (R, T, n), and each chunk's steps become
 (R, S, ...) RY layers, of which sub-step j takes the slice ``[:, j:j+B]``.
-The fixed gates are compiled once. For n <= 7 they are dense (R, d, d)
-stacks, and the run evolves in the eigenbasis of Pauli-Y: with W from
-``sim.y_frame``, the blocks are moved to that frame once by one matmul on
-each side, ``sim.ry_phases`` makes each RY layer one phase multiply, so a
-step is ``(rows * phase) @ block``, and the kept rows go back by one matmul
-with W before they are measured.
-Otherwise (R = 1) they are op lists from ``sim.fuse_halves``: (H, L)
-half-factor pairs, which ``sim.ry_layer`` applies as it applies the RY
-layer from ``sim.ry_factors``, and the gates that cross the hi/lo cut (a
-CRY each, a phase vector per CRZ run); from n = 13 every gate crosses. One
-sign matrix gives the features. Which form a width takes, how many
-replicates a group stacks and how many rows a chunk holds all follow from
-one budget, ``CHUNK_AMPLITUDES``, stated with its rules above ``run_group``.
+The fixed gates are compiled once, on the qubit groups that one rule picks
+(stated with the other rules on ``CHUNK_AMPLITUDES`` above ``run_group``):
+the fewest near-equal groups whose per-step factors fit the budget. In one
+group (n <= 7) they are dense (R, d, d) stacks, and the run evolves in the
+eigenbasis of Pauli-Y: with W from ``sim.y_frame``, the blocks are moved to
+that frame once by one matmul on each side, ``sim.ry_phases`` makes each RY
+layer one phase multiply, so a step is ``(rows * phase) @ block``, and the
+kept rows go back by one matmul with W before they are measured. In more
+groups (R = 1) they are op lists from ``sim.fuse_groups``: factor tuples,
+which ``sim.ry_layer`` applies as it applies the RY layer from
+``sim.ry_factors``, and the gates that cross a cut (a CRY each, a phase
+vector per CRZ run). One sign matrix gives the features.
 ``run_recurrent`` and ``run_windowed`` run one series; scans and sweeps run
 one group per pool task. ``step`` is the gate-by-gate reference the kernel
 is tested against.
@@ -68,8 +67,7 @@ from .sim import (
     check_real,
     check_seed,
     compile_gates,
-    fuse_halves,
-    ry_factor_size,
+    fuse_groups,
     ry_factors,
     ry_layer,
     ry_phases,
@@ -328,16 +326,23 @@ def _input_angles(inputs, n: int) -> np.ndarray:
 
 
 # The kernel's one budget, in complex128 entries (256 KB). Each rule of a
-# width's plan is one expression on it: a chunk's R x B rows fit, at least
-# one per replicate (``_rows_per_chunk``); a fixed block is dense, in the Y
-# frame, if its 4**n entries fit (n <= 7), and a group stacks as many dense
-# blocks as fit (``_group_size``); a wider block is fused into hi/lo pairs
-# if one ``ry_factor_size(n)`` pair fits (n <= 12). A chunk's RY layers
-# follow from its rows: R x (B + k - 1) steps (k = 1 for a persistent
-# state) of 2**n phases or one factor pair each. For its B rows that is at
-# most the budget again on the dense path and 2.5 times it (640 KB) on the
-# others through n = 14; from n = 15 one step's pair alone is larger.
+# width's plan is one expression on it. The qubits split into the fewest
+# near-equal groups, top group largest, whose per-step factors (4**g entries
+# a group of g) fit (``_qubit_groups``): one group, the dense Y frame form,
+# through n = 7, and 2, 3 and 4 fused groups of at most 6 qubits through
+# n = 12, 18 and 24. A chunk's R x B rows fit, at least one per replicate
+# (``_rows_per_chunk``), and a group stacks as many dense blocks as fit
+# (``_group_size``). So a chunk's RY layers, R x (B + k - 1) steps (k = 1 for
+# a persistent state) of at most the budget each, take for its B rows at
+# most the budget again in one group and 2.5 times it (640 KB) in more.
 CHUNK_AMPLITUDES = 2**14
+
+
+def _qubit_groups(n: int) -> tuple[int, ...]:
+    """Width n's qubit groups, top first: the first split into m = 1, 2, ...
+    near-equal groups whose per-step factors fit ``CHUNK_AMPLITUDES``."""
+    splits = (tuple(n // m + (i < n % m) for i in range(m)) for m in range(1, n + 1))
+    return next(groups for groups in splits if sum(4**g for g in groups) <= CHUNK_AMPLITUDES)
 
 
 def _rows_per_chunk(n: int, R: int = 1) -> int:
@@ -353,47 +358,44 @@ def _group_size(n: int) -> int:
     return max(1, CHUNK_AMPLITUDES // 4**n)
 
 
-def _fixed_blocks(configs, n: int) -> list:
+def _fixed_blocks(configs, groups) -> list:
     """Per encoder layer, the fixed gates after its RY layer, with the
-    reservoir folded into the last block: the replicates' dense row
-    operators M stacked as (R, d, d) and moved to the Y frame, as
-    ``W^T M conj(W) / 2**n`` with W = ``sim.y_frame(n)``, to act on rows
-    held there as ``rows @ conj(W)`` (see ``sim.ry_phases``), when a
-    block's 4**n entries fit in one chunk, else (one replicate, as
-    ``_group_size`` allows) the block from ``sim.fuse_halves``, fused into
-    hi/lo pairs when one pair fits, so that only the gates that cross the
-    cut are left (from n = 13, every gate)."""
+    reservoir folded into the last block, on the qubit groups of
+    ``_qubit_groups``. In one group, the replicates' dense row operators M
+    stacked as (R, d, d) and moved to the Y frame, as ``W^T M conj(W) / 2**n``
+    with W = ``sim.y_frame(n)``, to act on rows held there as
+    ``rows @ conj(W)`` (see ``sim.ry_phases``); in more (one replicate, as
+    ``_group_size`` allows), the op lists of ``sim.fuse_groups``."""
+    n = sum(groups)
     replicates = []
     for cfg in configs:
         blocks = [list(layer.fixed_gates) for layer in build_encoder(cfg.encoder, n).layers]
         blocks[-1] += build_reservoir(cfg.reservoir).gates
         replicates.append(blocks)
-    if 4**n > CHUNK_AMPLITUDES:
-        fuse = ry_factor_size(n) <= CHUNK_AMPLITUDES
-        return [fuse_halves(block, n, fuse) for block in replicates[0]]
+    if len(groups) > 1:
+        return [fuse_groups(block, groups) for block in replicates[0]]
     w = y_frame(n)
     return [w.T @ np.stack([compile_gates(block, n) for block in layer]) @ w.conj() / 2**n for layer in zip(*replicates)]
 
 
-def _advance(rows: np.ndarray, layer, blocks, n: int) -> np.ndarray:
+def _advance(rows: np.ndarray, layer, blocks, groups) -> np.ndarray:
     """One time step on an (R, B, 2**n) batch: per encoder layer, the RY
     layer, then that layer's fixed block. Dense blocks, (R, d, d) stacks,
     act in the Y frame, where the RY layer is ``layer``, one phase array.
-    Fused blocks, op lists of (H, L) pairs, phase vectors and crossing
-    gates, act on plain rows, where ``layer`` is an (H, L) pair of RY
-    factors."""
+    Fused blocks, op lists of factor tuples, phase vectors and crossing
+    gates, act on plain rows, where ``layer`` is one RY factor per group."""
     for block in blocks:
         if isinstance(block, np.ndarray):
             rows = (rows * layer) @ block
             continue
-        rows = ry_layer(rows, layer)
+        rows = ry_layer(rows, layer, groups)
         for op in block:
             if isinstance(op, tuple):
-                rows = ry_layer(rows, op)
+                rows = ry_layer(rows, op, groups)
             elif isinstance(op, np.ndarray):
                 rows *= op
             else:
-                apply_gate_rows(rows.reshape(-1, 2**n), op, n)
+                apply_gate_rows(rows.reshape(-1, rows.shape[-1]), op, sum(groups))
     return rows
 
 
@@ -465,8 +467,9 @@ def run_group(series_list, configs) -> list[FeatureMatrix]:
         raise ConfigurationError(f"{R} replicates of width {n} exceed the group size {_group_size(n)}")
     observables = build_observables(cfg.observables, n, cfg.reservoir.topology)
     signs = sign_matrix(observables, n)
-    blocks = _fixed_blocks(cfgs, n)
-    dense = isinstance(blocks[0], np.ndarray)  # evolved in the Y frame
+    groups = _qubit_groups(n)
+    blocks = _fixed_blocks(cfgs, groups)
+    dense = len(groups) == 1  # evolved in the Y frame
     back = y_frame(n).T / 2**n if dense else None  # rows @ back leaves the frame
     angles = np.stack([_input_angles(s.inputs, n) for s in series_list])  # (R, T, n)
     streams = [RandomStream(c.backend.shot_seed) for c in cfgs] if cfg.backend.kind == "shots" else None
@@ -483,14 +486,14 @@ def run_group(series_list, configs) -> list[FeatureMatrix]:
         if dense:
             layers = ry_phases(chunk.reshape(-1, n)).reshape(R, -1, 2**n)
         else:
-            layers = [f.reshape(R, -1, *f.shape[1:]) for f in ry_factors(chunk.reshape(-1, n))]
+            layers = [f.reshape(R, -1, *f.shape[1:]) for f in ry_factors(chunk.reshape(-1, n), groups)]
         if bounded or rows is None:  # a bounded window's rows start from |0> each chunk
             rows = np.zeros((R, t1 - t0 if bounded else 1, 2**n), dtype=np.complex128)
             rows[..., : 2**n if dense else 1] = 1.0  # in the Y frame, |0> is all ones
         B = rows.shape[1]
         for j in range(chunk.shape[1] - B + 1):
             layer = layers[:, j : j + B] if dense else [f[:, j : j + B] for f in layers]
-            rows = _advance(rows, layer, blocks, n)
+            rows = _advance(rows, layer, blocks, groups)
             if j >= w - 1 and t0 + j - w + 1 >= keep_from:  # complete rows from step keep_from on
                 kept.append(rows)
         del layers, layer  # free this chunk's RY layers before the next chunk builds its own
@@ -546,10 +549,7 @@ def run_case(config: ExperimentConfig) -> RunResult:
     into train-then-test, fit the ridge readout, score both segments."""
     cfg = resolve_seeds(config)
     series = generate(cfg.task)
-    if cfg.mode.kind == "recurrent":
-        features = run_recurrent(series, cfg)
-    else:
-        features = run_windowed(series, cfg)
+    features = (run_recurrent if cfg.mode.kind == "recurrent" else run_windowed)(series, cfg)
     return _fit_and_score(cfg, series, features)
 
 
@@ -574,14 +574,8 @@ def _fit_and_score(cfg: ExperimentConfig, series: TimeSeries, features: FeatureM
 
     sweep = None
     if cfg.alpha_grid:
-        sweep_rows = []
-        for a in cfg.alpha_grid:
-            m = fit_ridge(X_train, y_train, alpha=a)
-            p = predict(m, features.values)
-            sweep_rows.append(
-                (float(a), scorer(p[:n_train], y_train), scorer(p[n_train:], y_test))
-            )
-        sweep = tuple(sweep_rows)
+        fits = [(float(a), predict(fit_ridge(X_train, y_train, alpha=a), features.values)) for a in cfg.alpha_grid]
+        sweep = tuple((a, scorer(p[:n_train], y_train), scorer(p[n_train:], y_test)) for a, p in fits)
 
     return RunResult(
         config=cfg,
@@ -697,7 +691,8 @@ def stm_delay_sweep(
     """Mean test R^2 per delay, averaged over replicate seeds. Each replicate
     evolves once, from its shortest delay's config, and each delay is a
     readout of that run (``_group_scores``); on the shots backend the run is
-    sampled once, from that config's first kept row."""
+    sampled once, from that config's first kept row. The replicates' data,
+    reservoir and shot seeds replace the config's own."""
     delays = [check_int("delays", d, 1) for d in delays]
     if not delays:
         raise SchemaError("delays", "must name at least one delay")
@@ -716,8 +711,7 @@ def stm_delay_sweep(
 def check_scan_args(config: ExperimentConfig, qubit_list, delta: float, replicates: int) -> list[int]:
     """The theory scan's argument rules, checked before anything runs: the
     widths are non-empty integers, strictly ascending, delta is a number in
-    (0, 1),
-    replicates is an integer >= 1, and each width's replicate config
+    (0, 1), replicates is an integer >= 1, and each width's replicate config
     builds. Raises SchemaError keyed ``qubit_list``, ``delta`` or
     ``replicates``; returns the widths."""
     qubits = [check_int("qubit_list", n) for n in qubit_list]
@@ -743,7 +737,8 @@ def theory_scan(
 ) -> list[ScanRow]:
     """Replicate-averaged train/test scores per reservoir width, with the
     risk bound's sample-size confidence term. Every width and replicate
-    keeps the same rows, so the m test rows follow from the config."""
+    keeps the same rows, so the m test rows follow from the config. The
+    replicates' data, reservoir and shot seeds replace the config's own."""
     qubits = check_scan_args(config, qubit_list, delta, replicates)
     t_eff = config.task.T - config.first_row(config.task.valid_from)
     m = t_eff - config.protocol.train_rows(t_eff)

@@ -15,21 +15,22 @@ Two layers of kernels live here. ``apply_gate``, ``expectation``,
 ``sample_counts`` and ``estimate_expectations`` act on one ``StateVector``
 or its count table and are the reference path; ``tests/dense_oracle.py``
 checks ``apply_gate`` in turn. The batch helpers ``apply_gate_rows``,
-``compile_gates``, ``fuse_halves``, ``ry_factors``, ``ry_layer``,
+``compile_gates``, ``fuse_groups``, ``ry_factors``, ``ry_layer``,
 ``ry_phases``, ``y_frame`` and ``sign_matrix`` act on, or build operators
 for, a ``(B, 2**n)`` array of amplitude rows (``ry_layer`` on any leading
 axes); the fused evolution kernel in ``experiment`` is built from them and
 tested against the reference path.
 
 The RY layer on every qubit is a Kronecker product, applied in one of two
-ways. In the eigenbasis of Pauli-Y it is diagonal: ``ry_phases`` gives its
-2**n phases, and one matmul with the frame matrix W from ``y_frame``
-moves rows into or out of that frame. Otherwise a row is viewed as a
-matrix over its top a = n - n//2 and bottom b = n//2 qubits, and the layer
-is two half-factors (two matmuls); ``fuse_halves`` compiles the fixed
-gates that stay within one half to such factors too, when its caller's
-budget lets it, and leaves only the gates that cross the cut: CRYs, and
-CRZ runs as one phase vector.
+forms. ``experiment`` splits the qubits into the fewest near-equal groups
+whose factors fit its chunk budget, and the count picks the form. In one
+group, the eigenbasis of Pauli-Y makes the layer diagonal: ``ry_phases``
+gives its 2**n phases, and one matmul with the frame matrix W from
+``y_frame`` moves rows into or out of that frame. In m >= 2 groups of
+consecutive qubits, the layer is one factor per group, one matmul each
+(``ry_factors`` and ``ry_layer``); ``fuse_groups`` compiles the fixed
+gates that stay within one group to such factors too, and leaves only the
+gates that cross a cut: CRYs, and CRZ runs as one phase vector.
 """
 
 from __future__ import annotations
@@ -391,24 +392,25 @@ def compile_gates(gates, n: int) -> np.ndarray:
     return op
 
 
-def ry_factors(angles: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Kronecker half-factors of the RY layer of each of S steps or rows.
+def ry_factors(angles: np.ndarray, groups) -> list:
+    """Kronecker factors of the RY layer of each of S steps or rows: one
+    (S, 2**g, 2**g) factor per qubit group of ``ry_layer``, the bottom one
+    stored transposed.
 
     ``angles`` has shape (S, n): the RY angle of each step and qubit. The
-    layer on every qubit is ``RY[n-1] (x) ... (x) RY[0]``; it splits into
-    ``hi`` (S, 2**a, 2**a) over the top a = n - n//2 qubits and, stored
-    transposed, ``lo`` (S, 2**b, 2**b) over the bottom b = n//2. Both are
+    layer on every qubit is ``RY[n-1] (x) ... (x) RY[0]``. The factors are
     built for all S at once in real numbers, one qubit per broadcast
     product, and cast to complex once.
     """
     s, n = angles.shape
     cos, sin = np.cos(0.5 * angles), np.sin(0.5 * angles)
     rotations = np.stack([np.stack([cos, -sin], -1), np.stack([sin, cos], -1)], -2)  # (S, n, 2, 2)
-    b = n // 2
-    # top qubit first: it is the leading factor
-    hi = _kron([rotations[:, q] for q in range(n - 1, b - 1, -1)], s)
-    lo = _kron([rotations[:, q].swapaxes(1, 2) for q in range(b - 1, -1, -1)], s)
-    return hi.astype(np.complex128), lo.astype(np.complex128)
+    factors, top = [], n
+    for i, g in enumerate(groups):  # top qubit first: it is the leading factor
+        source = rotations.swapaxes(2, 3) if i == len(groups) - 1 else rotations
+        factors.append(_kron([source[:, q] for q in range(top - 1, top - g - 1, -1)], s).astype(np.complex128))
+        top -= g
+    return factors
 
 
 def _kron(factors, s: int) -> np.ndarray:
@@ -422,47 +424,45 @@ def _kron(factors, s: int) -> np.ndarray:
     return out
 
 
-def ry_factor_size(n: int) -> int:
-    """Entries of one step's ``ry_factors`` pair: 4**(n - n//2) + 4**(n//2)."""
-    return 4 ** (n - n // 2) + 4 ** (n // 2)
-
-
-def ry_layer(rows: np.ndarray, factors: tuple) -> np.ndarray:
-    """Apply an (H, L) pair of half-factors to every row; returns a new
-    batch of the shape of ``rows``, (..., 2**n).
-
-    A row viewed as the (2**a, 2**b) matrix X of its top a = n - n//2 and
-    bottom b = n//2 qubits becomes ``H @ X @ L``. ``factors`` is a pair from
-    ``ry_factors`` (the RY layer of one step, shared by every row, or one
-    per row, broadcast against the rows' leading axes) or a fixed pair from
-    ``fuse_halves``, where either half may be None and its matmul is skipped.
+def ry_layer(rows: np.ndarray, factors, groups) -> np.ndarray:
+    """Apply one factor per qubit group to every row; returns a new batch of
+    the shape of ``rows``, (..., 2**n). ``groups`` gives the qubit counts of
+    m >= 2 groups, top first. The top group's (2**g, post) view X of a row
+    becomes ``H @ X``, each middle group's (pre, 2**g, post) view likewise,
+    and the bottom group's (pre, 2**g) view X becomes ``X @ L``.
+    ``factors`` come from ``ry_factors`` (one step's RY layer, shared by
+    every row, or one per row, broadcast against the rows' leading axes) or
+    from ``fuse_groups``, where a None factor's matmul is skipped.
     """
-    hi, lo = factors
-    out = rows.reshape(*rows.shape[:-1], -1, rows.shape[-1] // hi.shape[-1] if lo is None else lo.shape[-1])
-    if hi is not None:
-        out = hi @ out
-    if lo is not None:
-        out = out @ lo
+    top, *middle, bottom = factors
+    out = rows.reshape(*rows.shape[:-1], 2 ** groups[0], -1)
+    if top is not None:
+        out = top @ out
+    if middle:
+        post = out.shape[-1]
+        for f, g in zip(middle, groups[1:-1]):
+            post >>= g
+            if f is not None:
+                out = f[..., None, :, :] @ out.reshape(*rows.shape[:-1], -1, 2**g, post)
+        out = out.reshape(*rows.shape[:-1], -1, 2 ** groups[-1])
+    if bottom is not None:
+        out = out @ bottom
     return out.reshape(rows.shape)
 
 
-def fuse_halves(gates, n: int, fuse: bool) -> list:
-    """A fixed gate list as ops on the split of ``ry_layer``. Gates on the
-    bottom b = n//2 qubits only join a pending L (``compile_gates`` on b
-    qubits); gates on the top a qubits only join a pending H (compiled on
-    a qubits, indices shifted by -b, transposed). The halves commute, so
-    each run of such gates is one (H, L) pair, a half None if no gate fell
-    in it. A gate that crosses the cut ends the run: a CRY stays a GateOp,
-    and consecutive CRZs fold into one (2**n,) phase vector, their
-    diagonal, applied as ``rows *= phase``. A run of only RZ/CRZ gates
-    joins that phase vector instead of forming a pair.
-
-    A pair holds at most ``ry_factor_size(n)`` entries. Without ``fuse``
-    nothing is fused: every gate counts as crossing, so RYs and CRYs stay
-    GateOps and each diagonal run is one phase vector."""
-    b = n // 2
+def fuse_groups(gates, groups) -> list:
+    """A fixed gate list as ops on the qubit groups of ``ry_layer``. The
+    groups commute, so each run of gates that stay within one group is one
+    tuple of factors: per group, ``compile_gates`` of its gates on its own
+    qubits (indices shifted by its bottom qubit), transposed but for the
+    bottom group, or None if no gate fell in it. A gate that crosses a cut
+    ends the run: a CRY stays a GateOp, and consecutive CRZs fold into one
+    (2**n,) phase vector, their diagonal, applied as ``rows *= phase``. A
+    run of only RZ/CRZ gates joins that phase vector instead."""
+    n = sum(groups)
+    owner = [i for i, g in reversed(list(enumerate(groups))) for _ in range(g)]  # each qubit's group
     out: list = []
-    run: list = []  # the pending half-local gates
+    run: list = []  # the pending group-local gates
 
     def phase(gate):
         if not out or not isinstance(out[-1], np.ndarray):
@@ -474,22 +474,22 @@ def fuse_halves(gates, n: int, fuse: bool) -> list:
             for gate in run:
                 phase(gate)
         else:
-            low = [g for g in run if g.target < b]
-            high = [
-                GateOp(g.kind, g.angle, g.target - b, None if g.control is None else g.control - b)
-                for g in run
-                if g.target >= b
-            ]
-            out.append((compile_gates(high, n - b).T.copy() if high else None, compile_gates(low, b) if low else None))
+            factors = []
+            for i, g in enumerate(groups):
+                low = sum(groups[i + 1 :])  # the group's bottom qubit
+                local = [GateOp(x.kind, x.angle, x.target - low, None if x.control is None else x.control - low)
+                         for x in run if owner[x.target] == i]
+                factor = compile_gates(local, g) if local else None
+                factors.append(factor.T.copy() if local and i < len(groups) - 1 else factor)
+            out.append(tuple(factors))
         run.clear()
 
     for gate in gates:
-        qubits = (gate.target,) if gate.control is None else (gate.target, gate.control)
-        if fuse and (max(qubits) < b or min(qubits) >= b):
+        if gate.control is None or owner[gate.control] == owner[gate.target]:
             run.append(gate)
             continue
         flush()
-        if gate.kind in ("RZ", "CRZ"):
+        if gate.kind == "CRZ":
             phase(gate)
         else:
             out.append(gate)

@@ -141,6 +141,20 @@ class TestSchemaFailures:
         assert "observables.zz" in capsys.readouterr().err
         assert not (tmp_path / "r").exists()
 
+    @pytest.mark.parametrize(
+        "doc, key",
+        [({"task": {"seed": 5}}, "task.seed"), ({"reservoir": {"seed": 7}}, "reservoir.seed"),
+         ({"backend": {"shot_seed": 9}}, "backend.shot_seed")],
+    )
+    def test_scan_config_seed_names_key(self, tmp_path, capsys, doc, key):
+        # every replicate derives its seeds from the master seed, so a seed
+        # the config sets would be echoed but never used
+        cfg = write_config(tmp_path, doc)
+        argv = ["theory-scan", "--config", cfg, "--qubits", "2,3", "--replicates", "1", "--out", str(tmp_path / "r")]
+        assert main(argv) == 1
+        assert capsys.readouterr().err.startswith(f"error: {key}: ")
+        assert not (tmp_path / "r").exists()
+
     def test_seed_beyond_64_bits_names_key(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {"master_seed": 2**64})
         assert main(["case-parity", "--config", cfg, "--out", str(tmp_path / "r")]) == 1

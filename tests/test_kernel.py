@@ -3,8 +3,10 @@
 ``run_recurrent`` and ``run_windowed`` evolve batches of rows in the
 eigenbasis of Pauli-Y, entered and left by one matmul with the frame matrix
 W, through one phase multiply per RY layer and dense step operators
-(n <= 7), or through the two-factor RY layer and fused hi/lo half factors,
-with only the gates that cross the cut left (n >= 8). Here their
+(n <= 7, one qubit group), or through one RY factor per qubit group and
+fixed gates fused into such factors, with only the gates that cross a cut
+left (n >= 8: two groups through n = 12, three through 18, four through
+24). Here their
 features are compared with a loop of ``step`` + ``expectation`` (or
 ``sample_counts`` + ``estimate_expectations`` on the shots backend), by hand
 and by a hypothesis property over drawn configs, and with the independent
@@ -42,11 +44,12 @@ from qrclab.sim import (
     RandomStream,
     StateVector,
     apply_gate,
+    apply_circuit,
     apply_gate_rows,
     compile_gates,
     estimate_expectations,
     expectation,
-    fuse_halves,
+    fuse_groups,
     new_zero_state,
     ry_factors,
     ry_layer,
@@ -168,11 +171,10 @@ WIDE_CASES = [
 
 @pytest.mark.parametrize("n, k, layers, topology", WIDE_CASES)
 def test_wide_kernel_matches_gate_by_gate_step(n, k, layers, topology):
-    # wide blocks are fused into hi/lo factors; ring and all_to_all leave
-    # crossing CRYs (and, with reupload, crossing CRZs), chain one CRY per
-    # depth layer. From n = 13 nothing is fused and a chunk holds 2 rows,
-    # from n = 14 one; at n = 15 one step's RY factor pair alone is larger
-    # than the budget.
+    # wide blocks are fused into one factor per qubit group; ring and
+    # all_to_all leave crossing CRYs (and, with reupload, crossing CRZs),
+    # chain one CRY per depth layer and cut. From n = 13 the qubits split
+    # into three groups, and a chunk holds 2 rows at n = 13, one from 14.
     cfg = kernel_config(n, k=k, layers=layers, zz="edges", T=18, washout=6, topology=topology)
     series = generate(resolve_seeds(cfg).task)
     got = run_kernel(series, cfg)
@@ -225,7 +227,7 @@ def test_long_run_keeps_the_reference_accuracy(n):
 
 
 def test_dense_path_makes_no_ry_layer_call(monkeypatch):
-    def refused(rows, factors):
+    def refused(rows, factors, groups):
         raise AssertionError("ry_layer called on the dense path")
 
     monkeypatch.setattr(experiment, "ry_layer", refused)
@@ -269,12 +271,15 @@ def kernel_groups(draw, widths):
 
 
 @pytest.mark.parametrize(
-    "widths, examples", [((2, 7), 30), ((8, 9), 10), ((10, 12), 6)], ids=["dense", "fused", "wide"]
+    "widths, examples",
+    [((2, 7), 30), ((8, 9), 10), ((10, 12), 6), ((13, 15), 4)],
+    ids=["dense", "fused", "wide", "three-groups"],
 )
 def test_run_group_matches_the_gate_by_gate_reference(widths, examples):
     # drawn apart per path, so each gets its examples: Y-frame dense blocks
-    # at n <= 7, fused pairs and crossing gates at n = 8, 9 and at n = 10..12,
-    # the widest fused widths (slower to run gate by gate, so fewer)
+    # at n <= 7, two fused groups and crossing gates at n = 8, 9 and at
+    # n = 10..12, and three groups at n = 13..15 (slower to run gate by gate
+    # the wider they are, so fewer)
     @settings(derandomize=True, database=None, deadline=None, max_examples=examples)
     @given(kernel_groups(widths))
     def matches(configs):
@@ -335,29 +340,38 @@ def test_compile_gates_is_the_transposed_unitary():
     np.testing.assert_allclose(compile_gates(gates, n), unitary.T, rtol=0, atol=TOL)
 
 
+def apply_gates(row, gates, n):
+    """One amplitude row through ``apply_gate``, gate by gate."""
+    return apply_circuit(StateVector(n, row.copy()), gates).amplitudes
+
+
 @pytest.mark.parametrize("shared", [True, False], ids=["shared", "per-row"])
-@pytest.mark.parametrize("n", [2, 3, 8, 9])
+@pytest.mark.parametrize("n", [2, 3, 8, 9, 13, 19])
 def test_ry_layer_rotates_each_qubit_of_each_row(n, shared):
-    b = 3
+    # two groups of n - n//2 and n//2 qubits below n = 8, then the kernel's
+    # split: two groups at n = 8 and 9, three at 13 and four at 19
+    b, groups = 3, experiment._qubit_groups(n) if n > 7 else (n - n // 2, n // 2)
     angles = np.random.default_rng(n).uniform(0.0, np.pi, size=(b, n))
     if shared:
         angles[:] = angles[0]
     rows = random_rows(b, n, seed=9)
-    got = ry_layer(rows, ry_factors(angles[:1] if shared else angles))
+    got = ry_layer(rows, ry_factors(angles[:1] if shared else angles, groups), groups)
     for i in range(b):
         gates = [GateOp("RY", float(angles[i, q]), target=q) for q in range(n)]
-        np.testing.assert_allclose(got[i], apply_dense(rows[i], gates, n), rtol=0, atol=TOL)
+        want = apply_dense(rows[i], gates, n) if n < 10 else apply_gates(rows[i], gates, n)
+        np.testing.assert_allclose(got[i], want, rtol=0, atol=TOL)
 
 
 @pytest.mark.parametrize("n", range(1, 8))
 def test_y_frame_turns_the_ry_layer_into_phases(n):
     # rows moved into the frame (rows @ conj(W)), multiplied by their phases
-    # and moved back (@ W^T / 2**n) take the RY layer of two half-factors
+    # and moved back (@ W^T / 2**n) take the RY layer of two group factors
     angles = np.random.default_rng(n).uniform(-np.pi, 2 * np.pi, size=(3, n))
     rows = random_rows(3, n, seed=n + 20)
     w = y_frame(n)
     got = (rows @ w.conj() * ry_phases(angles)) @ w.T / 2**n
-    np.testing.assert_allclose(got, ry_layer(rows, ry_factors(angles)), rtol=0, atol=TOL)
+    groups = (n - n // 2, n // 2)
+    np.testing.assert_allclose(got, ry_layer(rows, ry_factors(angles, groups), groups), rtol=0, atol=TOL)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -368,49 +382,52 @@ def test_y_frame_is_the_kronecker_power(n):
     np.testing.assert_array_equal(y_frame(n), power)
 
 
-def apply_fused(rows, ops, n):
-    """``rows`` through a ``fuse_halves`` op list, as ``experiment._advance``
+def apply_fused(rows, ops, groups):
+    """``rows`` through a ``fuse_groups`` op list, as ``experiment._advance``
     applies a fused block."""
     for op in ops:
         if isinstance(op, tuple):
-            rows = ry_layer(rows, op)
+            rows = ry_layer(rows, op, groups)
         elif isinstance(op, np.ndarray):
             rows *= op
         else:
-            apply_gate_rows(rows, op, n)
+            apply_gate_rows(rows, op, sum(groups))
     return rows
 
 
-@pytest.mark.parametrize("n", [8, 9, 13])
-def test_fuse_halves_matches_apply_gate(n):
-    # at n = 9 the halves differ: a = 5 top qubits, b = 4 bottom ones; at
-    # n = 13, as the kernel runs it, nothing is fused
-    b = n // 2
+@pytest.mark.parametrize("n", [8, 9, 13, 19])
+def test_fuse_groups_matches_apply_gate(n):
+    # the kernel's groups: two at n = 8 and at 9 (5 top qubits and 4
+    # bottom ones), three at 13 and four at 19. Across every cut a CRY and a
+    # run of two CRZs; after the last crossing CRY a group-local CRZ and a
+    # trailing RZ run
+    groups = experiment._qubit_groups(n)
+    owner = [i for i, g in enumerate(groups) for _ in range(g)][::-1]
     gates = random_circuit(n, 80, seed=11)
-    gates += [GateOp("CRZ", 0.7, target=0, control=n - 1), GateOp("CRZ", 1.1, target=b, control=b - 1)]
-    gates += [GateOp("CRY", 0.4, target=b - 1, control=b), GateOp("CRZ", 0.9, target=b + 1, control=n - 1)]
+    for cut in np.cumsum(groups[::-1])[:-1].tolist():  # the bottom qubit of the group above the cut
+        gates += [GateOp("CRZ", 0.7, target=0, control=n - 1), GateOp("CRZ", 1.1, target=cut, control=cut - 1)]
+        gates += [GateOp("CRY", 0.4, target=cut - 1, control=cut)]
+    gates += [GateOp("CRZ", 0.9, target=n - 2, control=n - 1)]
     gates += [GateOp("RZ", 0.5, target=0), GateOp("RZ", 1.3, target=n - 1)]
-    fused = n < 13
 
     def crossing(g):
-        return not fused or g.control is not None and (g.control < b) != (g.target < b)
+        return g.control is not None and owner[g.control] != owner[g.target]
 
-    assert {g.kind for g in gates if crossing(g)} >= {"CRY", "CRZ"}
-    assert {g.kind for g in gates if not crossing(g)} == ({"RY", "RZ", "CRY", "CRZ"} if fused else set())
-    ops = fuse_halves(gates, n, fused)
-    assert [op for op in ops if isinstance(op, GateOp)] == [g for g in gates if crossing(g) and g.kind in ("RY", "CRY")]
-    # the gates after the last crossing CRY are RZ/CRZ only: one phase vector, not a pair
+    assert {g.kind for g in gates if crossing(g)} == {"CRY", "CRZ"}
+    assert {g.kind for g in gates if not crossing(g)} == {"RY", "RZ", "CRY", "CRZ"}
+    ops = fuse_groups(gates, groups)
+    assert [op for op in ops if isinstance(op, GateOp)] == [g for g in gates if crossing(g) and g.kind == "CRY"]
+    # the gates after the last crossing CRY are RZ/CRZ only: one phase vector, not a tuple
     assert ops[-2] == gates[-4] and isinstance(ops[-1], np.ndarray)
-    pairs = [op for op in ops if isinstance(op, tuple)]
-    assert bool(pairs) == fused and all(h is None or h.shape == (2 ** (n - b),) * 2 for h, _ in pairs)
-    assert all(lo is None or lo.shape == (2**b,) * 2 for _, lo in pairs)
+    fused = [op for op in ops if isinstance(op, tuple)]
+    assert all(len(op) == len(groups) for op in fused)
+    for i, g in enumerate(groups):  # every group has gates of its own, each in a factor on its qubits
+        assert any(op[i] is not None for op in fused)
+        assert all(op[i] is None or op[i].shape == (2**g, 2**g) for op in fused)
     rows = random_rows(2, n, seed=12)
-    got = apply_fused(rows.copy(), ops, n)
+    got = apply_fused(rows.copy(), ops, groups)
     for row, want in zip(got, rows):
-        state = StateVector(n, want.copy())
-        for gate in gates:
-            apply_gate(state, gate)
-        np.testing.assert_allclose(row, state.amplitudes, rtol=0, atol=TOL)
+        np.testing.assert_allclose(row, apply_gates(want, gates, n), rtol=0, atol=TOL)
 
 
 @pytest.mark.parametrize(
@@ -418,10 +435,10 @@ def test_fuse_halves_matches_apply_gate(n):
 )
 def test_fused_blocks_leave_the_crossing_gates(topology, layers, most):
     # ops per step at n = 10 (depth 3): the parent's gate lists had 33, 30
-    # and 35; each crossing CRY ends a run of half-local gates, and a run
+    # and 35; each crossing CRY ends a run of group-local gates, and a run
     # of RZ/CRZ gates only (the re-upload interleave) is one phase vector
     cfg = resolve_seeds(kernel_config(10, layers=layers, topology=topology))
-    blocks = experiment._fixed_blocks([cfg], 10)
+    blocks = experiment._fixed_blocks([cfg], experiment._qubit_groups(10))
     assert sum(len(block) for block in blocks) <= most
 
 
@@ -607,33 +624,50 @@ def test_rows_per_chunk_stays_within_the_budget():
 
 
 # Each width's plan, from the one budget: the form of its fixed blocks, its
-# group size, and its rows per chunk for one replicate and for a full group
+# qubit groups, its group size, and its rows per chunk for one replicate and
+# for a full group
 PLAN = {
-    2: ("dense", 1024, 4096, 4),
-    3: ("dense", 256, 2048, 8),
-    4: ("dense", 64, 1024, 16),
-    5: ("dense", 16, 512, 32),
-    6: ("dense", 4, 256, 64),
-    7: ("dense", 1, 128, 128),
-    8: ("fused", 1, 64, 64),
-    9: ("fused", 1, 32, 32),
-    10: ("fused", 1, 16, 16),
-    11: ("fused", 1, 8, 8),
-    12: ("fused", 1, 4, 4),
-    13: ("unfused", 1, 2, 2),
-    14: ("unfused", 1, 1, 1),
+    2: ("dense", (2,), 1024, 4096, 4),
+    3: ("dense", (3,), 256, 2048, 8),
+    4: ("dense", (4,), 64, 1024, 16),
+    5: ("dense", (5,), 16, 512, 32),
+    6: ("dense", (6,), 4, 256, 64),
+    7: ("dense", (7,), 1, 128, 128),
+    8: ("fused", (4, 4), 1, 64, 64),
+    9: ("fused", (5, 4), 1, 32, 32),
+    10: ("fused", (5, 5), 1, 16, 16),
+    11: ("fused", (6, 5), 1, 8, 8),
+    12: ("fused", (6, 6), 1, 4, 4),
+    13: ("fused", (5, 4, 4), 1, 2, 2),
+    14: ("fused", (5, 5, 4), 1, 1, 1),
 }
 
 
 @pytest.mark.parametrize("n", sorted(PLAN))
 def test_each_width_keeps_its_plan(n):
-    blocks = experiment._fixed_blocks([resolve_seeds(kernel_config(n))], n)
-    if isinstance(blocks[0], np.ndarray):
-        form = "dense"
-    else:
-        form = "fused" if any(isinstance(op, tuple) for block in blocks for op in block) else "unfused"
+    groups = experiment._qubit_groups(n)
+    blocks = experiment._fixed_blocks([resolve_seeds(kernel_config(n))], groups)
+    form = "dense" if isinstance(blocks[0], np.ndarray) else "fused"
+    if form == "fused":  # every fused op holds one factor per group
+        assert all(len(op) == len(groups) for block in blocks for op in block if isinstance(op, tuple))
     size = experiment._group_size(n)
-    assert (form, size, experiment._rows_per_chunk(n), experiment._rows_per_chunk(n, size)) == PLAN[n]
+    assert (form, groups, size, experiment._rows_per_chunk(n), experiment._rows_per_chunk(n, size)) == PLAN[n]
+
+
+def test_qubit_groups_are_the_fewest_that_fit_the_budget():
+    # near-equal groups, top group largest, whose factors fit the budget,
+    # and one group fewer would not: 1 group through n = 7, 2 through 12,
+    # 3 through 18 and 4 through 24, never more than 6 qubits from n = 8
+    budget = experiment.CHUNK_AMPLITUDES
+    for n in range(2, sim.MAX_QUBITS + 1):
+        groups = experiment._qubit_groups(n)
+        m = len(groups)
+        assert sum(groups) == n and list(groups) == sorted(groups, reverse=True) and groups[0] - groups[-1] <= 1
+        assert sum(4**g for g in groups) <= budget
+        fewer = [n // (m - 1) + (i < n % (m - 1)) for i in range(m - 1)] if m > 1 else []
+        assert not fewer or sum(4**g for g in fewer) > budget
+        assert m == 1 + (n > 7) + (n > 12) + (n > 18)
+        assert n <= 7 or max(groups) <= 6
 
 
 def test_group_with_a_narma10_redraw(monkeypatch, caplog):
