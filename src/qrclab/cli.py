@@ -4,8 +4,8 @@ Commands: ``case-memory``, ``case-parity``, ``case-narma10``, ``theory-scan``.
 Each run writes a timestamped output bundle (atomically, via temp-dir rename)
 containing config_echo.json plus the run's CSV/JSON/SVG artifacts.
 
-Exit codes: 0 success, 1 config/schema violation, 2 runtime or fit error
-or out of memory, 3 I/O error.
+Exit codes: 0 success, 1 config/schema violation, 2 runtime or fit error,
+out of memory or a worker process that ended, 3 I/O error.
 """
 
 from __future__ import annotations

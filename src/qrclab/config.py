@@ -112,7 +112,7 @@ def load_config_file(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
-    except ValueError as exc:  # JSONDecodeError, or UnicodeDecodeError: JSON text is UTF-8
+    except (ValueError, RecursionError) as exc:  # JSONDecodeError, UnicodeDecodeError (JSON is UTF-8), too deep
         raise SchemaError("<config>", f"not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise SchemaError("<config>", "top level must be an object")

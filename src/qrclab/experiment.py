@@ -41,7 +41,7 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from .encoding import EncoderCircuit, EncoderSpec, build_encoder, encode_input, scale_input
-from .errors import ConfigurationError, DataError, SchemaError
+from .errors import ConfigurationError, DataError, QRCLabError, SchemaError
 from .readout import (
     DEFAULT_ALPHA,
     accuracy,
@@ -383,13 +383,12 @@ def _advance(rows: np.ndarray, layer, blocks, groups) -> np.ndarray:
     layer, then that layer's fixed block. Dense blocks, (R, d, d) stacks,
     act in the Y frame, where the RY layer is ``layer``, one phase array.
     Fused blocks, op lists of factor tuples, phase vectors and crossing
-    gates, act on plain rows, where ``layer`` is one RY factor per group."""
+    gates, act on plain rows, after ``layer``, one RY factor per group."""
     for block in blocks:
         if isinstance(block, np.ndarray):
             rows = (rows * layer) @ block
             continue
-        rows = ry_layer(rows, layer, groups)
-        for op in block:
+        for op in (layer, *block):
             if isinstance(op, tuple):
                 rows = ry_layer(rows, op, groups)
             elif isinstance(op, np.ndarray):
@@ -492,7 +491,7 @@ def run_group(series_list, configs) -> list[FeatureMatrix]:
             rows[..., : 2**n if dense else 1] = 1.0  # in the Y frame, |0> is all ones
         B = rows.shape[1]
         for j in range(chunk.shape[1] - B + 1):
-            layer = layers[:, j : j + B] if dense else [f[:, j : j + B] for f in layers]
+            layer = layers[:, j : j + B] if dense else tuple(f[:, j : j + B] for f in layers)
             rows = _advance(rows, layer, blocks, groups)
             if j >= w - 1 and t0 + j - w + 1 >= keep_from:  # complete rows from step keep_from on
                 kept.append(rows)
@@ -650,13 +649,17 @@ def _rows_from(features: FeatureMatrix, t0: int) -> FeatureMatrix:
 
 def _map_cases(tasks: list) -> list:
     """``_group_scores`` of every pool task, in order, on at most one worker
-    process per task."""
+    process per task. A worker process that ends before its task is done
+    (killed, say, by the out-of-memory killer) raises QRCLabError."""
     workers = min(worker_count(), len(tasks))
     if workers <= 1:
         return [_group_scores(t) for t in tasks]
-    from concurrent.futures import ProcessPoolExecutor  # here, so a sequential run never imports it
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(_group_scores, tasks))
+    from concurrent.futures import BrokenExecutor, ProcessPoolExecutor  # not on a sequential run
+    try:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            return list(pool.map(_group_scores, tasks))
+    except BrokenExecutor as exc:  # a BrokenProcessPool
+        raise QRCLabError(f"a worker process ended before its task was done: {exc}") from None
 
 
 def _replicate_groups(replicates: list, n: int) -> list:

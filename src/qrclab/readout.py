@@ -76,12 +76,18 @@ def predict(model: RidgeModel, X) -> np.ndarray:
     return X @ model.weights + model.bias
 
 
-def r2_score(pred, target) -> float:
-    """1 - SS_res/SS_tot with SS_tot about the target mean."""
+def _metric_inputs(pred, target) -> tuple[np.ndarray, np.ndarray]:
+    """A metric's predictions and targets as float arrays of one shape, not empty."""
     pred = np.asarray(pred, dtype=np.float64)
     target = np.asarray(target, dtype=np.float64)
     if pred.shape != target.shape or pred.size == 0:
         raise MetricError("predictions and targets must be equal-length and non-empty")
+    return pred, target
+
+
+def r2_score(pred, target) -> float:
+    """1 - SS_res/SS_tot with SS_tot about the target mean."""
+    pred, target = _metric_inputs(pred, target)
     ss_tot = float(np.sum((target - target.mean()) ** 2))
     if ss_tot == 0.0:
         raise MetricError("R^2 undefined: target has zero variance")
@@ -91,18 +97,12 @@ def r2_score(pred, target) -> float:
 
 def accuracy(pred, target, threshold: float = 0.5) -> float:
     """Fraction of rows where thresholded prediction matches the 0/1 label."""
-    pred = np.asarray(pred, dtype=np.float64)
-    target = np.asarray(target, dtype=np.float64)
-    if pred.shape != target.shape or pred.size == 0:
-        raise MetricError("predictions and targets must be equal-length and non-empty")
+    pred, target = _metric_inputs(pred, target)
     if not np.all(np.isin(target, (0.0, 1.0))):
         raise MetricError("accuracy requires binary {0, 1} targets")
     return float(np.mean((pred >= threshold).astype(np.float64) == target))
 
 
 def mse(pred, target) -> float:
-    pred = np.asarray(pred, dtype=np.float64)
-    target = np.asarray(target, dtype=np.float64)
-    if pred.shape != target.shape or pred.size == 0:
-        raise MetricError("predictions and targets must be equal-length and non-empty")
+    pred, target = _metric_inputs(pred, target)
     return float(np.mean((pred - target) ** 2))

@@ -30,7 +30,9 @@ gives its 2**n phases, and one matmul with the frame matrix W from
 consecutive qubits, the layer is one factor per group, one matmul each
 (``ry_factors`` and ``ry_layer``); ``fuse_groups`` compiles the fixed
 gates that stay within one group to such factors too, and leaves only the
-gates that cross a cut: CRYs, and CRZ runs as one phase vector.
+gates that cross a cut: CRYs, and CRZ runs as one phase vector. Every
+factor is a row operator, as ``compile_gates`` builds it: ``rows @ M``
+applies M, the transpose of the gates' unitary.
 """
 
 from __future__ import annotations
@@ -393,22 +395,20 @@ def compile_gates(gates, n: int) -> np.ndarray:
 
 
 def ry_factors(angles: np.ndarray, groups) -> list:
-    """Kronecker factors of the RY layer of each of S steps or rows: one
-    (S, 2**g, 2**g) factor per qubit group of ``ry_layer``, the bottom one
-    stored transposed.
+    """Row operators of the RY layer of each of S steps or rows: one
+    (S, 2**g, 2**g) factor per qubit group of ``ry_layer``, the Kronecker
+    product of its qubits' RY^T, top qubit first.
 
     ``angles`` has shape (S, n): the RY angle of each step and qubit. The
-    layer on every qubit is ``RY[n-1] (x) ... (x) RY[0]``. The factors are
-    built for all S at once in real numbers, one qubit per broadcast
-    product, and cast to complex once.
+    factors are built for all S at once in real numbers, one qubit per
+    broadcast product, and cast to complex once.
     """
     s, n = angles.shape
     cos, sin = np.cos(0.5 * angles), np.sin(0.5 * angles)
-    rotations = np.stack([np.stack([cos, -sin], -1), np.stack([sin, cos], -1)], -2)  # (S, n, 2, 2)
+    rotations = np.stack([np.stack([cos, sin], -1), np.stack([-sin, cos], -1)], -2)  # (S, n, 2, 2), RY^T
     factors, top = [], n
-    for i, g in enumerate(groups):  # top qubit first: it is the leading factor
-        source = rotations.swapaxes(2, 3) if i == len(groups) - 1 else rotations
-        factors.append(_kron([source[:, q] for q in range(top - 1, top - g - 1, -1)], s).astype(np.complex128))
+    for g in groups:  # top qubit first: it is the leading factor
+        factors.append(_kron([rotations[:, q] for q in range(top - 1, top - g - 1, -1)], s).astype(np.complex128))
         top -= g
     return factors
 
@@ -425,40 +425,36 @@ def _kron(factors, s: int) -> np.ndarray:
 
 
 def ry_layer(rows: np.ndarray, factors, groups) -> np.ndarray:
-    """Apply one factor per qubit group to every row; returns a new batch of
-    the shape of ``rows``, (..., 2**n). ``groups`` gives the qubit counts of
-    m >= 2 groups, top first. The top group's (2**g, post) view X of a row
-    becomes ``H @ X``, each middle group's (pre, 2**g, post) view likewise,
-    and the bottom group's (pre, 2**g) view X becomes ``X @ L``.
-    ``factors`` come from ``ry_factors`` (one step's RY layer, shared by
-    every row, or one per row, broadcast against the rows' leading axes) or
-    from ``fuse_groups``, where a None factor's matmul is skipped.
+    """Apply one row operator per qubit group to every row; returns a new
+    batch of the shape of ``rows``, (..., 2**n). ``groups`` gives the qubit
+    counts of m >= 2 groups, top first. A group's (pre, 2**g, post) view X
+    of a row becomes ``F^T @ X``, or ``X @ F`` for the bottom group (post =
+    1), just as ``rows @ F`` applies F to rows of g qubits. ``factors`` come
+    from ``ry_factors`` (one step's RY layer, shared by every row, or one
+    per row, broadcast against the rows' leading axes) or from
+    ``fuse_groups``, where a None factor's matmul is skipped.
     """
-    top, *middle, bottom = factors
-    out = rows.reshape(*rows.shape[:-1], 2 ** groups[0], -1)
-    if top is not None:
-        out = top @ out
-    if middle:
-        post = out.shape[-1]
-        for f, g in zip(middle, groups[1:-1]):
-            post >>= g
-            if f is not None:
-                out = f[..., None, :, :] @ out.reshape(*rows.shape[:-1], -1, 2**g, post)
-        out = out.reshape(*rows.shape[:-1], -1, 2 ** groups[-1])
-    if bottom is not None:
-        out = out @ bottom
+    lead, post, out = rows.shape[:-1], rows.shape[-1], rows
+    for f, g in zip(factors, groups):
+        post >>= g
+        if f is None:
+            continue
+        if post == 1:
+            out = out.reshape(*lead, -1, 2**g) @ f
+        else:
+            out = f.swapaxes(-1, -2)[..., None, :, :] @ out.reshape(*lead, -1, 2**g, post)
     return out.reshape(rows.shape)
 
 
 def fuse_groups(gates, groups) -> list:
     """A fixed gate list as ops on the qubit groups of ``ry_layer``. The
     groups commute, so each run of gates that stay within one group is one
-    tuple of factors: per group, ``compile_gates`` of its gates on its own
-    qubits (indices shifted by its bottom qubit), transposed but for the
-    bottom group, or None if no gate fell in it. A gate that crosses a cut
-    ends the run: a CRY stays a GateOp, and consecutive CRZs fold into one
-    (2**n,) phase vector, their diagonal, applied as ``rows *= phase``. A
-    run of only RZ/CRZ gates joins that phase vector instead."""
+    tuple of row operators: per group, ``compile_gates`` of its gates on its
+    own qubits (indices shifted by its bottom qubit), or None if no gate
+    fell in it. A gate that crosses a cut ends the run: a CRY stays a
+    GateOp, and consecutive CRZs fold into one (2**n,) phase vector, their
+    diagonal, applied as ``rows *= phase``. A run of only RZ/CRZ gates joins
+    that phase vector instead."""
     n = sum(groups)
     owner = [i for i, g in reversed(list(enumerate(groups))) for _ in range(g)]  # each qubit's group
     out: list = []
@@ -479,8 +475,7 @@ def fuse_groups(gates, groups) -> list:
                 low = sum(groups[i + 1 :])  # the group's bottom qubit
                 local = [GateOp(x.kind, x.angle, x.target - low, None if x.control is None else x.control - low)
                          for x in run if owner[x.target] == i]
-                factor = compile_gates(local, g) if local else None
-                factors.append(factor.T.copy() if local and i < len(groups) - 1 else factor)
+                factors.append(compile_gates(local, g) if local else None)
             out.append(tuple(factors))
         run.clear()
 

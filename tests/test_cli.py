@@ -1,12 +1,14 @@
 """Command line interface tests (run in-process through main)."""
 
 import json
+import multiprocessing
+import os
 import re
 from pathlib import Path
 
 import pytest
 
-from qrclab import cli
+from qrclab import cli, experiment
 from qrclab.cli import main
 from qrclab.errors import DataError
 from qrclab.experiment import confidence_term
@@ -94,6 +96,14 @@ class TestSchemaFailures:
         path.write_bytes('{"task": {"T": 120}} \u00e9'.encode("latin-1"))
         assert main(["case-parity", "--config", str(path), "--out", str(tmp_path / "r")]) == 1
         assert capsys.readouterr().err.startswith("error: <config>: not valid JSON")
+        assert not (tmp_path / "r").exists()
+
+    def test_config_nested_too_deep_exit_1(self, tmp_path, capsys):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100000 + "]" * 100000)
+        assert main(["case-parity", "--config", str(path), "--out", str(tmp_path / "r")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: <config>: not valid JSON") and err.count("\n") == 1
         assert not (tmp_path / "r").exists()
 
     def test_empty_out_flag_names_key(self, tmp_path, capsys, monkeypatch):
@@ -243,6 +253,10 @@ def fail_with_data_error(*args, **kwargs):
     raise DataError("injected failure after setup")
 
 
+def end_worker(pool_task):
+    os._exit(1)  # as the out-of-memory killer ends a process
+
+
 class TestRuntimeFailures:
     def test_run_time_error_exit_2(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(cli, "run_case", fail_with_data_error)
@@ -270,6 +284,16 @@ class TestRuntimeFailures:
         assert main(["case-memory", "--config", write_config(tmp_path, FAST_CASE), "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: out of memory") and err.count("\n") == 1 and "Traceback" not in err
+        assert not out.exists() or not any(out.iterdir())
+
+    @pytest.mark.skipif(multiprocessing.get_start_method() != "fork", reason="the patch reaches forked workers only")
+    def test_dead_worker_exit_2(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("QRCLAB_THREADS", "2")
+        monkeypatch.setattr(experiment, "_group_scores", end_worker)
+        out = tmp_path / "r"
+        assert main(["theory-scan", "--qubits", "2,3", "--replicates", "2", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: a worker process ended") and err.count("\n") == 1
         assert not out.exists() or not any(out.iterdir())
 
     def test_unwritable_output_exit_3(self, tmp_path):

@@ -430,6 +430,41 @@ def test_fuse_groups_matches_apply_gate(n):
         np.testing.assert_allclose(row, apply_gates(want, gates, n), rtol=0, atol=TOL)
 
 
+@pytest.mark.parametrize("n", [9, 15, 19])
+def test_every_group_factor_is_a_row_operator(n):
+    # two, three and four groups: each factor, whatever its group, is what
+    # compile_gates builds (rows @ M), so no group's factor is transposed
+    groups = experiment._qubit_groups(n)
+    owner = [i for i, g in enumerate(groups) for _ in range(g)][::-1]
+    lows = np.cumsum((0,) + groups[::-1])[::-1][1:].tolist()  # each group's bottom qubit
+    gates = random_circuit(n, 300, seed=n)
+    runs, run = [], []  # the group-local runs between crossing gates, as fuse_groups splits them
+    for gate in gates + [None]:
+        if gate is not None and (gate.control is None or owner[gate.control] == owner[gate.target]):
+            run.append(gate)
+            continue
+        if any(g.kind in ("RY", "CRY") for g in run):
+            runs.append(run)
+        run = []
+    fused = [op for op in fuse_groups(gates, groups) if isinstance(op, tuple)]
+    assert len(fused) == len(runs)
+    for op, run in zip(fused, runs):
+        for i, (g, low) in enumerate(zip(groups, lows)):
+            local = [GateOp(x.kind, x.angle, x.target - low, None if x.control is None else x.control - low)
+                     for x in run if owner[x.target] == i]
+            assert op[i] is None if not local else np.array_equal(op[i], compile_gates(local, g))
+    assert all(any(op[i] is not None for op in fused) for i in range(len(groups)))
+
+    angles = np.random.default_rng(n).uniform(-np.pi, 2 * np.pi, size=(3, n))
+    cos, sin = np.cos(0.5 * angles), np.sin(0.5 * angles)
+    for factor, g, low in zip(ry_factors(angles, groups), groups, lows):
+        for s in range(3):
+            want = np.ones((1, 1))
+            for q in range(low + g - 1, low - 1, -1):  # top qubit first
+                want = np.kron(want, np.array([[cos[s, q], -sin[s, q]], [sin[s, q], cos[s, q]]]).T)
+            assert np.array_equal(factor[s], want)
+
+
 @pytest.mark.parametrize(
     "topology, layers, most", [("ring", 1, 13), ("chain", 1, 7), ("ring", 2, 15)]
 )
