@@ -23,14 +23,15 @@ fi
 $QRCLAB case-parity --out "$RUNNER_TEMP/runs"
 $QRCLAB theory-scan --qubits 2,3 --replicates 2 --out "$RUNNER_TEMP/runs"
 
-# rerun COMMAND NAME DOC FILE...: run COMMAND on the config DOC, rerun it from
-# its bundle's config_echo.json, and compare each FILE of the two bundles
+# rerun COMMAND NAME DOC FILE...: run COMMAND (a subcommand and its flags) on
+# the config DOC, rerun it with the same flags from its bundle's
+# config_echo.json, and compare each FILE of the two bundles
 rerun() {
   local command=$1 name=$2 doc=$3 first again
   shift 3
   echo "$doc" > "$RUNNER_TEMP/$name.json"
-  first=$($QRCLAB "$command" --config "$RUNNER_TEMP/$name.json" --out "$RUNNER_TEMP/$name" | sed -n 's/^run_dir: //p')
-  again=$($QRCLAB "$command" --config "$first/config_echo.json" | sed -n 's/^run_dir: //p')
+  first=$($QRCLAB $command --config "$RUNNER_TEMP/$name.json" --out "$RUNNER_TEMP/$name" | sed -n 's/^run_dir: //p')
+  again=$($QRCLAB $command --config "$first/config_echo.json" | sed -n 's/^run_dir: //p')
   test "$first" != "$again"
   for file in "$@"; do cmp "$first/$file" "$again/$file"; done
 }
@@ -47,6 +48,8 @@ rerun case-parity three '{"task":{"T":40},"reservoir":{"n_qubits":13},"mode":{"t
 # n = 19, the narrowest width of four fused groups (5, 5, 5 and 4 qubits)
 rerun case-parity four '{"task":{"T":16},"reservoir":{"n_qubits":19},"protocol":{"washout":4},"output":{"plots":false}}' \
   features.csv predictions.csv
+# a scan's echo holds its config, not its flags: it reruns from the echo plus the same flags
+rerun "theory-scan --qubits 2,3 --replicates 2" scan '{}' scan.csv config_echo.json
 echo '{"qbits": 4}' > "$RUNNER_TEMP/unknown-key.json"
 status=0
 $QRCLAB case-parity --config "$RUNNER_TEMP/unknown-key.json" --out "$RUNNER_TEMP/runs" || status=$?

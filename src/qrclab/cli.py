@@ -85,7 +85,9 @@ def _load(args, task_kind=None):
 
 
 def _write_bundle(output_dir: str, name: str, files: dict[str, str]) -> Path:
-    """Write all files into a temp dir, then rename: no partial bundles."""
+    """Write all files into a temp dir, then rename: no partial bundles. The
+    rename takes the name, or ``<name>-2``, ``-3``, ... while it finds the
+    name taken, so a run that takes the same name meanwhile keeps its own."""
     out = Path(output_dir)
     out.mkdir(parents=True, exist_ok=True)
     tmp = out / f".{name}.tmp-{os.getpid()}"
@@ -97,18 +99,20 @@ def _write_bundle(output_dir: str, name: str, files: dict[str, str]) -> Path:
     try:
         for fname, content in files.items():
             (tmp / fname).write_bytes(content.encode("utf-8"))
-        final = out / name
-        counter = 1
-        while final.exists():
-            counter += 1
-            final = out / f"{name}-{counter}"
-        tmp.rename(final)
+        final, counter = out / name, 1
+        while True:
+            try:
+                return tmp.rename(final)
+            except OSError:
+                if not final.exists():
+                    raise
+                counter += 1
+                final = out / f"{name}-{counter}"
     except OSError:
         for leftover in tmp.glob("*"):
             leftover.unlink(missing_ok=True)
         tmp.rmdir()
         raise
-    return final
 
 
 def _run_dir_name(hash8: str) -> str:

@@ -2,8 +2,8 @@
 protocol, the STM delay sweep, and the qubit-width theory scan.
 
 Every run evolves through one driver, ``run_group``, and one fused kernel
-(``_advance`` and ``_measure``, built on the batch helpers in ``sim``). A
-group is R replicates of one width, held as an (R, B, 2**n) batch of
+(``sim.apply_ops`` and ``_measure``, built on the batch helpers in ``sim``).
+A group is R replicates of one width, held as an (R, B, 2**n) batch of
 amplitude rows: B = 1 persistent state per replicate for the recurrent mode
 and the full window (``mode.k = "full"``; the evolution is unitary, with no
 reset, so re-uploading the whole prefix gives exactly the recurrent state),
@@ -12,16 +12,17 @@ Input angles are stacked once as (R, T, n), and each chunk's steps become
 (R, S, ...) RY layers, of which sub-step j takes the slice ``[:, j:j+B]``.
 The fixed gates are compiled once, on the qubit groups that one rule picks
 (stated with the other rules on ``CHUNK_AMPLITUDES`` above ``run_group``):
-the fewest near-equal groups whose per-step factors fit the budget. In one
-group (n <= 7) they are dense (R, d, d) stacks, and the run evolves in the
-eigenbasis of Pauli-Y: with W from ``sim.y_frame``, the blocks are moved to
-that frame once by one matmul on each side, ``sim.ry_phases`` makes each RY
-layer one phase multiply, so a step is ``(rows * phase) @ block``, and the
-kept rows go back by one matmul with W before they are measured. In more
-groups (R = 1) they are op lists from ``sim.fuse_groups``: factor tuples,
-which ``sim.ry_layer`` applies as it applies the RY layer from
-``sim.ry_factors``, and the gates that cross a cut (a CRY each, a phase
-vector per CRZ run). One sign matrix gives the features.
+the fewest near-equal groups whose per-step factors fit the budget, as one
+op list per encoder layer, run by ``sim.apply_ops`` after its RY layer. In
+one group (n <= 7) the list is one dense (R, d, d) stack, and the run
+evolves in the eigenbasis of Pauli-Y: with W from ``sim.y_frame``, the
+stacks move to that frame once by one matmul on each side, ``sim.ry_phases``
+makes each RY layer one phase multiply, so a step is ``(rows * phase) @
+stack``, and the kept rows go back by one matmul with W before they are
+measured. In more groups (R = 1) the lists come from ``sim.fuse_groups``:
+factor tuples, run as the RY factors from ``sim.ry_factors`` are, and the
+gates that cross a cut (a CRY each, a phase vector per CRZ run). One sign
+matrix gives the features.
 ``run_recurrent`` and ``run_windowed`` run one series; scans and sweeps run
 one group per pool task. ``step`` is the gate-by-gate reference the kernel
 is tested against.
@@ -61,7 +62,7 @@ from .sim import (
     PauliString,
     RandomStream,
     StateVector,
-    apply_gate_rows,
+    apply_ops,
     check_bool,
     check_int,
     check_real,
@@ -69,7 +70,6 @@ from .sim import (
     compile_gates,
     fuse_groups,
     ry_factors,
-    ry_layer,
     ry_phases,
     shown,
     sign_matrix,
@@ -360,12 +360,12 @@ def _group_size(n: int) -> int:
 
 def _fixed_blocks(configs, groups) -> list:
     """Per encoder layer, the fixed gates after its RY layer, with the
-    reservoir folded into the last block, on the qubit groups of
-    ``_qubit_groups``. In one group, the replicates' dense row operators M
-    stacked as (R, d, d) and moved to the Y frame, as ``W^T M conj(W) / 2**n``
-    with W = ``sim.y_frame(n)``, to act on rows held there as
-    ``rows @ conj(W)`` (see ``sim.ry_phases``); in more (one replicate, as
-    ``_group_size`` allows), the op lists of ``sim.fuse_groups``."""
+    reservoir folded into the last block, as an op list for ``sim.apply_ops``
+    on the qubit groups of ``_qubit_groups``. In one group, its one op is the
+    replicates' dense row operators M stacked as (R, d, d) and moved to the
+    Y frame, as ``W^T M conj(W) / 2**n`` with W = ``sim.y_frame(n)``, to act
+    on rows held there as ``rows @ conj(W)`` (see ``sim.ry_phases``); in
+    more (one replicate, as ``_group_size`` allows), ``sim.fuse_groups``."""
     n = sum(groups)
     replicates = []
     for cfg in configs:
@@ -375,27 +375,7 @@ def _fixed_blocks(configs, groups) -> list:
     if len(groups) > 1:
         return [fuse_groups(block, groups) for block in replicates[0]]
     w = y_frame(n)
-    return [w.T @ np.stack([compile_gates(block, n) for block in layer]) @ w.conj() / 2**n for layer in zip(*replicates)]
-
-
-def _advance(rows: np.ndarray, layer, blocks, groups) -> np.ndarray:
-    """One time step on an (R, B, 2**n) batch: per encoder layer, the RY
-    layer, then that layer's fixed block. Dense blocks, (R, d, d) stacks,
-    act in the Y frame, where the RY layer is ``layer``, one phase array.
-    Fused blocks, op lists of factor tuples, phase vectors and crossing
-    gates, act on plain rows, after ``layer``, one RY factor per group."""
-    for block in blocks:
-        if isinstance(block, np.ndarray):
-            rows = (rows * layer) @ block
-            continue
-        for op in (layer, *block):
-            if isinstance(op, tuple):
-                rows = ry_layer(rows, op, groups)
-            elif isinstance(op, np.ndarray):
-                rows *= op
-            else:
-                apply_gate_rows(rows.reshape(-1, rows.shape[-1]), op, sum(groups))
-    return rows
+    return [[w.T @ np.stack([compile_gates(block, n) for block in layer]) @ w.conj() / 2**n] for layer in zip(*replicates)]
 
 
 def _measure(rows: np.ndarray, signs: np.ndarray, shots: int, streams) -> np.ndarray:
@@ -492,7 +472,8 @@ def run_group(series_list, configs) -> list[FeatureMatrix]:
         B = rows.shape[1]
         for j in range(chunk.shape[1] - B + 1):
             layer = layers[:, j : j + B] if dense else tuple(f[:, j : j + B] for f in layers)
-            rows = _advance(rows, layer, blocks, groups)
+            for block in blocks:  # per encoder layer, its RY layer, then its fixed block
+                rows = apply_ops(rows * layer, block, groups) if dense else apply_ops(rows, (layer, *block), groups)
             if j >= w - 1 and t0 + j - w + 1 >= keep_from:  # complete rows from step keep_from on
                 kept.append(rows)
         del layers, layer  # free this chunk's RY layers before the next chunk builds its own

@@ -15,11 +15,11 @@ Two layers of kernels live here. ``apply_gate``, ``expectation``,
 ``sample_counts`` and ``estimate_expectations`` act on one ``StateVector``
 or its count table and are the reference path; ``tests/dense_oracle.py``
 checks ``apply_gate`` in turn. The batch helpers ``apply_gate_rows``,
-``compile_gates``, ``fuse_groups``, ``ry_factors``, ``ry_layer``,
-``ry_phases``, ``y_frame`` and ``sign_matrix`` act on, or build operators
-for, a ``(B, 2**n)`` array of amplitude rows (``ry_layer`` on any leading
-axes); the fused evolution kernel in ``experiment`` is built from them and
-tested against the reference path.
+``compile_gates``, ``fuse_groups``, ``apply_ops``, ``ry_factors``,
+``ry_layer``, ``ry_phases``, ``y_frame`` and ``sign_matrix`` act on, or
+build operators for, a ``(B, 2**n)`` array of amplitude rows (``ry_layer``
+and ``apply_ops`` on any leading axes); the fused evolution kernel in
+``experiment`` is built from them and tested against the reference path.
 
 The RY layer on every qubit is a Kronecker product, applied in one of two
 forms. ``experiment`` splits the qubits into the fewest near-equal groups
@@ -490,6 +490,24 @@ def fuse_groups(gates, groups) -> list:
             out.append(gate)
     flush()
     return out
+
+
+def apply_ops(rows: np.ndarray, ops, groups) -> np.ndarray:
+    """``rows``, (..., 2**n) amplitudes, through an op list in order: the one
+    interpreter of compiled blocks. A row operator or an (R, d, d) stack of
+    them is one matmul, a tuple one ``ry_layer``; a (2**n,) phase vector and
+    a crossing GateOp (``apply_gate_rows``) act in place on ``rows``."""
+    for op in ops:
+        if isinstance(op, np.ndarray):
+            if op.ndim == 1:
+                rows *= op
+            else:
+                rows = rows @ op
+        elif isinstance(op, tuple):
+            rows = ry_layer(rows, op, groups)
+        else:
+            apply_gate_rows(rows.reshape(-1, rows.shape[-1]), op, sum(groups))
+    return rows
 
 
 # Y's eigenvectors, for +1 and -1, as columns, unnormalized: W1^dagger W1 = 2I

@@ -296,6 +296,26 @@ class TestRuntimeFailures:
         assert err.startswith("error: a worker process ended") and err.count("\n") == 1
         assert not out.exists() or not any(out.iterdir())
 
+    def test_bundle_name_taken_while_writing(self, tmp_path, capsys, monkeypatch):
+        # another run takes the bundle name between this run's write and its
+        # rename: this run's bundle goes to the next suffix, and both stay
+        rename, taken = Path.rename, []
+
+        def race(self, target):
+            if not taken:
+                Path(target).mkdir()
+                (Path(target) / "metrics.json").write_text("{}")
+                taken.append(Path(target))
+            return rename(self, target)
+
+        monkeypatch.setattr(Path, "rename", race)
+        out = tmp_path / "r"
+        assert main(["case-parity", "--config", write_config(tmp_path, FAST_CASE), "--out", str(out)]) == 0
+        run_dir = run_dir_from(capsys)
+        assert run_dir == out / f"{taken[0].name}-2" and (run_dir / "config_echo.json").exists()
+        assert sorted(p.name for p in out.iterdir()) == sorted([taken[0].name, run_dir.name])
+        assert [p.name for p in taken[0].iterdir()] == ["metrics.json"]
+
     def test_unwritable_output_exit_3(self, tmp_path):
         blocker = tmp_path / "blocked"
         blocker.write_text("a file, not a directory")

@@ -1,6 +1,7 @@
 """Temporal driver, protocol, sweep, and scan tests."""
 
 import concurrent.futures
+import concurrent.futures.process
 
 import numpy as np
 import pytest
@@ -483,7 +484,10 @@ class TestTheoryScan:
             def map(self, fn, tasks):
                 return map(fn, tasks)
 
+        # in the package and in the submodule that defines the class, so the
+        # patch holds whichever of the two _map_cases imports it from
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(concurrent.futures.process, "ProcessPoolExecutor", RecordingPool)
         cfg = small_config(T=100, protocol=ProtocolSpec(washout=20, train_fraction=0.5))
         monkeypatch.setenv("QRCLAB_THREADS", "5000")
         rows = theory_scan(cfg, [2, 3], delta=0.1, replicates=2)

@@ -230,7 +230,7 @@ def test_dense_path_makes_no_ry_layer_call(monkeypatch):
     def refused(rows, factors, groups):
         raise AssertionError("ry_layer called on the dense path")
 
-    monkeypatch.setattr(experiment, "ry_layer", refused)
+    monkeypatch.setattr(sim, "ry_layer", refused)
     for k in (None, 3, "full"):
         cfg = kernel_config(4, k=k)
         run_kernel(generate(resolve_seeds(cfg).task), cfg)
@@ -382,19 +382,6 @@ def test_y_frame_is_the_kronecker_power(n):
     np.testing.assert_array_equal(y_frame(n), power)
 
 
-def apply_fused(rows, ops, groups):
-    """``rows`` through a ``fuse_groups`` op list, as ``experiment._advance``
-    applies a fused block."""
-    for op in ops:
-        if isinstance(op, tuple):
-            rows = ry_layer(rows, op, groups)
-        elif isinstance(op, np.ndarray):
-            rows *= op
-        else:
-            apply_gate_rows(rows, op, sum(groups))
-    return rows
-
-
 @pytest.mark.parametrize("n", [8, 9, 13, 19])
 def test_fuse_groups_matches_apply_gate(n):
     # the kernel's groups: two at n = 8 and at 9 (5 top qubits and 4
@@ -425,7 +412,7 @@ def test_fuse_groups_matches_apply_gate(n):
         assert any(op[i] is not None for op in fused)
         assert all(op[i] is None or op[i].shape == (2**g, 2**g) for op in fused)
     rows = random_rows(2, n, seed=12)
-    got = apply_fused(rows.copy(), ops, groups)
+    got = sim.apply_ops(rows.copy(), ops, groups)
     for row, want in zip(got, rows):
         np.testing.assert_allclose(row, apply_gates(want, gates, n), rtol=0, atol=TOL)
 
@@ -477,6 +464,31 @@ def test_fused_blocks_leave_the_crossing_gates(topology, layers, most):
     assert sum(len(block) for block in blocks) <= most
 
 
+@pytest.mark.parametrize(
+    "n, topology, layers, passes",
+    [
+        (10, "ring", 1, 17),
+        (10, "all_to_all", 1, 93),
+        (10, "chain", 1, 12),
+        (10, "ring", 2, 22),
+        (18, "ring", 1, 26),
+        (18, "all_to_all", 1, 364),
+        (3, "ring", 1, 2),
+        (6, "all_to_all", 2, 4),
+    ],
+)
+def test_passes_per_step(n, topology, layers, passes):
+    # the passes over the state that one step makes (depth 3): per encoder
+    # layer, its RY layer (one matmul per group, or one phase multiply in the
+    # dense Y frame form), then per op of its block one pass, except a factor
+    # tuple, which makes one per factor it holds
+    groups = experiment._qubit_groups(n)
+    blocks = experiment._fixed_blocks([resolve_seeds(kernel_config(n, layers=layers, topology=topology))], groups)
+    ry = 1 if len(groups) == 1 else len(groups)
+    ops = [sum(f is not None for f in op) if isinstance(op, tuple) else 1 for block in blocks for op in block]
+    assert ry * len(blocks) + sum(ops) == passes
+
+
 def test_estimate_rejects_negative_basis_index():
     with pytest.raises(DataError, match="negative"):
         estimate_expectations({-1: 4}, 4, [PauliString((0,))])
@@ -503,15 +515,20 @@ def test_corrupted_state_raises(monkeypatch, n, k):
     if n <= 7:
         monkeypatch.setattr(experiment, "compile_gates", lambda gates, n: 1.001 * sim.compile_gates(gates, n))
     else:
-        calls = []
+        calls, fixed_blocks = [], experiment._fixed_blocks
 
         def leaky(rows, gate, n):  # the ring's crossing CRYs stay per-gate calls
             calls.append(gate)
-            sim.apply_gate_rows(rows, gate, n)
+            apply_gate_rows(rows, gate, n)  # this module's own binding, not the patched sim one
             rows *= 1.0001
             return rows
 
-        monkeypatch.setattr(experiment, "apply_gate_rows", leaky)
+        def compiled(configs, groups):  # leak only once the blocks are built
+            blocks = fixed_blocks(configs, groups)
+            monkeypatch.setattr(sim, "apply_gate_rows", leaky)
+            return blocks
+
+        monkeypatch.setattr(experiment, "_fixed_blocks", compiled)
     cfg = kernel_config(n, k=k)
     series = generate(resolve_seeds(cfg).task)
     with pytest.raises(DataError, match="norm"):
@@ -682,7 +699,8 @@ PLAN = {
 def test_each_width_keeps_its_plan(n):
     groups = experiment._qubit_groups(n)
     blocks = experiment._fixed_blocks([resolve_seeds(kernel_config(n))], groups)
-    form = "dense" if isinstance(blocks[0], np.ndarray) else "fused"
+    first = blocks[0][0]  # a dense block's one op is its (R, d, d) stack
+    form = "dense" if isinstance(first, np.ndarray) and first.ndim == 3 else "fused"
     if form == "fused":  # every fused op holds one factor per group
         assert all(len(op) == len(groups) for block in blocks for op in block if isinstance(op, tuple))
     size = experiment._group_size(n)
