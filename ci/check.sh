@@ -18,8 +18,9 @@ fi
 # console script: every CLI test calls main() in process; this runs the
 # installed console script, a non-default config rerun from its own bundle's
 # config_echo.json must give the same echo, features and predictions, and a
-# config with an unknown key and a malformed numeric flag must each exit
-# exactly 1
+# config with an unknown key, a config with a task.T past 2**53 and a
+# malformed numeric flag must each exit exactly 1; the task.T error must be
+# the keyed error line, not a traceback, which exits 1 too
 $QRCLAB case-parity --out "$RUNNER_TEMP/runs"
 $QRCLAB theory-scan --qubits 2,3 --replicates 2 --out "$RUNNER_TEMP/runs"
 
@@ -54,6 +55,11 @@ echo '{"qbits": 4}' > "$RUNNER_TEMP/unknown-key.json"
 status=0
 $QRCLAB case-parity --config "$RUNNER_TEMP/unknown-key.json" --out "$RUNNER_TEMP/runs" || status=$?
 test "$status" -eq 1
+echo '{"task": {"T": 100000000000000000000}}' > "$RUNNER_TEMP/huge-T.json"
+status=0
+$QRCLAB case-memory --config "$RUNNER_TEMP/huge-T.json" --out "$RUNNER_TEMP/runs" 2> "$RUNNER_TEMP/huge-T.err" || status=$?
+test "$status" -eq 1
+grep -q '^error: task.T: ' "$RUNNER_TEMP/huge-T.err"
 status=0
 $QRCLAB theory-scan --replicates 1.5 --out "$RUNNER_TEMP/runs" || status=$?
 test "$status" -eq 1

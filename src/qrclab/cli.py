@@ -22,6 +22,7 @@ from pathlib import Path
 from .config import config_hash, dump_echo, echo_config, load_config_file, parse_config
 from .errors import QRCLabError, SchemaError
 from .experiment import (
+    SEEDS,
     check_scan_args,
     features_csv,
     predictions_csv,
@@ -164,7 +165,7 @@ def _parse_number(flag: str, raw: str, kind=int):
 def cmd_theory_scan(args):
     """Set up the theory scan: its config, output options and run."""
     config, output = _load(args)
-    for key in ("task.seed", "reservoir.seed", "backend.shot_seed"):  # the echo would name a seed never used
+    for key in SEEDS:  # the echo would name a seed never used
         if attrgetter(key)(config) is not None:
             raise SchemaError(key, "a scan derives every replicate's seeds from master_seed; set that or --seed")
     qubits = [_parse_number("--qubits", part) for part in args.qubits.split(",") if part.strip() != ""]

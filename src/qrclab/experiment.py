@@ -27,10 +27,10 @@ matrix gives the features.
 one group per pool task. ``step`` is the gate-by-gate reference the kernel
 is tested against.
 
-Seed derivation: one master seed yields labelled child seeds for
-{data, reservoir, encoder-interleave, shots} (see sim.RandomStream), so a
-single integer reproduces a whole run. Sweeps and scans derive per-replicate
-sub-masters with labels ``replicate-<r>``.
+Seed derivation: ``SEEDS`` names each derived seed and the label of its
+child of the master seed (see sim.RandomStream), so one integer reproduces a
+run. Replicate r of a sweep or scan is seeded from the master's
+``replicate-<r>`` child; a scan adds ``-n<N>`` to every label but ``data``.
 """
 
 from __future__ import annotations
@@ -38,6 +38,7 @@ from __future__ import annotations
 import numbers
 import os
 from dataclasses import dataclass, fields, replace
+from operator import attrgetter
 
 import numpy as np
 
@@ -59,12 +60,14 @@ from .reservoir import (
     topology_edges,
 )
 from .sim import (
+    MAX_COUNT,
     PauliString,
     RandomStream,
     StateVector,
     apply_ops,
     check_bool,
     check_int,
+    check_norm,
     check_real,
     check_seed,
     compile_gates,
@@ -144,7 +147,7 @@ class BackendSpec:
     def __post_init__(self):
         if self.kind not in BACKEND_KINDS:
             raise SchemaError("kind", f"must be one of {list(BACKEND_KINDS)}, got {self.kind!r}")
-        object.__setattr__(self, "shots", check_int("shots", self.shots, 1))
+        object.__setattr__(self, "shots", check_int("shots", self.shots, 1, MAX_COUNT))
         object.__setattr__(self, "shot_seed", check_seed("shot_seed", self.shot_seed, optional=True))
 
 
@@ -229,22 +232,28 @@ class ExperimentConfig:
         return max(self.protocol.washout, valid_from, self.mode.k - 1 if self.mode.bounded else 0)
 
 
+SEEDS = {  # each derived seed's field path: its child seed's label, where a scan puts "-n<N>" for {width}
+    "task.seed": "data",  # no {width}: every width of a replicate reads the same series
+    "reservoir.seed": "reservoir{width}",
+    "encoder.interleave_seed": "encoder-interleave{width}",
+    "backend.shot_seed": "shots{width}",
+}
+
+
+def _with_fields(config: ExperimentConfig, paths: dict, **top) -> ExperimentConfig:
+    """``config`` with each ``section.field`` of ``paths`` and each field of ``top`` set to its value."""
+    sections = {}
+    for path, value in paths.items():
+        section, name = path.split(".")
+        sections.setdefault(section, {})[name] = value
+    return replace(config, **top, **{s: replace(getattr(config, s), **kw) for s, kw in sections.items()})
+
+
 def resolve_seeds(config: ExperimentConfig) -> ExperimentConfig:
-    """Fill every unset seed from the master seed's labelled children."""
+    """Fill every unset seed of ``SEEDS`` from the master seed's children."""
     master = RandomStream(config.master_seed)
-    task = config.task
-    if task.seed is None:
-        task = replace(task, seed=master.child_seed("data"))
-    reservoir = config.reservoir
-    if reservoir.seed is None:
-        reservoir = replace(reservoir, seed=master.child_seed("reservoir"))
-    encoder = config.encoder
-    if encoder.interleave_seed is None:
-        encoder = replace(encoder, interleave_seed=master.child_seed("encoder-interleave"))
-    backend = config.backend
-    if backend.shot_seed is None:
-        backend = replace(backend, shot_seed=master.child_seed("shots"))
-    return replace(config, task=task, reservoir=reservoir, encoder=encoder, backend=backend)
+    unset = [path for path in SEEDS if attrgetter(path)(config) is None]
+    return _with_fields(config, {path: master.child_seed(SEEDS[path].format(width="")) for path in unset})
 
 
 def build_observables(
@@ -308,9 +317,6 @@ def step(
 # --------------------------------------------------------------------------
 # The fused evolution kernel: (R, B, 2**n) batches of R replicates
 # --------------------------------------------------------------------------
-
-NORM_TOLERANCE = 1e-8  # max |sum |psi|**2 - 1| of a measured row
-
 
 def _input_angles(inputs, n: int) -> np.ndarray:
     """The (T, n) RY angles of a series of scalar or vector inputs, vectors
@@ -382,11 +388,9 @@ def _measure(rows: np.ndarray, signs: np.ndarray, shots: int, streams) -> np.nda
     """Feature rows of an (R, B, 2**n) batch: exact expectations, or with one
     shot stream per replicate, one count table per row from
     ``stream.uniform(size=shots)`` drawn in row order, as ``sample_counts``
-    draws them. Raises DataError if any row's norm drifted."""
+    draws them. Raises DataError if any row's norm drifted (``check_norm``)."""
     probs = np.abs(rows) ** 2
-    drift = float(np.max(np.abs(probs.sum(axis=-1) - 1.0), initial=0.0))
-    if drift > NORM_TOLERANCE:
-        raise DataError(f"state norm**2 drifted from 1 by {drift:.3e}")
+    check_norm(probs)
     if streams is None:
         return (probs.reshape(-1, probs.shape[-1]) @ signs.T).reshape(*probs.shape[:-1], -1)
     cdf = np.cumsum(probs, axis=-1)
@@ -650,23 +654,13 @@ def _replicate_groups(replicates: list, n: int) -> list:
 
 
 def _replicate_config(config: ExperimentConfig, r: int, n_qubits: int | None = None) -> ExperimentConfig:
-    """Per-replicate seed derivation. Data is shared across widths within a
-    replicate so the scan compares reservoirs on identical series."""
+    """Replicate r's config, every seed of ``SEEDS`` from the master seed's
+    ``replicate-<r>`` child; at a scan's width ``n_qubits``, with its suffix."""
     rep = RandomStream(config.master_seed).child(f"replicate-{r}")
-    suffix = "" if n_qubits is None else f"-n{n_qubits}"
+    width = "" if n_qubits is None else f"-n{n_qubits}"
+    seeds = {path: rep.child_seed(label.format(width=width)) for path, label in SEEDS.items()}
     n_qubits = config.reservoir.n_qubits if n_qubits is None else n_qubits
-    task = replace(config.task, seed=rep.child_seed("data"))
-    reservoir = replace(config.reservoir, n_qubits=n_qubits, seed=rep.child_seed(f"reservoir{suffix}"))
-    encoder = replace(config.encoder, interleave_seed=rep.child_seed(f"encoder-interleave{suffix}"))
-    backend = replace(config.backend, shot_seed=rep.child_seed(f"shots{suffix}"))
-    return replace(
-        config,
-        task=task,
-        reservoir=reservoir,
-        encoder=encoder,
-        backend=backend,
-        master_seed=rep.seed,
-    )
+    return _with_fields(config, {"reservoir.n_qubits": n_qubits, **seeds}, master_seed=rep.seed)
 
 
 def stm_delay_sweep(

@@ -8,8 +8,8 @@ Conventions (frozen; tests depend on them):
 * ``RZ(theta) = diag(exp(-i*theta/2), exp(+i*theta/2))``
 * Controlled variants rotate the target only on the control=1 subspace.
 
-All arithmetic is double-precision complex. Norm drift is asserted by
-callers/tests, never silently repaired here.
+All arithmetic is double-precision complex. Norm drift is checked by
+``check_norm``, never silently repaired here.
 
 Two layers of kernels live here. ``apply_gate``, ``expectation``,
 ``sample_counts`` and ``estimate_expectations`` act on one ``StateVector``
@@ -47,6 +47,7 @@ import numpy as np
 from .errors import ConfigurationError, DataError, SchemaError
 
 MAX_QUBITS = 24  # 2**24 complex128 amplitudes = 256 MB; desk-scale ceiling
+MAX_COUNT = 2**53  # the largest count a float64 holds exactly: the bound on a series length or shot count
 
 GATE_KINDS = ("RY", "RZ", "CRY", "CRZ")
 
@@ -194,6 +195,17 @@ class PauliString:
         return "".join(f"Z{q}" for q in self.qubits)
 
 
+NORM_TOLERANCE = 1e-8  # max |sum |psi|**2 - 1| of a state or a measured row
+
+
+def check_norm(probs: np.ndarray) -> None:
+    """Raise DataError unless every row of ``probs`` (|amplitude|**2 on the
+    last axis) sums to 1 within ``NORM_TOLERANCE``; a NaN sum fails too."""
+    drift = np.abs(probs.sum(axis=-1) - 1.0)
+    if not np.all(drift <= NORM_TOLERANCE):
+        raise DataError(f"state norm**2 drifted from 1 by {float(np.max(drift)):.3e}")
+
+
 class StateVector:
     """An n-qubit pure state as a dense array of 2**n complex amplitudes."""
 
@@ -207,9 +219,7 @@ class StateVector:
             raise ConfigurationError(
                 f"expected {2**n_qubits} amplitudes, got shape {amps.shape}"
             )
-        norm_sq = float(np.sum(np.abs(amps) ** 2))
-        if abs(norm_sq - 1.0) > 1e-8:
-            raise DataError(f"state norm**2 deviates from 1 by {abs(norm_sq - 1.0):.3e}")
+        check_norm(np.abs(amps) ** 2)
         self.n_qubits = n_qubits
         self.amplitudes = amps
 

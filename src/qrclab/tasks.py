@@ -14,7 +14,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConfigurationError, DataError, SchemaError
-from .sim import RandomStream, check_int, check_seed
+from .sim import MAX_COUNT, RandomStream, check_int, check_seed
 
 log = logging.getLogger(__name__)
 
@@ -48,7 +48,7 @@ class TaskSpec:
     def __post_init__(self):
         if self.kind not in TASK_KINDS:
             raise SchemaError("kind", f"must be one of {list(TASK_KINDS)}, got {self.kind!r}")
-        object.__setattr__(self, "T", check_int("T", self.T, 1))
+        object.__setattr__(self, "T", check_int("T", self.T, 1, MAX_COUNT))
         object.__setattr__(self, "seed", check_seed("seed", self.seed, optional=True))
         object.__setattr__(self, "delay", check_int("delay", self.delay, 1))
         object.__setattr__(self, "window", check_int("window", self.window, 2))

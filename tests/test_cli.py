@@ -209,6 +209,19 @@ class TestSchemaFailures:
             assert "reservoir.n_qubits" in capsys.readouterr().err
         assert not (tmp_path / "r").exists()
 
+    @pytest.mark.parametrize("value", [2**53 + 1, 10**20, 10**400], ids=["2**53+1", "10**20", "10**400"])
+    @pytest.mark.parametrize("key", ["task.T", "backend.shots"])
+    def test_count_beyond_float64_names_key(self, tmp_path, capsys, key, value):
+        # the train/test split and the shot estimates count in float64, which
+        # holds every count up to 2**53 exactly
+        doc = {"task": {}, "backend": {"type": "shots"}, "mode": {"type": "reupload_k", "k": 3}}
+        section, name = key.split(".")
+        doc[section][name] = value
+        cfg = write_config(tmp_path, doc)
+        assert main(["case-memory", "--config", cfg, "--out", str(tmp_path / "r")]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {key}: ")
+        assert not (tmp_path / "r").exists()
+
     def test_window_longer_than_series_names_key(self, tmp_path, capsys):
         cfg = write_config(tmp_path, dict(FAST_CASE) | {"mode": {"type": "reupload_k", "k": 121}})
         assert main(["case-parity", "--config", cfg, "--out", str(tmp_path / "r")]) == 1
@@ -315,6 +328,23 @@ class TestRuntimeFailures:
         assert run_dir == out / f"{taken[0].name}-2" and (run_dir / "config_echo.json").exists()
         assert sorted(p.name for p in out.iterdir()) == sorted([taken[0].name, run_dir.name])
         assert [p.name for p in taken[0].iterdir()] == ["metrics.json"]
+
+    def test_failed_write_leaves_no_bundle(self, tmp_path, capsys, monkeypatch):
+        # the second file cannot be written: the first, and the temp dir, go
+        cfg = write_config(tmp_path, FAST_CASE)
+        write_bytes, written = Path.write_bytes, []
+
+        def fail_second(self, data):
+            if written:
+                raise OSError(28, "No space left on device")
+            written.append(self)
+            return write_bytes(self, data)
+
+        monkeypatch.setattr(Path, "write_bytes", fail_second)
+        out = tmp_path / "r"
+        assert main(["case-parity", "--config", cfg, "--out", str(out)]) == 3
+        assert capsys.readouterr().err.startswith("error: cannot write output bundle")
+        assert written and list(out.iterdir()) == []
 
     def test_unwritable_output_exit_3(self, tmp_path):
         blocker = tmp_path / "blocked"

@@ -537,6 +537,22 @@ def test_corrupted_state_raises(monkeypatch, n, k):
         assert calls and all(g.kind == "CRY" for g in calls)
 
 
+@pytest.mark.parametrize("backend", [BackendSpec(), BackendSpec("shots", shots=256)])
+def test_nan_state_raises(monkeypatch, backend):
+    # a NaN norm fails the norm check; unchecked, sampling turns a NaN CDF
+    # into finite counts and a run that succeeds with wrong features
+    def nan_block(gates, n):
+        block = sim.compile_gates(gates, n)
+        block[0, 0] = np.nan
+        return block
+
+    monkeypatch.setattr(experiment, "compile_gates", nan_block)
+    cfg = kernel_config(4, k=3, backend=backend)
+    series = generate(resolve_seeds(cfg).task)
+    with pytest.raises(DataError, match="norm.*nan"):
+        run_kernel(series, cfg)
+
+
 # --------------------------------------------------------------------------
 # Replicate groups: R replicates of one width evolved as one recurrent batch
 # --------------------------------------------------------------------------

@@ -49,6 +49,10 @@ class TestStateVector:
         with pytest.raises(DataError):
             StateVector(1, np.array([1.0, 1.0]))
 
+    def test_nan_rejected(self):
+        with pytest.raises(DataError, match="norm.*nan"):
+            StateVector(1, np.array([np.nan, 0.0]))
+
     def test_no_silent_renormalization(self):
         state = new_zero_state(1)
         state.amplitudes[0] = 2.0  # corrupt deliberately
