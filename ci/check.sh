@@ -43,6 +43,10 @@ rerun case-narma10 dense '{"reservoir":{"n_qubits":7},"output":{"plots":false}}'
 # an odd width (groups of 5 and 4 qubits) whose fused blocks keep crossing CRYs and CRZs
 rerun case-parity wide '{"task":{"T":80},"reservoir":{"n_qubits":9,"topology":"all_to_all"},"encoder":{"scheme":"reupload","layers":2},"mode":{"type":"reupload_k","k":2},"output":{"plots":false}}' \
   features.csv predictions.csv
+# n = 12, the widest width of two fused groups (6 and 6 qubits): each crossing CRY that takes
+# its target group's neighbouring factors is a (2, 64, 64) controlled stack
+rerun case-parity twelve '{"task":{"T":60},"reservoir":{"n_qubits":12},"mode":{"type":"reupload_k","k":3},"backend":{"type":"shots","shots":256},"protocol":{"washout":12},"output":{"plots":false}}' \
+  features.csv predictions.csv
 # n = 13, the narrowest width of three fused groups (5, 4 and 4 qubits), over chunks of 2 rows
 rerun case-parity three '{"task":{"T":40},"reservoir":{"n_qubits":13},"mode":{"type":"reupload_k","k":3},"protocol":{"washout":12},"output":{"plots":false}}' \
   features.csv predictions.csv

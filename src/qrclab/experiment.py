@@ -21,8 +21,9 @@ makes each RY layer one phase multiply, so a step is ``(rows * phase) @
 stack``, and the kept rows go back by one matmul with W before they are
 measured. In more groups (R = 1) the lists come from ``sim.fuse_groups``:
 factor tuples, run as the RY factors from ``sim.ry_factors`` are, and the
-gates that cross a cut (a CRY each, a phase vector per CRZ run). One sign
-matrix gives the features.
+gates that cross a cut: a phase vector per CRZ run, and per CRY a
+``sim.ControlledOp`` that holds its target group's neighbouring factors
+(a GateOp if it has none). One sign matrix gives the features.
 ``run_recurrent`` and ``run_windowed`` run one series; scans and sweeps run
 one group per pool task. ``step`` is the gate-by-gate reference the kernel
 is tested against.
@@ -388,7 +389,9 @@ def _measure(rows: np.ndarray, signs: np.ndarray, shots: int, streams) -> np.nda
     """Feature rows of an (R, B, 2**n) batch: exact expectations, or with one
     shot stream per replicate, one count table per row from
     ``stream.uniform(size=shots)`` drawn in row order, as ``sample_counts``
-    draws them. Raises DataError if any row's norm drifted (``check_norm``)."""
+    draws them. The draws are sorted before their binary search, which
+    then narrows from the last key; a count table does not depend on their
+    order. Raises DataError if any row's norm drifted (``check_norm``)."""
     probs = np.abs(rows) ** 2
     check_norm(probs)
     if streams is None:
@@ -397,7 +400,7 @@ def _measure(rows: np.ndarray, signs: np.ndarray, shots: int, streams) -> np.nda
     cdf[..., -1] = np.maximum(cdf[..., -1], 1.0)  # guard the last bin against rounding
     counts = np.empty(probs.shape, dtype=np.int64)
     for r, i in np.ndindex(cdf.shape[:-1]):
-        draws = streams[r].uniform(0.0, 1.0, size=shots)
+        draws = np.sort(streams[r].uniform(0.0, 1.0, size=shots))
         counts[r, i] = np.bincount(np.searchsorted(cdf[r, i], draws, side="right"), minlength=cdf.shape[-1])
     return counts @ signs.T / shots
 

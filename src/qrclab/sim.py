@@ -15,11 +15,12 @@ Two layers of kernels live here. ``apply_gate``, ``expectation``,
 ``sample_counts`` and ``estimate_expectations`` act on one ``StateVector``
 or its count table and are the reference path; ``tests/dense_oracle.py``
 checks ``apply_gate`` in turn. The batch helpers ``apply_gate_rows``,
-``compile_gates``, ``fuse_groups``, ``apply_ops``, ``ry_factors``,
-``ry_layer``, ``ry_phases``, ``y_frame`` and ``sign_matrix`` act on, or
-build operators for, a ``(B, 2**n)`` array of amplitude rows (``ry_layer``
-and ``apply_ops`` on any leading axes); the fused evolution kernel in
-``experiment`` is built from them and tested against the reference path.
+``compile_gates``, ``fuse_groups``, ``apply_controlled``, ``apply_ops``,
+``ry_factors``, ``ry_layer``, ``ry_phases``, ``y_frame`` and
+``sign_matrix`` act on, or build operators for, a ``(B, 2**n)`` array of
+amplitude rows (``ry_layer``, ``apply_controlled`` and ``apply_ops`` on any
+leading axes); the fused evolution kernel in ``experiment`` is built from
+them and tested against the reference path.
 
 The RY layer on every qubit is a Kronecker product, applied in one of two
 forms. ``experiment`` splits the qubits into the fewest near-equal groups
@@ -30,9 +31,11 @@ gives its 2**n phases, and one matmul with the frame matrix W from
 consecutive qubits, the layer is one factor per group, one matmul each
 (``ry_factors`` and ``ry_layer``); ``fuse_groups`` compiles the fixed
 gates that stay within one group to such factors too, and leaves only the
-gates that cross a cut: CRYs, and CRZ runs as one phase vector. Every
-factor is a row operator, as ``compile_gates`` builds it: ``rows @ M``
-applies M, the transpose of the gates' unitary.
+gates that cross a cut: CRZ runs as one phase vector, and CRYs, each merged
+with its target group's neighbouring factors into a ``ControlledOp``, one
+factor on that group per value of its control. Every factor is a row
+operator, as ``compile_gates`` builds it: ``rows @ M`` applies M, the
+transpose of the gates' unitary.
 """
 
 from __future__ import annotations
@@ -321,10 +324,12 @@ def sample_counts(state: StateVector, shots: int, rng: RandomStream) -> dict[int
     """Draw ``shots`` i.i.d. basis indices from |a_i|**2 via inverse CDF.
 
     Returns a basis-index -> count map whose values sum to ``shots``.
+    Raises DataError if the state's norm drifted (``check_norm``).
     """
     if shots < 1:
         raise ConfigurationError(f"shots must be >= 1, got {shots}")
     probs = np.abs(state.amplitudes) ** 2
+    check_norm(probs)
     cdf = np.cumsum(probs)
     cdf[-1] = max(cdf[-1], 1.0)  # guard the last bin against rounding
     draws = rng.uniform(0.0, 1.0, size=shots)
@@ -456,17 +461,34 @@ def ry_layer(rows: np.ndarray, factors, groups) -> np.ndarray:
     return out.reshape(rows.shape)
 
 
+@dataclass(frozen=True, eq=False)
+class ControlledOp:
+    """A crossing CRY merged with its target group's neighbouring factors
+    (``fuse_groups``): on qubit group ``group`` of ``ry_layer`` (its index,
+    top first), rows whose ``control`` bit is b take the row operator
+    ``stack[b]`` of a (2, 2**g, 2**g) stack."""
+
+    control: int
+    group: int
+    stack: np.ndarray
+
+
 def fuse_groups(gates, groups) -> list:
     """A fixed gate list as ops on the qubit groups of ``ry_layer``. The
     groups commute, so each run of gates that stay within one group is one
     tuple of row operators: per group, ``compile_gates`` of its gates on its
     own qubits (indices shifted by its bottom qubit), or None if no gate
-    fell in it. A gate that crosses a cut ends the run: a CRY stays a
-    GateOp, and consecutive CRZs fold into one (2**n,) phase vector, their
-    diagonal, applied as ``rows *= phase``. A run of only RZ/CRZ gates joins
-    that phase vector instead."""
+    fell in it. A gate that crosses a cut ends the run: consecutive CRZs
+    fold into one (2**n,) phase vector, their diagonal, applied as ``rows
+    *= phase``, and a run of only RZ/CRZ gates joins that phase vector
+    instead. A CRY(c -> t) takes the factors on t's group of the tuples just
+    before and just after it, and becomes a ControlledOp with the stack
+    ``prev @ [I, RY_t] @ next``; this is exact, because a factor on t's
+    group commutes with the projectors on c. A tuple left with no factor is
+    dropped, and a CRY with no factor to take stays a GateOp."""
     n = sum(groups)
     owner = [i for i, g in reversed(list(enumerate(groups))) for _ in range(g)]  # each qubit's group
+    lows = [sum(groups[i + 1 :]) for i in range(len(groups))]  # each group's bottom qubit
     out: list = []
     run: list = []  # the pending group-local gates
 
@@ -480,14 +502,19 @@ def fuse_groups(gates, groups) -> list:
             for gate in run:
                 phase(gate)
         else:
-            factors = []
-            for i, g in enumerate(groups):
-                low = sum(groups[i + 1 :])  # the group's bottom qubit
+            factors = []  # a list until the crossing CRYs have taken their factors
+            for i, (g, low) in enumerate(zip(groups, lows)):
                 local = [GateOp(x.kind, x.angle, x.target - low, None if x.control is None else x.control - low)
                          for x in run if owner[x.target] == i]
                 factors.append(compile_gates(local, g) if local else None)
-            out.append(tuple(factors))
+            out.append(factors)
         run.clear()
+
+    def take(j, i):  # the factor on group i of op j if that is a tuple, which loses it
+        if 0 <= j < len(out) and isinstance(out[j], list):
+            f, out[j][i] = out[j][i], None
+            return f
+        return None
 
     for gate in gates:
         if gate.control is None or owner[gate.control] == owner[gate.target]:
@@ -499,14 +526,51 @@ def fuse_groups(gates, groups) -> list:
         else:
             out.append(gate)
     flush()
+    for k, op in enumerate(out):
+        if isinstance(op, GateOp):  # a crossing CRY
+            t = owner[op.target]
+            before, after = take(k - 1, t), take(k + 1, t)
+            if before is None and after is None:
+                continue
+            ry = compile_gates([GateOp("RY", op.angle, op.target - lows[t])], groups[t])
+            stack = np.stack([np.eye(2 ** groups[t], dtype=np.complex128), ry])
+            if before is not None:
+                stack = before @ stack
+            if after is not None:
+                stack = stack @ after
+            out[k] = ControlledOp(op.control, t, stack)
+    ops = [tuple(op) if isinstance(op, list) else op for op in out]
+    return [op for op in ops if not isinstance(op, tuple) or any(f is not None for f in op)]
+
+
+def apply_controlled(rows: np.ndarray, op: ControlledOp, groups) -> np.ndarray:
+    """``rows``, (..., 2**n), through a ControlledOp; returns a new batch.
+    One matmul on a view whose axis of 2 is the control bit, which the
+    stack's leading axis broadcasts against. With the control above the
+    group the view is (..., A, 2, M, d, post), and as in ``ry_layer`` the
+    transposed stack multiplies it from the left, or for the bottom group
+    (post = 1) the (..., A, 2, M, d) view multiplies the stack. With the
+    control below, the group axis of the (..., P, d, M, 2, C) view, and of
+    the output it is written to through ``out=``, moves next to the last."""
+    lead, n = rows.shape[:-1], sum(groups)
+    c, g, low = op.control, groups[op.group], sum(groups[op.group + 1 :])
+    if c > low:
+        view = rows.reshape(*lead, 2 ** (n - 1 - c), 2, 2 ** (c - low - g), 2**g, 2**low)
+        if low == 0:
+            return (view[..., 0] @ op.stack).reshape(rows.shape)
+        return (op.stack.swapaxes(-1, -2)[:, None] @ view).reshape(rows.shape)
+    view = rows.reshape(*lead, 2 ** (n - low - g), 2**g, 2 ** (low - 1 - c), 2, 2**c)
+    out = np.empty_like(rows)
+    np.matmul(op.stack.swapaxes(-1, -2), np.moveaxis(view, -4, -2), out=np.moveaxis(out.reshape(view.shape), -4, -2))
     return out
 
 
 def apply_ops(rows: np.ndarray, ops, groups) -> np.ndarray:
     """``rows``, (..., 2**n) amplitudes, through an op list in order: the one
     interpreter of compiled blocks. A row operator or an (R, d, d) stack of
-    them is one matmul, a tuple one ``ry_layer``; a (2**n,) phase vector and
-    a crossing GateOp (``apply_gate_rows``) act in place on ``rows``."""
+    them is one matmul, a tuple one ``ry_layer``, a ControlledOp one
+    ``apply_controlled``; a (2**n,) phase vector and a crossing GateOp
+    (``apply_gate_rows``) act in place on ``rows``."""
     for op in ops:
         if isinstance(op, np.ndarray):
             if op.ndim == 1:
@@ -515,6 +579,8 @@ def apply_ops(rows: np.ndarray, ops, groups) -> np.ndarray:
                 rows = rows @ op
         elif isinstance(op, tuple):
             rows = ry_layer(rows, op, groups)
+        elif isinstance(op, ControlledOp):
+            rows = apply_controlled(rows, op, groups)
         else:
             apply_gate_rows(rows.reshape(-1, rows.shape[-1]), op, sum(groups))
     return rows

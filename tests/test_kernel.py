@@ -39,6 +39,7 @@ from qrclab.readout import fit_ridge, predict, r2_score
 from qrclab.reservoir import TOPOLOGIES, ReservoirSpec, build_reservoir
 from qrclab.sim import (
     Y_FRAME,
+    ControlledOp,
     GateOp,
     PauliString,
     RandomStream,
@@ -403,44 +404,116 @@ def test_fuse_groups_matches_apply_gate(n):
     assert {g.kind for g in gates if crossing(g)} == {"CRY", "CRZ"}
     assert {g.kind for g in gates if not crossing(g)} == {"RY", "RZ", "CRY", "CRZ"}
     ops = fuse_groups(gates, groups)
-    assert [op for op in ops if isinstance(op, GateOp)] == [g for g in gates if crossing(g) and g.kind == "CRY"]
-    # the gates after the last crossing CRY are RZ/CRZ only: one phase vector, not a tuple
+    # each crossing CRY, in order, is a GateOp, or a ControlledOp on its
+    # target's group with its control
+    crossing_cry = [g for g in gates if crossing(g) and g.kind == "CRY"]
+    for op, gate in zip([op for op in ops if isinstance(op, (GateOp, ControlledOp))], crossing_cry, strict=True):
+        assert op == gate if isinstance(op, GateOp) else (op.control, op.group) == (gate.control, owner[gate.target])
+    assert any(isinstance(op, ControlledOp) for op in ops)
+    # the last crossing CRY has phase vectors on both sides, so it stays a
+    # GateOp, and the gates after it are RZ/CRZ only: one phase vector, not a tuple
     assert ops[-2] == gates[-4] and isinstance(ops[-1], np.ndarray)
     fused = [op for op in ops if isinstance(op, tuple)]
-    assert all(len(op) == len(groups) for op in fused)
-    for i, g in enumerate(groups):  # every group has gates of its own, each in a factor on its qubits
-        assert any(op[i] is not None for op in fused)
+    assert all(len(op) == len(groups) and any(f is not None for f in op) for op in fused)
+    for i, g in enumerate(groups):  # every group has gates of its own, each in a factor or stack on its qubits
+        stacks = [op.stack for op in ops if isinstance(op, ControlledOp) and op.group == i]
+        assert any(op[i] is not None for op in fused) or stacks
         assert all(op[i] is None or op[i].shape == (2**g, 2**g) for op in fused)
+        assert all(stack.shape == (2, 2**g, 2**g) for stack in stacks)
     rows = random_rows(2, n, seed=12)
     got = sim.apply_ops(rows.copy(), ops, groups)
     for row, want in zip(got, rows):
         np.testing.assert_allclose(row, apply_gates(want, gates, n), rtol=0, atol=TOL)
 
 
+@pytest.mark.parametrize("n", [9, 10, 13, 19])
+def test_controlled_op_matches_apply_gate(n):
+    # per target group, the bottom one included, a CRY from the group above
+    # it and one from the group below, each next to group-local RY runs:
+    # each becomes a ControlledOp, with its control above or below the
+    # group. Then a CRY between two crossing CRZs has no factor to take and
+    # stays a GateOp
+    groups = experiment._qubit_groups(n)
+    lows = np.cumsum((0,) + groups[::-1])[::-1][1:].tolist()  # each group's bottom qubit
+    gates = []
+    for i, (g, low) in enumerate(zip(groups, lows)):
+        for j in (i - 1, i + 1):  # the group above, then the one below
+            if 0 <= j < len(groups):
+                gates += [GateOp("RY", 0.3 + low, target=low)]
+                gates += [GateOp("CRY", 1.2 + j, target=low + g - 1, control=lows[j])]
+                gates += [GateOp("RY", 0.8 + j, target=low + g // 2)]
+    gates += [GateOp("CRZ", 0.5, target=0, control=n - 1), GateOp("CRY", 0.9, target=0, control=n - 1)]
+    gates += [GateOp("CRZ", 1.7, target=n - 1, control=0)]
+    ops = fuse_groups(gates, groups)
+    placed = {(op.group, op.control > lows[op.group]) for op in ops if isinstance(op, ControlledOp)}
+    m = len(groups)
+    assert placed == {(i, True) for i in range(1, m)} | {(i, False) for i in range(m - 1)}
+    assert [op for op in ops if isinstance(op, GateOp)] == [gates[-2]]
+    rows = random_rows(4, n, seed=n).reshape(2, 2, 2**n)  # leading axes, as run_group's (R, B, 2**n)
+    got = sim.apply_ops(rows.copy(), ops, groups)
+    for row, want in zip(got.reshape(4, -1), rows.reshape(4, -1)):
+        np.testing.assert_allclose(row, apply_gates(want, gates, n), rtol=0, atol=TOL)
+
+
 @pytest.mark.parametrize("n", [9, 15, 19])
 def test_every_group_factor_is_a_row_operator(n):
     # two, three and four groups: each factor, whatever its group, is what
-    # compile_gates builds (rows @ M), so no group's factor is transposed
+    # compile_gates builds (rows @ M), so no group's factor is transposed,
+    # and each controlled stack is prev @ [I, RY_t] @ next of such factors
     groups = experiment._qubit_groups(n)
     owner = [i for i, g in enumerate(groups) for _ in range(g)][::-1]
     lows = np.cumsum((0,) + groups[::-1])[::-1][1:].tolist()  # each group's bottom qubit
     gates = random_circuit(n, 300, seed=n)
-    runs, run = [], []  # the group-local runs between crossing gates, as fuse_groups splits them
+    # the op list as fuse_groups splits it: a list of factors per run of
+    # group-local gates, "phase" for a run of RZ/CRZ only or a crossing CRZ,
+    # and each crossing CRY
+    want, run = [], []
     for gate in gates + [None]:
         if gate is not None and (gate.control is None or owner[gate.control] == owner[gate.target]):
             run.append(gate)
             continue
         if any(g.kind in ("RY", "CRY") for g in run):
-            runs.append(run)
+            factors = []
+            for i, (g, low) in enumerate(zip(groups, lows)):
+                local = [GateOp(x.kind, x.angle, x.target - low, None if x.control is None else x.control - low)
+                         for x in run if owner[x.target] == i]
+                factors.append(compile_gates(local, g) if local else None)
+            want.append(factors)
+        elif run:
+            want.append("phase")
+        if gate is not None:
+            want.append(gate if gate.kind == "CRY" else "phase")
         run = []
-    fused = [op for op in fuse_groups(gates, groups) if isinstance(op, tuple)]
-    assert len(fused) == len(runs)
-    for op, run in zip(fused, runs):
-        for i, (g, low) in enumerate(zip(groups, lows)):
-            local = [GateOp(x.kind, x.angle, x.target - low, None if x.control is None else x.control - low)
-                     for x in run if owner[x.target] == i]
-            assert op[i] is None if not local else np.array_equal(op[i], compile_gates(local, g))
-    assert all(any(op[i] is not None for op in fused) for i in range(len(groups)))
+    for k, op in enumerate(want):  # each crossing CRY takes its target group's factors next to it
+        if isinstance(op, GateOp):
+            t = owner[op.target]
+            before, after = (want[j][t] if 0 <= j < len(want) and isinstance(want[j], list) else None
+                             for j in (k - 1, k + 1))
+            if before is None and after is None:
+                continue
+            ry = compile_gates([GateOp("RY", op.angle, op.target - lows[t])], groups[t])
+            stack = np.stack([np.eye(2 ** groups[t]), ry])
+            if before is not None:
+                stack, want[k - 1][t] = before @ stack, None
+            if after is not None:
+                stack, want[k + 1][t] = stack @ after, None
+            want[k] = (op.control, t, stack)
+    want = [op for op in want if op != "phase" and not (isinstance(op, list) and all(f is None for f in op))]
+    got = [op for op in fuse_groups(gates, groups) if not isinstance(op, np.ndarray)]
+    assert len(got) == len(want)
+    for op, expected in zip(got, want):
+        if isinstance(op, tuple):
+            assert all(f is None if e is None else np.array_equal(f, e) for f, e in zip(op, expected, strict=True))
+        elif isinstance(op, ControlledOp):
+            control, t, stack = expected
+            assert (op.control, op.group) == (control, t) and np.array_equal(op.stack, stack)
+        else:
+            assert op == expected
+    controlled = [op for op in got if isinstance(op, ControlledOp)]
+    assert {op.control > lows[op.group] for op in controlled} == {True, False}
+    assert any(isinstance(op, GateOp) for op in got)
+    for i in range(len(groups)):
+        assert any(op[i] is not None for op in got if isinstance(op, tuple)) or any(op.group == i for op in controlled)
 
     angles = np.random.default_rng(n).uniform(-np.pi, 2 * np.pi, size=(3, n))
     cos, sin = np.cos(0.5 * angles), np.sin(0.5 * angles)
@@ -467,12 +540,12 @@ def test_fused_blocks_leave_the_crossing_gates(topology, layers, most):
 @pytest.mark.parametrize(
     "n, topology, layers, passes",
     [
-        (10, "ring", 1, 17),
-        (10, "all_to_all", 1, 93),
-        (10, "chain", 1, 12),
-        (10, "ring", 2, 22),
-        (18, "ring", 1, 26),
-        (18, "all_to_all", 1, 364),
+        (10, "ring", 1, 10),
+        (10, "all_to_all", 1, 90),
+        (10, "chain", 1, 9),
+        (10, "ring", 2, 14),
+        (18, "ring", 1, 16),
+        (18, "all_to_all", 1, 359),
         (3, "ring", 1, 2),
         (6, "all_to_all", 2, 4),
     ],
@@ -480,8 +553,9 @@ def test_fused_blocks_leave_the_crossing_gates(topology, layers, most):
 def test_passes_per_step(n, topology, layers, passes):
     # the passes over the state that one step makes (depth 3): per encoder
     # layer, its RY layer (one matmul per group, or one phase multiply in the
-    # dense Y frame form), then per op of its block one pass, except a factor
-    # tuple, which makes one per factor it holds
+    # dense Y frame form), then per op of its block one pass (a ControlledOp,
+    # a crossing CRY with its target group's neighbouring factors, is one),
+    # except a factor tuple, which makes one per factor it holds
     groups = experiment._qubit_groups(n)
     blocks = experiment._fixed_blocks([resolve_seeds(kernel_config(n, layers=layers, topology=topology))], groups)
     ry = 1 if len(groups) == 1 else len(groups)

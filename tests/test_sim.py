@@ -205,6 +205,18 @@ class TestSampleCounts:
         b = sample_counts(state, 500, RandomStream(42))
         assert a == b
 
+    @pytest.mark.parametrize("corrupt", ["nan", "scaled"])
+    def test_drifted_norm_rejected(self, corrupt):
+        # a state's amplitudes changed after it was built are checked again
+        # before they are sampled; unchecked, the NaN state samples {0: 16}
+        state = new_zero_state(2)
+        if corrupt == "nan":
+            state.amplitudes[1] = np.nan
+        else:
+            state.amplitudes *= 2
+        with pytest.raises(DataError, match="drifted"):
+            sample_counts(state, 16, RandomStream(1))
+
 
 class TestEstimateExpectations:
     def test_single_z(self):
