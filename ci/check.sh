@@ -50,6 +50,10 @@ rerun case-parity twelve '{"task":{"T":60},"reservoir":{"n_qubits":12},"mode":{"
 # n = 13, the narrowest width of three fused groups (5, 4 and 4 qubits), over chunks of 2 rows
 rerun case-parity three '{"task":{"T":40},"reservoir":{"n_qubits":13},"mode":{"type":"reupload_k","k":3},"protocol":{"washout":12},"output":{"plots":false}}' \
   features.csv predictions.csv
+# n = 13 all_to_all with two re-upload layers: three groups, each crossing CRY's control below its
+# target; six are controlled group ops on the two upper groups, 162 stay gates
+rerun case-parity three-all '{"task":{"T":24},"reservoir":{"n_qubits":13,"topology":"all_to_all"},"encoder":{"scheme":"reupload","layers":2},"mode":{"type":"reupload_k","k":2},"protocol":{"washout":12},"output":{"plots":false}}' \
+  features.csv predictions.csv
 # n = 19, the narrowest width of four fused groups (5, 5, 5 and 4 qubits)
 rerun case-parity four '{"task":{"T":16},"reservoir":{"n_qubits":19},"protocol":{"washout":4},"output":{"plots":false}}' \
   features.csv predictions.csv

@@ -19,11 +19,12 @@ evolves in the eigenbasis of Pauli-Y: with W from ``sim.y_frame``, the
 stacks move to that frame once by one matmul on each side, ``sim.ry_phases``
 makes each RY layer one phase multiply, so a step is ``(rows * phase) @
 stack``, and the kept rows go back by one matmul with W before they are
-measured. In more groups (R = 1) the lists come from ``sim.fuse_groups``:
-factor tuples, run as the RY factors from ``sim.ry_factors`` are, and the
-gates that cross a cut: a phase vector per CRZ run, and per CRY a
-``sim.ControlledOp`` that holds its target group's neighbouring factors
-(a GateOp if it has none). One sign matrix gives the features.
+measured. In more groups (R = 1) every op is one pass over the rows: one
+``sim.GroupOp`` per group for the RY layer (``sim.ry_factors``), and from
+``sim.fuse_groups`` one per group that a run of group-local gates touches,
+a phase vector per CRZ run, and per crossing CRY a GroupOp controlled by it
+that holds its target group's neighbouring factors (a GateOp if none). One
+sign matrix gives the features.
 ``run_recurrent`` and ``run_windowed`` run one series; scans and sweeps run
 one group per pool task. ``step`` is the gate-by-gate reference the kernel
 is tested against.
@@ -62,6 +63,7 @@ from .reservoir import (
 )
 from .sim import (
     MAX_COUNT,
+    GroupOp,
     PauliString,
     RandomStream,
     StateVector,
@@ -478,9 +480,9 @@ def run_group(series_list, configs) -> list[FeatureMatrix]:
             rows[..., : 2**n if dense else 1] = 1.0  # in the Y frame, |0> is all ones
         B = rows.shape[1]
         for j in range(chunk.shape[1] - B + 1):
-            layer = layers[:, j : j + B] if dense else tuple(f[:, j : j + B] for f in layers)
+            layer = layers[:, j : j + B] if dense else [GroupOp(i, f[:, j : j + B]) for i, f in enumerate(layers)]
             for block in blocks:  # per encoder layer, its RY layer, then its fixed block
-                rows = apply_ops(rows * layer, block, groups) if dense else apply_ops(rows, (layer, *block), groups)
+                rows = apply_ops(rows * layer, block, groups) if dense else apply_ops(rows, layer + block, groups)
             if j >= w - 1 and t0 + j - w + 1 >= keep_from:  # complete rows from step keep_from on
                 kept.append(rows)
         del layers, layer  # free this chunk's RY layers before the next chunk builds its own

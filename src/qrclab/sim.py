@@ -15,12 +15,12 @@ Two layers of kernels live here. ``apply_gate``, ``expectation``,
 ``sample_counts`` and ``estimate_expectations`` act on one ``StateVector``
 or its count table and are the reference path; ``tests/dense_oracle.py``
 checks ``apply_gate`` in turn. The batch helpers ``apply_gate_rows``,
-``compile_gates``, ``fuse_groups``, ``apply_controlled``, ``apply_ops``,
-``ry_factors``, ``ry_layer``, ``ry_phases``, ``y_frame`` and
-``sign_matrix`` act on, or build operators for, a ``(B, 2**n)`` array of
-amplitude rows (``ry_layer``, ``apply_controlled`` and ``apply_ops`` on any
-leading axes); the fused evolution kernel in ``experiment`` is built from
-them and tested against the reference path.
+``compile_gates``, ``fuse_groups``, ``apply_group``, ``apply_ops``,
+``ry_factors``, ``ry_phases``, ``y_frame`` and ``sign_matrix`` act on, or
+build operators for, a ``(B, 2**n)`` array of amplitude rows
+(``apply_group`` and ``apply_ops`` on any leading axes); the fused
+evolution kernel in ``experiment`` is built from them and tested against
+the reference path.
 
 The RY layer on every qubit is a Kronecker product, applied in one of two
 forms. ``experiment`` splits the qubits into the fewest near-equal groups
@@ -28,14 +28,14 @@ whose factors fit its chunk budget, and the count picks the form. In one
 group, the eigenbasis of Pauli-Y makes the layer diagonal: ``ry_phases``
 gives its 2**n phases, and one matmul with the frame matrix W from
 ``y_frame`` moves rows into or out of that frame. In m >= 2 groups of
-consecutive qubits, the layer is one factor per group, one matmul each
-(``ry_factors`` and ``ry_layer``); ``fuse_groups`` compiles the fixed
-gates that stay within one group to such factors too, and leaves only the
-gates that cross a cut: CRZ runs as one phase vector, and CRYs, each merged
-with its target group's neighbouring factors into a ``ControlledOp``, one
-factor on that group per value of its control. Every factor is a row
-operator, as ``compile_gates`` builds it: ``rows @ M`` applies M, the
-transpose of the gates' unitary.
+consecutive qubits, the layer is one factor per group (``ry_factors``),
+each a ``GroupOp`` that ``apply_group`` runs as one matmul; ``fuse_groups``
+compiles the fixed gates that stay within one group to such ops too, and
+leaves only the gates that cross a cut: CRZ runs as one phase vector, and
+CRYs, each merged with its target group's neighbouring factors into a
+GroupOp with a control, one factor on that group per value of its control.
+Every factor is a row operator, as ``compile_gates`` builds it: ``rows @
+M`` applies M, the transpose of the gates' unitary.
 """
 
 from __future__ import annotations
@@ -411,7 +411,7 @@ def compile_gates(gates, n: int) -> np.ndarray:
 
 def ry_factors(angles: np.ndarray, groups) -> list:
     """Row operators of the RY layer of each of S steps or rows: one
-    (S, 2**g, 2**g) factor per qubit group of ``ry_layer``, the Kronecker
+    (S, 2**g, 2**g) factor per qubit group of ``apply_group``, the Kronecker
     product of its qubits' RY^T, top qubit first.
 
     ``angles`` has shape (S, n): the RY angle of each step and qubit. The
@@ -439,53 +439,56 @@ def _kron(factors, s: int) -> np.ndarray:
     return out
 
 
-def ry_layer(rows: np.ndarray, factors, groups) -> np.ndarray:
-    """Apply one row operator per qubit group to every row; returns a new
-    batch of the shape of ``rows``, (..., 2**n). ``groups`` gives the qubit
-    counts of m >= 2 groups, top first. A group's (pre, 2**g, post) view X
-    of a row becomes ``F^T @ X``, or ``X @ F`` for the bottom group (post =
-    1), just as ``rows @ F`` applies F to rows of g qubits. ``factors`` come
-    from ``ry_factors`` (one step's RY layer, shared by every row, or one
-    per row, broadcast against the rows' leading axes) or from
-    ``fuse_groups``, where a None factor's matmul is skipped.
-    """
-    lead, post, out = rows.shape[:-1], rows.shape[-1], rows
-    for f, g in zip(factors, groups):
-        post >>= g
-        if f is None:
-            continue
-        if post == 1:
-            out = out.reshape(*lead, -1, 2**g) @ f
-        else:
-            out = f.swapaxes(-1, -2)[..., None, :, :] @ out.reshape(*lead, -1, 2**g, post)
-    return out.reshape(rows.shape)
-
-
 @dataclass(frozen=True, eq=False)
-class ControlledOp:
-    """A crossing CRY merged with its target group's neighbouring factors
-    (``fuse_groups``): on qubit group ``group`` of ``ry_layer`` (its index,
-    top first), rows whose ``control`` bit is b take the row operator
-    ``stack[b]`` of a (2, 2**g, 2**g) stack."""
+class GroupOp:
+    """One row operator on qubit group ``group`` (its index, top first) of
+    ``apply_group``. With no ``control``, ``factor`` is a (..., d, d) row
+    operator, d = 2**g, that broadcasts against the rows' leading axes (one
+    step's RY factor, shared by every row, or one per row); with a control
+    qubit it is a (2, d, d) stack, and rows whose control bit is b take
+    ``factor[b]``."""
 
-    control: int
     group: int
-    stack: np.ndarray
+    factor: np.ndarray
+    control: int | None = None
+
+
+def apply_group(rows: np.ndarray, op: GroupOp, groups) -> np.ndarray:
+    """``rows``, (..., 2**n), through a GroupOp on the qubit groups
+    ``groups`` (the qubit counts of m >= 2 groups, top first); returns a new
+    batch. One matmul: a group's (..., pre, d, post) view X of the rows
+    becomes ``F^T @ X``, or ``X @ F`` for the bottom group (post = 1), just
+    as ``rows @ F`` applies F to rows of g qubits. A control above the group
+    splits its bit out of pre, as an axis of 2 that the stack's leading axis
+    broadcasts against. A control below it splits its bit out of post: the
+    group axis of the (..., P, d, M, 2, C) view, and of the output it is
+    written to through ``out=``, moves next to the last."""
+    lead, n, f = rows.shape[:-1], sum(groups), op.factor
+    c, g, low = op.control, groups[op.group], sum(groups[op.group + 1 :])
+    if c is None or c > low:
+        pre = (-1,) if c is None else (2 ** (n - 1 - c), 2, 2 ** (c - low - g))
+        view = rows.reshape(*lead, *pre, 2**g, 2**low)
+        out = view[..., 0] @ f if low == 0 else f.swapaxes(-1, -2)[..., None, :, :] @ view
+        return out.reshape(rows.shape)
+    view = rows.reshape(*lead, 2 ** (n - low - g), 2**g, 2 ** (low - 1 - c), 2, 2**c)
+    out = np.empty_like(rows)
+    np.matmul(f.swapaxes(-1, -2), np.moveaxis(view, -4, -2), out=np.moveaxis(out.reshape(view.shape), -4, -2))
+    return out
 
 
 def fuse_groups(gates, groups) -> list:
-    """A fixed gate list as ops on the qubit groups of ``ry_layer``. The
+    """A fixed gate list as ops on the qubit groups of ``apply_group``. The
     groups commute, so each run of gates that stay within one group is one
-    tuple of row operators: per group, ``compile_gates`` of its gates on its
-    own qubits (indices shifted by its bottom qubit), or None if no gate
-    fell in it. A gate that crosses a cut ends the run: consecutive CRZs
-    fold into one (2**n,) phase vector, their diagonal, applied as ``rows
-    *= phase``, and a run of only RZ/CRZ gates joins that phase vector
-    instead. A CRY(c -> t) takes the factors on t's group of the tuples just
-    before and just after it, and becomes a ControlledOp with the stack
+    GroupOp per group it touches, top group first: ``compile_gates`` of that
+    group's gates on its own qubits (indices shifted by its bottom qubit). A
+    gate that crosses a cut ends the run: consecutive CRZs fold into one
+    (2**n,) phase vector, their diagonal, applied as ``rows *= phase``, and
+    a run of only RZ/CRZ gates joins that phase vector instead. A CRY(c -> t)
+    takes the factors on t's group of the runs just before and just after
+    it, and becomes a GroupOp controlled by c with the stack
     ``prev @ [I, RY_t] @ next``; this is exact, because a factor on t's
-    group commutes with the projectors on c. A tuple left with no factor is
-    dropped, and a CRY with no factor to take stays a GateOp."""
+    group commutes with the projectors on c. A CRY with no factor to take
+    stays a GateOp."""
     n = sum(groups)
     owner = [i for i, g in reversed(list(enumerate(groups))) for _ in range(g)]  # each qubit's group
     lows = [sum(groups[i + 1 :]) for i in range(len(groups))]  # each group's bottom qubit
@@ -502,18 +505,20 @@ def fuse_groups(gates, groups) -> list:
             for gate in run:
                 phase(gate)
         else:
-            factors = []  # a list until the crossing CRYs have taken their factors
             for i, (g, low) in enumerate(zip(groups, lows)):
                 local = [GateOp(x.kind, x.angle, x.target - low, None if x.control is None else x.control - low)
                          for x in run if owner[x.target] == i]
-                factors.append(compile_gates(local, g) if local else None)
-            out.append(factors)
+                if local:
+                    out.append(GroupOp(i, compile_gates(local, g)))
         run.clear()
 
-    def take(j, i):  # the factor on group i of op j if that is a tuple, which loses it
-        if 0 <= j < len(out) and isinstance(out[j], list):
-            f, out[j][i] = out[j][i], None
-            return f
+    def take(k, step, t):  # the factor on group t of the run next to op k on the side of step, which loses it
+        j = k + step
+        while 0 <= j < len(out) and (out[j] is None or isinstance(out[j], GroupOp) and out[j].control is None):
+            if out[j] is not None and out[j].group == t:
+                f, out[j] = out[j].factor, None
+                return f
+            j += step
         return None
 
     for gate in gates:
@@ -529,7 +534,7 @@ def fuse_groups(gates, groups) -> list:
     for k, op in enumerate(out):
         if isinstance(op, GateOp):  # a crossing CRY
             t = owner[op.target]
-            before, after = take(k - 1, t), take(k + 1, t)
+            before, after = take(k, -1, t), take(k, 1, t)
             if before is None and after is None:
                 continue
             ry = compile_gates([GateOp("RY", op.angle, op.target - lows[t])], groups[t])
@@ -538,51 +543,25 @@ def fuse_groups(gates, groups) -> list:
                 stack = before @ stack
             if after is not None:
                 stack = stack @ after
-            out[k] = ControlledOp(op.control, t, stack)
-    ops = [tuple(op) if isinstance(op, list) else op for op in out]
-    return [op for op in ops if not isinstance(op, tuple) or any(f is not None for f in op)]
-
-
-def apply_controlled(rows: np.ndarray, op: ControlledOp, groups) -> np.ndarray:
-    """``rows``, (..., 2**n), through a ControlledOp; returns a new batch.
-    One matmul on a view whose axis of 2 is the control bit, which the
-    stack's leading axis broadcasts against. With the control above the
-    group the view is (..., A, 2, M, d, post), and as in ``ry_layer`` the
-    transposed stack multiplies it from the left, or for the bottom group
-    (post = 1) the (..., A, 2, M, d) view multiplies the stack. With the
-    control below, the group axis of the (..., P, d, M, 2, C) view, and of
-    the output it is written to through ``out=``, moves next to the last."""
-    lead, n = rows.shape[:-1], sum(groups)
-    c, g, low = op.control, groups[op.group], sum(groups[op.group + 1 :])
-    if c > low:
-        view = rows.reshape(*lead, 2 ** (n - 1 - c), 2, 2 ** (c - low - g), 2**g, 2**low)
-        if low == 0:
-            return (view[..., 0] @ op.stack).reshape(rows.shape)
-        return (op.stack.swapaxes(-1, -2)[:, None] @ view).reshape(rows.shape)
-    view = rows.reshape(*lead, 2 ** (n - low - g), 2**g, 2 ** (low - 1 - c), 2, 2**c)
-    out = np.empty_like(rows)
-    np.matmul(op.stack.swapaxes(-1, -2), np.moveaxis(view, -4, -2), out=np.moveaxis(out.reshape(view.shape), -4, -2))
-    return out
+            out[k] = GroupOp(t, stack, op.control)
+    return [op for op in out if op is not None]
 
 
 def apply_ops(rows: np.ndarray, ops, groups) -> np.ndarray:
     """``rows``, (..., 2**n) amplitudes, through an op list in order: the one
-    interpreter of compiled blocks. A row operator or an (R, d, d) stack of
-    them is one matmul, a tuple one ``ry_layer``, a ControlledOp one
-    ``apply_controlled``; a (2**n,) phase vector and a crossing GateOp
+    interpreter of compiled blocks, each op one pass over the rows. A
+    GroupOp is one ``apply_group``, a dense row operator or an (R, d, d)
+    stack of them one matmul; a (2**n,) phase vector and a crossing GateOp
     (``apply_gate_rows``) act in place on ``rows``."""
     for op in ops:
-        if isinstance(op, np.ndarray):
-            if op.ndim == 1:
-                rows *= op
-            else:
-                rows = rows @ op
-        elif isinstance(op, tuple):
-            rows = ry_layer(rows, op, groups)
-        elif isinstance(op, ControlledOp):
-            rows = apply_controlled(rows, op, groups)
-        else:
+        if isinstance(op, GroupOp):
+            rows = apply_group(rows, op, groups)
+        elif isinstance(op, GateOp):
             apply_gate_rows(rows.reshape(-1, rows.shape[-1]), op, sum(groups))
+        elif op.ndim == 1:
+            rows *= op
+        else:
+            rows = rows @ op
     return rows
 
 

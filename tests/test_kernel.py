@@ -3,14 +3,14 @@
 ``run_recurrent`` and ``run_windowed`` evolve batches of rows in the
 eigenbasis of Pauli-Y, entered and left by one matmul with the frame matrix
 W, through one phase multiply per RY layer and dense step operators
-(n <= 7, one qubit group), or through one RY factor per qubit group and
-fixed gates fused into such factors, with only the gates that cross a cut
+(n <= 7, one qubit group), or through group ops (``sim.GroupOp``, one row
+operator on one qubit group per pass): one per group for the RY layer, and
+the fixed gates fused into such ops, with only the gates that cross a cut
 left (n >= 8: two groups through n = 12, three through 18, four through
-24). Here their
-features are compared with a loop of ``step`` + ``expectation`` (or
-``sample_counts`` + ``estimate_expectations`` on the shots backend), by hand
-and by a hypothesis property over drawn configs, and with the independent
-dense-matrix oracle.
+24). Here their features are compared with a loop of ``step`` +
+``expectation`` (or ``sample_counts`` + ``estimate_expectations`` on the
+shots backend), by hand and by a hypothesis property over drawn configs, and
+with the independent dense-matrix oracle.
 """
 
 from dataclasses import replace
@@ -39,8 +39,8 @@ from qrclab.readout import fit_ridge, predict, r2_score
 from qrclab.reservoir import TOPOLOGIES, ReservoirSpec, build_reservoir
 from qrclab.sim import (
     Y_FRAME,
-    ControlledOp,
     GateOp,
+    GroupOp,
     PauliString,
     RandomStream,
     StateVector,
@@ -53,7 +53,6 @@ from qrclab.sim import (
     fuse_groups,
     new_zero_state,
     ry_factors,
-    ry_layer,
     ry_phases,
     sample_counts,
     y_frame,
@@ -227,13 +226,16 @@ def test_long_run_keeps_the_reference_accuracy(n):
     assert np.max(np.abs(got.values - want)) <= 1e-13
 
 
-def test_dense_path_makes_no_ry_layer_call(monkeypatch):
-    def refused(rows, factors, groups):
-        raise AssertionError("ry_layer called on the dense path")
+def test_dense_path_applies_no_group_op(monkeypatch):
+    def refused(rows, op, groups):
+        raise AssertionError("a group op was applied")
 
-    monkeypatch.setattr(sim, "ry_layer", refused)
+    monkeypatch.setattr(sim, "apply_group", refused)
     for k in (None, 3, "full"):
         cfg = kernel_config(4, k=k)
+        run_kernel(generate(resolve_seeds(cfg).task), cfg)
+    cfg = kernel_config(8, k=3)  # the fused form applies its RY layer as group ops
+    with pytest.raises(AssertionError, match="group op"):
         run_kernel(generate(resolve_seeds(cfg).task), cfg)
 
 
@@ -346,6 +348,12 @@ def apply_gates(row, gates, n):
     return apply_circuit(StateVector(n, row.copy()), gates).amplitudes
 
 
+def ry_ops(angles, groups):
+    """The RY layer of (S, n) angles as the kernel runs it: one GroupOp per
+    qubit group, its factor from ``ry_factors``."""
+    return [GroupOp(i, f) for i, f in enumerate(ry_factors(angles, groups))]
+
+
 @pytest.mark.parametrize("shared", [True, False], ids=["shared", "per-row"])
 @pytest.mark.parametrize("n", [2, 3, 8, 9, 13, 19])
 def test_ry_layer_rotates_each_qubit_of_each_row(n, shared):
@@ -356,7 +364,7 @@ def test_ry_layer_rotates_each_qubit_of_each_row(n, shared):
     if shared:
         angles[:] = angles[0]
     rows = random_rows(b, n, seed=9)
-    got = ry_layer(rows, ry_factors(angles[:1] if shared else angles, groups), groups)
+    got = sim.apply_ops(rows, ry_ops(angles[:1] if shared else angles, groups), groups)
     for i in range(b):
         gates = [GateOp("RY", float(angles[i, q]), target=q) for q in range(n)]
         want = apply_dense(rows[i], gates, n) if n < 10 else apply_gates(rows[i], gates, n)
@@ -372,7 +380,7 @@ def test_y_frame_turns_the_ry_layer_into_phases(n):
     w = y_frame(n)
     got = (rows @ w.conj() * ry_phases(angles)) @ w.T / 2**n
     groups = (n - n // 2, n // 2)
-    np.testing.assert_allclose(got, ry_layer(rows, ry_factors(angles, groups), groups), rtol=0, atol=TOL)
+    np.testing.assert_allclose(got, sim.apply_ops(rows, ry_ops(angles, groups), groups), rtol=0, atol=TOL)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -404,22 +412,28 @@ def test_fuse_groups_matches_apply_gate(n):
     assert {g.kind for g in gates if crossing(g)} == {"CRY", "CRZ"}
     assert {g.kind for g in gates if not crossing(g)} == {"RY", "RZ", "CRY", "CRZ"}
     ops = fuse_groups(gates, groups)
-    # each crossing CRY, in order, is a GateOp, or a ControlledOp on its
-    # target's group with its control
+    # each crossing CRY, in order, is a GateOp, or a GroupOp on its target's
+    # group with its control
     crossing_cry = [g for g in gates if crossing(g) and g.kind == "CRY"]
-    for op, gate in zip([op for op in ops if isinstance(op, (GateOp, ControlledOp))], crossing_cry, strict=True):
+    cry_ops = [op for op in ops if isinstance(op, GateOp) or isinstance(op, GroupOp) and op.control is not None]
+    for op, gate in zip(cry_ops, crossing_cry, strict=True):
         assert op == gate if isinstance(op, GateOp) else (op.control, op.group) == (gate.control, owner[gate.target])
-    assert any(isinstance(op, ControlledOp) for op in ops)
+    assert any(isinstance(op, GroupOp) for op in cry_ops)
     # the last crossing CRY has phase vectors on both sides, so it stays a
-    # GateOp, and the gates after it are RZ/CRZ only: one phase vector, not a tuple
+    # GateOp, and the gates after it are RZ/CRZ only: one phase vector, not group ops
     assert ops[-2] == gates[-4] and isinstance(ops[-1], np.ndarray)
-    fused = [op for op in ops if isinstance(op, tuple)]
-    assert all(len(op) == len(groups) and any(f is not None for f in op) for op in fused)
-    for i, g in enumerate(groups):  # every group has gates of its own, each in a factor or stack on its qubits
-        stacks = [op.stack for op in ops if isinstance(op, ControlledOp) and op.group == i]
-        assert any(op[i] is not None for op in fused) or stacks
-        assert all(op[i] is None or op[i].shape == (2**g, 2**g) for op in fused)
-        assert all(stack.shape == (2, 2**g, 2**g) for stack in stacks)
+    # a run of group-local gates is at most one op per group, top group first
+    last = None
+    for op in ops:
+        if isinstance(op, GroupOp) and op.control is None:
+            assert last is None or op.group > last
+            last = op.group
+        else:
+            last = None
+    for i, g in enumerate(groups):  # every group has gates of its own, each in an op on its qubits
+        mine = [op for op in ops if isinstance(op, GroupOp) and op.group == i]
+        assert mine
+        assert all(op.factor.shape == ((2**g, 2**g) if op.control is None else (2, 2**g, 2**g)) for op in mine)
     rows = random_rows(2, n, seed=12)
     got = sim.apply_ops(rows.copy(), ops, groups)
     for row, want in zip(got, rows):
@@ -430,7 +444,7 @@ def test_fuse_groups_matches_apply_gate(n):
 def test_controlled_op_matches_apply_gate(n):
     # per target group, the bottom one included, a CRY from the group above
     # it and one from the group below, each next to group-local RY runs:
-    # each becomes a ControlledOp, with its control above or below the
+    # each becomes a controlled GroupOp, with its control above or below the
     # group. Then a CRY between two crossing CRZs has no factor to take and
     # stays a GateOp
     groups = experiment._qubit_groups(n)
@@ -445,7 +459,7 @@ def test_controlled_op_matches_apply_gate(n):
     gates += [GateOp("CRZ", 0.5, target=0, control=n - 1), GateOp("CRY", 0.9, target=0, control=n - 1)]
     gates += [GateOp("CRZ", 1.7, target=n - 1, control=0)]
     ops = fuse_groups(gates, groups)
-    placed = {(op.group, op.control > lows[op.group]) for op in ops if isinstance(op, ControlledOp)}
+    placed = {(op.group, op.control > lows[op.group]) for op in ops if isinstance(op, GroupOp) and op.control is not None}
     m = len(groups)
     assert placed == {(i, True) for i in range(1, m)} | {(i, False) for i in range(m - 1)}
     assert [op for op in ops if isinstance(op, GateOp)] == [gates[-2]]
@@ -498,22 +512,21 @@ def test_every_group_factor_is_a_row_operator(n):
             if after is not None:
                 stack, want[k + 1][t] = stack @ after, None
             want[k] = (op.control, t, stack)
-    want = [op for op in want if op != "phase" and not (isinstance(op, list) and all(f is None for f in op))]
+    # each list is one uncontrolled (None, group, factor) per factor it kept, top group first
+    want = [x for op in want if not isinstance(op, str)
+            for x in ([(None, i, f) for i, f in enumerate(op) if f is not None] if isinstance(op, list) else [op])]
     got = [op for op in fuse_groups(gates, groups) if not isinstance(op, np.ndarray)]
     assert len(got) == len(want)
     for op, expected in zip(got, want):
-        if isinstance(op, tuple):
-            assert all(f is None if e is None else np.array_equal(f, e) for f, e in zip(op, expected, strict=True))
-        elif isinstance(op, ControlledOp):
-            control, t, stack = expected
-            assert (op.control, op.group) == (control, t) and np.array_equal(op.stack, stack)
+        if isinstance(op, GroupOp):
+            control, group, factor = expected
+            assert (op.control, op.group) == (control, group) and np.array_equal(op.factor, factor)
         else:
             assert op == expected
-    controlled = [op for op in got if isinstance(op, ControlledOp)]
+    controlled = [op for op in got if isinstance(op, GroupOp) and op.control is not None]
     assert {op.control > lows[op.group] for op in controlled} == {True, False}
     assert any(isinstance(op, GateOp) for op in got)
-    for i in range(len(groups)):
-        assert any(op[i] is not None for op in got if isinstance(op, tuple)) or any(op.group == i for op in controlled)
+    assert {op.group for op in got if isinstance(op, GroupOp)} == set(range(len(groups)))
 
     angles = np.random.default_rng(n).uniform(-np.pi, 2 * np.pi, size=(3, n))
     cos, sin = np.cos(0.5 * angles), np.sin(0.5 * angles)
@@ -552,15 +565,12 @@ def test_fused_blocks_leave_the_crossing_gates(topology, layers, most):
 )
 def test_passes_per_step(n, topology, layers, passes):
     # the passes over the state that one step makes (depth 3): per encoder
-    # layer, its RY layer (one matmul per group, or one phase multiply in the
-    # dense Y frame form), then per op of its block one pass (a ControlledOp,
-    # a crossing CRY with its target group's neighbouring factors, is one),
-    # except a factor tuple, which makes one per factor it holds
+    # layer, its RY layer (one GroupOp per group, or one phase multiply in
+    # the dense Y frame form), then one pass per op of its block
     groups = experiment._qubit_groups(n)
     blocks = experiment._fixed_blocks([resolve_seeds(kernel_config(n, layers=layers, topology=topology))], groups)
     ry = 1 if len(groups) == 1 else len(groups)
-    ops = [sum(f is not None for f in op) if isinstance(op, tuple) else 1 for block in blocks for op in block]
-    assert ry * len(blocks) + sum(ops) == passes
+    assert ry * len(blocks) + sum(map(len, blocks)) == passes
 
 
 def test_estimate_rejects_negative_basis_index():
@@ -791,8 +801,10 @@ def test_each_width_keeps_its_plan(n):
     blocks = experiment._fixed_blocks([resolve_seeds(kernel_config(n))], groups)
     first = blocks[0][0]  # a dense block's one op is its (R, d, d) stack
     form = "dense" if isinstance(first, np.ndarray) and first.ndim == 3 else "fused"
-    if form == "fused":  # every fused op holds one factor per group
-        assert all(len(op) == len(groups) for block in blocks for op in block if isinstance(op, tuple))
+    if form == "fused":  # a group op's factor is one row operator on its group, or two with a control
+        for op in (op for block in blocks for op in block if isinstance(op, GroupOp)):
+            d = 2 ** groups[op.group]
+            assert op.factor.shape == ((d, d) if op.control is None else (2, d, d))
     size = experiment._group_size(n)
     assert (form, groups, size, experiment._rows_per_chunk(n), experiment._rows_per_chunk(n, size)) == PLAN[n]
 
