@@ -59,6 +59,12 @@ rerun case-parity four '{"task":{"T":16},"reservoir":{"n_qubits":19},"protocol":
   features.csv predictions.csv
 # a scan's echo holds its config, not its flags: it reruns from the echo plus the same flags
 rerun "theory-scan --qubits 2,3 --replicates 2" scan '{}' scan.csv config_echo.json
+# each replicate's series is generated once and travels inside its pool task: a scan in
+# process and the same scan in two pool workers write the same bytes
+one=$(QRCLAB_THREADS=1 $QRCLAB theory-scan --qubits 2,7 --replicates 3 --out "$RUNNER_TEMP/threads" | sed -n 's/^run_dir: //p')
+two=$(QRCLAB_THREADS=2 $QRCLAB theory-scan --qubits 2,7 --replicates 3 --out "$RUNNER_TEMP/threads" | sed -n 's/^run_dir: //p')
+test "$one" != "$two"
+cmp "$one/scan.csv" "$two/scan.csv"
 echo '{"qbits": 4}' > "$RUNNER_TEMP/unknown-key.json"
 status=0
 $QRCLAB case-parity --config "$RUNNER_TEMP/unknown-key.json" --out "$RUNNER_TEMP/runs" || status=$?

@@ -70,11 +70,10 @@ def build_encoder(spec: EncoderSpec, n_qubits: int) -> EncoderCircuit:
     layers = []
     for _ in range(spec.layers):
         fixed: list[GateOp] = []
-        if spec.scheme == "reupload":
-            for i, j in ring:
-                fixed.append(GateOp("CRZ", float(rng.uniform(0.0, 2 * np.pi)), target=j, control=i))
-            for q in range(n_qubits):
-                fixed.append(GateOp("RZ", float(rng.uniform(0.0, 2 * np.pi)), target=q))
+        if spec.scheme == "reupload":  # one draw per layer, the same values as one scalar draw per gate
+            angles = rng.uniform(0.0, 2 * np.pi, size=len(ring) + n_qubits).tolist()
+            fixed += [GateOp("CRZ", a, target=j, control=i) for (i, j), a in zip(ring, angles)]
+            fixed += [GateOp("RZ", a, target=q) for q, a in enumerate(angles[len(ring) :])]
         layers.append(EncoderLayer(angle_qubits=slots, fixed_gates=tuple(fixed)))
     return EncoderCircuit(n_qubits=n_qubits, layers=tuple(layers))
 

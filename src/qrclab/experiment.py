@@ -13,26 +13,31 @@ Input angles are stacked once as (R, T, n), and each chunk's steps become
 The fixed gates are compiled once, on the qubit groups that one rule picks
 (stated with the other rules on ``CHUNK_AMPLITUDES`` above ``run_group``):
 the fewest near-equal groups whose per-step factors fit the budget, as one
-op list per encoder layer, run by ``sim.apply_ops`` after its RY layer. In
-one group (n <= 7) the list is one dense (R, d, d) stack, and the run
-evolves in the eigenbasis of Pauli-Y: with W from ``sim.y_frame``, the
-stacks move to that frame once by one matmul on each side, ``sim.ry_phases``
+op list per encoder layer, run by ``sim.apply_ops`` after its RY layer.
+Every block is first compiled by ``sim.fuse_groups``, on the compile split
+of ``_compile_groups``. In one group (n <= 7) the list is one dense (R, d, d)
+stack, and the run evolves in the eigenbasis of Pauli-Y: with W from
+``sim.y_frame``, each replicate's fused ops run on the rows of W^T, and one
+matmul with conj(W) finishes the block in that frame; ``sim.ry_phases``
 makes each RY layer one phase multiply, so a step is ``(rows * phase) @
 stack``, and the kept rows go back by one matmul with W before they are
-measured. In more groups (R = 1) every op is one pass over the rows: one
-``sim.GroupOp`` per group for the RY layer (``sim.ry_factors``), and from
-``sim.fuse_groups`` one per group that a run of group-local gates touches,
-a phase vector per CRZ run, and per crossing CRY a GroupOp controlled by it
-that holds its target group's neighbouring factors (a GateOp if none). One
-sign matrix gives the features.
+measured. In more groups (R = 1) the fused ops are the block, and every op
+is one pass over the rows: one ``sim.GroupOp`` per group for the RY layer
+(``sim.ry_factors``), and from ``sim.fuse_groups`` one per group that a run
+of group-local gates touches, a phase vector per CRZ run, and per crossing
+CRY a GroupOp controlled by it that holds its target group's neighbouring
+factors (a GateOp if none). One sign matrix gives the features.
 ``run_recurrent`` and ``run_windowed`` run one series; scans and sweeps run
-one group per pool task. ``step`` is the gate-by-gate reference the kernel
-is tested against.
+one group per pool task, which carries the group's series: each distinct
+task is generated once, before the pool starts (``_pool_tasks``). ``step``
+is the gate-by-gate reference the kernel is tested against.
 
 Seed derivation: ``SEEDS`` names each derived seed and the label of its
-child of the master seed (see sim.RandomStream), so one integer reproduces a
-run. Replicate r of a sweep or scan is seeded from the master's
-``replicate-<r>`` child; a scan adds ``-n<N>`` to every label but ``data``.
+child of the master seed (``sim.child_seed``, the seed of a
+``sim.RandomStream`` child, computed without building a generator), so one
+integer reproduces a run. Replicate r of a sweep or scan is seeded from the
+master's ``replicate-<r>`` child; a scan adds ``-n<N>`` to every label but
+``data``.
 """
 
 from __future__ import annotations
@@ -73,7 +78,7 @@ from .sim import (
     check_norm,
     check_real,
     check_seed,
-    compile_gates,
+    child_seed,
     fuse_groups,
     ry_factors,
     ry_phases,
@@ -253,10 +258,12 @@ def _with_fields(config: ExperimentConfig, paths: dict, **top) -> ExperimentConf
 
 
 def resolve_seeds(config: ExperimentConfig) -> ExperimentConfig:
-    """Fill every unset seed of ``SEEDS`` from the master seed's children."""
-    master = RandomStream(config.master_seed)
+    """Fill every unset seed of ``SEEDS`` from the master seed's children;
+    a config with none unset is returned as it is."""
     unset = [path for path in SEEDS if attrgetter(path)(config) is None]
-    return _with_fields(config, {path: master.child_seed(SEEDS[path].format(width="")) for path in unset})
+    if not unset:
+        return config
+    return _with_fields(config, {path: child_seed(config.master_seed, SEEDS[path].format(width="")) for path in unset})
 
 
 def build_observables(
@@ -343,7 +350,9 @@ def _input_angles(inputs, n: int) -> np.ndarray:
 # (``_rows_per_chunk``), and a group stacks as many dense blocks as fit
 # (``_group_size``). So a chunk's RY layers, R x (B + k - 1) steps (k = 1 for
 # a persistent state) of at most the budget each, take for its B rows at
-# most the budget again in one group and 2.5 times it (640 KB) in more.
+# most the budget again in one group and 2.5 times it (640 KB) in more. The
+# fixed blocks compile on the same groups, but a dense width from n = 6 on
+# two near-equal halves (``_compile_groups``).
 CHUNK_AMPLITUDES = 2**14
 
 
@@ -352,6 +361,15 @@ def _qubit_groups(n: int) -> tuple[int, ...]:
     near-equal groups whose per-step factors fit ``CHUNK_AMPLITUDES``."""
     splits = (tuple(n // m + (i < n % m) for i in range(m)) for m in range(1, n + 1))
     return next(groups for groups in splits if sum(4**g for g in groups) <= CHUNK_AMPLITUDES)
+
+
+def _compile_groups(n: int) -> tuple[int, ...]:
+    """The qubit groups that width n's fixed blocks compile on: its own
+    groups, but from n = 6 a dense width's two near-equal halves, top half
+    largest. There the few fused ops push the 2**n rows of W^T through fewer
+    passes than one per gate; below, fusing costs more than it saves."""
+    groups = _qubit_groups(n)
+    return (n - n // 2, n // 2) if len(groups) == 1 and n >= 6 else groups
 
 
 def _rows_per_chunk(n: int, R: int = 1) -> int:
@@ -370,21 +388,26 @@ def _group_size(n: int) -> int:
 def _fixed_blocks(configs, groups) -> list:
     """Per encoder layer, the fixed gates after its RY layer, with the
     reservoir folded into the last block, as an op list for ``sim.apply_ops``
-    on the qubit groups of ``_qubit_groups``. In one group, its one op is the
-    replicates' dense row operators M stacked as (R, d, d) and moved to the
-    Y frame, as ``W^T M conj(W) / 2**n`` with W = ``sim.y_frame(n)``, to act
-    on rows held there as ``rows @ conj(W)`` (see ``sim.ry_phases``); in
-    more (one replicate, as ``_group_size`` allows), ``sim.fuse_groups``."""
+    on the qubit groups of ``_qubit_groups``. Every block compiles as
+    ``sim.fuse_groups`` on the groups of ``_compile_groups``. In more groups
+    (one replicate, as ``_group_size`` allows) those ops are the block. In
+    one group, its one op is the replicates' dense row operators M stacked
+    as (R, d, d) in the Y frame, ``W^T M conj(W) / 2**n`` with W =
+    ``sim.y_frame(n)``, to act on rows held there as ``rows @ conj(W)`` (see
+    ``sim.ry_phases``): ``apply_ops`` runs the ops on the rows of W^T, which
+    gives W^T M, and one matmul takes it to the frame."""
     n = sum(groups)
+    split = _compile_groups(n)
     replicates = []
     for cfg in configs:
         blocks = [list(layer.fixed_gates) for layer in build_encoder(cfg.encoder, n).layers]
         blocks[-1] += build_reservoir(cfg.reservoir).gates
-        replicates.append(blocks)
+        replicates.append([fuse_groups(block, split) for block in blocks])
     if len(groups) > 1:
-        return [fuse_groups(block, groups) for block in replicates[0]]
+        return replicates[0]
     w = y_frame(n)
-    return [[w.T @ np.stack([compile_gates(block, n) for block in layer]) @ w.conj() / 2**n] for layer in zip(*replicates)]
+    return [[np.stack([apply_ops(w.T.copy(), ops, split) for ops in layer]) @ w.conj() / 2**n]
+            for layer in zip(*replicates)]
 
 
 def _measure(rows: np.ndarray, signs: np.ndarray, shots: int, streams) -> np.ndarray:
@@ -613,15 +636,27 @@ def worker_count() -> int:
     return check_int("QRCLAB_THREADS", n, 0) or os.cpu_count() or 1
 
 
+def _pool_tasks(groups: list, delays) -> list:
+    """The pool tasks ``(configs, series, delays)`` of replicate groups, with
+    each distinct task generated once, here, keyed by its TaskSpec: every
+    width of a scan's replicate reads the one series its data seed gives."""
+    series = {}
+    for configs in groups:
+        for cfg in configs:
+            if cfg.task not in series:
+                series[cfg.task] = generate(cfg.task)
+    return [(configs, [series[cfg.task] for cfg in configs], delays) for configs in groups]
+
+
 def _group_scores(pool_task: tuple) -> list:
-    """One pool task: ``(configs, delays)``, replicate configs of one width,
-    evolved once as one ``run_group``, and the STM delays to read. A scan has
-    no delays and scores each replicate on its own task. A sweep's configs
-    are each replicate's shortest-delay STM config; delay d reads the rows
-    t >= ``first_row(d)`` of that run against ``stm_series(inputs, d)``.
-    Returns per replicate a (train score, test score) per readout."""
-    configs, delays = pool_task
-    series = [generate(cfg.task) for cfg in configs]
+    """One pool task: ``(configs, series, delays)``, replicate configs of one
+    width and their series (``_pool_tasks``), evolved once as one
+    ``run_group``, and the STM delays to read. A scan has no delays and
+    scores each replicate on its own task. A sweep's configs are each
+    replicate's shortest-delay STM config; delay d reads the rows t >=
+    ``first_row(d)`` of that run against ``stm_series(inputs, d)``. Returns
+    per replicate a (train score, test score) per readout."""
+    configs, series, delays = pool_task
     name, _ = task_metric(configs[0].task.kind)
     scores = []
     for cfg, s, f in zip(configs, series, run_group(series, configs)):
@@ -661,11 +696,11 @@ def _replicate_groups(replicates: list, n: int) -> list:
 def _replicate_config(config: ExperimentConfig, r: int, n_qubits: int | None = None) -> ExperimentConfig:
     """Replicate r's config, every seed of ``SEEDS`` from the master seed's
     ``replicate-<r>`` child; at a scan's width ``n_qubits``, with its suffix."""
-    rep = RandomStream(config.master_seed).child(f"replicate-{r}")
+    rep = child_seed(config.master_seed, f"replicate-{r}")
     width = "" if n_qubits is None else f"-n{n_qubits}"
-    seeds = {path: rep.child_seed(label.format(width=width)) for path, label in SEEDS.items()}
+    seeds = {path: child_seed(rep, label.format(width=width)) for path, label in SEEDS.items()}
     n_qubits = config.reservoir.n_qubits if n_qubits is None else n_qubits
-    return _with_fields(config, {"reservoir.n_qubits": n_qubits, **seeds}, master_seed=rep.seed)
+    return _with_fields(config, {"reservoir.n_qubits": n_qubits, **seeds}, master_seed=rep)
 
 
 def stm_delay_sweep(
@@ -687,7 +722,7 @@ def stm_delay_sweep(
         cells = [replace(base, task=replace(base.task, kind="stm", delay=d)) for d in delays]  # checks every delay
         replicate_configs.append(min(cells, key=lambda c: c.task.delay))
     groups = _replicate_groups(replicate_configs, config.reservoir.n_qubits)
-    scores = [replicate for group in _map_cases([(g, delays) for g in groups]) for replicate in group]
+    scores = [replicate for group in _map_cases(_pool_tasks(groups, delays)) for replicate in group]
     return [(d, float(np.mean([replicate[i][1] for replicate in scores]))) for i, d in enumerate(delays)]
 
 
@@ -727,9 +762,8 @@ def theory_scan(
     m = t_eff - config.protocol.train_rows(t_eff)
     groups = []
     for n in qubits:
-        replicate_configs = [_replicate_config(config, r, n_qubits=n) for r in range(replicates)]
-        groups += [(g, ()) for g in _replicate_groups(replicate_configs, n)]
-    scores = [cell for group in _map_cases(groups) for replicate in group for cell in replicate]
+        groups += _replicate_groups([_replicate_config(config, r, n_qubits=n) for r in range(replicates)], n)
+    scores = [cell for group in _map_cases(_pool_tasks(groups, ())) for replicate in group for cell in replicate]
 
     rows = []
     for i, n in enumerate(qubits):

@@ -62,11 +62,10 @@ def build_reservoir(spec: ReservoirSpec) -> ReservoirCircuit:
     rng = RandomStream(spec.seed)
     edges = topology_edges(spec.topology, spec.n_qubits)
     gates: list[GateOp] = []
-    for _ in range(spec.depth):
-        for i, j in edges:
-            gates.append(GateOp("CRY", float(rng.uniform(0.0, 2 * np.pi)), target=j, control=i))
-        for q in range(spec.n_qubits):
-            gates.append(GateOp("RZ", float(rng.uniform(0.0, 2 * np.pi)), target=q))
+    for _ in range(spec.depth):  # one draw per layer, the same values as one scalar draw per gate
+        angles = rng.uniform(0.0, 2 * np.pi, size=len(edges) + spec.n_qubits).tolist()
+        gates += [GateOp("CRY", a, target=j, control=i) for (i, j), a in zip(edges, angles)]
+        gates += [GateOp("RZ", a, target=q) for q, a in enumerate(angles[len(edges) :])]
     return ReservoirCircuit(n_qubits=spec.n_qubits, gates=tuple(gates))
 
 

@@ -112,14 +112,21 @@ def check_bool(key: str, value) -> bool:
     return value
 
 
+def child_seed(seed: int, label: str) -> int:
+    """The seed of ``seed``'s child labelled ``label``: ``sha256(f"{seed}/{label}")``,
+    its first 8 bytes taken little-endian."""
+    digest = hashlib.sha256(f"{seed}/{label}".encode("utf-8")).digest()
+    return int.from_bytes(digest[:8], "little")
+
+
 class RandomStream:
     """A seeded PCG64 stream with labelled, hash-derived child streams.
 
-    Child derivation is ``sha256(f"{seed}/{label}")``, first 8 bytes taken
-    little-endian as the child seed. It depends only on the parent *seed*
-    (not on how many values were drawn), so the derivation tree is stable
-    no matter the draw order. Same seed + same draw sequence gives identical
-    outputs on every platform numpy supports.
+    A child's seed is ``child_seed(seed, label)``. It depends only on the
+    parent *seed* (not on how many values were drawn), so the derivation
+    tree is stable no matter the draw order, and ``.child_seed`` reads it
+    without building the child's generator. Same seed + same draw sequence
+    gives identical outputs on every platform numpy supports.
     """
 
     def __init__(self, seed: int):
@@ -127,11 +134,10 @@ class RandomStream:
         self._gen = np.random.Generator(np.random.PCG64(self.seed))
 
     def child(self, label: str) -> "RandomStream":
-        digest = hashlib.sha256(f"{self.seed}/{label}".encode("utf-8")).digest()
-        return RandomStream(int.from_bytes(digest[:8], "little"))
+        return RandomStream(child_seed(self.seed, label))
 
     def child_seed(self, label: str) -> int:
-        return self.child(label).seed
+        return child_seed(self.seed, label)
 
     def uniform(self, low: float = 0.0, high: float = 1.0, size=None):
         return self._gen.uniform(low, high, size)
@@ -173,7 +179,7 @@ class GateOp:
             raise ConfigurationError("control and target must differ")
         if self.target < 0 or (self.control is not None and self.control < 0):
             raise ConfigurationError("qubit indices must be non-negative")
-        if not np.isfinite(self.angle):
+        if not math.isfinite(self.angle):
             raise ConfigurationError(f"gate angle must be finite, got {self.angle}")
 
 
@@ -507,7 +513,7 @@ def fuse_groups(gates, groups) -> list:
         else:
             for i, (g, low) in enumerate(zip(groups, lows)):
                 local = [GateOp(x.kind, x.angle, x.target - low, None if x.control is None else x.control - low)
-                         for x in run if owner[x.target] == i]
+                         if low else x for x in run if owner[x.target] == i]
                 if local:
                     out.append(GroupOp(i, compile_gates(local, g)))
         run.clear()

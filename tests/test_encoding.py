@@ -53,6 +53,14 @@ class TestBuildEncoder:
         rng = RandomStream(7)
         assert [g.angle for g in gates] == [float(rng.uniform(0.0, 2 * np.pi)) for _ in gates]
 
+    def test_layers_draw_in_turn(self):
+        # every re-upload layer draws its ring's CRZ angles, then its RZ
+        # angles, one stream value per gate, after the layers before it
+        circ = build_encoder(EncoderSpec(scheme="reupload", layers=3, interleave_seed=8), 4)
+        rng = RandomStream(8)
+        for layer in circ.layers:
+            assert [g.angle for g in layer.fixed_gates] == [float(rng.uniform(0.0, 2 * np.pi)) for _ in range(8)]
+
     def test_single_qubit_reupload_has_no_ring(self):
         circ = build_encoder(EncoderSpec(scheme="reupload", layers=2, interleave_seed=0), 1)
         assert [[g.kind for g in layer.fixed_gates] for layer in circ.layers] == [["RZ"], ["RZ"]]

@@ -53,6 +53,20 @@ def small_config(kind="stm", T=150, mode=None, backend=None, observables=None, *
     )
 
 
+def count_generate(monkeypatch) -> list:
+    """The tasks of every ``experiment.generate`` call from here on, with
+    the scans and sweeps run in this process."""
+    monkeypatch.setenv("QRCLAB_THREADS", "1")
+    calls = []
+
+    def counted(spec, generate=experiment.generate):
+        calls.append(spec)
+        return generate(spec)
+
+    monkeypatch.setattr(experiment, "generate", counted)
+    return calls
+
+
 def encoder_gates_for_input(circuit, u):
     """The documented gate expansion of one encode call, for oracle tests."""
     u = np.atleast_1d(np.asarray(u, dtype=float))
@@ -405,6 +419,12 @@ class TestDelaySweep:
         with pytest.raises(SchemaError, match=f"^{key}: must be an integer"):
             stm_delay_sweep(small_config(), delays=delays, replicates=replicates)
 
+    def test_each_series_is_generated_once(self, monkeypatch):
+        # every delay of a replicate reads one series
+        calls = count_generate(monkeypatch)
+        stm_delay_sweep(small_config(), delays=[4, 1, 2], replicates=3)
+        assert len(calls) == len(set(calls)) == 3
+
     def test_numpy_integers_accepted(self):
         rows = stm_delay_sweep(small_config(), delays=np.array([2]), replicates=np.int64(2))
         assert rows == stm_delay_sweep(small_config(), delays=[2], replicates=2)
@@ -460,6 +480,13 @@ class TestTheoryScan:
         rows = theory_scan(small_config(), np.array([2, 3]), delta=np.float64(0.05), replicates=np.int64(1))
         assert rows == theory_scan(small_config(), [2, 3], delta=0.05, replicates=1)
         assert [type(r.n_qubits) for r in rows] == [int, int]
+
+    def test_each_series_is_generated_once(self, monkeypatch):
+        # the default scan, 6 widths x 10 replicates: every width of a
+        # replicate reads one series, so 10 calls, not 60
+        calls = count_generate(monkeypatch)
+        theory_scan(ExperimentConfig(task=TaskSpec("narma10")), [2, 3, 4, 5, 6, 7], delta=0.05, replicates=10)
+        assert len(calls) == len(set(calls)) == 10
 
     def test_parallel_matches_sequential(self, monkeypatch):
         cfg = small_config(T=100, protocol=ProtocolSpec(washout=20, train_fraction=0.5))

@@ -227,10 +227,19 @@ def test_long_run_keeps_the_reference_accuracy(n):
 
 
 def test_dense_path_applies_no_group_op(monkeypatch):
+    # the dense blocks compile through group ops; the run itself applies none
+    fixed_blocks, apply_group = experiment._fixed_blocks, sim.apply_group
+
     def refused(rows, op, groups):
         raise AssertionError("a group op was applied")
 
-    monkeypatch.setattr(sim, "apply_group", refused)
+    def compiled(configs, groups):  # refuse group ops only once the blocks are built
+        monkeypatch.setattr(sim, "apply_group", apply_group)
+        blocks = fixed_blocks(configs, groups)
+        monkeypatch.setattr(sim, "apply_group", refused)
+        return blocks
+
+    monkeypatch.setattr(experiment, "_fixed_blocks", compiled)
     for k in (None, 3, "full"):
         cfg = kernel_config(4, k=k)
         run_kernel(generate(resolve_seeds(cfg).task), cfg)
@@ -573,6 +582,27 @@ def test_passes_per_step(n, topology, layers, passes):
     assert ry * len(blocks) + sum(map(len, blocks)) == passes
 
 
+@pytest.mark.parametrize("layers", [1, 2], ids=["angle", "reupload2"])
+@pytest.mark.parametrize("topology", TOPOLOGIES)
+@pytest.mark.parametrize("n", range(2, 8))
+def test_dense_blocks_match_the_compiled_gates(n, topology, layers):
+    # a dense block is compiled by fuse_groups on two halves from n = 6, one
+    # group below; each replicate's slice of it is its gate list compiled
+    # one gate at a time and moved to the Y frame
+    assert experiment._compile_groups(n) == ((n,) if n <= 5 else (n - n // 2, n // 2))
+    base = kernel_config(n, layers=layers, topology=topology)
+    configs = [experiment._replicate_config(base, r) for r in range(min(2, experiment._group_size(n)))]
+    blocks = experiment._fixed_blocks(configs, experiment._qubit_groups(n))
+    w = y_frame(n)
+    for r, cfg in enumerate(configs):
+        gates = [list(layer.fixed_gates) for layer in build_encoder(cfg.encoder, n).layers]
+        gates[-1] += build_reservoir(cfg.reservoir).gates
+        assert len(blocks) == len(gates)
+        for [stack], block in zip(blocks, gates):
+            want = w.T @ compile_gates(block, n) @ w.conj() / 2**n
+            np.testing.assert_allclose(stack[r], want, rtol=0, atol=TOL)
+
+
 def test_estimate_rejects_negative_basis_index():
     with pytest.raises(DataError, match="negative"):
         estimate_expectations({-1: 4}, 4, [PauliString((0,))])
@@ -596,8 +626,8 @@ def test_non_finite_input_raises(k):
 @pytest.mark.parametrize("n, k", [(3, None), (3, "full"), (8, 2)])
 def test_corrupted_state_raises(monkeypatch, n, k):
     # a block that is not unitary makes the norm drift past NORM_TOLERANCE
-    if n <= 7:
-        monkeypatch.setattr(experiment, "compile_gates", lambda gates, n: 1.001 * sim.compile_gates(gates, n))
+    if n <= 7:  # every factor fuse_groups compiles; this module's compile_gates stays unpatched
+        monkeypatch.setattr(sim, "compile_gates", lambda gates, n: 1.001 * compile_gates(gates, n))
     else:
         calls, fixed_blocks = [], experiment._fixed_blocks
 
@@ -626,11 +656,11 @@ def test_nan_state_raises(monkeypatch, backend):
     # a NaN norm fails the norm check; unchecked, sampling turns a NaN CDF
     # into finite counts and a run that succeeds with wrong features
     def nan_block(gates, n):
-        block = sim.compile_gates(gates, n)
+        block = compile_gates(gates, n)
         block[0, 0] = np.nan
         return block
 
-    monkeypatch.setattr(experiment, "compile_gates", nan_block)
+    monkeypatch.setattr(sim, "compile_gates", nan_block)
     cfg = kernel_config(4, k=3, backend=backend)
     series = generate(resolve_seeds(cfg).task)
     with pytest.raises(DataError, match="norm.*nan"):
@@ -835,10 +865,22 @@ def test_group_with_a_narma10_redraw(monkeypatch, caplog):
     redrawn = RandomStream(resolve_seeds(configs[2]).task.seed + 1).uniform(0.0, 0.5, size=40)
     np.testing.assert_array_equal(series[2].inputs, redrawn / 0.5)
     # the scan's pool task scores every replicate as run_case does
-    scores = experiment._group_scores((configs, ()))
+    [task] = experiment._pool_tasks([configs], ())
+    assert task[0] == configs and task[2] == ()
+    for got, want in zip(task[1], series):
+        np.testing.assert_array_equal(got.inputs, want.inputs)
+    scores = experiment._group_scores(task)
     for (cell,), cfg in zip(scores, configs):
         res = experiment.run_case(cfg)
         assert cell == (res.metrics["train_r2"], res.metrics["test_r2"])
+    # a scan generates each replicate's series once, for every width: the
+    # redraw is logged once, not once per width
+    monkeypatch.setenv("QRCLAB_THREADS", "1")
+    caplog.clear()
+    base = replace(kernel_config(3), task=TaskSpec("narma10", T=40),
+                   protocol=ProtocolSpec(washout=12, train_fraction=0.5))
+    experiment.theory_scan(base, [2, 3], delta=0.05, replicates=4)
+    assert caplog.text.count("diverged") == 1
 
 
 def per_case_means(cells_by_replicate, name):

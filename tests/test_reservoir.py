@@ -6,12 +6,13 @@ import pytest
 from qrclab.encoding import EncoderSpec, build_encoder, encode_input
 from qrclab.errors import ConfigurationError
 from qrclab.reservoir import (
+    TOPOLOGIES,
     ReservoirSpec,
     apply_reservoir,
     build_reservoir,
     topology_edges,
 )
-from qrclab.sim import GateOp, new_zero_state
+from qrclab.sim import GateOp, RandomStream, new_zero_state
 
 from dense_oracle import apply_dense
 
@@ -59,6 +60,19 @@ class TestBuildReservoir:
         kinds = [g.kind for g in circ.gates]
         per_layer = ["CRY"] * 3 + ["RZ"] * 3
         assert kinds == per_layer * 2
+
+    @pytest.mark.parametrize("topology", TOPOLOGIES)
+    def test_angles_follow_the_scalar_draw_order(self, topology):
+        # each gate's angle is the stream's next Uniform[0, 2*pi) value, in
+        # gate order, as one scalar draw per gate gives it
+        spec = ReservoirSpec(n_qubits=5, depth=3, topology=topology, seed=21)
+        edges = topology_edges(topology, 5)
+        rng = RandomStream(21)
+        want = []
+        for _ in range(3):
+            want += [("CRY", float(rng.uniform(0.0, 2 * np.pi)), j, i) for i, j in edges]
+            want += [("RZ", float(rng.uniform(0.0, 2 * np.pi)), q, None) for q in range(5)]
+        assert [(g.kind, g.angle, g.target, g.control) for g in build_reservoir(spec).gates] == want
 
     def test_depth_validation(self):
         with pytest.raises(ConfigurationError):
