@@ -60,9 +60,10 @@ rerun case-parity four '{"task":{"T":16},"reservoir":{"n_qubits":19},"protocol":
 # a scan's echo holds its config, not its flags: it reruns from the echo plus the same flags
 rerun "theory-scan --qubits 2,3 --replicates 2" scan '{}' scan.csv config_echo.json
 # each replicate's series is generated once and travels inside its pool task: a scan in
-# process and the same scan in two pool workers write the same bytes
-one=$(QRCLAB_THREADS=1 $QRCLAB theory-scan --qubits 2,7 --replicates 3 --out "$RUNNER_TEMP/threads" | sed -n 's/^run_dir: //p')
-two=$(QRCLAB_THREADS=2 $QRCLAB theory-scan --qubits 2,7 --replicates 3 --out "$RUNNER_TEMP/threads" | sed -n 's/^run_dir: //p')
+# process and the same scan in two pool workers write the same bytes. At n = 6 the plan's
+# group size is 4, so 5 replicates run as a full group and a partial one
+one=$(QRCLAB_THREADS=1 $QRCLAB theory-scan --qubits 2,6,7 --replicates 5 --out "$RUNNER_TEMP/threads" | sed -n 's/^run_dir: //p')
+two=$(QRCLAB_THREADS=2 $QRCLAB theory-scan --qubits 2,6,7 --replicates 5 --out "$RUNNER_TEMP/threads" | sed -n 's/^run_dir: //p')
 test "$one" != "$two"
 cmp "$one/scan.csv" "$two/scan.csv"
 echo '{"qbits": 4}' > "$RUNNER_TEMP/unknown-key.json"

@@ -64,7 +64,7 @@ def build_encoder(spec: EncoderSpec, n_qubits: int) -> EncoderCircuit:
     """
     if spec.interleave_seed is None:
         raise ConfigurationError("interleave seed unresolved; fill it or go through resolve_seeds")
-    rng = RandomStream(spec.interleave_seed)
+    rng = RandomStream(spec.interleave_seed) if spec.scheme == "reupload" else None  # angle draws nothing
     slots = tuple(range(n_qubits))
     ring = topology_edges("ring", n_qubits) if n_qubits > 1 else ()  # 1 qubit: no ring
     layers = []

@@ -10,34 +10,33 @@ reset, so re-uploading the whole prefix gives exactly the recurrent state),
 and B output rows per chunk for a bounded window, each restarted from |0>.
 Input angles are stacked once as (R, T, n), and each chunk's steps become
 (R, S, ...) RY layers, of which sub-step j takes the slice ``[:, j:j+B]``.
-The fixed gates are compiled once, on the qubit groups that one rule picks
-(stated with the other rules on ``CHUNK_AMPLITUDES`` above ``run_group``):
-the fewest near-equal groups whose per-step factors fit the budget, as one
-op list per encoder layer, run by ``sim.apply_ops`` after its RY layer.
-Every block is first compiled by ``sim.fuse_groups``, on the compile split
-of ``_compile_groups``. In one group (n <= 7) the list is one dense (R, d, d)
-stack, and the run evolves in the eigenbasis of Pauli-Y: with W from
-``sim.y_frame``, each replicate's fused ops run on the rows of W^T, and one
-matmul with conj(W) finishes the block in that frame; ``sim.ry_phases``
-makes each RY layer one phase multiply, so a step is ``(rows * phase) @
-stack``, and the kept rows go back by one matmul with W before they are
-measured. In more groups (R = 1) the fused ops are the block, and every op
-is one pass over the rows: one ``sim.GroupOp`` per group for the RY layer
-(``sim.ry_factors``), and from ``sim.fuse_groups`` one per group that a run
-of group-local gates touches, a phase vector per CRZ run, and per crossing
-CRY a GroupOp controlled by it that holds its target group's neighbouring
-factors (a GateOp if none). One sign matrix gives the features.
-``run_recurrent`` and ``run_windowed`` run one series; scans and sweeps run
-one group per pool task, which carries the group's series: each distinct
-task is generated once, before the pool starts (``_pool_tasks``). ``step``
-is the gate-by-gate reference the kernel is tested against.
+A width's ``plan`` holds every rule of how it runs, each one expression on
+the budget ``CHUNK_AMPLITUDES``: its qubit groups, compile split, group size
+and rows per chunk. The fixed gates are compiled once, on its qubit groups,
+as one op list per encoder layer, run by ``sim.apply_ops`` after its RY
+layer. Every block is first compiled by ``sim.fuse_groups``, on the plan's
+compile split. In one group (n <= 7) the list is one dense (R, d, d) stack,
+and the run evolves in the eigenbasis of Pauli-Y: with W from
+``sim.y_frame``, built once per run, each replicate's fused ops run on the
+rows of W^T, and one matmul with conj(W) finishes the block in that frame;
+``sim.ry_phases`` makes each RY layer one phase multiply, so a step is
+``(rows * phase) @ stack``, and the kept rows go back by one matmul with W
+before they are measured. In more groups (R = 1) the fused ops are the
+block, and every op is one pass over the rows: one ``sim.GroupOp`` per group
+for the RY layer (``sim.ry_factors``), and from ``sim.fuse_groups`` one per
+group that a run of group-local gates touches, a phase vector per CRZ run,
+and per crossing CRY a GroupOp controlled by it that holds its target
+group's neighbouring factors (a GateOp if none). One sign matrix gives the
+features. ``run_recurrent`` and ``run_windowed`` run one series; scans and
+sweeps run one group per pool task, which carries the group's series: each
+distinct task is generated once, before the pool starts (``_pool_tasks``).
+``step`` is the gate-by-gate reference the kernel is tested against.
 
 Seed derivation: ``SEEDS`` names each derived seed and the label of its
-child of the master seed (``sim.child_seed``, the seed of a
-``sim.RandomStream`` child, computed without building a generator), so one
-integer reproduces a run. Replicate r of a sweep or scan is seeded from the
-master's ``replicate-<r>`` child; a scan adds ``-n<N>`` to every label but
-``data``.
+child of the master seed (``sim.child_seed``, a hash of the parent seed and
+the label that builds no generator), so one integer reproduces a run.
+Replicate r of a sweep or scan is seeded from the master's ``replicate-<r>``
+child; a scan adds ``-n<N>`` to every label but ``data``.
 """
 
 from __future__ import annotations
@@ -341,72 +340,72 @@ def _input_angles(inputs, n: int) -> np.ndarray:
     return scale_input(u)[:, np.arange(n) % u.shape[1]]
 
 
-# The kernel's one budget, in complex128 entries (256 KB). Each rule of a
-# width's plan is one expression on it. The qubits split into the fewest
-# near-equal groups, top group largest, whose per-step factors (4**g entries
-# a group of g) fit (``_qubit_groups``): one group, the dense Y frame form,
-# through n = 7, and 2, 3 and 4 fused groups of at most 6 qubits through
-# n = 12, 18 and 24. A chunk's R x B rows fit, at least one per replicate
-# (``_rows_per_chunk``), and a group stacks as many dense blocks as fit
-# (``_group_size``). So a chunk's RY layers, R x (B + k - 1) steps (k = 1 for
-# a persistent state) of at most the budget each, take for its B rows at
-# most the budget again in one group and 2.5 times it (640 KB) in more. The
-# fixed blocks compile on the same groups, but a dense width from n = 6 on
-# two near-equal halves (``_compile_groups``).
+# The kernel's one budget, in complex128 entries (256 KB): every rule of a
+# width's plan (``plan``) is one expression on it.
 CHUNK_AMPLITUDES = 2**14
 
 
-def _qubit_groups(n: int) -> tuple[int, ...]:
-    """Width n's qubit groups, top first: the first split into m = 1, 2, ...
-    near-equal groups whose per-step factors fit ``CHUNK_AMPLITUDES``."""
+@dataclass(frozen=True)
+class Plan:
+    """How ``run_group`` runs R replicates of width n: every rule of the
+    plan, each one expression on the budget.
+
+    - ``groups``: the qubit groups, top first, the fewest near-equal ones,
+      top group largest, whose per-step factors (4**g entries a group of g)
+      fit. One group, the ``dense`` Y frame form, through n = 7, and 2, 3
+      and 4 fused groups of at most 6 qubits through n = 12, 18 and 24.
+    - ``split``: the groups the fixed blocks compile on, ``groups`` but from
+      n = 6 a dense width's two near-equal halves, top half largest. There
+      the few fused ops push the 2**n rows of W^T through fewer passes than
+      one per gate; below, fusing costs more than it saves.
+    - ``size``: the replicates one run evolves together, as many as have
+      their stacked dense blocks fit, at least one.
+    - ``rows``: rows per replicate per chunk (for a persistent state, steps
+      per chunk), as many as keep R x B rows of 2**n amplitudes within the
+      budget, at least one.
+
+    So a chunk's RY layers, R x (B + k - 1) steps (k = 1 for a persistent
+    state) of at most the budget each, take for its B rows at most the
+    budget again in one group and 2.5 times it (640 KB) in more."""
+
+    groups: tuple[int, ...]
+    split: tuple[int, ...]
+    size: int
+    rows: int
+
+    @property
+    def dense(self) -> bool:
+        return len(self.groups) == 1
+
+
+def plan(n: int, R: int = 1) -> Plan:
+    """Width n's ``Plan`` for R replicates."""
     splits = (tuple(n // m + (i < n % m) for i in range(m)) for m in range(1, n + 1))
-    return next(groups for groups in splits if sum(4**g for g in groups) <= CHUNK_AMPLITUDES)
+    groups = next(groups for groups in splits if sum(4**g for g in groups) <= CHUNK_AMPLITUDES)
+    split = (n - n // 2, n // 2) if len(groups) == 1 and n >= 6 else groups
+    return Plan(groups, split, max(1, CHUNK_AMPLITUDES // 4**n), max(1, (CHUNK_AMPLITUDES >> n) // R))
 
 
-def _compile_groups(n: int) -> tuple[int, ...]:
-    """The qubit groups that width n's fixed blocks compile on: its own
-    groups, but from n = 6 a dense width's two near-equal halves, top half
-    largest. There the few fused ops push the 2**n rows of W^T through fewer
-    passes than one per gate; below, fusing costs more than it saves."""
-    groups = _qubit_groups(n)
-    return (n - n // 2, n // 2) if len(groups) == 1 and n >= 6 else groups
-
-
-def _rows_per_chunk(n: int, R: int = 1) -> int:
-    """Rows per replicate per chunk (for a persistent state, steps per
-    chunk): as many as keep R x B rows of 2**n amplitudes within
-    ``CHUNK_AMPLITUDES``, at least one."""
-    return max(1, (CHUNK_AMPLITUDES >> n) // R)
-
-
-def _group_size(n: int) -> int:
-    """Replicates of width n that one run evolves together: as many as have
-    their stacked dense blocks fit in one chunk, at least one."""
-    return max(1, CHUNK_AMPLITUDES // 4**n)
-
-
-def _fixed_blocks(configs, groups) -> list:
+def _fixed_blocks(configs, p: Plan, frame=None) -> list:
     """Per encoder layer, the fixed gates after its RY layer, with the
     reservoir folded into the last block, as an op list for ``sim.apply_ops``
-    on the qubit groups of ``_qubit_groups``. Every block compiles as
-    ``sim.fuse_groups`` on the groups of ``_compile_groups``. In more groups
-    (one replicate, as ``_group_size`` allows) those ops are the block. In
-    one group, its one op is the replicates' dense row operators M stacked
-    as (R, d, d) in the Y frame, ``W^T M conj(W) / 2**n`` with W =
-    ``sim.y_frame(n)``, to act on rows held there as ``rows @ conj(W)`` (see
-    ``sim.ry_phases``): ``apply_ops`` runs the ops on the rows of W^T, which
-    gives W^T M, and one matmul takes it to the frame."""
-    n = sum(groups)
-    split = _compile_groups(n)
+    on the groups of plan ``p``. Every block compiles as ``sim.fuse_groups``
+    on the plan's split. In more groups (one replicate, as the plan's size
+    allows) those ops are the block. In one group, its one op is the
+    replicates' dense row operators M stacked as (R, d, d) in the Y frame,
+    ``W^T M conj(W) / 2**n`` with W the ``frame``, ``sim.y_frame(n)``, to
+    act on rows held there as ``rows @ conj(W)`` (see ``sim.ry_phases``):
+    ``apply_ops`` runs the ops on the rows of W^T, which gives W^T M, and
+    one matmul takes it to the frame."""
+    n = sum(p.groups)
     replicates = []
     for cfg in configs:
         blocks = [list(layer.fixed_gates) for layer in build_encoder(cfg.encoder, n).layers]
         blocks[-1] += build_reservoir(cfg.reservoir).gates
-        replicates.append([fuse_groups(block, split) for block in blocks])
-    if len(groups) > 1:
+        replicates.append([fuse_groups(block, p.split) for block in blocks])
+    if not p.dense:
         return replicates[0]
-    w = y_frame(n)
-    return [[np.stack([apply_ops(w.T.copy(), ops, split) for ops in layer]) @ w.conj() / 2**n]
+    return [[np.stack([apply_ops(frame.T.copy(), ops, p.split) for ops in layer]) @ frame.conj() / 2**n]
             for layer in zip(*replicates)]
 
 
@@ -457,8 +456,8 @@ def run_group(series_list, configs) -> list[FeatureMatrix]:
     re-upload of the whole prefix is the recurrent state) is B = 1 row
     advanced one step at a time; a bounded window of k steps restarts each
     chunk's B output rows from |0> and advances them k sub-steps, row b of
-    sub-step j taking step t0 - k + 1 + j + b. R may be at most
-    ``_group_size(n)``. Every replicate keeps the rows from one
+    sub-step j taking step t0 - k + 1 + j + b. R may be at most the size of
+    width n's ``plan``. Every replicate keeps the rows from one
     ``first_row`` to one series length, sharing one t_index; replicates that
     keep different rows, or whose width, topology, encoder layers,
     observables, mode or backend differ, raise ConfigurationError. On the
@@ -474,24 +473,24 @@ def run_group(series_list, configs) -> list[FeatureMatrix]:
     (keep_from,), (T,) = firsts, ends
     cfg, R = cfgs[0], len(cfgs)
     n, bounded = cfg.reservoir.n_qubits, cfg.mode.bounded
-    if R > _group_size(n):
-        raise ConfigurationError(f"{R} replicates of width {n} exceed the group size {_group_size(n)}")
+    p = plan(n, R)
+    if R > p.size:
+        raise ConfigurationError(f"{R} replicates of width {n} exceed the group size {p.size}")
     observables = build_observables(cfg.observables, n, cfg.reservoir.topology)
     signs = sign_matrix(observables, n)
-    groups = _qubit_groups(n)
-    blocks = _fixed_blocks(cfgs, groups)
-    dense = len(groups) == 1  # evolved in the Y frame
-    back = y_frame(n).T / 2**n if dense else None  # rows @ back leaves the frame
+    groups, dense = p.groups, p.dense  # dense: evolved in the Y frame
+    frame = y_frame(n) if dense else None
+    blocks = _fixed_blocks(cfgs, p, frame)
+    back = frame.T / 2**n if dense else None  # rows @ back leaves the frame
     angles = np.stack([_input_angles(s.inputs, n) for s in series_list])  # (R, T, n)
     streams = [RandomStream(c.backend.shot_seed) for c in cfgs] if cfg.backend.kind == "shots" else None
 
     w = cfg.mode.k if bounded else 1  # sub-steps that complete a row
-    per_chunk = _rows_per_chunk(n, R)
     rows = None
     t_index = np.arange(keep_from, T, dtype=np.int64)
     values = np.empty((R, len(t_index), len(observables)))
-    for t0 in range(keep_from if bounded else 0, T, per_chunk):
-        t1 = min(t0 + per_chunk, T)
+    for t0 in range(keep_from if bounded else 0, T, p.rows):
+        t1 = min(t0 + p.rows, T)
         kept = []  # also frees the last chunk's measured rows before this chunk's RY layers are built
         chunk = angles[:, t0 - w + 1 : t1]  # (R, S, n)
         if dense:
@@ -688,8 +687,8 @@ def _map_cases(tasks: list) -> list:
 
 
 def _replicate_groups(replicates: list, n: int) -> list:
-    """Consecutive replicates of width n, ``_group_size(n)`` per group."""
-    size = _group_size(n)
+    """Consecutive replicates of width n, the size of its ``plan`` per group."""
+    size = plan(n).size
     return [replicates[i : i + size] for i in range(0, len(replicates), size)]
 
 

@@ -23,11 +23,11 @@ evolution kernel in ``experiment`` is built from them and tested against
 the reference path.
 
 The RY layer on every qubit is a Kronecker product, applied in one of two
-forms. ``experiment`` splits the qubits into the fewest near-equal groups
-whose factors fit its chunk budget, and the count picks the form. In one
-group, the eigenbasis of Pauli-Y makes the layer diagonal: ``ry_phases``
-gives its 2**n phases, and one matmul with the frame matrix W from
-``y_frame`` moves rows into or out of that frame. In m >= 2 groups of
+forms. ``experiment.plan`` splits the qubits into the fewest near-equal
+groups whose factors fit its chunk budget, and the count picks the form. In
+one group, the eigenbasis of Pauli-Y makes the layer diagonal:
+``ry_phases`` gives its 2**n phases, and one matmul with the frame matrix W
+from ``y_frame`` moves rows into or out of that frame. In m >= 2 groups of
 consecutive qubits, the layer is one factor per group (``ry_factors``),
 each a ``GroupOp`` that ``apply_group`` runs as one matmul; ``fuse_groups``
 compiles the fixed gates that stay within one group to such ops too, and
@@ -120,24 +120,15 @@ def child_seed(seed: int, label: str) -> int:
 
 
 class RandomStream:
-    """A seeded PCG64 stream with labelled, hash-derived child streams.
-
-    A child's seed is ``child_seed(seed, label)``. It depends only on the
-    parent *seed* (not on how many values were drawn), so the derivation
-    tree is stable no matter the draw order, and ``.child_seed`` reads it
-    without building the child's generator. Same seed + same draw sequence
-    gives identical outputs on every platform numpy supports.
+    """A seeded PCG64 stream. Same seed + same draw sequence gives identical
+    outputs on every platform numpy supports. A derived seed needs no
+    stream: ``child_seed`` hashes the parent seed and a label, so it does
+    not depend on how many values were drawn.
     """
 
     def __init__(self, seed: int):
         self.seed = check_seed("seed", seed)
         self._gen = np.random.Generator(np.random.PCG64(self.seed))
-
-    def child(self, label: str) -> "RandomStream":
-        return RandomStream(child_seed(self.seed, label))
-
-    def child_seed(self, label: str) -> int:
-        return child_seed(self.seed, label)
 
     def uniform(self, low: float = 0.0, high: float = 1.0, size=None):
         return self._gen.uniform(low, high, size)

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from qrclab import encoding
 from qrclab.encoding import EncoderSpec, build_encoder, encode_input, scale_input
 from qrclab.errors import ConfigurationError, DataError
 from qrclab.sim import PauliString, RandomStream, expectation, new_zero_state
@@ -80,8 +81,24 @@ class TestBuildEncoder:
         assert not np.allclose(s1.amplitudes, s2.amplitudes)
 
     def test_unresolved_seed_rejected(self):
-        with pytest.raises(ConfigurationError):
-            build_encoder(EncoderSpec(), 2)
+        for spec in (EncoderSpec(), EncoderSpec(scheme="reupload")):  # angle draws nothing, but checks too
+            with pytest.raises(ConfigurationError, match="interleave seed unresolved"):
+                build_encoder(spec, 2)
+
+    @pytest.mark.parametrize("scheme, layers, streams", [("angle", 1, 0), ("reupload", 2, 1)])
+    def test_one_stream_only_when_it_draws(self, monkeypatch, scheme, layers, streams):
+        # the plain angle scheme has no fixed gates, so it builds no
+        # generator; a re-upload encoder builds one for all its layers
+        built = []
+
+        def counted(seed):
+            built.append(seed)
+            return RandomStream(seed)
+
+        monkeypatch.setattr(encoding, "RandomStream", counted)
+        circ = build_encoder(EncoderSpec(scheme=scheme, layers=layers, interleave_seed=9), 3)
+        assert built == [9] * streams
+        assert sum(len(layer.fixed_gates) for layer in circ.layers) == 6 * (layers if scheme == "reupload" else 0)
 
 
 class TestEncodeInput:

@@ -233,9 +233,9 @@ def test_dense_path_applies_no_group_op(monkeypatch):
     def refused(rows, op, groups):
         raise AssertionError("a group op was applied")
 
-    def compiled(configs, groups):  # refuse group ops only once the blocks are built
+    def compiled(configs, p, frame=None):  # refuse group ops only once the blocks are built
         monkeypatch.setattr(sim, "apply_group", apply_group)
-        blocks = fixed_blocks(configs, groups)
+        blocks = fixed_blocks(configs, p, frame)
         monkeypatch.setattr(sim, "apply_group", refused)
         return blocks
 
@@ -278,7 +278,7 @@ def kernel_groups(draw, widths):
         protocol=ProtocolSpec(washout=washout, train_fraction=0.5),
         master_seed=draw(st.integers(0, 2**64 - 1)),
     )
-    R = draw(st.integers(1, min(experiment._group_size(n), 3)))
+    R = draw(st.integers(1, min(experiment.plan(n).size, 3)))
     return [experiment._replicate_config(base, r) for r in range(R)]
 
 
@@ -307,7 +307,7 @@ def test_run_group_matches_the_gate_by_gate_reference(widths, examples):
 
 def test_explicit_pairs_and_chunk_boundaries():
     # 70 rows at n = 8 span two chunks (64 steps or 64 windows of 2 each)
-    assert experiment._rows_per_chunk(8) == 64
+    assert experiment.plan(8).rows == 64
     cfg = kernel_config(8, zz=((0, 7), (3, 4)), T=80, washout=10)
     series = generate(resolve_seeds(cfg).task)
     for mode in (ModeSpec(), ModeSpec(kind="reupload_k", k=2)):
@@ -368,7 +368,7 @@ def ry_ops(angles, groups):
 def test_ry_layer_rotates_each_qubit_of_each_row(n, shared):
     # two groups of n - n//2 and n//2 qubits below n = 8, then the kernel's
     # split: two groups at n = 8 and 9, three at 13 and four at 19
-    b, groups = 3, experiment._qubit_groups(n) if n > 7 else (n - n // 2, n // 2)
+    b, groups = 3, experiment.plan(n).groups if n > 7 else (n - n // 2, n // 2)
     angles = np.random.default_rng(n).uniform(0.0, np.pi, size=(b, n))
     if shared:
         angles[:] = angles[0]
@@ -406,7 +406,7 @@ def test_fuse_groups_matches_apply_gate(n):
     # bottom ones), three at 13 and four at 19. Across every cut a CRY and a
     # run of two CRZs; after the last crossing CRY a group-local CRZ and a
     # trailing RZ run
-    groups = experiment._qubit_groups(n)
+    groups = experiment.plan(n).groups
     owner = [i for i, g in enumerate(groups) for _ in range(g)][::-1]
     gates = random_circuit(n, 80, seed=11)
     for cut in np.cumsum(groups[::-1])[:-1].tolist():  # the bottom qubit of the group above the cut
@@ -456,7 +456,7 @@ def test_controlled_op_matches_apply_gate(n):
     # each becomes a controlled GroupOp, with its control above or below the
     # group. Then a CRY between two crossing CRZs has no factor to take and
     # stays a GateOp
-    groups = experiment._qubit_groups(n)
+    groups = experiment.plan(n).groups
     lows = np.cumsum((0,) + groups[::-1])[::-1][1:].tolist()  # each group's bottom qubit
     gates = []
     for i, (g, low) in enumerate(zip(groups, lows)):
@@ -483,7 +483,7 @@ def test_every_group_factor_is_a_row_operator(n):
     # two, three and four groups: each factor, whatever its group, is what
     # compile_gates builds (rows @ M), so no group's factor is transposed,
     # and each controlled stack is prev @ [I, RY_t] @ next of such factors
-    groups = experiment._qubit_groups(n)
+    groups = experiment.plan(n).groups
     owner = [i for i, g in enumerate(groups) for _ in range(g)][::-1]
     lows = np.cumsum((0,) + groups[::-1])[::-1][1:].tolist()  # each group's bottom qubit
     gates = random_circuit(n, 300, seed=n)
@@ -555,7 +555,7 @@ def test_fused_blocks_leave_the_crossing_gates(topology, layers, most):
     # and 35; each crossing CRY ends a run of group-local gates, and a run
     # of RZ/CRZ gates only (the re-upload interleave) is one phase vector
     cfg = resolve_seeds(kernel_config(10, layers=layers, topology=topology))
-    blocks = experiment._fixed_blocks([cfg], experiment._qubit_groups(10))
+    blocks = experiment._fixed_blocks([cfg], experiment.plan(10))
     assert sum(len(block) for block in blocks) <= most
 
 
@@ -576,9 +576,10 @@ def test_passes_per_step(n, topology, layers, passes):
     # the passes over the state that one step makes (depth 3): per encoder
     # layer, its RY layer (one GroupOp per group, or one phase multiply in
     # the dense Y frame form), then one pass per op of its block
-    groups = experiment._qubit_groups(n)
-    blocks = experiment._fixed_blocks([resolve_seeds(kernel_config(n, layers=layers, topology=topology))], groups)
-    ry = 1 if len(groups) == 1 else len(groups)
+    p = experiment.plan(n)
+    cfg = resolve_seeds(kernel_config(n, layers=layers, topology=topology))
+    blocks = experiment._fixed_blocks([cfg], p, y_frame(n) if p.dense else None)
+    ry = 1 if p.dense else len(p.groups)
     assert ry * len(blocks) + sum(map(len, blocks)) == passes
 
 
@@ -589,11 +590,11 @@ def test_dense_blocks_match_the_compiled_gates(n, topology, layers):
     # a dense block is compiled by fuse_groups on two halves from n = 6, one
     # group below; each replicate's slice of it is its gate list compiled
     # one gate at a time and moved to the Y frame
-    assert experiment._compile_groups(n) == ((n,) if n <= 5 else (n - n // 2, n // 2))
+    p, w = experiment.plan(n), y_frame(n)
+    assert p.split == ((n,) if n <= 5 else (n - n // 2, n // 2))
     base = kernel_config(n, layers=layers, topology=topology)
-    configs = [experiment._replicate_config(base, r) for r in range(min(2, experiment._group_size(n)))]
-    blocks = experiment._fixed_blocks(configs, experiment._qubit_groups(n))
-    w = y_frame(n)
+    configs = [experiment._replicate_config(base, r) for r in range(min(2, p.size))]
+    blocks = experiment._fixed_blocks(configs, p, w)
     for r, cfg in enumerate(configs):
         gates = [list(layer.fixed_gates) for layer in build_encoder(cfg.encoder, n).layers]
         gates[-1] += build_reservoir(cfg.reservoir).gates
@@ -637,8 +638,8 @@ def test_corrupted_state_raises(monkeypatch, n, k):
             rows *= 1.0001
             return rows
 
-        def compiled(configs, groups):  # leak only once the blocks are built
-            blocks = fixed_blocks(configs, groups)
+        def compiled(configs, p, frame=None):  # leak only once the blocks are built
+            blocks = fixed_blocks(configs, p, frame)
             monkeypatch.setattr(sim, "apply_gate_rows", leaky)
             return blocks
 
@@ -704,7 +705,7 @@ def check_group(configs):
 def test_group_matches_per_replicate_runs(n):
     # three replicates where the budget allows; R = 1 at n = 7 and at n = 8,
     # where the blocks are gate lists
-    size = experiment._group_size(n)
+    size = experiment.plan(n).size
     assert size == {2: 1024, 3: 256, 4: 64, 5: 16, 6: 4, 7: 1, 8: 1}[n]
     check_group(replicate_configs(n, range(min(size, 3))))
 
@@ -716,7 +717,7 @@ def test_full_and_partial_groups_at_n6():
     check_group(replicate_configs(6, groups[-1]))  # the partial last group
     # a full-window shots group: each replicate draws from its own stream.
     # 4 replicates take 64 steps per chunk, so 80 steps span two chunks
-    assert experiment._rows_per_chunk(6, 4) == 64
+    assert experiment.plan(6, 4).rows == 64
     shots = [
         replace(c, mode=ModeSpec(kind="reupload_k", k="full"), backend=replace(c.backend, kind="shots", shots=64))
         for c in replicate_configs(6, groups[0], task=TaskSpec("stm", T=80))
@@ -790,7 +791,7 @@ def test_bounded_window_group_matches_reference(n, k, backend):
     got = experiment.run_group(series, configs)
     assert len(got) == 4 and len(got[0].t_index) == 68
     if n == 6:
-        assert experiment._rows_per_chunk(n, len(configs)) == 64
+        assert experiment.plan(n, len(configs)).rows == 64
     for s, c, features in zip(series, configs, got):
         want = reference_features(s, c, features.t_index)
         np.testing.assert_allclose(features.values, want, rtol=0, atol=0 if backend else TOL)
@@ -799,44 +800,79 @@ def test_bounded_window_group_matches_reference(n, k, backend):
 def test_rows_per_chunk_stays_within_the_budget():
     budget = experiment.CHUNK_AMPLITUDES
     for n in range(2, 15):
-        for R in range(1, experiment._group_size(n) + 1):
-            B = experiment._rows_per_chunk(n, R)  # R x B rows of 2**n amplitudes
+        for R in range(1, experiment.plan(n).size + 1):
+            B = experiment.plan(n, R).rows  # R x B rows of 2**n amplitudes
             assert R * B * 2**n <= budget or B == 1  # one row at least, even past the budget
             assert R * (B + 1) * 2**n > budget
 
 
 # Each width's plan, from the one budget: the form of its fixed blocks, its
-# qubit groups, its group size, and its rows per chunk for one replicate and
-# for a full group
+# qubit groups, its compile split, its group size, and its rows per chunk
+# for one replicate and for a full group
 PLAN = {
-    2: ("dense", (2,), 1024, 4096, 4),
-    3: ("dense", (3,), 256, 2048, 8),
-    4: ("dense", (4,), 64, 1024, 16),
-    5: ("dense", (5,), 16, 512, 32),
-    6: ("dense", (6,), 4, 256, 64),
-    7: ("dense", (7,), 1, 128, 128),
-    8: ("fused", (4, 4), 1, 64, 64),
-    9: ("fused", (5, 4), 1, 32, 32),
-    10: ("fused", (5, 5), 1, 16, 16),
-    11: ("fused", (6, 5), 1, 8, 8),
-    12: ("fused", (6, 6), 1, 4, 4),
-    13: ("fused", (5, 4, 4), 1, 2, 2),
-    14: ("fused", (5, 5, 4), 1, 1, 1),
+    2: ("dense", (2,), (2,), 1024, 4096, 4),
+    3: ("dense", (3,), (3,), 256, 2048, 8),
+    4: ("dense", (4,), (4,), 64, 1024, 16),
+    5: ("dense", (5,), (5,), 16, 512, 32),
+    6: ("dense", (6,), (3, 3), 4, 256, 64),
+    7: ("dense", (7,), (4, 3), 1, 128, 128),
+    8: ("fused", (4, 4), (4, 4), 1, 64, 64),
+    9: ("fused", (5, 4), (5, 4), 1, 32, 32),
+    10: ("fused", (5, 5), (5, 5), 1, 16, 16),
+    11: ("fused", (6, 5), (6, 5), 1, 8, 8),
+    12: ("fused", (6, 6), (6, 6), 1, 4, 4),
+    13: ("fused", (5, 4, 4), (5, 4, 4), 1, 2, 2),
+    14: ("fused", (5, 5, 4), (5, 5, 4), 1, 1, 1),
+    15: ("fused", (5, 5, 5), (5, 5, 5), 1, 1, 1),
+    16: ("fused", (6, 5, 5), (6, 5, 5), 1, 1, 1),
+    17: ("fused", (6, 6, 5), (6, 6, 5), 1, 1, 1),
+    18: ("fused", (6, 6, 6), (6, 6, 6), 1, 1, 1),
+    19: ("fused", (5, 5, 5, 4), (5, 5, 5, 4), 1, 1, 1),
+    20: ("fused", (5, 5, 5, 5), (5, 5, 5, 5), 1, 1, 1),
+    21: ("fused", (6, 5, 5, 5), (6, 5, 5, 5), 1, 1, 1),
+    22: ("fused", (6, 6, 5, 5), (6, 6, 5, 5), 1, 1, 1),
+    23: ("fused", (6, 6, 6, 5), (6, 6, 6, 5), 1, 1, 1),
+    24: ("fused", (6, 6, 6, 6), (6, 6, 6, 6), 1, 1, 1),
 }
 
 
-@pytest.mark.parametrize("n", sorted(PLAN))
+@pytest.mark.parametrize("n", range(2, sim.MAX_QUBITS + 1))
 def test_each_width_keeps_its_plan(n):
-    groups = experiment._qubit_groups(n)
-    blocks = experiment._fixed_blocks([resolve_seeds(kernel_config(n))], groups)
-    first = blocks[0][0]  # a dense block's one op is its (R, d, d) stack
-    form = "dense" if isinstance(first, np.ndarray) and first.ndim == 3 else "fused"
-    if form == "fused":  # a group op's factor is one row operator on its group, or two with a control
+    p = experiment.plan(n)
+    full = experiment.plan(n, p.size)
+    assert (full.groups, full.split, full.size) == (p.groups, p.split, p.size)  # R sets only the rows
+    assert ("dense" if p.dense else "fused", p.groups, p.split, p.size, p.rows, full.rows) == PLAN[n]
+
+
+@pytest.mark.parametrize("n", range(2, 15))
+def test_compiled_blocks_take_the_plan_form(n):
+    # a dense plan compiles each block to one (R, d, d) stack; a fused one
+    # to group ops whose factors are one row operator on their group, or
+    # two with a control
+    p = experiment.plan(n)
+    blocks = experiment._fixed_blocks([resolve_seeds(kernel_config(n))], p, y_frame(n) if p.dense else None)
+    first = blocks[0][0]
+    assert (isinstance(first, np.ndarray) and first.shape == (1, 2**n, 2**n)) == p.dense
+    if not p.dense:
         for op in (op for block in blocks for op in block if isinstance(op, GroupOp)):
-            d = 2 ** groups[op.group]
+            d = 2 ** p.groups[op.group]
             assert op.factor.shape == ((d, d) if op.control is None else (2, d, d))
-    size = experiment._group_size(n)
-    assert (form, groups, size, experiment._rows_per_chunk(n), experiment._rows_per_chunk(n, size)) == PLAN[n]
+
+
+@pytest.mark.parametrize("n, R, frames", [(4, 3, 1), (7, 1, 1), (8, 1, 0)])
+def test_run_builds_the_y_frame_once(monkeypatch, n, R, frames):
+    # one W per dense run: it compiles the blocks and takes the kept rows
+    # out of the frame; the fused form needs none
+    built = []
+
+    def counted(width):
+        built.append(width)
+        return y_frame(width)
+
+    monkeypatch.setattr(experiment, "y_frame", counted)
+    configs = replicate_configs(n, range(R))
+    experiment.run_group([generate(resolve_seeds(c).task) for c in configs], configs)
+    assert built == [n] * frames
 
 
 def test_qubit_groups_are_the_fewest_that_fit_the_budget():
@@ -845,7 +881,7 @@ def test_qubit_groups_are_the_fewest_that_fit_the_budget():
     # 3 through 18 and 4 through 24, never more than 6 qubits from n = 8
     budget = experiment.CHUNK_AMPLITUDES
     for n in range(2, sim.MAX_QUBITS + 1):
-        groups = experiment._qubit_groups(n)
+        groups = experiment.plan(n).groups
         m = len(groups)
         assert sum(groups) == n and list(groups) == sorted(groups, reverse=True) and groups[0] - groups[-1] <= 1
         assert sum(4**g for g in groups) <= budget

@@ -1,5 +1,7 @@
 """Core statevector simulator tests."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,7 @@ from qrclab.sim import (
     StateVector,
     apply_circuit,
     apply_gate,
+    child_seed,
     estimate_expectations,
     expectation,
     new_zero_state,
@@ -259,13 +262,13 @@ class TestRandomStream:
         np.testing.assert_array_equal(a, b)
 
     def test_child_depends_only_on_seed_and_label(self):
-        parent = RandomStream(99)
-        parent.uniform(size=100)  # consuming draws must not shift children
-        assert parent.child_seed("data") == RandomStream(99).child_seed("data")
+        # the documented rule: the first 8 bytes of sha256("<seed>/<label>"),
+        # little-endian; no generator, so no draw can shift it
+        digest = hashlib.sha256(b"99/data").digest()
+        assert child_seed(99, "data") == int.from_bytes(digest[:8], "little") == 2072687163612882865
 
     def test_distinct_labels_distinct_children(self):
-        parent = RandomStream(7)
-        seeds = {parent.child_seed(lbl) for lbl in ("data", "reservoir", "shots", "encoder-interleave")}
+        seeds = {child_seed(7, lbl) for lbl in ("data", "reservoir", "shots", "encoder-interleave")}
         assert len(seeds) == 4
 
     def test_seed_range(self):
