@@ -75,6 +75,11 @@ status=0
 $QRCLAB case-memory --config "$RUNNER_TEMP/huge-T.json" --out "$RUNNER_TEMP/runs" 2> "$RUNNER_TEMP/huge-T.err" || status=$?
 test "$status" -eq 1
 grep -q '^error: task.T: ' "$RUNNER_TEMP/huge-T.err"
+printf '%s\n' '{"output": {"dir": "runs/a\u0000b"}}' > "$RUNNER_TEMP/nul-dir.json"
+status=0
+$QRCLAB case-memory --config "$RUNNER_TEMP/nul-dir.json" 2> "$RUNNER_TEMP/nul-dir.err" || status=$?
+test "$status" -eq 1
+grep -q '^error: output.dir: ' "$RUNNER_TEMP/nul-dir.err"
 status=0
 $QRCLAB theory-scan --replicates 1.5 --out "$RUNNER_TEMP/runs" || status=$?
 test "$status" -eq 1

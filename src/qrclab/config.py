@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import typing
 from dataclasses import dataclass, fields, is_dataclass, replace
 from functools import cache
@@ -36,6 +37,14 @@ class OutputOptions:
     def __post_init__(self):
         if not isinstance(self.dir, str) or not self.dir:
             raise SchemaError("dir", "must be a non-empty string")
+        # a path that cannot be made fails here, not at the bundle's mkdir after
+        # the run; an undecodable argv byte is a surrogate escape, and encodes
+        if "\x00" in self.dir:
+            raise SchemaError("dir", f"must not hold a NUL character, got {self.dir!r}")
+        try:
+            os.fsencode(self.dir)
+        except UnicodeEncodeError:
+            raise SchemaError("dir", f"must encode as a file system path, got {self.dir!r}") from None
         object.__setattr__(self, "plots", check_bool("plots", self.plots))
         object.__setattr__(self, "features", check_bool("features", self.features))
 

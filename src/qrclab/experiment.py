@@ -29,7 +29,8 @@ and per crossing CRY a GroupOp controlled by it that holds its target
 group's neighbouring factors (a GateOp if none). One sign matrix gives the
 features. ``run_recurrent`` and ``run_windowed`` run one series; scans and
 sweeps run one group per pool task, which carries the group's series: each
-distinct task is generated once, before the pool starts (``_pool_tasks``).
+distinct task is generated once, before the pool starts
+(``_replicate_scores``).
 ``step`` is the gate-by-gate reference the kernel is tested against.
 
 Seed derivation: ``SEEDS`` names each derived seed and the label of its
@@ -635,21 +636,9 @@ def worker_count() -> int:
     return check_int("QRCLAB_THREADS", n, 0) or os.cpu_count() or 1
 
 
-def _pool_tasks(groups: list, delays) -> list:
-    """The pool tasks ``(configs, series, delays)`` of replicate groups, with
-    each distinct task generated once, here, keyed by its TaskSpec: every
-    width of a scan's replicate reads the one series its data seed gives."""
-    series = {}
-    for configs in groups:
-        for cfg in configs:
-            if cfg.task not in series:
-                series[cfg.task] = generate(cfg.task)
-    return [(configs, [series[cfg.task] for cfg in configs], delays) for configs in groups]
-
-
 def _group_scores(pool_task: tuple) -> list:
     """One pool task: ``(configs, series, delays)``, replicate configs of one
-    width and their series (``_pool_tasks``), evolved once as one
+    width and their series (``_replicate_scores``), evolved once as one
     ``run_group``, and the STM delays to read. A scan has no delays and
     scores each replicate on its own task. A sweep's configs are each
     replicate's shortest-delay STM config; delay d reads the rows t >=
@@ -671,25 +660,33 @@ def _rows_from(features: FeatureMatrix, t0: int) -> FeatureMatrix:
     return FeatureMatrix(features.values[start:], features.t_index[start:], features.labels)
 
 
-def _map_cases(tasks: list) -> list:
-    """``_group_scores`` of every pool task, in order, on at most one worker
-    process per task. A worker process that ends before its task is done
-    (killed, say, by the out-of-memory killer) raises QRCLabError."""
+def _replicate_scores(widths: list, delays) -> list:
+    """The scores of each replicate, in order, from a list with each width's
+    replicate configs: ``_group_scores`` of one pool task per replicate group
+    of a width's ``plan`` size, on at most one worker process per task. A
+    task is ``(configs, series, delays)``, and each distinct task is
+    generated once, here, keyed by its TaskSpec: every width of a scan's
+    replicate reads the one series its data seed gives. A worker process
+    that ends before its task is done (killed, say, by the out-of-memory
+    killer) raises QRCLabError."""
+    series, tasks = {}, []
+    for configs in widths:
+        size = plan(configs[0].reservoir.n_qubits).size
+        for i in range(0, len(configs), size):
+            group = configs[i : i + size]
+            for cfg in group:
+                if cfg.task not in series:
+                    series[cfg.task] = generate(cfg.task)
+            tasks.append((group, [series[cfg.task] for cfg in group], delays))
     workers = min(worker_count(), len(tasks))
     if workers <= 1:
-        return [_group_scores(t) for t in tasks]
+        return [replicate for t in tasks for replicate in _group_scores(t)]
     from concurrent.futures import BrokenExecutor, ProcessPoolExecutor  # not on a sequential run
     try:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(_group_scores, tasks))
+            return [replicate for group in pool.map(_group_scores, tasks) for replicate in group]
     except BrokenExecutor as exc:  # a BrokenProcessPool
         raise QRCLabError(f"a worker process ended before its task was done: {exc}") from None
-
-
-def _replicate_groups(replicates: list, n: int) -> list:
-    """Consecutive replicates of width n, the size of its ``plan`` per group."""
-    size = plan(n).size
-    return [replicates[i : i + size] for i in range(0, len(replicates), size)]
 
 
 def _replicate_config(config: ExperimentConfig, r: int, n_qubits: int | None = None) -> ExperimentConfig:
@@ -720,8 +717,7 @@ def stm_delay_sweep(
         base = _replicate_config(config, r)
         cells = [replace(base, task=replace(base.task, kind="stm", delay=d)) for d in delays]  # checks every delay
         replicate_configs.append(min(cells, key=lambda c: c.task.delay))
-    groups = _replicate_groups(replicate_configs, config.reservoir.n_qubits)
-    scores = [replicate for group in _map_cases(_pool_tasks(groups, delays)) for replicate in group]
+    scores = _replicate_scores([replicate_configs], delays)
     return [(d, float(np.mean([replicate[i][1] for replicate in scores]))) for i, d in enumerate(delays)]
 
 
@@ -759,10 +755,8 @@ def theory_scan(
     qubits = check_scan_args(config, qubit_list, delta, replicates)
     t_eff = config.task.T - config.first_row(config.task.valid_from)
     m = t_eff - config.protocol.train_rows(t_eff)
-    groups = []
-    for n in qubits:
-        groups += _replicate_groups([_replicate_config(config, r, n_qubits=n) for r in range(replicates)], n)
-    scores = [cell for group in _map_cases(_pool_tasks(groups, ())) for replicate in group for cell in replicate]
+    widths = [[_replicate_config(config, r, n_qubits=n) for r in range(replicates)] for n in qubits]
+    scores = [cell for replicate in _replicate_scores(widths, ()) for cell in replicate]
 
     rows = []
     for i, n in enumerate(qubits):

@@ -476,16 +476,17 @@ def apply_group(rows: np.ndarray, op: GroupOp, groups) -> np.ndarray:
 def fuse_groups(gates, groups) -> list:
     """A fixed gate list as ops on the qubit groups of ``apply_group``. The
     groups commute, so each run of gates that stay within one group is one
-    GroupOp per group it touches, top group first: ``compile_gates`` of that
-    group's gates on its own qubits (indices shifted by its bottom qubit). A
-    gate that crosses a cut ends the run: consecutive CRZs fold into one
-    (2**n,) phase vector, their diagonal, applied as ``rows *= phase``, and
-    a run of only RZ/CRZ gates joins that phase vector instead. A CRY(c -> t)
-    takes the factors on t's group of the runs just before and just after
-    it, and becomes a GroupOp controlled by c with the stack
-    ``prev @ [I, RY_t] @ next``; this is exact, because a factor on t's
-    group commutes with the projectors on c. A CRY with no factor to take
-    stays a GateOp."""
+    dict ``{group: factor}``, top group first: per group it touches,
+    ``compile_gates`` of that group's gates on its own qubits (indices
+    shifted by its bottom qubit). A gate that crosses a cut ends the run:
+    consecutive CRZs fold into one (2**n,) phase vector, their diagonal,
+    applied as ``rows *= phase``, and a run of only RZ/CRZ gates joins that
+    phase vector instead. A CRY(c -> t) pops the factors on t's group from
+    the runs just before and just after it, and becomes a GroupOp controlled
+    by c with the stack ``prev @ [I, RY_t] @ next``; this is exact, because
+    a factor on t's group commutes with the projectors on c. A CRY with no
+    factor to pop stays a GateOp. Each dict then becomes one GroupOp per
+    factor it kept, in group order."""
     n = sum(groups)
     owner = [i for i, g in reversed(list(enumerate(groups))) for _ in range(g)]  # each qubit's group
     lows = [sum(groups[i + 1 :]) for i in range(len(groups))]  # each group's bottom qubit
@@ -502,21 +503,14 @@ def fuse_groups(gates, groups) -> list:
             for gate in run:
                 phase(gate)
         else:
+            factors = {}
             for i, (g, low) in enumerate(zip(groups, lows)):
                 local = [GateOp(x.kind, x.angle, x.target - low, None if x.control is None else x.control - low)
                          if low else x for x in run if owner[x.target] == i]
                 if local:
-                    out.append(GroupOp(i, compile_gates(local, g)))
+                    factors[i] = compile_gates(local, g)
+            out.append(factors)
         run.clear()
-
-    def take(k, step, t):  # the factor on group t of the run next to op k on the side of step, which loses it
-        j = k + step
-        while 0 <= j < len(out) and (out[j] is None or isinstance(out[j], GroupOp) and out[j].control is None):
-            if out[j] is not None and out[j].group == t:
-                f, out[j] = out[j].factor, None
-                return f
-            j += step
-        return None
 
     for gate in gates:
         if gate.control is None or owner[gate.control] == owner[gate.target]:
@@ -531,7 +525,8 @@ def fuse_groups(gates, groups) -> list:
     for k, op in enumerate(out):
         if isinstance(op, GateOp):  # a crossing CRY
             t = owner[op.target]
-            before, after = take(k, -1, t), take(k, 1, t)
+            before, after = (out[j].pop(t, None) if 0 <= j < len(out) and isinstance(out[j], dict) else None
+                             for j in (k - 1, k + 1))
             if before is None and after is None:
                 continue
             ry = compile_gates([GateOp("RY", op.angle, op.target - lows[t])], groups[t])
@@ -541,7 +536,7 @@ def fuse_groups(gates, groups) -> list:
             if after is not None:
                 stack = stack @ after
             out[k] = GroupOp(t, stack, op.control)
-    return [op for op in out if op is not None]
+    return [x for op in out for x in ([GroupOp(i, f) for i, f in op.items()] if isinstance(op, dict) else [op])]
 
 
 def apply_ops(rows: np.ndarray, ops, groups) -> np.ndarray:

@@ -10,6 +10,7 @@ import pytest
 
 from qrclab import cli, experiment
 from qrclab.cli import main
+from qrclab.config import OutputOptions
 from qrclab.errors import DataError
 from qrclab.experiment import confidence_term
 
@@ -112,6 +113,23 @@ class TestSchemaFailures:
             assert main([command, "--out", ""]) == 1
             assert capsys.readouterr().err == "error: --out: must be a non-empty string\n"
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("bad", ["runs/a\x00b", "runs/\ud800"], ids=["nul", "lone-surrogate"])
+    def test_unmakeable_out_dir_fails_before_the_run(self, tmp_path, capsys, monkeypatch, bad):
+        # a NUL byte, or a lone surrogate from a JSON escape, cannot be a
+        # path: both fail as a keyed error before anything runs
+        monkeypatch.chdir(tmp_path)
+        ran = []
+        monkeypatch.setattr(cli, "run_case", lambda config: ran.append(config))
+        cfg = write_config(tmp_path, {"output": {"dir": bad}})
+        for args, key in ((["--config", cfg], "output.dir"), (["--out", bad], "--out")):
+            assert main(["case-memory", *args]) == 1
+            err = capsys.readouterr().err
+            assert "Traceback" not in err
+            assert err.count("\n") == 1 and err.startswith(f"error: {key}: ")
+        assert ran == []
+        # an undecodable argv byte arrives as a surrogate escape, which is a path
+        assert OutputOptions(dir="runs/\udcff").dir == "runs/\udcff"
 
     def test_kind_conflict(self, tmp_path):
         cfg = write_config(tmp_path, {"task": {"kind": "stm"}})

@@ -512,7 +512,7 @@ class TestTheoryScan:
                 return map(fn, tasks)
 
         # in the package and in the submodule that defines the class, so the
-        # patch holds whichever of the two _map_cases imports it from
+        # patch holds whichever of the two _replicate_scores imports it from
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
         monkeypatch.setattr(concurrent.futures.process, "ProcessPoolExecutor", RecordingPool)
         cfg = small_config(T=100, protocol=ProtocolSpec(washout=20, train_fraction=0.5))

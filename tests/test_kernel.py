@@ -547,6 +547,76 @@ def test_every_group_factor_is_a_row_operator(n):
             assert np.array_equal(factor[s], want)
 
 
+def drawn_segments(rng, groups):
+    """A gate list as segments drawn on qubit groups ``groups`` (top
+    first): a run of group-local gates of every kind ("run"), one of RZ/CRZ
+    only ("rz"), or one crossing CRY ("cry") or CRZ ("crz"). Half the CRYs
+    reuse the last one's target group. Returns (kind, target group, gates)
+    per segment."""
+    lows = np.cumsum((0,) + groups[::-1])[::-1][1:].tolist()  # each group's bottom qubit
+
+    def qubit(i):
+        return lows[i] + int(rng.integers(groups[i]))
+
+    segments, last = [], None
+    for _ in range(int(rng.integers(1, 9))):
+        kind = ("run", "rz", "cry", "crz")[rng.integers(4)]
+        if kind in ("cry", "crz"):
+            t = last if kind == "cry" and last is not None and rng.random() < 0.5 else int(rng.integers(len(groups)))
+            c = int(rng.integers(len(groups) - 1))  # any group but t's
+            gates = [GateOp(kind.upper(), float(rng.uniform(0, 2 * np.pi)), qubit(t), qubit(c + (c >= t)))]
+            last = t if kind == "cry" else last
+        else:
+            pool, gates, t = ("RY", "RZ", "CRY", "CRZ") if kind == "run" else ("RZ", "CRZ"), [], None
+            for _ in range(int(rng.integers(1, 5))):
+                i = int(rng.integers(len(groups)))
+                gate, target, control = pool[rng.integers(len(pool))], qubit(i), None
+                if gate.startswith("C") and groups[i] == 1:  # no second qubit in the group
+                    gate = gate[1:]
+                if gate.startswith("C"):  # another qubit of the target's group
+                    control = lows[i] + (target - lows[i] + 1 + int(rng.integers(groups[i] - 1))) % groups[i]
+                gates.append(GateOp(gate, float(rng.uniform(0, 2 * np.pi)), target, control))
+        segments.append((kind, t, gates))
+    return segments
+
+
+def test_fuse_groups_on_drawn_gate_orders():
+    # mixed gate lists on near-equal groupings in any order, drawn as
+    # segments: the op list must act as the gates one by one, whatever order
+    # of runs, phase vectors and crossing gates the builders never emit
+    rng = np.random.default_rng(2111)
+    seen = set()
+    for _ in range(150):
+        n = int(rng.integers(2, 10))
+        m = int(rng.integers(2, min(n, 4) + 1))
+        groups = tuple(rng.permutation([n // m + (i < n % m) for i in range(m)]).tolist())
+        segments = drawn_segments(rng, groups)
+        gates = [gate for _, _, seg in segments for gate in seg]
+        if segments[0][0] == "cry":
+            seen.add("cry first")
+        if segments[-1][0] == "cry":
+            seen.add("cry last")
+        for (a, ta, _), (b, _, _), (c, tc, _) in zip(segments, segments[1:], segments[2:]):
+            if (a, b, c) == ("cry", "run", "cry") and ta == tc:
+                seen.add("two crys on one group, one run between")
+            if a in ("cry", "crz") and b == "rz" and c in ("cry", "crz"):
+                seen.add("rz run between crossing gates")
+        ops = fuse_groups(gates, groups)
+        for before, op, after in zip(ops, ops[1:], ops[2:]):
+            if isinstance(op, GateOp) and isinstance(before, np.ndarray) and isinstance(after, np.ndarray):
+                seen.add("cry between phase vectors")
+        for op in ops:
+            if isinstance(op, GroupOp):
+                d = 2 ** groups[op.group]
+                assert op.factor.shape == ((d, d) if op.control is None else (2, d, d))
+        rows = random_rows(3, n, seed=int(rng.integers(2**31)))
+        got = sim.apply_ops(rows.copy(), ops, groups)
+        for row, want in zip(got, rows):
+            np.testing.assert_allclose(row, apply_gates(want, gates, n), rtol=0, atol=TOL)
+    assert seen == {"cry first", "cry last", "two crys on one group, one run between",
+                    "rz run between crossing gates", "cry between phase vectors"}
+
+
 @pytest.mark.parametrize(
     "topology, layers, most", [("ring", 1, 13), ("chain", 1, 7), ("ring", 2, 15)]
 )
@@ -710,8 +780,16 @@ def test_group_matches_per_replicate_runs(n):
     check_group(replicate_configs(n, range(min(size, 3))))
 
 
-def test_full_and_partial_groups_at_n6():
-    groups = experiment._replicate_groups(list(range(10)), 6)
+def test_full_and_partial_groups_at_n6(monkeypatch):
+    # the replicate groups a 10-replicate scan at n = 6 schedules, one pool
+    # task each, as indices of the scan's replicate configs
+    scheduled, group_scores = [], experiment._group_scores
+    monkeypatch.setattr(experiment, "_group_scores", lambda task: scheduled.append(task) or group_scores(task))
+    monkeypatch.setenv("QRCLAB_THREADS", "1")
+    base = kernel_config(6, T=20, washout=6)
+    experiment.theory_scan(base, [6], delta=0.05, replicates=10)
+    scanned = [experiment._replicate_config(base, r, n_qubits=6) for r in range(10)]
+    groups = [[scanned.index(cfg) for cfg in task[0]] for task in scheduled]
     assert groups == [[0, 1, 2, 3], [4, 5, 6, 7], [8, 9]]
     check_group(replicate_configs(6, groups[0]))  # full: 4 stacked 64 x 64 blocks per layer
     check_group(replicate_configs(6, groups[-1]))  # the partial last group
@@ -900,18 +978,21 @@ def test_group_with_a_narma10_redraw(monkeypatch, caplog):
     assert caplog.text.count("diverged") == 1
     redrawn = RandomStream(resolve_seeds(configs[2]).task.seed + 1).uniform(0.0, 0.5, size=40)
     np.testing.assert_array_equal(series[2].inputs, redrawn / 0.5)
-    # the scan's pool task scores every replicate as run_case does
-    [task] = experiment._pool_tasks([configs], ())
+    # the scan's one pool task carries the configs, no delays and the
+    # redrawn series, and scores every replicate as run_case does
+    scheduled, group_scores = [], experiment._group_scores
+    monkeypatch.setattr(experiment, "_group_scores", lambda task: scheduled.append(task) or group_scores(task))
+    monkeypatch.setenv("QRCLAB_THREADS", "1")
+    scores = experiment._replicate_scores([configs], ())
+    [task] = scheduled
     assert task[0] == configs and task[2] == ()
     for got, want in zip(task[1], series):
         np.testing.assert_array_equal(got.inputs, want.inputs)
-    scores = experiment._group_scores(task)
     for (cell,), cfg in zip(scores, configs):
         res = experiment.run_case(cfg)
         assert cell == (res.metrics["train_r2"], res.metrics["test_r2"])
     # a scan generates each replicate's series once, for every width: the
     # redraw is logged once, not once per width
-    monkeypatch.setenv("QRCLAB_THREADS", "1")
     caplog.clear()
     base = replace(kernel_config(3), task=TaskSpec("narma10", T=40),
                    protocol=ProtocolSpec(washout=12, train_fraction=0.5))
