@@ -60,12 +60,21 @@ rerun case-parity four '{"task":{"T":16},"reservoir":{"n_qubits":19},"protocol":
 # a scan's echo holds its config, not its flags: it reruns from the echo plus the same flags
 rerun "theory-scan --qubits 2,3 --replicates 2" scan '{}' scan.csv config_echo.json
 # each replicate's series is generated once and travels inside its pool task: a scan in
-# process and the same scan in two pool workers write the same bytes. At n = 6 the plan's
-# group size is 4, so 5 replicates run as a full group and a partial one
+# process, the same scan on two workers (the caller and one pool process) and on three
+# (the caller and two) write the same bytes. At n = 6 the plan's group size is 4, so 5
+# replicates run as a full group and a partial one
 one=$(QRCLAB_THREADS=1 $QRCLAB theory-scan --qubits 2,6,7 --replicates 5 --out "$RUNNER_TEMP/threads" | sed -n 's/^run_dir: //p')
 two=$(QRCLAB_THREADS=2 $QRCLAB theory-scan --qubits 2,6,7 --replicates 5 --out "$RUNNER_TEMP/threads" | sed -n 's/^run_dir: //p')
-test "$one" != "$two"
+three=$(QRCLAB_THREADS=3 $QRCLAB theory-scan --qubits 2,6,7 --replicates 5 --out "$RUNNER_TEMP/threads" | sed -n 's/^run_dir: //p')
+test "$one" != "$two" && test "$two" != "$three"
 cmp "$one/scan.csv" "$two/scan.csv"
+cmp "$one/scan.csv" "$three/scan.csv"
+# an output dir that cannot be made exits exactly 3, before the scan runs
+touch "$RUNNER_TEMP/afile"
+status=0
+$QRCLAB theory-scan --out "$RUNNER_TEMP/afile/x" 2> "$RUNNER_TEMP/afile.err" || status=$?
+test "$status" -eq 3
+grep -q '^error: cannot write output bundle' "$RUNNER_TEMP/afile.err"
 echo '{"qbits": 4}' > "$RUNNER_TEMP/unknown-key.json"
 status=0
 $QRCLAB case-parity --config "$RUNNER_TEMP/unknown-key.json" --out "$RUNNER_TEMP/runs" || status=$?

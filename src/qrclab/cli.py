@@ -88,9 +88,9 @@ def _load(args, task_kind=None):
 def _write_bundle(output_dir: str, name: str, files: dict[str, str]) -> Path:
     """Write all files into a temp dir, then rename: no partial bundles. The
     rename takes the name, or ``<name>-2``, ``-3``, ... while it finds the
-    name taken, so a run that takes the same name meanwhile keeps its own."""
+    name taken, so a run that takes the same name meanwhile keeps its own.
+    ``_run`` makes the output dir before the run."""
     out = Path(output_dir)
-    out.mkdir(parents=True, exist_ok=True)
     tmp = out / f".{name}.tmp-{os.getpid()}"
     counter = 0
     while tmp.exists():
@@ -193,10 +193,16 @@ def cmd_theory_scan(args):
 
 
 def _run(config, output, run) -> int:
-    """Echo the config, run (exit 2 on a QRCLabError or a MemoryError),
-    write the bundle (exit 3 on an OSError), then print the run's summary
-    lines and the run dir."""
+    """Echo the config, make the output dir, run (exit 2 on a QRCLabError or
+    a MemoryError), write the bundle, then print the run's summary lines and
+    the run dir. An OSError while making the dir or writing exits 3; the
+    dir is made first, so one that cannot be made costs no run."""
     echo = echo_config(config, output)
+    try:
+        Path(output.dir).mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        print(f"error: cannot write output bundle: {exc}", file=sys.stderr)
+        return EXIT_IO
     try:
         files, summary = run()
     except QRCLabError as exc:

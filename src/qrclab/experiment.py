@@ -627,13 +627,17 @@ class ScanRow:
 
 
 def worker_count() -> int:
-    """Worker processes for sweeps and scans, from QRCLAB_THREADS."""
+    """The processes that run a sweep's or scan's tasks, the calling one
+    included, from QRCLAB_THREADS; 0 means one per CPU this process may run
+    on (its affinity mask where the platform has one)."""
     raw = os.environ.get("QRCLAB_THREADS", "1")
     try:
         n = int(raw)
     except ValueError:
         raise SchemaError("QRCLAB_THREADS", f"must be an integer, got {raw!r}")
-    return check_int("QRCLAB_THREADS", n, 0) or os.cpu_count() or 1
+    if check_int("QRCLAB_THREADS", n, 0):
+        return n
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
 def _group_scores(pool_task: tuple) -> list:
@@ -663,12 +667,18 @@ def _rows_from(features: FeatureMatrix, t0: int) -> FeatureMatrix:
 def _replicate_scores(widths: list, delays) -> list:
     """The scores of each replicate, in order, from a list with each width's
     replicate configs: ``_group_scores`` of one pool task per replicate group
-    of a width's ``plan`` size, on at most one worker process per task. A
-    task is ``(configs, series, delays)``, and each distinct task is
-    generated once, here, keyed by its TaskSpec: every width of a scan's
-    replicate reads the one series its data seed gives. A worker process
-    that ends before its task is done (killed, say, by the out-of-memory
-    killer) raises QRCLabError."""
+    of a width's ``plan`` size. A task is ``(configs, series, delays)``, and
+    each distinct task is generated once, here, keyed by its TaskSpec: every
+    width of a scan's replicate reads the one series its data seed gives.
+    With w = min(``worker_count()``, tasks) >= 2 this process is one of the
+    w workers: it forks a pool of w - 1, submits every task whose index is
+    not a multiple of w to it, runs ``tasks[::w]`` itself meanwhile, and puts
+    the results back in task order. Tasks come in width order, so each
+    worker's share costs about the same. Before each of its own tasks it
+    reads every pool task that is done, so a pool failure ends the run
+    without waiting for the caller's share. A pool process that ends
+    before its task is done (killed, say, by the out-of-memory killer)
+    raises QRCLabError."""
     series, tasks = {}, []
     for configs in widths:
         size = plan(configs[0].reservoir.n_qubits).size
@@ -683,10 +693,19 @@ def _replicate_scores(widths: list, delays) -> list:
         return [replicate for t in tasks for replicate in _group_scores(t)]
     from concurrent.futures import BrokenExecutor, ProcessPoolExecutor  # not on a sequential run
     try:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            return [replicate for group in pool.map(_group_scores, tasks) for replicate in group]
+        with ProcessPoolExecutor(max_workers=workers - 1) as pool:
+            futures = [pool.submit(_group_scores, t) for i, t in enumerate(tasks) if i % workers]
+            own = []
+            for task in tasks[::workers]:  # while the pool runs the rest
+                for future in futures:  # a failed pool task, or a broken pool, ends the run now
+                    if future.done():
+                        future.result()
+                own.append(_group_scores(task))
+            pooled = [future.result() for future in futures]
     except BrokenExecutor as exc:  # a BrokenProcessPool
         raise QRCLabError(f"a worker process ended before its task was done: {exc}") from None
+    shares = iter(own), iter(pooled)
+    return [replicate for i in range(len(tasks)) for replicate in next(shares[i % workers != 0])]
 
 
 def _replicate_config(config: ExperimentConfig, r: int, n_qubits: int | None = None) -> ExperimentConfig:

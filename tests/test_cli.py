@@ -4,6 +4,7 @@ import json
 import multiprocessing
 import os
 import re
+import time
 from pathlib import Path
 
 import pytest
@@ -284,8 +285,30 @@ def fail_with_data_error(*args, **kwargs):
     raise DataError("injected failure after setup")
 
 
+GROUP_SCORES = experiment._group_scores
+
+
 def end_worker(pool_task):
-    os._exit(1)  # as the out-of-memory killer ends a process
+    """Ends a pool process mid-task, as the out-of-memory killer does; the
+    calling process scores its own share of the tasks as usual."""
+    if multiprocessing.parent_process() is not None:
+        os._exit(1)
+    return GROUP_SCORES(pool_task)
+
+
+CALLER_TASKS = []
+
+
+def end_worker_then_wait(pool_task):
+    """``end_worker``, but each of the caller's tasks is counted in
+    ``CALLER_TASKS`` and returns only once the pool processes have ended."""
+    if multiprocessing.parent_process() is not None:
+        os._exit(1)
+    CALLER_TASKS.append(pool_task)
+    deadline = time.monotonic() + 30
+    while multiprocessing.active_children() and time.monotonic() < deadline:
+        time.sleep(0.01)
+    return GROUP_SCORES(pool_task)
 
 
 class TestRuntimeFailures:
@@ -326,6 +349,31 @@ class TestRuntimeFailures:
         err = capsys.readouterr().err
         assert err.startswith("error: a worker process ended") and err.count("\n") == 1
         assert not out.exists() or not any(out.iterdir())
+
+    @pytest.mark.skipif(multiprocessing.get_start_method() != "fork", reason="the patch reaches forked workers only")
+    def test_dead_worker_ends_the_caller_share(self, tmp_path, capsys, monkeypatch):
+        # 12 tasks on 2 workers: the caller's share is 6, but it stops at the
+        # first of them that starts after the pool broke
+        CALLER_TASKS.clear()
+        monkeypatch.setenv("QRCLAB_THREADS", "2")
+        monkeypatch.setattr(experiment, "_group_scores", end_worker_then_wait)
+        argv = ["theory-scan", "--qubits", "7", "--replicates", "12", "--out", str(tmp_path / "r")]
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith("error: a worker process ended")
+        assert 1 <= len(CALLER_TASKS) < 6
+
+    @pytest.mark.parametrize("command, entry", [("case-memory", "run_case"), ("theory-scan", "theory_scan")])
+    @pytest.mark.parametrize("out", ["afile/x", "r/" + "a" * 300], ids=["under-a-file", "name-too-long"])
+    def test_unusable_output_dir_exit_3_before_the_run(self, tmp_path, capsys, monkeypatch, command, entry, out):
+        # the output dir is made before the run: one that cannot be made costs no run
+        calls = []
+        monkeypatch.setattr(cli, entry, lambda *args, **kwargs: calls.append(args))
+        (tmp_path / "afile").write_text("")
+        argv = [command, "--config", write_config(tmp_path, FAST_CASE), "--out", str(tmp_path / out)]
+        assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot write output bundle: ") and err.count("\n") == 1
+        assert "Traceback" not in err and calls == []
 
     def test_bundle_name_taken_while_writing(self, tmp_path, capsys, monkeypatch):
         # another run takes the bundle name between this run's write and its

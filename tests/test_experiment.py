@@ -2,6 +2,8 @@
 
 import concurrent.futures
 import concurrent.futures.process
+import multiprocessing
+import os
 
 import numpy as np
 import pytest
@@ -430,6 +432,19 @@ class TestDelaySweep:
         assert rows == stm_delay_sweep(small_config(), delays=[2], replicates=2)
 
 
+GROUP_SCORES = experiment._group_scores
+TASK_LOG = {}  # "path": the file record_task appends to; forked pool processes inherit it
+
+
+def record_task(pool_task):
+    """``_group_scores``, after appending the pid that runs the task and the
+    task's width and replicate seeds as one line to ``TASK_LOG["path"]``."""
+    configs = pool_task[0]
+    with open(TASK_LOG["path"], "a", encoding="utf-8") as log:
+        log.write(f"{os.getpid()} {configs[0].reservoir.n_qubits} {[c.master_seed for c in configs]}\n")
+    return GROUP_SCORES(pool_task)
+
+
 class TestTheoryScan:
     def test_rows_and_gap(self):
         cfg = small_config()
@@ -498,7 +513,7 @@ class TestTheoryScan:
     def test_pool_is_capped_at_the_task_count(self, monkeypatch):
         sizes = []
 
-        class RecordingPool:  # records the pool size and maps in this process
+        class RecordingPool:  # records the pool size and runs each task in this process
             def __init__(self, max_workers):
                 sizes.append(max_workers)
 
@@ -508,8 +523,10 @@ class TestTheoryScan:
             def __exit__(self, *exc):
                 return False
 
-            def map(self, fn, tasks):
-                return map(fn, tasks)
+            def submit(self, fn, task):
+                future = concurrent.futures.Future()
+                future.set_result(fn(task))
+                return future
 
         # in the package and in the submodule that defines the class, so the
         # patch holds whichever of the two _replicate_scores imports it from
@@ -518,17 +535,43 @@ class TestTheoryScan:
         cfg = small_config(T=100, protocol=ProtocolSpec(washout=20, train_fraction=0.5))
         monkeypatch.setenv("QRCLAB_THREADS", "5000")
         rows = theory_scan(cfg, [2, 3], delta=0.1, replicates=2)
-        assert sizes == [2]  # one replicate group per width
+        assert sizes == [1]  # one replicate group per width: the caller and one pool process
         monkeypatch.setenv("QRCLAB_THREADS", "0")  # auto, but one task: no pool
         theory_scan(cfg, [2], delta=0.1, replicates=2)
         monkeypatch.setenv("QRCLAB_THREADS", "1")
         assert theory_scan(cfg, [2, 3], delta=0.1, replicates=2) == rows
-        assert sizes == [2]
+        assert sizes == [1]
+
+    @pytest.mark.skipif(multiprocessing.get_start_method() != "fork", reason="the patch reaches forked workers only")
+    @pytest.mark.parametrize("threads", [2, 3])
+    def test_caller_runs_its_interleaved_share(self, tmp_path, monkeypatch, threads):
+        # [6, 7] x 5 replicates is 7 tasks: groups of 4 + 1 at n = 6, one replicate each at n = 7
+        cfg = small_config(T=100, protocol=ProtocolSpec(washout=20, train_fraction=0.5))
+        monkeypatch.setattr(experiment, "_group_scores", record_task)
+        logs = {}
+        for w in (1, threads):
+            monkeypatch.setitem(TASK_LOG, "path", tmp_path / f"tasks-{w}.txt")
+            monkeypatch.setenv("QRCLAB_THREADS", str(w))
+            rows = theory_scan(cfg, [6, 7], delta=0.1, replicates=5)
+            lines = TASK_LOG["path"].read_text().splitlines()
+            logs[w] = rows, [line.split(" ", 1) for line in lines]
+        (seq_rows, seq_log), (rows, log) = logs[1], logs[threads]
+        order = [task for _, task in seq_log]
+        assert len(order) == 7 and rows == seq_rows
+        assert sorted(task for _, task in log) == sorted(order)  # each task ran once
+        assert [task for pid, task in log if pid == str(os.getpid())] == order[::threads]
+        assert len({pid for pid, _ in log}) <= threads
 
     def test_negative_threads_rejected(self, monkeypatch):
         monkeypatch.setenv("QRCLAB_THREADS", "-1")
         with pytest.raises(SchemaError, match="QRCLAB_THREADS"):
             worker_count()
+
+    def test_auto_threads_follow_the_cpu_mask(self, monkeypatch):
+        # a process pinned to one CPU of several gets one worker, not one per CPU
+        monkeypatch.setenv("QRCLAB_THREADS", "0")
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        assert worker_count() == 1
 
 
 class TestRawWindowFeatures:
