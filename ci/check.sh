@@ -66,9 +66,14 @@ rerun "theory-scan --qubits 2,3 --replicates 2" scan '{}' scan.csv config_echo.j
 one=$(QRCLAB_THREADS=1 $QRCLAB theory-scan --qubits 2,6,7 --replicates 5 --out "$RUNNER_TEMP/threads" | sed -n 's/^run_dir: //p')
 two=$(QRCLAB_THREADS=2 $QRCLAB theory-scan --qubits 2,6,7 --replicates 5 --out "$RUNNER_TEMP/threads" | sed -n 's/^run_dir: //p')
 three=$(QRCLAB_THREADS=3 $QRCLAB theory-scan --qubits 2,6,7 --replicates 5 --out "$RUNNER_TEMP/threads" | sed -n 's/^run_dir: //p')
-test "$one" != "$two" && test "$two" != "$three"
+# only the case commands fit readout.alpha_grid: a scan scores at readout.alpha, so a grid
+# leaves its bytes as they are
+echo '{"readout": {"alpha_grid": [0.001, 1]}}' > "$RUNNER_TEMP/grid.json"
+grid=$(QRCLAB_THREADS=2 $QRCLAB theory-scan --qubits 2,6,7 --replicates 5 --config "$RUNNER_TEMP/grid.json" --out "$RUNNER_TEMP/threads" | sed -n 's/^run_dir: //p')
+test "$one" != "$two" && test "$two" != "$three" && test "$two" != "$grid"
 cmp "$one/scan.csv" "$two/scan.csv"
 cmp "$one/scan.csv" "$three/scan.csv"
+cmp "$two/scan.csv" "$grid/scan.csv"
 # an output dir that cannot be made exits exactly 3, before the scan runs
 touch "$RUNNER_TEMP/afile"
 status=0

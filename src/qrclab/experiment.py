@@ -558,22 +558,27 @@ def task_metric(kind: str):
 
 def run_case(config: ExperimentConfig) -> RunResult:
     """The full protocol: generate the series, evolve, split contiguously
-    into train-then-test, fit the ridge readout, score both segments."""
+    into train-then-test, fit the ridge readout, score both segments; with
+    an ``alpha_grid``, the same for each of its alphas (the sweep)."""
     cfg = resolve_seeds(config)
     series = generate(cfg.task)
     features = (run_recurrent if cfg.mode.kind == "recurrent" else run_windowed)(series, cfg)
-    return _fit_and_score(cfg, series, features)
+    result = _fit_and_score(cfg, series, features)
+    if cfg.alpha_grid:
+        X, y, n, scorer = features.values, result.targets, result.split_at, task_metric(cfg.task.kind)[1]
+        fits = [(float(a), predict(fit_ridge(X[:n], y[:n], alpha=a), X)) for a in cfg.alpha_grid]
+        result = replace(result, alpha_sweep=tuple((a, scorer(p[:n], y[:n]), scorer(p[n:], y[n:])) for a, p in fits))
+    return result
 
 
 def _fit_and_score(cfg: ExperimentConfig, series: TimeSeries, features: FeatureMatrix) -> RunResult:
     """Split the rows contiguously into train-then-test, fit the ridge
-    readout on the train rows, score both segments."""
+    readout at ``cfg.alpha`` on the train rows, score both segments."""
     n_train = cfg.protocol.train_rows(features.values.shape[0])
     targets = series.targets[features.t_index]
-    X_train, X_test = features.values[:n_train], features.values[n_train:]
     y_train, y_test = targets[:n_train], targets[n_train:]
 
-    model = fit_ridge(X_train, y_train, alpha=cfg.alpha)
+    model = fit_ridge(features.values[:n_train], y_train, alpha=cfg.alpha)
     pred = predict(model, features.values)
 
     name, scorer = task_metric(cfg.task.kind)
@@ -583,12 +588,6 @@ def _fit_and_score(cfg: ExperimentConfig, series: TimeSeries, features: FeatureM
         "train_mse": mse(pred[:n_train], y_train),
         "test_mse": mse(pred[n_train:], y_test),
     }
-
-    sweep = None
-    if cfg.alpha_grid:
-        fits = [(float(a), predict(fit_ridge(X_train, y_train, alpha=a), features.values)) for a in cfg.alpha_grid]
-        sweep = tuple((a, scorer(p[:n_train], y_train), scorer(p[n_train:], y_test)) for a, p in fits)
-
     return RunResult(
         config=cfg,
         features=features,
@@ -597,7 +596,6 @@ def _fit_and_score(cfg: ExperimentConfig, series: TimeSeries, features: FeatureM
         split_at=n_train,
         metrics=metrics,
         model=model,
-        alpha_sweep=sweep,
     )
 
 
@@ -671,14 +669,14 @@ def _replicate_scores(widths: list, delays) -> list:
     each distinct task is generated once, here, keyed by its TaskSpec: every
     width of a scan's replicate reads the one series its data seed gives.
     With w = min(``worker_count()``, tasks) >= 2 this process is one of the
-    w workers: it forks a pool of w - 1, submits every task whose index is
-    not a multiple of w to it, runs ``tasks[::w]`` itself meanwhile, and puts
-    the results back in task order. Tasks come in width order, so each
-    worker's share costs about the same. Before each of its own tasks it
-    reads every pool task that is done, so a pool failure ends the run
-    without waiting for the caller's share. A pool process that ends
-    before its task is done (killed, say, by the out-of-memory killer)
-    raises QRCLabError."""
+    w workers: it forks a pool of w - 1, submits to it every task whose
+    index is not a multiple of w, and runs ``tasks[::w]`` itself, in one
+    task-ordered list of pool futures and its own results. Tasks come in
+    width order, so each worker's share costs about the same. Before each
+    of its own tasks it reads the pool tasks that are done: a failure ends
+    the run within one caller task and stops the pool's running and queued
+    tasks. A pool process that cannot start, or ends before its task is
+    done (killed, say, by the out-of-memory killer), raises QRCLabError."""
     series, tasks = {}, []
     for configs in widths:
         size = plan(configs[0].reservoir.n_qubits).size
@@ -692,20 +690,31 @@ def _replicate_scores(widths: list, delays) -> list:
     if workers <= 1:
         return [replicate for t in tasks for replicate in _group_scores(t)]
     from concurrent.futures import BrokenExecutor, ProcessPoolExecutor  # not on a sequential run
+    from multiprocessing import active_children
+    children, pool = set(active_children()), None
     try:
-        with ProcessPoolExecutor(max_workers=workers - 1) as pool:
-            futures = [pool.submit(_group_scores, t) for i, t in enumerate(tasks) if i % workers]
-            own = []
-            for task in tasks[::workers]:  # while the pool runs the rest
-                for future in futures:  # a failed pool task, or a broken pool, ends the run now
-                    if future.done():
-                        future.result()
-                own.append(_group_scores(task))
-            pooled = [future.result() for future in futures]
+        try:  # the caller's tasks stay tasks in the list until it runs them
+            pool = ProcessPoolExecutor(max_workers=workers - 1)
+            results = [pool.submit(_group_scores, t) if i % workers else t for i, t in enumerate(tasks)]
+        except OSError as exc:  # a fork that failed, say at a process limit
+            raise QRCLabError(f"a worker process could not start: {exc}") from None
+        for i in range(0, len(tasks), workers):
+            for j, future in enumerate(results):
+                if j % workers and future.done():
+                    future.result()
+            results[i] = _group_scores(results[i])
+        results = [future.result() if i % workers else future for i, future in enumerate(results)]
     except BrokenExecutor as exc:  # a BrokenProcessPool
         raise QRCLabError(f"a worker process ended before its task was done: {exc}") from None
-    shares = iter(own), iter(pooled)
-    return [replicate for i in range(len(tasks)) for replicate in next(shares[i % workers != 0])]
+    except BaseException:  # stop the pool processes: a shutdown alone runs every task already handed
+        # to them, and one left idle by a failed fork keeps the interpreter from exiting
+        for child in set(active_children()) - children:
+            child.terminate()
+        raise
+    finally:  # cancels every pool task not yet handed to a pool process
+        if pool is not None:
+            pool.shutdown(cancel_futures=True)
+    return [replicate for scores in results for replicate in scores]
 
 
 def _replicate_config(config: ExperimentConfig, r: int, n_qubits: int | None = None) -> ExperimentConfig:
@@ -775,15 +784,9 @@ def theory_scan(
     t_eff = config.task.T - config.first_row(config.task.valid_from)
     m = t_eff - config.protocol.train_rows(t_eff)
     widths = [[_replicate_config(config, r, n_qubits=n) for r in range(replicates)] for n in qubits]
-    scores = [cell for replicate in _replicate_scores(widths, ()) for cell in replicate]
-
-    rows = []
-    for i, n in enumerate(qubits):
-        block = scores[i * replicates : (i + 1) * replicates]
-        train = float(np.mean([b[0] for b in block]))
-        test = float(np.mean([b[1] for b in block]))
-        rows.append(ScanRow(n, train, test, train - test, confidence_term(m, delta), m, delta))
-    return rows
+    scores = np.array(_replicate_scores(widths, ())).reshape(len(qubits), replicates, 2)
+    train, test = scores[..., 0].mean(axis=1).tolist(), scores[..., 1].mean(axis=1).tolist()
+    return [ScanRow(n, a, b, a - b, confidence_term(m, delta), m, delta) for n, a, b in zip(qubits, train, test)]
 
 
 # --------------------------------------------------------------------------

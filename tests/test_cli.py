@@ -1,19 +1,24 @@
 """Command line interface tests (run in-process through main)."""
 
+import errno
 import json
 import multiprocessing
 import os
 import re
+import signal
+import subprocess
+import sys
 import time
 from pathlib import Path
 
 import pytest
 
-from qrclab import cli, experiment
+from qrclab import cli, experiment, tasks
 from qrclab.cli import main
 from qrclab.config import OutputOptions
 from qrclab.errors import DataError
 from qrclab.experiment import confidence_term
+from qrclab.sim import child_seed
 
 FAST_CASE = {
     "task": {"T": 120},
@@ -132,6 +137,18 @@ class TestSchemaFailures:
         # an undecodable argv byte arrives as a surrogate escape, which is a path
         assert OutputOptions(dir="runs/\udcff").dir == "runs/\udcff"
 
+    def test_config_not_an_object_exit_1(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, [FAST_CASE])
+        assert main(["case-parity", "--config", cfg, "--out", str(tmp_path / "r")]) == 1
+        assert capsys.readouterr().err == "error: <config>: top level must be an object\n"
+        assert not (tmp_path / "r").exists()
+
+    def test_negative_alpha_names_key(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, {"readout": {"alpha": -1}})
+        assert main(["case-parity", "--config", cfg, "--out", str(tmp_path / "r")]) == 1
+        assert capsys.readouterr().err == "error: readout.alpha: must be >= 0, got -1.0\n"
+        assert not (tmp_path / "r").exists()
+
     def test_kind_conflict(self, tmp_path):
         cfg = write_config(tmp_path, {"task": {"kind": "stm"}})
         assert main(["case-parity", "--config", cfg]) == 1
@@ -154,9 +171,12 @@ class TestSchemaFailures:
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not (tmp_path / "r").exists()
 
-    def test_bad_qubits_flag(self, tmp_path):
+    def test_bad_qubits_flag(self, tmp_path, capsys):
         assert main(["theory-scan", "--qubits", "4,3", "--out", str(tmp_path)]) == 1
         assert main(["theory-scan", "--qubits", "x", "--out", str(tmp_path)]) == 1
+        capsys.readouterr()
+        assert main(["theory-scan", "--qubits", ",", "--out", str(tmp_path)]) == 1
+        assert capsys.readouterr().err == "error: --qubits: must name at least one width\n"
 
     def test_scanned_width_errors_name_key(self, tmp_path, capsys):
         out = str(tmp_path / "r")
@@ -297,6 +317,48 @@ def end_worker(pool_task):
 
 
 CALLER_TASKS = []
+FAILURE = {}  # "path": the log fail_in_task appends to; "seed": the replicate seed whose task fails
+
+
+def fail_in_task(pool_task):
+    """``_group_scores`` after a 0.2 s sleep, except that the task of the
+    replicate seed ``FAILURE["seed"]`` raises DataError at once. The failure
+    and each finished call append one line to ``FAILURE["path"]``; forked
+    pool processes inherit both."""
+    failed = pool_task[0][0].master_seed == FAILURE["seed"]
+    if not failed:
+        time.sleep(0.2)
+        scores = GROUP_SCORES(pool_task)
+    with open(FAILURE["path"], "a", encoding="utf-8") as log:
+        log.write("failed\n" if failed else "done\n")
+    if failed:
+        raise DataError("injected failure in one task")
+    return scores
+
+
+def failing_fork_error():
+    """The error a fork gives at a process limit (EAGAIN)."""
+    return BlockingIOError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+
+
+def failing_fork():
+    raise failing_fork_error()
+
+
+# Forks one pool process, then fails the second fork, as a process limit
+# would; exits with main()'s code.
+SECOND_FORK_FAILS = """
+import errno, os, sys
+from qrclab.cli import main
+fork, forks = os.fork, []
+def second_fork_fails():
+    forks.append(1)
+    if len(forks) > 1:
+        raise BlockingIOError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+    return fork()
+os.fork = second_fork_fails
+sys.exit(main(sys.argv[1:]))
+"""
 
 
 def end_worker_then_wait(pool_task):
@@ -362,6 +424,53 @@ class TestRuntimeFailures:
         assert capsys.readouterr().err.startswith("error: a worker process ended")
         assert 1 <= len(CALLER_TASKS) < 6
 
+    @pytest.mark.skipif(multiprocessing.get_start_method() != "fork", reason="the patch reaches forked workers only")
+    @pytest.mark.parametrize("task", [1, 0], ids=["pool-task", "caller-task"])
+    def test_failed_task_ends_the_run(self, tmp_path, capsys, monkeypatch, task):
+        # 12 tasks of 0.2 s on w = 2 workers: a failure in the pool's first
+        # task or the caller's first ends the run; at most w + 1 calls finish
+        # after it, not every task the pool holds
+        monkeypatch.setenv("QRCLAB_THREADS", "2")
+        monkeypatch.setitem(FAILURE, "path", tmp_path / "calls.txt")
+        monkeypatch.setitem(FAILURE, "seed", child_seed(42, f"replicate-{task}"))
+        monkeypatch.setattr(experiment, "_group_scores", fail_in_task)
+        cfg = write_config(tmp_path, {"task": {"T": 120}, "protocol": {"washout": 20}})
+        argv = ["theory-scan", "--qubits", "7", "--replicates", "12", "--seed", "42", "--config", cfg]
+        assert main(argv + ["--out", str(tmp_path / "r")]) == 2
+        assert capsys.readouterr().err == "error: injected failure in one task\n"
+        calls = FAILURE["path"].read_text().splitlines()
+        assert calls.count("failed") == 1 and len(calls) - calls.index("failed") - 1 <= 3
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.skipif(multiprocessing.get_start_method() != "fork", reason="pool processes start by os.fork")
+    def test_pool_that_cannot_start_exit_2(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("QRCLAB_THREADS", "2")
+        monkeypatch.setattr(os, "fork", failing_fork)
+        out = tmp_path / "r"
+        assert main(["theory-scan", "--qubits", "2,3", "--replicates", "2", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: a worker process could not start: {failing_fork_error()}\n"
+        assert not out.exists() or not any(out.iterdir())
+
+    @pytest.mark.skipif(multiprocessing.get_start_method() != "fork", reason="pool processes start by os.fork")
+    def test_pool_that_starts_in_part_exit_2(self, tmp_path):
+        # w = 3: the first pool process starts and waits for work, the second
+        # fork fails. The run must end that process too, or the exit joins it
+        # forever; its own session lets a timeout end the whole group
+        src = str(Path(cli.__file__).parents[1])
+        env = os.environ | {"QRCLAB_THREADS": "3", "PYTHONPATH": src}
+        argv = ["theory-scan", "--qubits", "2,3,4", "--replicates", "2", "--out", str(tmp_path / "r")]
+        proc = subprocess.Popen([sys.executable, "-c", SECOND_FORK_FAILS, *argv], env=env, start_new_session=True,
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+        try:
+            _, err = proc.communicate(timeout=60)
+        except subprocess.TimeoutExpired:
+            os.killpg(proc.pid, signal.SIGKILL)
+            proc.communicate()
+            pytest.fail("the run did not exit")
+        assert proc.returncode == 2
+        assert err == f"error: a worker process could not start: {failing_fork_error()}\n"
+
     @pytest.mark.parametrize("command, entry", [("case-memory", "run_case"), ("theory-scan", "theory_scan")])
     @pytest.mark.parametrize("out", ["afile/x", "r/" + "a" * 300], ids=["under-a-file", "name-too-long"])
     def test_unusable_output_dir_exit_3_before_the_run(self, tmp_path, capsys, monkeypatch, command, entry, out):
@@ -394,6 +503,28 @@ class TestRuntimeFailures:
         assert run_dir == out / f"{taken[0].name}-2" and (run_dir / "config_echo.json").exists()
         assert sorted(p.name for p in out.iterdir()) == sorted([taken[0].name, run_dir.name])
         assert [p.name for p in taken[0].iterdir()] == ["metrics.json"]
+
+    def test_stale_temp_dir_is_left_alone(self, tmp_path, capsys, monkeypatch):
+        # a temp dir an earlier run of this pid left behind: the bundle is
+        # written through the next temp name, and the stale one keeps its file
+        monkeypatch.setattr(cli, "_run_dir_name", lambda hash8: "run_fixed")
+        out = tmp_path / "r"
+        stale = out / f".run_fixed.tmp-{os.getpid()}"
+        stale.mkdir(parents=True)
+        (stale / "metrics.json").write_text("{}")
+        assert main(["case-parity", "--config", write_config(tmp_path, FAST_CASE), "--out", str(out)]) == 0
+        assert run_dir_from(capsys) == out / "run_fixed" and (out / "run_fixed" / "metrics.json").exists()
+        assert sorted(p.name for p in out.iterdir()) == sorted([stale.name, "run_fixed"])
+        assert [p.name for p in stale.iterdir()] == ["metrics.json"]
+
+    def test_narma10_that_always_diverges_exit_2(self, tmp_path, capsys, monkeypatch):
+        # every one of the 50 redraws crosses the bound: one error line, no bundle
+        monkeypatch.setattr(tasks, "NARMA_DIVERGENCE_BOUND", 0.05)
+        out = tmp_path / "r"
+        assert main(["case-narma10", "--config", write_config(tmp_path, FAST_CASE), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert re.fullmatch(r"error: narma10 diverged for 50 consecutive seeds from \d+\n", err)
+        assert not any(out.iterdir())
 
     def test_failed_write_leaves_no_bundle(self, tmp_path, capsys, monkeypatch):
         # the second file cannot be written: the first, and the temp dir, go

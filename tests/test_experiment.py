@@ -503,6 +503,17 @@ class TestTheoryScan:
         theory_scan(ExperimentConfig(task=TaskSpec("narma10")), [2, 3, 4, 5, 6, 7], delta=0.05, replicates=10)
         assert len(calls) == len(set(calls)) == 10
 
+    def test_alpha_grid_is_not_fit_by_a_scan(self, monkeypatch):
+        # only run_case reports the sweep: a scan fits once per cell, at
+        # alpha, and its rows do not depend on the grid
+        protocol = ProtocolSpec(washout=20, train_fraction=0.5)
+        rows = theory_scan(small_config(T=100, protocol=protocol), [2, 3], delta=0.1, replicates=2)
+        fit, alphas = experiment.fit_ridge, []
+        monkeypatch.setattr(experiment, "fit_ridge", lambda X, y, alpha: alphas.append(alpha) or fit(X, y, alpha=alpha))
+        cfg = small_config(T=100, protocol=protocol, alpha_grid=(1e-4, 1e-2, 1.0))
+        assert theory_scan(cfg, [2, 3], delta=0.1, replicates=2) == rows
+        assert alphas == [cfg.alpha] * 4  # 2 widths x 2 replicates
+
     def test_parallel_matches_sequential(self, monkeypatch):
         cfg = small_config(T=100, protocol=ProtocolSpec(washout=20, train_fraction=0.5))
         seq = theory_scan(cfg, [2, 3], delta=0.1, replicates=2)
@@ -511,22 +522,19 @@ class TestTheoryScan:
         assert seq == par
 
     def test_pool_is_capped_at_the_task_count(self, monkeypatch):
-        sizes = []
+        sizes, shutdowns = [], []
 
-        class RecordingPool:  # records the pool size and runs each task in this process
+        class RecordingPool:  # records the pool size and shutdown, and runs each task in this process
             def __init__(self, max_workers):
                 sizes.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
 
             def submit(self, fn, task):
                 future = concurrent.futures.Future()
                 future.set_result(fn(task))
                 return future
+
+            def shutdown(self, wait=True, *, cancel_futures=False):
+                shutdowns.append(cancel_futures)
 
         # in the package and in the submodule that defines the class, so the
         # patch holds whichever of the two _replicate_scores imports it from
@@ -536,11 +544,12 @@ class TestTheoryScan:
         monkeypatch.setenv("QRCLAB_THREADS", "5000")
         rows = theory_scan(cfg, [2, 3], delta=0.1, replicates=2)
         assert sizes == [1]  # one replicate group per width: the caller and one pool process
+        assert shutdowns == [True]  # shut down once, cancelling what is still queued
         monkeypatch.setenv("QRCLAB_THREADS", "0")  # auto, but one task: no pool
         theory_scan(cfg, [2], delta=0.1, replicates=2)
         monkeypatch.setenv("QRCLAB_THREADS", "1")
         assert theory_scan(cfg, [2, 3], delta=0.1, replicates=2) == rows
-        assert sizes == [1]
+        assert sizes == [1] and shutdowns == [True]
 
     @pytest.mark.skipif(multiprocessing.get_start_method() != "fork", reason="the patch reaches forked workers only")
     @pytest.mark.parametrize("threads", [2, 3])
