@@ -565,9 +565,10 @@ def run_case(config: ExperimentConfig) -> RunResult:
     features = (run_recurrent if cfg.mode.kind == "recurrent" else run_windowed)(series, cfg)
     result = _fit_and_score(cfg, series, features)
     if cfg.alpha_grid:
-        X, y, n, scorer = features.values, result.targets, result.split_at, task_metric(cfg.task.kind)[1]
-        fits = [(float(a), predict(fit_ridge(X[:n], y[:n], alpha=a), X)) for a in cfg.alpha_grid]
-        result = replace(result, alpha_sweep=tuple((a, scorer(p[:n], y[:n]), scorer(p[n:], y[n:])) for a, p in fits))
+        name, _ = task_metric(cfg.task.kind)
+        fits = [_fit_and_score(replace(cfg, alpha=a), series, features).metrics for a in cfg.alpha_grid]
+        sweep = tuple((a, fit[f"train_{name}"], fit[f"test_{name}"]) for a, fit in zip(cfg.alpha_grid, fits))
+        result = replace(result, alpha_sweep=sweep)
     return result
 
 
@@ -704,12 +705,17 @@ def _replicate_scores(widths: list, delays) -> list:
                     future.result()
             results[i] = _group_scores(results[i])
         results = [future.result() if i % workers else future for i, future in enumerate(results)]
-    except BrokenExecutor as exc:  # a BrokenProcessPool
-        raise QRCLabError(f"a worker process ended before its task was done: {exc}") from None
-    except BaseException:  # stop the pool processes: a shutdown alone runs every task already handed
-        # to them, and one left idle by a failed fork keeps the interpreter from exiting
+    except BaseException as exc:
+        # Stop the pool processes: a shutdown alone runs every task already handed to them, and one
+        # left idle by a failed fork keeps the interpreter from exiting. First close this end of the
+        # call queue, so that a task write blocked on a stopped process fails instead of hanging
+        # the shutdown: Python 3.10 and early 3.11 releases do not close it (CPython gh-94777).
+        if pool is not None:
+            pool._call_queue._reader.close()
         for child in set(active_children()) - children:
             child.terminate()
+        if isinstance(exc, BrokenExecutor):  # a BrokenProcessPool
+            raise QRCLabError(f"a worker process ended before its task was done: {exc}") from None
         raise
     finally:  # cancels every pool task not yet handed to a pool process
         if pool is not None:
@@ -785,8 +791,10 @@ def theory_scan(
     m = t_eff - config.protocol.train_rows(t_eff)
     widths = [[_replicate_config(config, r, n_qubits=n) for r in range(replicates)] for n in qubits]
     scores = np.array(_replicate_scores(widths, ())).reshape(len(qubits), replicates, 2)
-    train, test = scores[..., 0].mean(axis=1).tolist(), scores[..., 1].mean(axis=1).tolist()
-    return [ScanRow(n, a, b, a - b, confidence_term(m, delta), m, delta) for n, a, b in zip(qubits, train, test)]
+    train = scores[..., 0].mean(axis=1).tolist()  # per width, over its replicates
+    test = scores[..., 1].mean(axis=1).tolist()
+    bound = confidence_term(m, delta)
+    return [ScanRow(n, a, b, a - b, bound, m, delta) for n, a, b in zip(qubits, train, test)]
 
 
 # --------------------------------------------------------------------------

@@ -427,14 +427,17 @@ class TestRuntimeFailures:
     @pytest.mark.skipif(multiprocessing.get_start_method() != "fork", reason="the patch reaches forked workers only")
     @pytest.mark.parametrize("task", [1, 0], ids=["pool-task", "caller-task"])
     def test_failed_task_ends_the_run(self, tmp_path, capsys, monkeypatch, task):
-        # 12 tasks of 0.2 s on w = 2 workers: a failure in the pool's first
-        # task or the caller's first ends the run; at most w + 1 calls finish
-        # after it, not every task the pool holds
+        # 12 tasks of 0.2 s or more on w = 2 workers: a failure in the pool's
+        # first task or the caller's first ends the run; at most w + 1 calls
+        # finish after it, not every task the pool holds. At T = 5000 a task
+        # (one series of inputs and targets, about 80 KB pickled) does not fit
+        # a 64 KB pipe buffer, so the call queue's writer is blocked mid-task
+        # when the pool process is stopped, and the run must still exit
         monkeypatch.setenv("QRCLAB_THREADS", "2")
         monkeypatch.setitem(FAILURE, "path", tmp_path / "calls.txt")
         monkeypatch.setitem(FAILURE, "seed", child_seed(42, f"replicate-{task}"))
         monkeypatch.setattr(experiment, "_group_scores", fail_in_task)
-        cfg = write_config(tmp_path, {"task": {"T": 120}, "protocol": {"washout": 20}})
+        cfg = write_config(tmp_path, {"task": {"T": 5000}, "protocol": {"washout": 20}})
         argv = ["theory-scan", "--qubits", "7", "--replicates", "12", "--seed", "42", "--config", cfg]
         assert main(argv + ["--out", str(tmp_path / "r")]) == 2
         assert capsys.readouterr().err == "error: injected failure in one task\n"

@@ -503,6 +503,19 @@ class TestTheoryScan:
         theory_scan(ExperimentConfig(task=TaskSpec("narma10")), [2, 3, 4, 5, 6, 7], delta=0.05, replicates=10)
         assert len(calls) == len(set(calls)) == 10
 
+    def test_width_means_are_list_means(self, monkeypatch):
+        # each width's mean over its replicates, read from one score array,
+        # is bit-identical to np.mean of that width's list of scores (at 10
+        # replicates numpy's pairwise sum takes its unrolled path)
+        rng = np.random.default_rng(7)
+        drawn = rng.standard_normal((3 * 10, 1, 2)) * 10.0 ** rng.integers(-6, 3, (3 * 10, 1, 2))
+        monkeypatch.setattr(experiment, "_replicate_scores", lambda widths, delays: drawn.tolist())
+        rows = theory_scan(small_config(T=100), [2, 3, 4], delta=0.1, replicates=10)
+        for i, row in enumerate(rows):
+            block = drawn[i * 10 : (i + 1) * 10, 0].tolist()
+            assert row.train_score == float(np.mean([b[0] for b in block]))
+            assert row.test_score == float(np.mean([b[1] for b in block]))
+
     def test_alpha_grid_is_not_fit_by_a_scan(self, monkeypatch):
         # only run_case reports the sweep: a scan fits once per cell, at
         # alpha, and its rows do not depend on the grid
