@@ -59,8 +59,8 @@ rerun case-parity four '{"task":{"T":16},"reservoir":{"n_qubits":19},"protocol":
   features.csv predictions.csv
 # a scan's echo holds its config, not its flags: it reruns from the echo plus the same flags
 rerun "theory-scan --qubits 2,3 --replicates 2" scan '{}' scan.csv config_echo.json
-# each replicate's series is generated once and travels inside its pool task: a scan in
-# process, the same scan on two workers (the caller and one pool process) and on three
+# each replicate's series is generated once and travels inside its task: a scan in
+# process, the same scan on two workers (the caller and one worker process) and on three
 # (the caller and two) write the same bytes. At n = 6 the plan's group size is 4, so 5
 # replicates run as a full group and a partial one
 one=$(QRCLAB_THREADS=1 $QRCLAB theory-scan --qubits 2,6,7 --replicates 5 --out "$RUNNER_TEMP/threads" | sed -n 's/^run_dir: //p')
@@ -74,6 +74,14 @@ test "$one" != "$two" && test "$two" != "$three" && test "$two" != "$grid"
 cmp "$one/scan.csv" "$two/scan.csv"
 cmp "$one/scan.csv" "$three/scan.csv"
 cmp "$two/scan.csv" "$grid/scan.csv"
+# the same three-worker scan under the spawn start method (the default on macOS): each
+# worker starts from a fresh import and receives its target and share pickled, so a target
+# that is not a module-level function, or a share that does not pickle, fails here
+spawn=$(QRCLAB_THREADS=3 python3 -c 'import multiprocessing, sys
+multiprocessing.set_start_method("spawn")
+from qrclab.cli import main
+sys.exit(main(sys.argv[1:]))' theory-scan --qubits 2,6,7 --replicates 5 --out "$RUNNER_TEMP/spawn" | sed -n 's/^run_dir: //p')
+cmp "$one/scan.csv" "$spawn/scan.csv"
 # an output dir that cannot be made exits exactly 3, before the scan runs
 touch "$RUNNER_TEMP/afile"
 status=0
@@ -100,7 +108,7 @@ test "$status" -eq 1
 
 # bench correctness: seed-42 case bundles must match the digests in
 # bench/reference.json, a scan must match tests/data/scan_baseline.csv (in
-# process, then in two pool workers), and a rerun must give the same bytes;
+# process, then on two workers), and a rerun must give the same bytes;
 # the last stdout line of a run is its JSON summary
 for workload in cli-cases wide-shots theory-scan theory-scan-2w; do
   python3 bench/run.py --workload "$workload" --seconds 3 > "$RUNNER_TEMP/$workload.out"

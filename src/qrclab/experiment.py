@@ -28,9 +28,8 @@ group that a run of group-local gates touches, a phase vector per CRZ run,
 and per crossing CRY a GroupOp controlled by it that holds its target
 group's neighbouring factors (a GateOp if none). One sign matrix gives the
 features. ``run_recurrent`` and ``run_windowed`` run one series; scans and
-sweeps run one group per pool task, which carries the group's series: each
-distinct task is generated once, before the pool starts
-(``_replicate_scores``).
+sweeps run one group per task, which carries the group's series, each
+generated once before any worker starts (``_replicate_scores``).
 ``step`` is the gate-by-gate reference the kernel is tested against.
 
 Seed derivation: ``SEEDS`` names each derived seed and the label of its
@@ -639,15 +638,15 @@ def worker_count() -> int:
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
-def _group_scores(pool_task: tuple) -> list:
-    """One pool task: ``(configs, series, delays)``, replicate configs of one
+def _group_scores(task: tuple) -> list:
+    """One task: ``(configs, series, delays)``, replicate configs of one
     width and their series (``_replicate_scores``), evolved once as one
     ``run_group``, and the STM delays to read. A scan has no delays and
     scores each replicate on its own task. A sweep's configs are each
     replicate's shortest-delay STM config; delay d reads the rows t >=
     ``first_row(d)`` of that run against ``stm_series(inputs, d)``. Returns
     per replicate a (train score, test score) per readout."""
-    configs, series, delays = pool_task
+    configs, series, delays = task
     name, _ = task_metric(configs[0].task.kind)
     scores = []
     for cfg, s, f in zip(configs, series, run_group(series, configs)):
@@ -663,21 +662,23 @@ def _rows_from(features: FeatureMatrix, t0: int) -> FeatureMatrix:
     return FeatureMatrix(features.values[start:], features.t_index[start:], features.labels)
 
 
+def _run_share(share: list, writer) -> None:
+    """A worker's body: sends the scores of its share's tasks, or the exception that stopped it."""
+    try:
+        writer.send([_group_scores(task) for task in share])
+    except Exception as exc:
+        writer.send(exc)
+
+
 def _replicate_scores(widths: list, delays) -> list:
     """The scores of each replicate, in order, from a list with each width's
-    replicate configs: ``_group_scores`` of one pool task per replicate group
-    of a width's ``plan`` size. A task is ``(configs, series, delays)``, and
-    each distinct task is generated once, here, keyed by its TaskSpec: every
-    width of a scan's replicate reads the one series its data seed gives.
-    With w = min(``worker_count()``, tasks) >= 2 this process is one of the
-    w workers: it forks a pool of w - 1, submits to it every task whose
-    index is not a multiple of w, and runs ``tasks[::w]`` itself, in one
-    task-ordered list of pool futures and its own results. Tasks come in
-    width order, so each worker's share costs about the same. Before each
-    of its own tasks it reads the pool tasks that are done: a failure ends
-    the run within one caller task and stops the pool's running and queued
-    tasks. A pool process that cannot start, or ends before its task is
-    done (killed, say, by the out-of-memory killer), raises QRCLabError."""
+    replicate configs: ``_group_scores`` of one task per replicate group of
+    its ``plan`` size, with each distinct series generated once, here, keyed
+    by its TaskSpec. Worker k of w = min(``worker_count()``, tasks) runs
+    ``tasks[k::w]``: this process is worker 0, and each other sends its share
+    on its own pipe. Reading the shares that have arrived before each of its
+    own tasks, the caller ends the run within one task of a failure in any
+    worker; a worker that cannot start, or ends early, raises QRCLabError."""
     series, tasks = {}, []
     for configs in widths:
         size = plan(configs[0].reservoir.n_qubits).size
@@ -688,39 +689,38 @@ def _replicate_scores(widths: list, delays) -> list:
                     series[cfg.task] = generate(cfg.task)
             tasks.append((group, [series[cfg.task] for cfg in group], delays))
     workers = min(worker_count(), len(tasks))
-    if workers <= 1:
-        return [replicate for t in tasks for replicate in _group_scores(t)]
-    from concurrent.futures import BrokenExecutor, ProcessPoolExecutor  # not on a sequential run
-    from multiprocessing import active_children
-    children, pool = set(active_children()), None
+    shares = [[]] + [None] * (workers - 1)  # worker k's scores, in the order of tasks[k::w]
+    started = []  # the pipe and process of each worker k >= 1 that started
     try:
-        try:  # the caller's tasks stay tasks in the list until it runs them
-            pool = ProcessPoolExecutor(max_workers=workers - 1)
-            results = [pool.submit(_group_scores, t) if i % workers else t for i, t in enumerate(tasks)]
-        except OSError as exc:  # a fork that failed, say at a process limit
-            raise QRCLabError(f"a worker process could not start: {exc}") from None
-        for i in range(0, len(tasks), workers):
-            for j, future in enumerate(results):
-                if j % workers and future.done():
-                    future.result()
-            results[i] = _group_scores(results[i])
-        results = [future.result() if i % workers else future for i, future in enumerate(results)]
-    except BaseException as exc:
-        # Stop the pool processes: a shutdown alone runs every task already handed to them, and one
-        # left idle by a failed fork keeps the interpreter from exiting. First close this end of the
-        # call queue, so that a task write blocked on a stopped process fails instead of hanging
-        # the shutdown: Python 3.10 and early 3.11 releases do not close it (CPython gh-94777).
-        if pool is not None:
-            pool._call_queue._reader.close()
-        for child in set(active_children()) - children:
-            child.terminate()
-        if isinstance(exc, BrokenExecutor):  # a BrokenProcessPool
-            raise QRCLabError(f"a worker process ended before its task was done: {exc}") from None
-        raise
-    finally:  # cancels every pool task not yet handed to a pool process
-        if pool is not None:
-            pool.shutdown(cancel_futures=True)
-    return [replicate for scores in results for replicate in scores]
+        for k in range(1, workers):
+            import multiprocessing.connection  # not on a sequential run
+            try:
+                reader, writer = multiprocessing.Pipe(duplex=False)
+                worker = multiprocessing.Process(target=_run_share, args=(tasks[k::workers], writer))
+                worker.start()
+            except OSError as exc:  # a fork that failed, say at a process limit
+                raise QRCLabError(f"a worker process could not start: {exc}") from None
+            started.append((reader, worker))
+            writer.close()  # so a worker that ends leaves its pipe at EOF
+        pipes = {reader: k for k, (reader, _) in enumerate(started, 1)}  # each pipe not read yet: its worker k
+        own = tasks[::workers]
+        while own or pipes:  # before each of the caller's tasks, then until every share is read
+            ready = [r for r in pipes if r.poll()] if own else multiprocessing.connection.wait(list(pipes))
+            for reader in ready:
+                try:
+                    share = reader.recv()
+                except EOFError:
+                    raise QRCLabError("a worker process ended before its task was done") from None
+                if isinstance(share, Exception):
+                    raise share
+                shares[pipes.pop(reader)] = share
+            if own:
+                shares[0].append(_group_scores(own.pop(0)))
+    finally:
+        for _, worker in started:
+            worker.terminate()
+            worker.join()
+    return [replicate for i in range(len(tasks)) for replicate in shares[i % workers][i // workers]]
 
 
 def _replicate_config(config: ExperimentConfig, r: int, n_qubits: int | None = None) -> ExperimentConfig:

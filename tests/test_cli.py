@@ -308,27 +308,27 @@ def fail_with_data_error(*args, **kwargs):
 GROUP_SCORES = experiment._group_scores
 
 
-def end_worker(pool_task):
-    """Ends a pool process mid-task, as the out-of-memory killer does; the
+def end_worker(task):
+    """Ends a worker process mid-task, as the out-of-memory killer does; the
     calling process scores its own share of the tasks as usual."""
     if multiprocessing.parent_process() is not None:
         os._exit(1)
-    return GROUP_SCORES(pool_task)
+    return GROUP_SCORES(task)
 
 
 CALLER_TASKS = []
 FAILURE = {}  # "path": the log fail_in_task appends to; "seed": the replicate seed whose task fails
 
 
-def fail_in_task(pool_task):
+def fail_in_task(task):
     """``_group_scores`` after a 0.2 s sleep, except that the task of the
     replicate seed ``FAILURE["seed"]`` raises DataError at once. The failure
     and each finished call append one line to ``FAILURE["path"]``; forked
-    pool processes inherit both."""
-    failed = pool_task[0][0].master_seed == FAILURE["seed"]
+    worker processes inherit both."""
+    failed = task[0][0].master_seed == FAILURE["seed"]
     if not failed:
         time.sleep(0.2)
-        scores = GROUP_SCORES(pool_task)
+        scores = GROUP_SCORES(task)
     with open(FAILURE["path"], "a", encoding="utf-8") as log:
         log.write("failed\n" if failed else "done\n")
     if failed:
@@ -345,7 +345,7 @@ def failing_fork():
     raise failing_fork_error()
 
 
-# Forks one pool process, then fails the second fork, as a process limit
+# Forks one worker process, then fails the second fork, as a process limit
 # would; exits with main()'s code.
 SECOND_FORK_FAILS = """
 import errno, os, sys
@@ -361,16 +361,16 @@ sys.exit(main(sys.argv[1:]))
 """
 
 
-def end_worker_then_wait(pool_task):
+def end_worker_then_wait(task):
     """``end_worker``, but each of the caller's tasks is counted in
-    ``CALLER_TASKS`` and returns only once the pool processes have ended."""
+    ``CALLER_TASKS`` and returns only once the worker processes have ended."""
     if multiprocessing.parent_process() is not None:
         os._exit(1)
-    CALLER_TASKS.append(pool_task)
+    CALLER_TASKS.append(task)
     deadline = time.monotonic() + 30
     while multiprocessing.active_children() and time.monotonic() < deadline:
         time.sleep(0.01)
-    return GROUP_SCORES(pool_task)
+    return GROUP_SCORES(task)
 
 
 class TestRuntimeFailures:
@@ -415,7 +415,7 @@ class TestRuntimeFailures:
     @pytest.mark.skipif(multiprocessing.get_start_method() != "fork", reason="the patch reaches forked workers only")
     def test_dead_worker_ends_the_caller_share(self, tmp_path, capsys, monkeypatch):
         # 12 tasks on 2 workers: the caller's share is 6, but it stops at the
-        # first of them that starts after the pool broke
+        # first of them that starts after the worker ended
         CALLER_TASKS.clear()
         monkeypatch.setenv("QRCLAB_THREADS", "2")
         monkeypatch.setattr(experiment, "_group_scores", end_worker_then_wait)
@@ -425,15 +425,17 @@ class TestRuntimeFailures:
         assert 1 <= len(CALLER_TASKS) < 6
 
     @pytest.mark.skipif(multiprocessing.get_start_method() != "fork", reason="the patch reaches forked workers only")
-    @pytest.mark.parametrize("task", [1, 0], ids=["pool-task", "caller-task"])
-    def test_failed_task_ends_the_run(self, tmp_path, capsys, monkeypatch, task):
-        # 12 tasks of 0.2 s or more on w = 2 workers: a failure in the pool's
-        # first task or the caller's first ends the run; at most w + 1 calls
-        # finish after it, not every task the pool holds. At T = 5000 a task
-        # (one series of inputs and targets, about 80 KB pickled) does not fit
-        # a 64 KB pipe buffer, so the call queue's writer is blocked mid-task
-        # when the pool process is stopped, and the run must still exit
-        monkeypatch.setenv("QRCLAB_THREADS", "2")
+    @pytest.mark.parametrize(
+        "threads, task", [(2, 1), (2, 0), (3, 2)], ids=["pool-task", "caller-task", "second-worker-task"]
+    )
+    def test_failed_task_ends_the_run(self, tmp_path, capsys, monkeypatch, threads, task):
+        # 12 tasks of 0.2 s or more on w workers: a failure in the first task
+        # of worker 1, of the caller or (w = 3) of worker 2, whose pipe is not
+        # the first the caller reads, ends the run; at most w + 1 calls finish
+        # after it, not every task of the workers' shares, and no worker is
+        # left running. At T = 5000 a task's series is about 80 KB pickled,
+        # more than a 64 KB pipe buffer, as a share sent to a spawned worker is
+        monkeypatch.setenv("QRCLAB_THREADS", str(threads))
         monkeypatch.setitem(FAILURE, "path", tmp_path / "calls.txt")
         monkeypatch.setitem(FAILURE, "seed", child_seed(42, f"replicate-{task}"))
         monkeypatch.setattr(experiment, "_group_scores", fail_in_task)
@@ -442,10 +444,10 @@ class TestRuntimeFailures:
         assert main(argv + ["--out", str(tmp_path / "r")]) == 2
         assert capsys.readouterr().err == "error: injected failure in one task\n"
         calls = FAILURE["path"].read_text().splitlines()
-        assert calls.count("failed") == 1 and len(calls) - calls.index("failed") - 1 <= 3
+        assert calls.count("failed") == 1 and len(calls) - calls.index("failed") - 1 <= threads + 1
         assert multiprocessing.active_children() == []
 
-    @pytest.mark.skipif(multiprocessing.get_start_method() != "fork", reason="pool processes start by os.fork")
+    @pytest.mark.skipif(multiprocessing.get_start_method() != "fork", reason="worker processes start by os.fork")
     def test_pool_that_cannot_start_exit_2(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("QRCLAB_THREADS", "2")
         monkeypatch.setattr(os, "fork", failing_fork)
@@ -455,11 +457,11 @@ class TestRuntimeFailures:
         assert err == f"error: a worker process could not start: {failing_fork_error()}\n"
         assert not out.exists() or not any(out.iterdir())
 
-    @pytest.mark.skipif(multiprocessing.get_start_method() != "fork", reason="pool processes start by os.fork")
+    @pytest.mark.skipif(multiprocessing.get_start_method() != "fork", reason="worker processes start by os.fork")
     def test_pool_that_starts_in_part_exit_2(self, tmp_path):
-        # w = 3: the first pool process starts and waits for work, the second
-        # fork fails. The run must end that process too, or the exit joins it
-        # forever; its own session lets a timeout end the whole group
+        # w = 3: the first worker process starts on its share, the second
+        # fork fails. The run must end that process too, or it is left
+        # running; its own session lets a timeout end the whole group
         src = str(Path(cli.__file__).parents[1])
         env = os.environ | {"QRCLAB_THREADS": "3", "PYTHONPATH": src}
         argv = ["theory-scan", "--qubits", "2,3,4", "--replicates", "2", "--out", str(tmp_path / "r")]

@@ -1,7 +1,5 @@
 """Temporal driver, protocol, sweep, and scan tests."""
 
-import concurrent.futures
-import concurrent.futures.process
 import multiprocessing
 import os
 
@@ -433,16 +431,16 @@ class TestDelaySweep:
 
 
 GROUP_SCORES = experiment._group_scores
-TASK_LOG = {}  # "path": the file record_task appends to; forked pool processes inherit it
+TASK_LOG = {}  # "path": the file record_task appends to; forked worker processes inherit it
 
 
-def record_task(pool_task):
+def record_task(task):
     """``_group_scores``, after appending the pid that runs the task and the
     task's width and replicate seeds as one line to ``TASK_LOG["path"]``."""
-    configs = pool_task[0]
+    configs = task[0]
     with open(TASK_LOG["path"], "a", encoding="utf-8") as log:
         log.write(f"{os.getpid()} {configs[0].reservoir.n_qubits} {[c.master_seed for c in configs]}\n")
-    return GROUP_SCORES(pool_task)
+    return GROUP_SCORES(task)
 
 
 class TestTheoryScan:
@@ -535,34 +533,19 @@ class TestTheoryScan:
         assert seq == par
 
     def test_pool_is_capped_at_the_task_count(self, monkeypatch):
-        sizes, shutdowns = [], []
-
-        class RecordingPool:  # records the pool size and shutdown, and runs each task in this process
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
-
-            def submit(self, fn, task):
-                future = concurrent.futures.Future()
-                future.set_result(fn(task))
-                return future
-
-            def shutdown(self, wait=True, *, cancel_futures=False):
-                shutdowns.append(cancel_futures)
-
-        # in the package and in the submodule that defines the class, so the
-        # patch holds whichever of the two _replicate_scores imports it from
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
-        monkeypatch.setattr(concurrent.futures.process, "ProcessPoolExecutor", RecordingPool)
+        starts = []  # each worker process a scan starts
+        start = multiprocessing.Process.start
+        monkeypatch.setattr(multiprocessing.Process, "start", lambda process: starts.append(process) or start(process))
         cfg = small_config(T=100, protocol=ProtocolSpec(washout=20, train_fraction=0.5))
         monkeypatch.setenv("QRCLAB_THREADS", "5000")
         rows = theory_scan(cfg, [2, 3], delta=0.1, replicates=2)
-        assert sizes == [1]  # one replicate group per width: the caller and one pool process
-        assert shutdowns == [True]  # shut down once, cancelling what is still queued
-        monkeypatch.setenv("QRCLAB_THREADS", "0")  # auto, but one task: no pool
+        assert len(starts) == 1  # one replicate group per width: the caller and one worker process
+        assert multiprocessing.active_children() == []  # stopped and joined when the scan returns
+        monkeypatch.setenv("QRCLAB_THREADS", "0")  # auto, but one task: no worker process
         theory_scan(cfg, [2], delta=0.1, replicates=2)
         monkeypatch.setenv("QRCLAB_THREADS", "1")
         assert theory_scan(cfg, [2, 3], delta=0.1, replicates=2) == rows
-        assert sizes == [1] and shutdowns == [True]
+        assert len(starts) == 1
 
     @pytest.mark.skipif(multiprocessing.get_start_method() != "fork", reason="the patch reaches forked workers only")
     @pytest.mark.parametrize("threads", [2, 3])
@@ -583,6 +566,7 @@ class TestTheoryScan:
         assert sorted(task for _, task in log) == sorted(order)  # each task ran once
         assert [task for pid, task in log if pid == str(os.getpid())] == order[::threads]
         assert len({pid for pid, _ in log}) <= threads
+        assert multiprocessing.active_children() == []
 
     def test_negative_threads_rejected(self, monkeypatch):
         monkeypatch.setenv("QRCLAB_THREADS", "-1")

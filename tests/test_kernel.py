@@ -781,7 +781,7 @@ def test_group_matches_per_replicate_runs(n):
 
 
 def test_full_and_partial_groups_at_n6(monkeypatch):
-    # the replicate groups a 10-replicate scan at n = 6 schedules, one pool
+    # the replicate groups a 10-replicate scan at n = 6 schedules, one
     # task each, as indices of the scan's replicate configs
     scheduled, group_scores = [], experiment._group_scores
     monkeypatch.setattr(experiment, "_group_scores", lambda task: scheduled.append(task) or group_scores(task))
@@ -978,7 +978,7 @@ def test_group_with_a_narma10_redraw(monkeypatch, caplog):
     assert caplog.text.count("diverged") == 1
     redrawn = RandomStream(resolve_seeds(configs[2]).task.seed + 1).uniform(0.0, 0.5, size=40)
     np.testing.assert_array_equal(series[2].inputs, redrawn / 0.5)
-    # the scan's one pool task carries the configs, no delays and the
+    # the scan's one task carries the configs, no delays and the
     # redrawn series, and scores every replicate as run_case does
     scheduled, group_scores = [], experiment._group_scores
     monkeypatch.setattr(experiment, "_group_scores", lambda task: scheduled.append(task) or group_scores(task))
