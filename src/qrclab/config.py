@@ -1,16 +1,16 @@
 """Strict JSON config schema for the CLI, derived from the spec dataclasses.
 
-Each section of the document is one spec of ``ExperimentConfig`` (``task``
-is its ``TaskSpec``, and so on) or ``output`` (``OutputOptions``); the
-config's own ``alpha`` and ``alpha_grid`` sit in ``readout`` and
-``master_seed`` at the top. A key is its field's name except where
-``_KEYS`` says otherwise, and a field ``_KEYS`` maps to None has no key. The
-schema only maps keys: each value goes to its field unchanged, and each
-spec's ``__post_init__`` checks every field and stores it as a plain Python
-value (a list as a tuple, an integer as a float where a float is wanted);
-``ExperimentConfig``'s holds the rules that span sections. Unknown keys are
-rejected with the offending key named; omitted keys are filled from the field
-defaults and echoed back, so a config_echo.json re-parses to the same run.
+``_paths()`` is its one table: each field path (``task.T``, ``alpha``,
+``output.dir``) and its document key, from one walk of a default
+``ExperimentConfig`` and of ``OutputOptions``. A key is its field's path
+except where ``_KEYS`` says otherwise (``alpha`` sits in ``readout``), and a
+field ``_KEYS`` maps to None has no key. Parsing maps each key to its path
+and sets the paths in table order with ``experiment._with_fields``, each
+value unchanged: each spec's ``__post_init__`` checks and stores its fields,
+``ExperimentConfig``'s the rules that span sections, and the first rule
+broken is reported under its key. Unknown keys are rejected by name. The
+echo writes every field under its key, omitted ones at their defaults, so a
+config_echo.json re-parses to the same run.
 """
 
 from __future__ import annotations
@@ -18,12 +18,12 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import typing
 from dataclasses import dataclass, fields, is_dataclass, replace
 from functools import cache
+from operator import attrgetter
 
 from .errors import SchemaError
-from .experiment import ExperimentConfig
+from .experiment import ExperimentConfig, _with_fields
 from .sim import check_bool
 from .tasks import TASK_KINDS, TaskSpec
 
@@ -60,61 +60,42 @@ _KEYS = {
     "alpha_grid": "readout.alpha_grid",
 }
 
+_DEFAULT = ExperimentConfig(task=TaskSpec(TASK_KINDS[0]))  # what a parse sets the document's fields on
 
-def _key(path: str) -> str | None:
-    return _KEYS.get(path, path)
+
+def _walk(obj, prefix: str = ""):
+    """Each field path of ``obj`` in field order, a section's fields in its place."""
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        yield from _walk(value, f"{prefix}{f.name}.") if is_dataclass(value) else [prefix + f.name]
 
 
 @cache
-def _hints(cls) -> dict:
-    return typing.get_type_hints(cls)
-
-
-@cache
-def _layout() -> dict:
-    """{section: its keys}, top-level keys under "": the shape of every echo."""
-    echo = echo_config(ExperimentConfig(task=TaskSpec(TASK_KINDS[0])), OutputOptions())
-    layout = {name: set(value) for name, value in echo.items() if isinstance(value, dict)}
-    layout[""] = {name for name, value in echo.items() if not isinstance(value, dict)}
-    return layout
+def _paths() -> dict:
+    """{field path: document key} of every field with a key, in field order;
+    the output options come last, under ``output.``."""
+    paths = [*_walk(_DEFAULT), *_walk(OutputOptions(), "output.")]
+    return {path: key for path in paths if (key := _KEYS.get(path, path)) is not None}
 
 
 def _flatten(doc: dict) -> dict:
-    """{document key: value}; unknown keys and non-object sections raise."""
-    layout = _layout()
+    """{field path: value}; unknown keys and non-object sections raise."""
+    keys = {key: path for path, key in _paths().items()}
+    sections = {key.partition(".")[0] for key in keys if "." in key}
     flat = {}
     for name, value in doc.items():
-        if name in layout[""]:
-            flat[name] = value
-        elif name not in layout:
-            raise SchemaError(name, "unknown key")
-        elif not isinstance(value, dict):
-            raise SchemaError(name, "must be an object")
-        else:
+        if name in sections:
+            if not isinstance(value, dict):
+                raise SchemaError(name, "must be an object")
             for key, item in value.items():
-                if key not in layout[name]:
+                if f"{name}.{key}" not in keys:
                     raise SchemaError(f"{name}.{key}", "unknown key")
-                flat[f"{name}.{key}"] = item
+                flat[keys[f"{name}.{key}"]] = item
+        elif name in keys and "." not in name:  # a top-level key: "task.T" is not one
+            flat[keys[name]] = value
+        else:
+            raise SchemaError(name, "unknown key")
     return flat
-
-
-def _build(cls, prefix: str, flat: dict, base=None):
-    """``base``, or ``cls`` built from its field defaults, with every field
-    the document sets, its value passed unchanged. A section field is built
-    from its own section over the field's default instance. A rule a spec
-    breaks is re-raised under its document key."""
-    kwargs = {}
-    for f in fields(cls):
-        hint, key = _hints(cls)[f.name], _key(prefix + f.name)
-        if is_dataclass(hint):
-            default = f.default if is_dataclass(f.default) else None
-            kwargs[f.name] = _build(hint, f"{prefix}{f.name}.", flat, default)
-        elif key in flat:
-            kwargs[f.name] = flat[key]
-    try:
-        return cls(**kwargs) if base is None else replace(base, **kwargs)
-    except SchemaError as exc:
-        raise SchemaError(_key(prefix + exc.key), exc.message) from None
 
 
 def load_config_file(path: str) -> dict:
@@ -142,22 +123,17 @@ def parse_config(
         raise SchemaError("task.kind", "missing (no task kind given by command or config)")
     if task_kind is not None and kind != task_kind:
         raise SchemaError("task.kind", f"config says {kind!r} but the command runs {task_kind!r}")
-    return _build(ExperimentConfig, "", flat), _build(OutputOptions, "output.", flat)
-
-
-def _dump(obj, prefix: str, doc: dict) -> dict:
-    """Write each field of ``obj`` into ``doc`` under its document key."""
-    for f in fields(obj):
-        value = getattr(obj, f.name)
-        if is_dataclass(value):
-            _dump(value, f"{prefix}{f.name}.", doc)
-            continue
-        key = _key(prefix + f.name)
-        if key is None:
-            continue
-        section, _, name = key.rpartition(".")
-        (doc.setdefault(section, {}) if section else doc)[name] = _to_json(value)
-    return doc
+    paths = _paths()
+    flat = {path: flat[path] for path in paths if path in flat}  # table order: the first rule broken is reported
+    output = {path.partition(".")[2]: flat.pop(path) for path in list(flat) if path.startswith("output.")}
+    try:
+        config = _with_fields(_DEFAULT, flat)
+    except SchemaError as exc:
+        raise SchemaError(paths.get(exc.key, exc.key), exc.message) from None
+    try:
+        return config, replace(OutputOptions(), **output)
+    except SchemaError as exc:
+        raise SchemaError(f"output.{exc.key}", exc.message) from None
 
 
 def _to_json(value):
@@ -167,7 +143,13 @@ def _to_json(value):
 def echo_config(config: ExperimentConfig, output: OutputOptions) -> dict:
     """A schema-shaped document reproducing the run; derived seeds stay null
     so the master seed remains the single source of randomness."""
-    return _dump(output, "output.", _dump(config, "", {}))
+    doc = {}
+    for path, key in _paths().items():
+        head, _, rest = path.partition(".")
+        value = attrgetter(rest)(output) if head == "output" else attrgetter(path)(config)
+        section, _, name = key.rpartition(".")
+        (doc.setdefault(section, {}) if section else doc)[name] = _to_json(value)
+    return doc
 
 
 def config_hash(echo: dict) -> str:

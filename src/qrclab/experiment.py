@@ -247,13 +247,20 @@ SEEDS = {  # each derived seed's field path: its child seed's label, where a sca
 }
 
 
-def _with_fields(config: ExperimentConfig, paths: dict, **top) -> ExperimentConfig:
-    """``config`` with each ``section.field`` of ``paths`` and each field of ``top`` set to its value."""
+def _with_fields(config: ExperimentConfig, paths: dict) -> ExperimentConfig:
+    """``config`` with each field path of ``paths`` set to its value; a
+    section's SchemaError is re-raised under ``section.field``."""
     sections = {}
     for path, value in paths.items():
-        section, name = path.split(".")
+        section, _, name = path.rpartition(".")
         sections.setdefault(section, {})[name] = value
-    return replace(config, **top, **{s: replace(getattr(config, s), **kw) for s, kw in sections.items()})
+    top = sections.pop("", {})  # the config's own fields
+    for section, kw in sections.items():
+        try:
+            top[section] = replace(getattr(config, section), **kw)
+        except SchemaError as exc:
+            raise SchemaError(f"{section}.{exc.key}", exc.message) from None
+    return replace(config, **top)
 
 
 def resolve_seeds(config: ExperimentConfig) -> ExperimentConfig:
@@ -730,7 +737,7 @@ def _replicate_config(config: ExperimentConfig, r: int, n_qubits: int | None = N
     width = "" if n_qubits is None else f"-n{n_qubits}"
     seeds = {path: child_seed(rep, label.format(width=width)) for path, label in SEEDS.items()}
     n_qubits = config.reservoir.n_qubits if n_qubits is None else n_qubits
-    return _with_fields(config, {"reservoir.n_qubits": n_qubits, **seeds}, master_seed=rep)
+    return _with_fields(config, {"reservoir.n_qubits": n_qubits, **seeds, "master_seed": rep})
 
 
 def stm_delay_sweep(
@@ -740,17 +747,21 @@ def stm_delay_sweep(
     evolves once, from its shortest delay's config, and each delay is a
     readout of that run (``_group_scores``); on the shots backend the run is
     sampled once, from that config's first kept row. The replicates' data,
-    reservoir and shot seeds replace the config's own."""
+    reservoir and shot seeds replace the config's own. Raises SchemaError
+    keyed ``delays`` or ``replicates``; a delay whose config breaks a rule
+    is named with the rule's key, ``delay 60: task.T: ...``."""
     delays = [check_int("delays", d, 1) for d in delays]
     if not delays:
         raise SchemaError("delays", "must name at least one delay")
     check_int("replicates", replicates, 1)
 
-    replicate_configs = []
-    for r in range(replicates):
-        base = _replicate_config(config, r)
-        cells = [replace(base, task=replace(base.task, kind="stm", delay=d)) for d in delays]  # checks every delay
-        replicate_configs.append(min(cells, key=lambda c: c.task.delay))
+    for d in delays:  # building a delay's config checks the rules that depend on it
+        try:
+            _with_fields(config, {"task.kind": "stm", "task.delay": d})
+        except SchemaError as exc:
+            raise SchemaError("delays", f"delay {d}: {exc}") from exc
+    shortest = {"task.kind": "stm", "task.delay": min(delays)}
+    replicate_configs = [_with_fields(_replicate_config(config, r), shortest) for r in range(replicates)]
     scores = _replicate_scores([replicate_configs], delays)
     return [(d, float(np.mean([replicate[i][1] for replicate in scores]))) for i, d in enumerate(delays)]
 

@@ -183,7 +183,8 @@ class TestSchemaFailures:
         for qubits in ("1,2", "0,2"):
             assert main(["theory-scan", "--qubits", qubits, "--replicates", "1", "--out", out]) == 1
             err = capsys.readouterr().err
-            assert "--qubits" in err and "n_qubits" in err
+            n = qubits[0]  # the first width, the one out of range
+            assert err == f"error: --qubits: width {n}: reservoir.n_qubits: must be in [2, 24], got {n}\n"
         # a pair valid at the config's width but outside a scanned one
         cfg = write_config(tmp_path, {"observables": {"zz": [[0, 3]]}})
         assert main(["theory-scan", "--config", cfg, "--qubits", "2,3", "--replicates", "1", "--out", out]) == 1

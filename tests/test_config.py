@@ -49,6 +49,14 @@ class TestStrictness:
         with pytest.raises(SchemaError, match="qbits"):
             parse_config({"qbits": 4}, task_kind="stm")
 
+    @pytest.mark.parametrize("key", ["task.T", "readout.alpha", ""])
+    def test_dotted_or_empty_top_level_key_is_unknown(self, key):
+        # a document key names a field only inside its section object
+        with pytest.raises(SchemaError, match=f"^{re.escape(key)}: unknown key$"):
+            parse_config({key: 5}, task_kind="stm")
+        with pytest.raises(SchemaError, match=f"^{re.escape(key)}: unknown key$"):
+            parse_config({key: {"master_seed": 3}}, task_kind="stm")
+
     def test_unknown_nested_key(self):
         with pytest.raises(SchemaError, match="reservoir.qubits"):
             parse_config({"reservoir": {"qubits": 4}}, task_kind="stm")
@@ -133,6 +141,9 @@ class TestStrictness:
     def test_schema_error_is_a_configuration_error(self):
         with pytest.raises(ConfigurationError, match="reservoir.depth"):
             parse_config({"reservoir": {"depth": 0}}, task_kind="stm")
+        # sections are checked in field order, whatever the document's order
+        with pytest.raises(ConfigurationError, match=r"^task\.T: must be in \[1, 9007199254740992\], got 0$"):
+            parse_config({"reservoir": {"depth": 0}, "task": {"T": 0}}, task_kind="stm")
 
 
 class TestEcho:
@@ -176,6 +187,22 @@ class TestEcho:
         assert len(h1) == 8
         cfg2, out2 = parse_config({"master_seed": 7}, task_kind="stm")
         assert config_hash(echo_config(cfg2, out2)) != h1
+
+    @pytest.mark.parametrize(
+        "kind, doc, digest",
+        [
+            ("stm", {}, "6997f25e"),
+            ("parity", {}, "9d000b84"),
+            ("narma10", {}, "97122c5e"),
+            ("stm", {"readout": {"alpha": 1, "alpha_grid": [0, 1, 0.5]}, "observables": {"zz": [[1, 0], [2, 3]]},
+                     "mode": {"type": "reupload_k", "k": 3}}, "5364b7b0"),
+        ],
+        ids=["stm", "parity", "narma10", "echo"],
+    )
+    def test_hash_pinned(self, kind, doc, digest):
+        # the echo's keys and values, not just its self-consistency: a
+        # changed key layout or default changes every bundle's config hash
+        assert config_hash(echo_config(*parse_config(doc, task_kind=kind))) == digest
 
     def test_dump_is_valid_json(self):
         import json

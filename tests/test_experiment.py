@@ -2,6 +2,7 @@
 
 import multiprocessing
 import os
+import re
 
 import numpy as np
 import pytest
@@ -404,6 +405,13 @@ class TestDelaySweep:
     def test_out_of_range_delay_is_named(self):
         with pytest.raises(SchemaError, match=r"^delays: must be >= 1, got 0$"):
             stm_delay_sweep(small_config(), delays=[1, 0, 3], replicates=1)
+
+    def test_delay_breaking_a_config_rule_is_named(self):
+        # the series must outlast the washout and the longest delay
+        cfg = ExperimentConfig(task=TaskSpec("stm", T=100))
+        message = "delays: delay 60: task.T: must be > washout 50 + dependency horizon 60, got 100"
+        with pytest.raises(SchemaError, match=f"^{re.escape(message)}$"):
+            stm_delay_sweep(cfg, [60], 1)
 
     def test_empty_delays_rejected(self):
         with pytest.raises(ConfigurationError):
