@@ -74,14 +74,17 @@ test "$one" != "$two" && test "$two" != "$three" && test "$two" != "$grid"
 cmp "$one/scan.csv" "$two/scan.csv"
 cmp "$one/scan.csv" "$three/scan.csv"
 cmp "$two/scan.csv" "$grid/scan.csv"
-# the same three-worker scan under the spawn start method (the default on macOS): each
-# worker starts from a fresh import and receives its target and share pickled, so a target
-# that is not a module-level function, or a share that does not pickle, fails here
-spawn=$(QRCLAB_THREADS=3 python3 -c 'import multiprocessing, sys
-multiprocessing.set_start_method("spawn")
+# the same three-worker scan under the spawn start method (the default on macOS) and under
+# forkserver (the default on Linux from Python 3.14): each worker starts from a fresh import,
+# receives its target pickled and then its share pickled on its pipe, so a target that is
+# not a module-level function, or a share that does not pickle, fails here
+for method in spawn forkserver; do
+  started=$(QRCLAB_THREADS=3 python3 -c 'import multiprocessing, sys
+multiprocessing.set_start_method(sys.argv[1])
 from qrclab.cli import main
-sys.exit(main(sys.argv[1:]))' theory-scan --qubits 2,6,7 --replicates 5 --out "$RUNNER_TEMP/spawn" | sed -n 's/^run_dir: //p')
-cmp "$one/scan.csv" "$spawn/scan.csv"
+sys.exit(main(sys.argv[2:]))' "$method" theory-scan --qubits 2,6,7 --replicates 5 --out "$RUNNER_TEMP/$method" | sed -n 's/^run_dir: //p')
+  cmp "$one/scan.csv" "$started/scan.csv"
+done
 # an output dir that cannot be made exits exactly 3, before the scan runs
 touch "$RUNNER_TEMP/afile"
 status=0

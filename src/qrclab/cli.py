@@ -5,7 +5,8 @@ Each run writes a timestamped output bundle (atomically, via temp-dir rename)
 containing config_echo.json plus the run's CSV/JSON/SVG artifacts.
 
 Exit codes: 0 success, 1 config/schema violation, 2 runtime or fit error,
-out of memory or a worker process that ended, 3 I/O error.
+out of memory or a worker process that ended, 3 I/O error, 130 interrupted
+(Ctrl-C).
 """
 
 from __future__ import annotations
@@ -38,6 +39,7 @@ EXIT_OK = 0
 EXIT_SCHEMA = 1
 EXIT_RUNTIME = 2
 EXIT_IO = 3
+EXIT_INTERRUPTED = 130  # 128 + SIGINT, as a shell reports a command that Ctrl-C ended
 
 CASE_KINDS = {
     "case-memory": "stm",
@@ -227,19 +229,25 @@ def _run(config, output, run) -> int:
 
 
 def main(argv=None) -> int:
+    """Run one command; Ctrl-C prints one ``error: interrupted`` line and
+    returns 130, once any worker processes are stopped."""
     args = build_parser().parse_args(argv)
     try:
-        if args.command in CASE_KINDS:
-            config, output, run = cmd_case(args.command, args)
-        else:
-            config, output, run = cmd_theory_scan(args)
-    except SchemaError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_SCHEMA
-    except OSError as exc:  # the config file cannot be read
-        print(f"error: cannot read config {args.config}: {exc.strerror}", file=sys.stderr)
-        return EXIT_IO
-    return _run(config, output, run)
+        try:
+            if args.command in CASE_KINDS:
+                config, output, run = cmd_case(args.command, args)
+            else:
+                config, output, run = cmd_theory_scan(args)
+        except SchemaError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_SCHEMA
+        except OSError as exc:  # the config file cannot be read
+            print(f"error: cannot read config {args.config}: {exc.strerror}", file=sys.stderr)
+            return EXIT_IO
+        return _run(config, output, run)
+    except KeyboardInterrupt:
+        print("error: interrupted", file=sys.stderr)
+        return EXIT_INTERRUPTED
 
 
 def entry():

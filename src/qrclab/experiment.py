@@ -9,27 +9,28 @@ and the full window (``mode.k = "full"``; the evolution is unitary, with no
 reset, so re-uploading the whole prefix gives exactly the recurrent state),
 and B output rows per chunk for a bounded window, each restarted from |0>.
 Input angles are stacked once as (R, T, n), and each chunk's steps become
-(R, S, ...) RY layers, of which sub-step j takes the slice ``[:, j:j+B]``.
-A width's ``plan`` holds every rule of how it runs, each one expression on
-the budget ``CHUNK_AMPLITUDES``: its qubit groups, compile split, group size
-and rows per chunk. The fixed gates are compiled once, on its qubit groups,
-as one op list per encoder layer, run by ``sim.apply_ops`` after its RY
-layer. Every block is first compiled by ``sim.fuse_groups``, on the plan's
-compile split. In one group (n <= 7) the list is one dense (R, d, d) stack,
+(R, S, ...) RY layers, of which sub-step j takes the slice ``[:, j:j+B]``;
+a chunk's complete rows land in one (R, t1 - t0, 2**n) buffer, measured from
+the first kept step on. A width's ``plan`` holds every rule of how it runs,
+each one expression on the budget ``CHUNK_AMPLITUDES``: its qubit groups,
+form, group size and rows per chunk. The fixed gates after each encoder
+layer's RY layer are compiled once per run, by ``sim.fuse_groups`` on the
+plan's groups. In the dense form (n <= 7) a block is one (R, d, d) stack,
 and the run evolves in the eigenbasis of Pauli-Y: with W from
 ``sim.y_frame``, built once per run, each replicate's fused ops run on the
 rows of W^T, and one matmul with conj(W) finishes the block in that frame;
 ``sim.ry_phases`` makes each RY layer one phase multiply, so a step is
 ``(rows * phase) @ stack``, and the kept rows go back by one matmul with W
-before they are measured. In more groups (R = 1) the fused ops are the
-block, and every op is one pass over the rows: one ``sim.GroupOp`` per group
-for the RY layer (``sim.ry_factors``), and from ``sim.fuse_groups`` one per
-group that a run of group-local gates touches, a phase vector per CRZ run,
-and per crossing CRY a GroupOp controlled by it that holds its target
-group's neighbouring factors (a GateOp if none). One sign matrix gives the
-features. ``run_recurrent`` and ``run_windowed`` run one series; scans and
-sweeps run one group per task, which carries the group's series, each
-generated once before any worker starts (``_replicate_scores``).
+before they are measured. In the fused form (R = 1) a block is its fused
+ops, which ``sim.apply_ops`` runs after the RY layer, each op one pass over
+the rows: one ``sim.GroupOp`` per group for the RY layer
+(``sim.ry_factors``), and from ``sim.fuse_groups`` one per group that a run
+of group-local gates touches, a phase vector per CRZ run, and per crossing
+CRY a GroupOp controlled by it that holds its target group's neighbouring
+factors (a GateOp if none). One sign matrix gives the features.
+``run_recurrent`` and ``run_windowed`` run one series; scans and sweeps run
+one group per task, which carries the group's series, each generated once
+before any worker starts (``_replicate_scores``).
 ``step`` is the gate-by-gate reference the kernel is tested against.
 
 Seed derivation: ``SEEDS`` names each derived seed and the label of its
@@ -43,6 +44,7 @@ from __future__ import annotations
 
 import numbers
 import os
+import signal
 from dataclasses import dataclass, fields, replace
 from operator import attrgetter
 
@@ -359,12 +361,12 @@ class Plan:
 
     - ``groups``: the qubit groups, top first, the fewest near-equal ones,
       top group largest, whose per-step factors (4**g entries a group of g)
-      fit. One group, the ``dense`` Y frame form, through n = 7, and 2, 3
-      and 4 fused groups of at most 6 qubits through n = 12, 18 and 24.
-    - ``split``: the groups the fixed blocks compile on, ``groups`` but from
-      n = 6 a dense width's two near-equal halves, top half largest. There
-      the few fused ops push the 2**n rows of W^T through fewer passes than
-      one per gate; below, fusing costs more than it saves.
+      fit, and at least two from n = 6: 1 through n = 5, and 2, 3 and 4 of
+      at most 6 qubits through n = 12, 18 and 24. Every block compiles on
+      them; from n = 6 a dense block's few fused ops push the 2**n rows of
+      W^T through fewer passes than one per gate.
+    - ``dense``: the Y frame form, where a width's 4**n dense operators fit
+      the budget, through n = 7.
     - ``size``: the replicates one run evolves together, as many as have
       their stacked dense blocks fit, at least one.
     - ``rows``: rows per replicate per chunk (for a persistent state, steps
@@ -373,46 +375,44 @@ class Plan:
 
     So a chunk's RY layers, R x (B + k - 1) steps (k = 1 for a persistent
     state) of at most the budget each, take for its B rows at most the
-    budget again in one group and 2.5 times it (640 KB) in more."""
+    budget again dense and 2.5 times it (640 KB) fused."""
 
     groups: tuple[int, ...]
-    split: tuple[int, ...]
     size: int
     rows: int
 
     @property
     def dense(self) -> bool:
-        return len(self.groups) == 1
+        return 4 ** sum(self.groups) <= CHUNK_AMPLITUDES
 
 
 def plan(n: int, R: int = 1) -> Plan:
     """Width n's ``Plan`` for R replicates."""
-    splits = (tuple(n // m + (i < n % m) for i in range(m)) for m in range(1, n + 1))
+    splits = (tuple(n // m + (i < n % m) for i in range(m)) for m in range(1 if n < 6 else 2, n + 1))
     groups = next(groups for groups in splits if sum(4**g for g in groups) <= CHUNK_AMPLITUDES)
-    split = (n - n // 2, n // 2) if len(groups) == 1 and n >= 6 else groups
-    return Plan(groups, split, max(1, CHUNK_AMPLITUDES // 4**n), max(1, (CHUNK_AMPLITUDES >> n) // R))
+    return Plan(groups, max(1, CHUNK_AMPLITUDES // 4**n), max(1, (CHUNK_AMPLITUDES >> n) // R))
 
 
 def _fixed_blocks(configs, p: Plan, frame=None) -> list:
     """Per encoder layer, the fixed gates after its RY layer, with the
-    reservoir folded into the last block, as an op list for ``sim.apply_ops``
-    on the groups of plan ``p``. Every block compiles as ``sim.fuse_groups``
-    on the plan's split. In more groups (one replicate, as the plan's size
-    allows) those ops are the block. In one group, its one op is the
-    replicates' dense row operators M stacked as (R, d, d) in the Y frame,
-    ``W^T M conj(W) / 2**n`` with W the ``frame``, ``sim.y_frame(n)``, to
-    act on rows held there as ``rows @ conj(W)`` (see ``sim.ry_phases``):
-    ``apply_ops`` runs the ops on the rows of W^T, which gives W^T M, and
-    one matmul takes it to the frame."""
+    reservoir folded into the last block, each compiled by
+    ``sim.fuse_groups`` on the plan's groups. In the fused form (one
+    replicate, as the plan's size allows) a block is those ops, an op list
+    for ``sim.apply_ops``. In the dense form it is the replicates' dense row
+    operators M stacked as (R, d, d) in the Y frame, ``W^T M conj(W) /
+    2**n`` with W the ``frame``, ``sim.y_frame(n)``, to act on rows held
+    there as ``rows @ conj(W)`` (see ``sim.ry_phases``): ``apply_ops`` runs
+    the ops on the rows of W^T, which gives W^T M, and one matmul takes it
+    to the frame."""
     n = sum(p.groups)
     replicates = []
     for cfg in configs:
         blocks = [list(layer.fixed_gates) for layer in build_encoder(cfg.encoder, n).layers]
         blocks[-1] += build_reservoir(cfg.reservoir).gates
-        replicates.append([fuse_groups(block, p.split) for block in blocks])
+        replicates.append([fuse_groups(block, p.groups) for block in blocks])
     if not p.dense:
         return replicates[0]
-    return [[np.stack([apply_ops(frame.T.copy(), ops, p.split) for ops in layer]) @ frame.conj() / 2**n]
+    return [np.stack([apply_ops(frame.T.copy(), ops, p.groups) for ops in layer]) @ frame.conj() / 2**n
             for layer in zip(*replicates)]
 
 
@@ -426,7 +426,7 @@ def _measure(rows: np.ndarray, signs: np.ndarray, shots: int, streams) -> np.nda
     probs = np.abs(rows) ** 2
     check_norm(probs)
     if streams is None:
-        return (probs.reshape(-1, probs.shape[-1]) @ signs.T).reshape(*probs.shape[:-1], -1)
+        return (probs.reshape(-1, probs.shape[-1]) @ signs.T).reshape(*probs.shape[:-1], len(signs))
     cdf = np.cumsum(probs, axis=-1)
     cdf[..., -1] = np.maximum(cdf[..., -1], 1.0)  # guard the last bin against rounding
     counts = np.empty(probs.shape, dtype=np.int64)
@@ -498,7 +498,7 @@ def run_group(series_list, configs) -> list[FeatureMatrix]:
     values = np.empty((R, len(t_index), len(observables)))
     for t0 in range(keep_from if bounded else 0, T, p.rows):
         t1 = min(t0 + p.rows, T)
-        kept = []  # also frees the last chunk's measured rows before this chunk's RY layers are built
+        done = None  # frees the last chunk's rows before this chunk's RY layers are built
         chunk = angles[:, t0 - w + 1 : t1]  # (R, S, n)
         if dense:
             layers = ry_phases(chunk.reshape(-1, n)).reshape(R, -1, 2**n)
@@ -511,17 +511,15 @@ def run_group(series_list, configs) -> list[FeatureMatrix]:
         for j in range(chunk.shape[1] - B + 1):
             layer = layers[:, j : j + B] if dense else [GroupOp(i, f[:, j : j + B]) for i, f in enumerate(layers)]
             for block in blocks:  # per encoder layer, its RY layer, then its fixed block
-                rows = apply_ops(rows * layer, block, groups) if dense else apply_ops(rows, layer + block, groups)
-            if j >= w - 1 and t0 + j - w + 1 >= keep_from:  # complete rows from step keep_from on
-                kept.append(rows)
+                rows = (rows * layer) @ block if dense else apply_ops(rows, layer + block, groups)
+            if j >= w - 1:  # every sub-step of a persistent state completes a row, a window's last its B rows
+                done = np.empty((R, t1 - t0, 2**n), dtype=np.complex128) if j == w - 1 else done  # off the loop's peak
+                done[:, j - w + 1 : j - w + 1 + B] = rows
         del layers, layer  # free this chunk's RY layers before the next chunk builds its own
-        if kept:
-            kept = np.concatenate(kept, axis=1)
-            if dense:
-                kept = kept @ back
-            values[:, max(t0, keep_from) - keep_from : t1 - keep_from] = _measure(
-                kept, signs, cfg.backend.shots, streams
-            )
+        done = done[:, max(keep_from - t0, 0) :]  # the rows from step keep_from on, up to step t1; maybe none
+        values[:, t1 - keep_from - done.shape[1] : t1 - keep_from] = _measure(
+            done @ back if dense else done, signs, cfg.backend.shots, streams
+        )
     labels = tuple(o.label for o in observables)
     return [FeatureMatrix(v, t_index, labels) for v in values]
 
@@ -669,12 +667,16 @@ def _rows_from(features: FeatureMatrix, t0: int) -> FeatureMatrix:
     return FeatureMatrix(features.values[start:], features.t_index[start:], features.labels)
 
 
-def _run_share(share: list, writer) -> None:
-    """A worker's body: sends the scores of its share's tasks, or the exception that stopped it."""
+def _run_share(conn) -> None:
+    """A worker's body: receives its share of the tasks on ``conn``, and
+    sends back their scores, or the exception that stopped it. It ignores
+    SIGINT, which the caller held blocked while it started: on Ctrl-C the
+    caller stops it."""
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
     try:
-        writer.send([_group_scores(task) for task in share])
+        conn.send([_group_scores(task) for task in conn.recv()])
     except Exception as exc:
-        writer.send(exc)
+        conn.send(exc)
 
 
 def _replicate_scores(widths: list, delays) -> list:
@@ -682,10 +684,11 @@ def _replicate_scores(widths: list, delays) -> list:
     replicate configs: ``_group_scores`` of one task per replicate group of
     its ``plan`` size, with each distinct series generated once, here, keyed
     by its TaskSpec. Worker k of w = min(``worker_count()``, tasks) runs
-    ``tasks[k::w]``: this process is worker 0, and each other sends its share
-    on its own pipe. Reading the shares that have arrived before each of its
-    own tasks, the caller ends the run within one task of a failure in any
-    worker; a worker that cannot start, or ends early, raises QRCLabError."""
+    ``tasks[k::w]``: this process is worker 0, and each other receives its
+    share on its own pipe once it has started, and sends the scores back on
+    it. Reading the shares that have arrived before each of its own tasks,
+    the caller ends the run within one task of a failure in any worker; a
+    worker that cannot start, or ends early, raises QRCLabError."""
     series, tasks = {}, []
     for configs in widths:
         size = plan(configs[0].reservoir.n_qubits).size
@@ -698,26 +701,36 @@ def _replicate_scores(widths: list, delays) -> list:
     workers = min(worker_count(), len(tasks))
     shares = [[]] + [None] * (workers - 1)  # worker k's scores, in the order of tasks[k::w]
     started = []  # the pipe and process of each worker k >= 1 that started
+    lost = "a worker process ended before its task was done"
     try:
         for k in range(1, workers):
             import multiprocessing.connection  # not on a sequential run
             try:
-                reader, writer = multiprocessing.Pipe(duplex=False)
-                worker = multiprocessing.Process(target=_run_share, args=(tasks[k::workers], writer))
-                worker.start()
+                conn, child = multiprocessing.Pipe()
+                worker = multiprocessing.Process(target=_run_share, args=(child,))
+                held = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})  # until the worker ignores it
+                try:
+                    worker.start()
+                    started.append((conn, worker))
+                finally:  # a Ctrl-C meanwhile is raised here, with the worker in started
+                    signal.pthread_sigmask(signal.SIG_SETMASK, held)
             except OSError as exc:  # a fork that failed, say at a process limit
                 raise QRCLabError(f"a worker process could not start: {exc}") from None
-            started.append((reader, worker))
-            writer.close()  # so a worker that ends leaves its pipe at EOF
-        pipes = {reader: k for k, (reader, _) in enumerate(started, 1)}  # each pipe not read yet: its worker k
+            child.close()  # so a worker that ends leaves its pipe at EOF, and a send to it fails
+        pipes = {conn: k for k, (conn, _) in enumerate(started, 1)}  # each pipe not read yet: its worker k
+        for conn, k in pipes.items():  # each share goes after start(), so a dead worker cannot block start()
+            try:
+                conn.send(tasks[k::workers])
+            except ConnectionError:  # the worker ended: its end of the pipe is closed
+                raise QRCLabError(lost) from None
         own = tasks[::workers]
         while own or pipes:  # before each of the caller's tasks, then until every share is read
             ready = [r for r in pipes if r.poll()] if own else multiprocessing.connection.wait(list(pipes))
             for reader in ready:
                 try:
                     share = reader.recv()
-                except EOFError:
-                    raise QRCLabError("a worker process ended before its task was done") from None
+                except (EOFError, ConnectionError):  # a worker that ended, with or without its share unread
+                    raise QRCLabError(lost) from None
                 if isinstance(share, Exception):
                     raise share
                 shares[pipes.pop(reader)] = share

@@ -23,17 +23,18 @@ evolution kernel in ``experiment`` is built from them and tested against
 the reference path.
 
 The RY layer on every qubit is a Kronecker product, applied in one of two
-forms. ``experiment.plan`` splits the qubits into the fewest near-equal
-groups whose factors fit its chunk budget, and the count picks the form. In
-one group, the eigenbasis of Pauli-Y makes the layer diagonal:
-``ry_phases`` gives its 2**n phases, and one matmul with the frame matrix W
-from ``y_frame`` moves rows into or out of that frame. In m >= 2 groups of
-consecutive qubits, the layer is one factor per group (``ry_factors``),
-each a ``GroupOp`` that ``apply_group`` runs as one matmul; ``fuse_groups``
-compiles the fixed gates that stay within one group to such ops too, and
-leaves only the gates that cross a cut: CRZ runs as one phase vector, and
-CRYs, each merged with its target group's neighbouring factors into a
-GroupOp with a control, one factor on that group per value of its control.
+forms; ``experiment.plan`` picks the form and splits the qubits into the
+fewest near-equal groups whose factors fit its chunk budget. Where a 2**n x
+2**n operator fits it (n <= 7), the eigenbasis of Pauli-Y makes the layer
+diagonal: ``ry_phases`` gives its 2**n phases, and one matmul with the frame
+matrix W from ``y_frame`` moves rows into or out of that frame. Past it, on
+m >= 2 groups of consecutive qubits, the layer is one factor per group
+(``ry_factors``), each a ``GroupOp`` that ``apply_group`` runs as one
+matmul. In both forms ``fuse_groups`` compiles the fixed gates that stay
+within one group to such ops, and leaves only the gates that cross a cut:
+CRZ runs as one phase vector, and CRYs, each merged with its target group's
+neighbouring factors into a GroupOp with a control, one factor on that
+group per value of its control.
 Every factor is a row operator, as ``compile_gates`` builds it: ``rows @
 M`` applies M, the transpose of the gates' unitary.
 """
@@ -540,20 +541,17 @@ def fuse_groups(gates, groups) -> list:
 
 
 def apply_ops(rows: np.ndarray, ops, groups) -> np.ndarray:
-    """``rows``, (..., 2**n) amplitudes, through an op list in order: the one
-    interpreter of compiled blocks, each op one pass over the rows. A
-    GroupOp is one ``apply_group``, a dense row operator or an (R, d, d)
-    stack of them one matmul; a (2**n,) phase vector and a crossing GateOp
+    """``rows``, (..., 2**n) amplitudes, through an op list of
+    ``fuse_groups`` in order, each op one pass over the rows. A GroupOp is
+    one ``apply_group``; a (2**n,) phase vector and a crossing GateOp
     (``apply_gate_rows``) act in place on ``rows``."""
     for op in ops:
         if isinstance(op, GroupOp):
             rows = apply_group(rows, op, groups)
         elif isinstance(op, GateOp):
             apply_gate_rows(rows.reshape(-1, rows.shape[-1]), op, sum(groups))
-        elif op.ndim == 1:
-            rows *= op
         else:
-            rows = rows @ op
+            rows *= op
     return rows
 
 

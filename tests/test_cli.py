@@ -362,6 +362,61 @@ sys.exit(main(sys.argv[1:]))
 """
 
 
+# Starts every worker process by spawn and SIGKILLs it as soon as it is
+# spawned, before it can read anything; exits with main()'s code.
+SPAWNED_WORKER_KILLED = """
+import multiprocessing, multiprocessing.util, os, signal, sys
+from qrclab.cli import main
+spawnv_passfds = multiprocessing.util.spawnv_passfds
+def spawn_then_kill(path, args, passfds):
+    pid = spawnv_passfds(path, args, passfds)
+    if "--multiprocessing-fork" in args:  # a worker, not the resource tracker
+        os.kill(pid, signal.SIGKILL)
+    return pid
+multiprocessing.util.spawnv_passfds = spawn_then_kill
+multiprocessing.set_start_method("spawn")
+sys.exit(main(sys.argv[1:]))
+"""
+
+# Runs main() with tasks.NARMA_DIVERGENCE_BOUND set to the first argument.
+NARMA_BOUND = """
+import sys
+from qrclab import tasks
+from qrclab.cli import main
+tasks.NARMA_DIVERGENCE_BOUND = float(sys.argv[1])
+sys.exit(main(sys.argv[2:]))
+"""
+
+
+def run_in_session(args, threads=1, timeout=60):
+    """Run ``python <args>`` with qrclab on its path and QRCLAB_THREADS
+    ``threads``, in its own session so that a timeout ends the whole group
+    (the test fails then); returns the exit code and stderr."""
+    env = os.environ | {"QRCLAB_THREADS": str(threads), "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    proc = subprocess.Popen([sys.executable, *args], env=env, start_new_session=True,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+    try:
+        _, err = proc.communicate(timeout=timeout)
+    except subprocess.TimeoutExpired:
+        os.killpg(proc.pid, signal.SIGKILL)
+        proc.communicate()
+        pytest.fail("the run did not exit")
+    return proc.returncode, err
+
+
+def session_processes(sid: int) -> list:
+    """The pids of the live processes of session ``sid``, read from /proc."""
+    found = []
+    for stat in Path("/proc").glob("[0-9]*/stat"):
+        try:
+            state, _, _, session = stat.read_text().rsplit(")", 1)[1].split()[:4]
+        except OSError:  # the process ended meanwhile
+            continue
+        if int(session) == sid and state != "Z":
+            found.append(int(stat.parent.name))
+    return found
+
+
 def end_worker_then_wait(task):
     """``end_worker``, but each of the caller's tasks is counted in
     ``CALLER_TASKS`` and returns only once the worker processes have ended."""
@@ -462,20 +517,45 @@ class TestRuntimeFailures:
     def test_pool_that_starts_in_part_exit_2(self, tmp_path):
         # w = 3: the first worker process starts on its share, the second
         # fork fails. The run must end that process too, or it is left
-        # running; its own session lets a timeout end the whole group
-        src = str(Path(cli.__file__).parents[1])
-        env = os.environ | {"QRCLAB_THREADS": "3", "PYTHONPATH": src}
+        # running, and the run never exits
         argv = ["theory-scan", "--qubits", "2,3,4", "--replicates", "2", "--out", str(tmp_path / "r")]
-        proc = subprocess.Popen([sys.executable, "-c", SECOND_FORK_FAILS, *argv], env=env, start_new_session=True,
+        code, err = run_in_session(["-c", SECOND_FORK_FAILS, *argv], threads=3)
+        assert code == 2
+        assert err == f"error: a worker process could not start: {failing_fork_error()}\n"
+
+    def test_killed_spawn_worker_exit_2(self, tmp_path):
+        # a default scan's spawned worker, killed before it reads its share
+        # of about 100 KB: the share goes on the worker's pipe once start()
+        # has returned, so the send fails and the run exits 2. Written inside
+        # start(), to a pipe whose read end the caller still held, it
+        # blocked for ever
+        argv = ["theory-scan", "--out", str(tmp_path / "r")]
+        code, err = run_in_session(["-c", SPAWNED_WORKER_KILLED, *argv], threads=2)
+        assert (code, err) == (2, "error: a worker process ended before its task was done\n")
+        assert not any((tmp_path / "r").iterdir())
+
+    @pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="reads the session's processes from /proc")
+    def test_ctrl_c_exit_130(self, tmp_path):
+        # Ctrl-C sends SIGINT to the whole foreground group. Sent as soon as
+        # the scan's worker process exists, it gives one error line and exit
+        # 130: the worker starts with SIGINT held and then ignores it, and
+        # the caller stops it, so no process of the scan's session is left
+        env = os.environ | {"QRCLAB_THREADS": "2", "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+        argv = ["theory-scan", "--qubits", "12,13", "--replicates", "6", "--out", str(tmp_path / "r")]
+        proc = subprocess.Popen([sys.executable, "-m", "qrclab.cli", *argv], env=env, start_new_session=True,
                                 stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
         try:
+            deadline = time.monotonic() + 30
+            while len(session_processes(proc.pid)) < 2:
+                assert proc.poll() is None and time.monotonic() < deadline, "no worker process started"
+            os.killpg(proc.pid, signal.SIGINT)
             _, err = proc.communicate(timeout=60)
-        except subprocess.TimeoutExpired:
-            os.killpg(proc.pid, signal.SIGKILL)
-            proc.communicate()
-            pytest.fail("the run did not exit")
-        assert proc.returncode == 2
-        assert err == f"error: a worker process could not start: {failing_fork_error()}\n"
+        finally:
+            if proc.poll() is None or session_processes(proc.pid):
+                os.killpg(proc.pid, signal.SIGKILL)
+                proc.communicate()
+        assert (proc.returncode, err) == (130, "error: interrupted\n")
+        assert session_processes(proc.pid) == []
 
     @pytest.mark.parametrize("command, entry", [("case-memory", "run_case"), ("theory-scan", "theory_scan")])
     @pytest.mark.parametrize("out", ["afile/x", "r/" + "a" * 300], ids=["under-a-file", "name-too-long"])
@@ -531,6 +611,27 @@ class TestRuntimeFailures:
         err = capsys.readouterr().err
         assert re.fullmatch(r"error: narma10 diverged for 50 consecutive seeds from \d+\n", err)
         assert not any(out.iterdir())
+
+    @pytest.mark.parametrize(
+        "bound, line",
+        [
+            (0.05, r"error: narma10 diverged for 50 consecutive seeds from (\d+)"),
+            (0.605, r"narma10 series diverged for seed (\d+); used seed \d+ after 2 redraws"),
+        ],
+        ids=["always-diverges", "redrawn-twice"],
+    )
+    def test_narma10_redraws_print_one_line(self, tmp_path, bound, line):
+        # in a real process, where no log capture hides a warning: a series
+        # that diverges for every seed prints only its error line, and one
+        # redrawn twice (at T = 120 the first two seeds cross 0.605) one
+        # warning that names the first seed and the seed used
+        argv = ["case-narma10", "--config", write_config(tmp_path, FAST_CASE), "--out", str(tmp_path / "r")]
+        code, err = run_in_session(["-c", NARMA_BOUND, str(bound), *argv])
+        assert code == (2 if bound == 0.05 else 0)
+        match = re.fullmatch(line + "\n", err)
+        assert match and int(match.group(1)) == child_seed(42, "data")
+        if bound != 0.05:
+            assert f"used seed {child_seed(42, 'data') + 2} " in err
 
     def test_failed_write_leaves_no_bundle(self, tmp_path, capsys, monkeypatch):
         # the second file cannot be written: the first, and the temp dir, go

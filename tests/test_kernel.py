@@ -644,24 +644,25 @@ def test_fused_blocks_leave_the_crossing_gates(topology, layers, most):
 )
 def test_passes_per_step(n, topology, layers, passes):
     # the passes over the state that one step makes (depth 3): per encoder
-    # layer, its RY layer (one GroupOp per group, or one phase multiply in
-    # the dense Y frame form), then one pass per op of its block
+    # layer, in the dense Y frame form one multiply by its phases and one
+    # matmul with its (R, d, d) stack; in the fused form its RY layer, one
+    # GroupOp per group, then one pass per op of its block
     p = experiment.plan(n)
     cfg = resolve_seeds(kernel_config(n, layers=layers, topology=topology))
     blocks = experiment._fixed_blocks([cfg], p, y_frame(n) if p.dense else None)
-    ry = 1 if p.dense else len(p.groups)
-    assert ry * len(blocks) + sum(map(len, blocks)) == passes
+    per_layer = [2 if p.dense else len(p.groups) + len(block) for block in blocks]
+    assert sum(per_layer) == passes
 
 
 @pytest.mark.parametrize("layers", [1, 2], ids=["angle", "reupload2"])
 @pytest.mark.parametrize("topology", TOPOLOGIES)
 @pytest.mark.parametrize("n", range(2, 8))
 def test_dense_blocks_match_the_compiled_gates(n, topology, layers):
-    # a dense block is compiled by fuse_groups on two halves from n = 6, one
-    # group below; each replicate's slice of it is its gate list compiled
-    # one gate at a time and moved to the Y frame
+    # a dense block is compiled by fuse_groups on the plan's groups, two
+    # halves from n = 6 and one group below; each replicate's slice of it
+    # is its gate list compiled one gate at a time and moved to the Y frame
     p, w = experiment.plan(n), y_frame(n)
-    assert p.split == ((n,) if n <= 5 else (n - n // 2, n // 2))
+    assert p.dense and p.groups == ((n,) if n <= 5 else (n - n // 2, n // 2))
     base = kernel_config(n, layers=layers, topology=topology)
     configs = [experiment._replicate_config(base, r) for r in range(min(2, p.size))]
     blocks = experiment._fixed_blocks(configs, p, w)
@@ -669,7 +670,7 @@ def test_dense_blocks_match_the_compiled_gates(n, topology, layers):
         gates = [list(layer.fixed_gates) for layer in build_encoder(cfg.encoder, n).layers]
         gates[-1] += build_reservoir(cfg.reservoir).gates
         assert len(blocks) == len(gates)
-        for [stack], block in zip(blocks, gates):
+        for stack, block in zip(blocks, gates):
             want = w.T @ compile_gates(block, n) @ w.conj() / 2**n
             np.testing.assert_allclose(stack[r], want, rtol=0, atol=TOL)
 
@@ -885,32 +886,32 @@ def test_rows_per_chunk_stays_within_the_budget():
 
 
 # Each width's plan, from the one budget: the form of its fixed blocks, its
-# qubit groups, its compile split, its group size, and its rows per chunk
-# for one replicate and for a full group
+# qubit groups, its group size, and its rows per chunk for one replicate
+# and for a full group
 PLAN = {
-    2: ("dense", (2,), (2,), 1024, 4096, 4),
-    3: ("dense", (3,), (3,), 256, 2048, 8),
-    4: ("dense", (4,), (4,), 64, 1024, 16),
-    5: ("dense", (5,), (5,), 16, 512, 32),
-    6: ("dense", (6,), (3, 3), 4, 256, 64),
-    7: ("dense", (7,), (4, 3), 1, 128, 128),
-    8: ("fused", (4, 4), (4, 4), 1, 64, 64),
-    9: ("fused", (5, 4), (5, 4), 1, 32, 32),
-    10: ("fused", (5, 5), (5, 5), 1, 16, 16),
-    11: ("fused", (6, 5), (6, 5), 1, 8, 8),
-    12: ("fused", (6, 6), (6, 6), 1, 4, 4),
-    13: ("fused", (5, 4, 4), (5, 4, 4), 1, 2, 2),
-    14: ("fused", (5, 5, 4), (5, 5, 4), 1, 1, 1),
-    15: ("fused", (5, 5, 5), (5, 5, 5), 1, 1, 1),
-    16: ("fused", (6, 5, 5), (6, 5, 5), 1, 1, 1),
-    17: ("fused", (6, 6, 5), (6, 6, 5), 1, 1, 1),
-    18: ("fused", (6, 6, 6), (6, 6, 6), 1, 1, 1),
-    19: ("fused", (5, 5, 5, 4), (5, 5, 5, 4), 1, 1, 1),
-    20: ("fused", (5, 5, 5, 5), (5, 5, 5, 5), 1, 1, 1),
-    21: ("fused", (6, 5, 5, 5), (6, 5, 5, 5), 1, 1, 1),
-    22: ("fused", (6, 6, 5, 5), (6, 6, 5, 5), 1, 1, 1),
-    23: ("fused", (6, 6, 6, 5), (6, 6, 6, 5), 1, 1, 1),
-    24: ("fused", (6, 6, 6, 6), (6, 6, 6, 6), 1, 1, 1),
+    2: ("dense", (2,), 1024, 4096, 4),
+    3: ("dense", (3,), 256, 2048, 8),
+    4: ("dense", (4,), 64, 1024, 16),
+    5: ("dense", (5,), 16, 512, 32),
+    6: ("dense", (3, 3), 4, 256, 64),
+    7: ("dense", (4, 3), 1, 128, 128),
+    8: ("fused", (4, 4), 1, 64, 64),
+    9: ("fused", (5, 4), 1, 32, 32),
+    10: ("fused", (5, 5), 1, 16, 16),
+    11: ("fused", (6, 5), 1, 8, 8),
+    12: ("fused", (6, 6), 1, 4, 4),
+    13: ("fused", (5, 4, 4), 1, 2, 2),
+    14: ("fused", (5, 5, 4), 1, 1, 1),
+    15: ("fused", (5, 5, 5), 1, 1, 1),
+    16: ("fused", (6, 5, 5), 1, 1, 1),
+    17: ("fused", (6, 6, 5), 1, 1, 1),
+    18: ("fused", (6, 6, 6), 1, 1, 1),
+    19: ("fused", (5, 5, 5, 4), 1, 1, 1),
+    20: ("fused", (5, 5, 5, 5), 1, 1, 1),
+    21: ("fused", (6, 5, 5, 5), 1, 1, 1),
+    22: ("fused", (6, 6, 5, 5), 1, 1, 1),
+    23: ("fused", (6, 6, 6, 5), 1, 1, 1),
+    24: ("fused", (6, 6, 6, 6), 1, 1, 1),
 }
 
 
@@ -918,19 +919,19 @@ PLAN = {
 def test_each_width_keeps_its_plan(n):
     p = experiment.plan(n)
     full = experiment.plan(n, p.size)
-    assert (full.groups, full.split, full.size) == (p.groups, p.split, p.size)  # R sets only the rows
-    assert ("dense" if p.dense else "fused", p.groups, p.split, p.size, p.rows, full.rows) == PLAN[n]
+    assert (full.groups, full.size) == (p.groups, p.size)  # R sets only the rows
+    assert ("dense" if p.dense else "fused", p.groups, p.size, p.rows, full.rows) == PLAN[n]
 
 
 @pytest.mark.parametrize("n", range(2, 15))
 def test_compiled_blocks_take_the_plan_form(n):
     # a dense plan compiles each block to one (R, d, d) stack; a fused one
-    # to group ops whose factors are one row operator on their group, or
-    # two with a control
+    # to an op list whose group ops' factors are one row operator on their
+    # group, or two with a control
     p = experiment.plan(n)
     blocks = experiment._fixed_blocks([resolve_seeds(kernel_config(n))], p, y_frame(n) if p.dense else None)
-    first = blocks[0][0]
-    assert (isinstance(first, np.ndarray) and first.shape == (1, 2**n, 2**n)) == p.dense
+    assert all(isinstance(block, np.ndarray) and block.shape == (1, 2**n, 2**n) for block in blocks) == p.dense
+    assert all(isinstance(block, list) for block in blocks) != p.dense
     if not p.dense:
         for op in (op for block in blocks for op in block if isinstance(op, GroupOp)):
             d = 2 ** p.groups[op.group]
@@ -955,18 +956,21 @@ def test_run_builds_the_y_frame_once(monkeypatch, n, R, frames):
 
 def test_qubit_groups_are_the_fewest_that_fit_the_budget():
     # near-equal groups, top group largest, whose factors fit the budget,
-    # and one group fewer would not: 1 group through n = 7, 2 through 12,
-    # 3 through 18 and 4 through 24, never more than 6 qubits from n = 8
+    # at least two from n = 6, and one group fewer would not do: 1 group
+    # through n = 5, 2 through 12, 3 through 18 and 4 through 24, never
+    # more than 6 qubits from n = 6. The dense form is the widths whose
+    # 4**n operators fit, through n = 7
     budget = experiment.CHUNK_AMPLITUDES
     for n in range(2, sim.MAX_QUBITS + 1):
-        groups = experiment.plan(n).groups
-        m = len(groups)
+        p = experiment.plan(n)
+        groups, m = p.groups, len(p.groups)
         assert sum(groups) == n and list(groups) == sorted(groups, reverse=True) and groups[0] - groups[-1] <= 1
         assert sum(4**g for g in groups) <= budget
         fewer = [n // (m - 1) + (i < n % (m - 1)) for i in range(m - 1)] if m > 1 else []
-        assert not fewer or sum(4**g for g in fewer) > budget
-        assert m == 1 + (n > 7) + (n > 12) + (n > 18)
-        assert n <= 7 or max(groups) <= 6
+        assert not fewer or sum(4**g for g in fewer) > budget or n in (6, 7)  # one group fits, two at least
+        assert m == 1 + (n > 5) + (n > 12) + (n > 18)
+        assert n <= 5 or max(groups) <= 6
+        assert p.dense == (4**n <= budget) == (n <= 7)
 
 
 def test_group_with_a_narma10_redraw(monkeypatch, caplog):
