@@ -117,3 +117,7 @@ for workload in cli-cases wide-shots theory-scan theory-scan-2w; do
   python3 bench/run.py --workload "$workload" --seconds 3 > "$RUNNER_TEMP/$workload.out"
   tail -n 1 "$RUNNER_TEMP/$workload.out" | grep -q '"correct": true'
 done
+
+# every bundle write above, the failed ones included, removed its temp dir
+# (`.<name>.tmp-<pid>-<hex>`)
+test -z "$(find "$RUNNER_TEMP" -name '.*.tmp-*' -print -quit)"

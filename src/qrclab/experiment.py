@@ -49,6 +49,7 @@ from dataclasses import dataclass, fields, replace
 from operator import attrgetter
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .encoding import EncoderCircuit, EncoderSpec, build_encoder, encode_input, scale_input
 from .errors import ConfigurationError, DataError, QRCLabError, SchemaError
@@ -528,12 +529,10 @@ def raw_window_features(series: TimeSeries, k: int, t_index) -> np.ndarray:
     """Classical baseline features: the last k raw inputs at each row."""
     if k < 1:
         raise ConfigurationError("window k must be >= 1")
-    rows = []
-    for t in t_index:
-        if t < k - 1:
-            raise ConfigurationError(f"row t={t} has no {k}-step window")
-        rows.append(series.inputs[t - k + 1 : t + 1])
-    return np.array(rows, dtype=np.float64).reshape(len(rows), k)
+    t = np.asarray(t_index, dtype=np.intp)
+    if np.any(t < k - 1):
+        raise ConfigurationError(f"row t={t[t < k - 1][0]} has no {k}-step window")
+    return sliding_window_view(np.asarray(series.inputs, dtype=np.float64), k)[t - k + 1]
 
 
 # --------------------------------------------------------------------------
@@ -670,8 +669,8 @@ def _rows_from(features: FeatureMatrix, t0: int) -> FeatureMatrix:
 def _run_share(conn) -> None:
     """A worker's body: receives its share of the tasks on ``conn``, and
     sends back their scores, or the exception that stopped it. It ignores
-    SIGINT, which the caller held blocked while it started: on Ctrl-C the
-    caller stops it."""
+    SIGINT, which the caller held blocked while it started (where the
+    platform has ``signal.pthread_sigmask``): on Ctrl-C the caller stops it."""
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     try:
         conn.send([_group_scores(task) for task in conn.recv()])
@@ -708,12 +707,14 @@ def _replicate_scores(widths: list, delays) -> list:
             try:
                 conn, child = multiprocessing.Pipe()
                 worker = multiprocessing.Process(target=_run_share, args=(child,))
-                held = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})  # until the worker ignores it
+                mask = getattr(signal, "pthread_sigmask", None)  # None on Windows: the worker starts unmasked
+                held = mask(signal.SIG_BLOCK, {signal.SIGINT}) if mask else None  # until the worker ignores it
                 try:
                     worker.start()
                     started.append((conn, worker))
                 finally:  # a Ctrl-C meanwhile is raised here, with the worker in started
-                    signal.pthread_sigmask(signal.SIG_SETMASK, held)
+                    if mask:
+                        mask(signal.SIG_SETMASK, held)
             except OSError as exc:  # a fork that failed, say at a process limit
                 raise QRCLabError(f"a worker process could not start: {exc}") from None
             child.close()  # so a worker that ends leaves its pipe at EOF, and a send to it fails

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, SchemaError
-from .sim import MAX_QUBITS, GateOp, RandomStream, StateVector, apply_gate, check_int, check_seed
+from .sim import MAX_QUBITS, GateOp, RandomStream, StateVector, apply_circuit, check_int, check_seed
 
 TOPOLOGIES = ("ring", "chain", "all_to_all")
 
@@ -75,6 +75,4 @@ def apply_reservoir(circuit: ReservoirCircuit, state: StateVector) -> StateVecto
             f"reservoir on {circuit.n_qubits} qubits cannot act on "
             f"{state.n_qubits}-qubit state"
         )
-    for gate in circuit.gates:
-        apply_gate(state, gate)
-    return state
+    return apply_circuit(state, circuit.gates)

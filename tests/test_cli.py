@@ -429,6 +429,21 @@ def end_worker_then_wait(task):
     return GROUP_SCORES(task)
 
 
+def fail_second_write(monkeypatch, exc) -> list:
+    """Patch Path.write_bytes to write one file and raise ``exc`` on the
+    next; returns the list of the files it wrote."""
+    write_bytes, written = Path.write_bytes, []
+
+    def fail_second(self, data):
+        if written:
+            raise exc
+        written.append(self)
+        return write_bytes(self, data)
+
+    monkeypatch.setattr(Path, "write_bytes", fail_second)
+    return written
+
+
 class TestRuntimeFailures:
     def test_run_time_error_exit_2(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(cli, "run_case", fail_with_data_error)
@@ -592,7 +607,7 @@ class TestRuntimeFailures:
 
     def test_stale_temp_dir_is_left_alone(self, tmp_path, capsys, monkeypatch):
         # a temp dir an earlier run of this pid left behind: the bundle is
-        # written through the next temp name, and the stale one keeps its file
+        # written through its own temp name, and the stale one keeps its file
         monkeypatch.setattr(cli, "_run_dir_name", lambda hash8: "run_fixed")
         out = tmp_path / "r"
         stale = out / f".run_fixed.tmp-{os.getpid()}"
@@ -636,18 +651,20 @@ class TestRuntimeFailures:
     def test_failed_write_leaves_no_bundle(self, tmp_path, capsys, monkeypatch):
         # the second file cannot be written: the first, and the temp dir, go
         cfg = write_config(tmp_path, FAST_CASE)
-        write_bytes, written = Path.write_bytes, []
-
-        def fail_second(self, data):
-            if written:
-                raise OSError(28, "No space left on device")
-            written.append(self)
-            return write_bytes(self, data)
-
-        monkeypatch.setattr(Path, "write_bytes", fail_second)
+        written = fail_second_write(monkeypatch, OSError(28, "No space left on device"))
         out = tmp_path / "r"
         assert main(["case-parity", "--config", cfg, "--out", str(out)]) == 3
         assert capsys.readouterr().err.startswith("error: cannot write output bundle")
+        assert written and list(out.iterdir()) == []
+
+    def test_interrupted_write_leaves_no_bundle(self, tmp_path, capsys, monkeypatch):
+        # Ctrl-C while the second file is written: one error line, and the
+        # temp dir goes with the first file in it
+        cfg = write_config(tmp_path, FAST_CASE)
+        written = fail_second_write(monkeypatch, KeyboardInterrupt())
+        out = tmp_path / "r"
+        assert main(["case-parity", "--config", cfg, "--out", str(out)]) == 130
+        assert capsys.readouterr().err == "error: interrupted\n"
         assert written and list(out.iterdir()) == []
 
     def test_unwritable_output_exit_3(self, tmp_path):

@@ -3,6 +3,7 @@
 import multiprocessing
 import os
 import re
+import signal
 
 import numpy as np
 import pytest
@@ -540,6 +541,15 @@ class TestTheoryScan:
         par = theory_scan(cfg, [2, 3], delta=0.1, replicates=2)
         assert seq == par
 
+    def test_workers_start_without_a_signal_mask(self, monkeypatch):
+        # a platform without signal.pthread_sigmask (Windows) starts its
+        # workers unmasked, with the rows of the scan in process
+        cfg = small_config(T=100, protocol=ProtocolSpec(washout=20, train_fraction=0.5))
+        seq = theory_scan(cfg, [2, 3], 0.05, 2)
+        monkeypatch.delattr(signal, "pthread_sigmask")
+        monkeypatch.setenv("QRCLAB_THREADS", "2")
+        assert theory_scan(cfg, [2, 3], 0.05, 2) == seq
+
     def test_pool_is_capped_at_the_task_count(self, monkeypatch):
         starts = []  # each worker process a scan starts
         start = multiprocessing.Process.start
@@ -598,6 +608,14 @@ class TestRawWindowFeatures:
         series = TimeSeries(np.ones(5), np.zeros(5), 0)
         with pytest.raises(ConfigurationError):
             raw_window_features(series, 3, [1])
+        with pytest.raises(ConfigurationError, match=r"^row t=1 has no 3-step window$"):  # the first short row
+            raw_window_features(series, 3, [4, 1, 0])
+        with pytest.raises(ConfigurationError, match=r"^window k must be >= 1$"):
+            raw_window_features(series, 0, [4])
+
+    def test_no_rows_give_an_empty_matrix(self):
+        series = TimeSeries(np.ones(5), np.zeros(5), 0)
+        assert raw_window_features(series, 3, []).shape == (0, 3)
 
 
 class TestCsvRendering:
