@@ -4,9 +4,11 @@ Commands: ``case-memory``, ``case-parity``, ``case-narma10``, ``theory-scan``.
 Each run writes a timestamped output bundle (atomically, via temp-dir rename)
 containing config_echo.json plus the run's CSV/JSON/SVG artifacts.
 
-Exit codes: 0 success, 1 config/schema violation, 2 runtime or fit error,
-out of memory or a worker process that ended, 3 I/O error, 130 interrupted
-(Ctrl-C).
+Exit codes: 0 success (``--help`` too), 1 config/schema violation or a
+command line argparse rejects (an unknown flag, a missing command or value),
+2 runtime or fit error, out of memory or a worker process that ended, 3 I/O
+error (a closed stdout included: the bundle is written, the summary is not),
+130 interrupted (Ctrl-C).
 """
 
 from __future__ import annotations
@@ -49,8 +51,18 @@ CASE_KINDS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser whose errors (an unknown flag, a missing command or
+    value) raise ArgumentError, so ``main`` reports them as one ``error:``
+    line and exit 1, not argparse's usage text and exit 2. Its subparsers
+    are of this class too."""
+
+    def error(self, message):
+        raise argparse.ArgumentError(None, message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="qrclab",
         description="Quantum reservoir computing benchmark runner",
     )
@@ -192,8 +204,9 @@ def cmd_theory_scan(args):
 def _run(config, output, run) -> int:
     """Echo the config, make the output dir, run (exit 2 on a QRCLabError or
     a MemoryError), write the bundle, then print the run's summary lines and
-    the run dir. An OSError while making the dir or writing exits 3; the
-    dir is made first, so one that cannot be made costs no run."""
+    the run dir. An OSError while making the dir or writing exits 3, as
+    does a closed stdout; the dir is made first, so one that cannot be made
+    costs no run."""
     echo = echo_config(config, output)
     try:
         Path(output.dir).mkdir(parents=True, exist_ok=True)
@@ -217,23 +230,29 @@ def _run(config, output, run) -> int:
         print(f"error: cannot write output bundle: {exc}", file=sys.stderr)
         return EXIT_IO
 
-    for line in summary:
-        print(line)
-    print(f"run_dir: {run_dir}")
+    try:
+        for line in summary:
+            print(line)
+        print(f"run_dir: {run_dir}")
+        sys.stdout.flush()  # a closed stdout fails here, not in the interpreter's exit flush
+    except BrokenPipeError as exc:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())  # quiets that exit flush
+        print(f"error: cannot print the summary: {exc}", file=sys.stderr)
+        return EXIT_IO
     return EXIT_OK
 
 
 def main(argv=None) -> int:
     """Run one command; Ctrl-C prints one ``error: interrupted`` line and
     returns 130, once any worker processes are stopped."""
-    args = build_parser().parse_args(argv)
     try:
         try:
+            args = build_parser().parse_args(argv)
             if args.command in CASE_KINDS:
                 config, output, run = cmd_case(args.command, args)
             else:
                 config, output, run = cmd_theory_scan(args)
-        except SchemaError as exc:
+        except (SchemaError, argparse.ArgumentError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_SCHEMA
         except OSError as exc:  # the config file cannot be read

@@ -86,6 +86,10 @@ def encode_input(circuit: EncoderCircuit, u, state: StateVector) -> StateVector:
     scalar series drive every qubit. Each re-upload layer re-encodes the same
     input vector.
     """
+    if circuit.n_qubits != state.n_qubits:
+        raise ConfigurationError(
+            f"encoder on {circuit.n_qubits} qubits cannot act on {state.n_qubits}-qubit state"
+        )
     u = np.atleast_1d(np.asarray(u, dtype=np.float64))
     if u.ndim != 1 or u.size == 0:
         raise DataError("input must be a non-empty scalar or 1-d vector")

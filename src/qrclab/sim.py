@@ -120,25 +120,16 @@ def child_seed(seed: int, label: str) -> int:
     return int.from_bytes(digest[:8], "little")
 
 
-class RandomStream:
-    """A seeded PCG64 stream. Same seed + same draw sequence gives identical
-    outputs on every platform numpy supports. A derived seed needs no
-    stream: ``child_seed`` hashes the parent seed and a label, so it does
-    not depend on how many values were drawn.
+class RandomStream(np.random.Generator):
+    """numpy's Generator on PCG64, seeded by a seed that passes ``check_seed``.
+    Same seed + same draw sequence gives identical outputs on every platform
+    numpy supports. A derived seed needs no stream: ``child_seed`` hashes the
+    parent seed and a label, so it does not depend on how many values were
+    drawn.
     """
 
     def __init__(self, seed: int):
-        self.seed = check_seed("seed", seed)
-        self._gen = np.random.Generator(np.random.PCG64(self.seed))
-
-    def uniform(self, low: float = 0.0, high: float = 1.0, size=None):
-        return self._gen.uniform(low, high, size)
-
-    def integers(self, low: int, high: int, size=None):
-        return self._gen.integers(low, high, size)
-
-    def __repr__(self) -> str:
-        return f"RandomStream(seed={self.seed})"
+        super().__init__(np.random.PCG64(check_seed("seed", seed)))
 
 
 # --------------------------------------------------------------------------

@@ -126,20 +126,22 @@ def gen_narma10(T: int, seed: int) -> TimeSeries:
 
     The target at step t is y_{t+1}. Raw inputs u ~ Uniform[0, 0.5] drive the
     recurrence; the stored inputs are u/0.5 so they live in [0, 1]. A seed
-    whose series diverges (|y| > 10) is replaced by seed+1, and so on: a
-    series redrawn that way logs one warning, naming the first seed, the seed
-    used and the redraw count, and one that diverges for every seed tried
-    logs nothing and raises DataError.
+    whose series diverges (|y| > 10) is replaced by seed+1, and so on, modulo
+    2**64, so the seed after 2**64 - 1 is 0: a series redrawn that way logs
+    one warning, naming the first seed, the seed used and the redraw count,
+    and one that diverges for every seed tried logs nothing and raises
+    DataError.
     """
     if T < 30:
         raise ConfigurationError(f"narma10 needs T >= 30, got {T}")
     for redraws in range(NARMA_MAX_REDRAWS):
-        u = RandomStream(seed + redraws).uniform(0.0, 0.5, size=T)
+        used = (seed + redraws) % 2**64
+        u = RandomStream(used).uniform(0.0, 0.5, size=T)
         y = narma10_recurrence(u)
         if np.max(np.abs(y)) <= NARMA_DIVERGENCE_BOUND:
             if redraws:
                 log.warning("narma10 series diverged for seed %d; used seed %d after %d redraw%s",
-                            seed, seed + redraws, redraws, "s" * (redraws > 1))
+                            seed, used, redraws, "s" * (redraws > 1))
             targets = y[1:].copy()
             targets[:10] = np.nan
             return TimeSeries(inputs=u / 0.5, targets=targets, valid_from=10)

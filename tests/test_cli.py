@@ -171,6 +171,31 @@ class TestSchemaFailures:
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not (tmp_path / "r").exists()
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["case-parity", "--bogus"], "unrecognized arguments: --bogus"),
+            ([], "the following arguments are required: command"),
+            (["case-parity", "--seed"], "argument --seed: expected one argument"),
+        ],
+        ids=["unknown-flag", "no-command", "flag-without-value"],
+    )
+    def test_command_line_argparse_rejects_exit_1(self, tmp_path, capsys, monkeypatch, argv, message):
+        # argparse's message on one line and exit 1, as for any bad flag; not
+        # its usage text and SystemExit(2), the code of a failed run
+        monkeypatch.chdir(tmp_path)  # where the default runs/ would land
+        assert main(argv) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("argv", [["--help"], ["theory-scan", "--help"]], ids=["top", "command"])
+    def test_help_exit_0(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0
+        captured = capsys.readouterr()
+        assert captured.out.startswith("usage: qrclab") and captured.err == ""
+
     def test_bad_qubits_flag(self, tmp_path, capsys):
         assert main(["theory-scan", "--qubits", "4,3", "--out", str(tmp_path)]) == 1
         assert main(["theory-scan", "--qubits", "x", "--out", str(tmp_path)]) == 1
@@ -518,6 +543,23 @@ class TestRuntimeFailures:
         assert calls.count("failed") == 1 and len(calls) - calls.index("failed") - 1 <= threads + 1
         assert multiprocessing.active_children() == []
 
+    @pytest.mark.skipif(multiprocessing.get_start_method() != "fork", reason="the patch reaches forked workers only")
+    def test_worker_that_ends_before_its_share_is_sent_exit_2(self, tmp_path, capsys, monkeypatch):
+        # the worker process ends as it starts. Its share, 6 tasks of about
+        # 80 KB pickled at T = 5000, is more than a pipe buffer holds, so the
+        # send meets the dead worker: the run ends there, before the caller
+        # runs any task of its own share
+        monkeypatch.setenv("QRCLAB_THREADS", "2")
+        monkeypatch.setattr(experiment, "_run_share", lambda conn: os._exit(1))
+        calls = []
+        monkeypatch.setattr(experiment, "_group_scores", lambda task: calls.append(task) or GROUP_SCORES(task))
+        cfg = write_config(tmp_path, {"task": {"T": 5000}, "protocol": {"washout": 20}})
+        out = tmp_path / "r"
+        argv = ["theory-scan", "--qubits", "7", "--replicates", "12", "--config", cfg, "--out", str(out)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == "error: a worker process ended before its task was done\n"
+        assert calls == [] and not any(out.iterdir())
+
     @pytest.mark.skipif(multiprocessing.get_start_method() != "fork", reason="worker processes start by os.fork")
     def test_pool_that_cannot_start_exit_2(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("QRCLAB_THREADS", "2")
@@ -604,6 +646,40 @@ class TestRuntimeFailures:
         assert run_dir == out / f"{taken[0].name}-2" and (run_dir / "config_echo.json").exists()
         assert sorted(p.name for p in out.iterdir()) == sorted([taken[0].name, run_dir.name])
         assert [p.name for p in taken[0].iterdir()] == ["metrics.json"]
+
+    def test_failed_rename_exit_3(self, tmp_path, capsys, monkeypatch):
+        # the rename fails and no bundle holds the name, so no other run took
+        # it: the error is re-raised, and the temp dir goes
+        denied = PermissionError(errno.EACCES, os.strerror(errno.EACCES))
+
+        def refuse(self, target):
+            raise denied
+
+        monkeypatch.setattr(Path, "rename", refuse)
+        out = tmp_path / "r"
+        assert main(["case-parity", "--config", write_config(tmp_path, FAST_CASE), "--out", str(out)]) == 3
+        assert capsys.readouterr().err == f"error: cannot write output bundle: {denied}\n"
+        assert list(out.iterdir()) == []
+
+    def test_closed_stdout_exit_3(self, tmp_path):
+        # stdout is a pipe whose read end is closed, as after `| head -1`
+        # has exited: the bundle is written, then one error line, no
+        # traceback, and exit 3
+        read, write = os.pipe()
+        os.close(read)
+        env = os.environ | {"QRCLAB_THREADS": "1", "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+        out = tmp_path / "r"
+        argv = ["theory-scan", "--qubits", "2,3", "--replicates", "2", "--out", str(out)]
+        try:
+            proc = subprocess.run([sys.executable, "-m", "qrclab.cli", *argv], env=env, stdout=write,
+                                  stderr=subprocess.PIPE, text=True, timeout=120)
+        finally:
+            os.close(write)
+        assert proc.returncode == 3
+        broken = BrokenPipeError(errno.EPIPE, os.strerror(errno.EPIPE))
+        assert proc.stderr == f"error: cannot print the summary: {broken}\n"
+        (bundle,) = out.iterdir()
+        assert (bundle / "scan.csv").read_text().count("\n") == 3
 
     def test_stale_temp_dir_is_left_alone(self, tmp_path, capsys, monkeypatch):
         # a temp dir an earlier run of this pid left behind: the bundle is

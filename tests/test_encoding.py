@@ -144,6 +144,14 @@ class TestEncodeInput:
         with pytest.raises(DataError):
             encode_input(circ, float("nan"), new_zero_state(1))
 
+    @pytest.mark.parametrize("width", [2, 4])
+    def test_state_of_another_width_rejected(self, width):
+        # rejected before any gate, as apply_reservoir rejects it: on a wider
+        # state the encoder would leave the qubits past its own unencoded
+        circ = build_encoder(EncoderSpec(interleave_seed=1), 3)
+        with pytest.raises(ConfigurationError, match=f"encoder on 3 qubits cannot act on {width}-qubit state"):
+            encode_input(circ, 1.0, new_zero_state(width))
+
     def test_empty_rejected(self):
         circ = build_encoder(EncoderSpec(interleave_seed=0), 1)
         with pytest.raises(DataError):

@@ -10,7 +10,7 @@ import pytest
 
 from qrclab.encoding import EncoderSpec, build_encoder, scale_input
 from qrclab import experiment
-from qrclab.errors import ConfigurationError, SchemaError
+from qrclab.errors import ConfigurationError, DataError, SchemaError
 from qrclab.experiment import (
     BackendSpec,
     ExperimentConfig,
@@ -616,6 +616,21 @@ class TestRawWindowFeatures:
     def test_no_rows_give_an_empty_matrix(self):
         series = TimeSeries(np.ones(5), np.zeros(5), 0)
         assert raw_window_features(series, 3, []).shape == (0, 3)
+
+
+@pytest.mark.parametrize(
+    "values, t_index, labels, message",
+    [
+        (np.zeros(2), np.arange(2), ("Z0",), "must be 2-d"),
+        (np.zeros((2, 1)), np.arange(3), ("Z0",), "row count must match timestamp count"),
+        (np.zeros((2, 1)), np.arange(2), ("Z0", "Z1"), "column count must match label count"),
+        (np.array([[0.5], [np.inf]]), np.arange(2), ("Z0",), "non-finite feature values"),
+    ],
+    ids=["1-d", "rows", "columns", "non-finite"],
+)
+def test_feature_matrix_rejects_a_bad_layout(values, t_index, labels, message):
+    with pytest.raises(DataError, match=message):
+        FeatureMatrix(values=values, t_index=t_index, labels=labels)
 
 
 class TestCsvRendering:

@@ -182,6 +182,20 @@ def test_wide_kernel_matches_gate_by_gate_step(n, k, layers, topology):
     np.testing.assert_allclose(got.values, want, rtol=0, atol=TOL)
 
 
+@pytest.mark.parametrize("k", [None, 3], ids=["recurrent", "k3"])
+@pytest.mark.parametrize("n", [4, 9], ids=["dense-n4", "fused-n9"])
+def test_kernel_on_vector_inputs(n, k):
+    # a (T, 3) series: the kernel tiles each input vector across the qubits
+    # as encode_input does, qubit q taking component q % 3, on the dense
+    # path (n = 4) and on fused groups of 5 and 4 qubits (n = 9)
+    cfg = kernel_config(n, k=k, layers=2)
+    rng = np.random.default_rng(5)
+    series = TimeSeries(rng.uniform(size=(30, 3)), rng.uniform(size=30), valid_from=0)
+    got = run_kernel(series, cfg)
+    want = reference_features(series, cfg, got.t_index)
+    np.testing.assert_allclose(got.values, want, rtol=0, atol=TOL)
+
+
 @pytest.mark.parametrize("n, k, layers", [(7, 3, 2), (8, "full", 2), (8, None, 1), (10, 1, 1)])
 def test_kernel_matches_dense_oracle(n, k, layers):
     cfg = kernel_config(n, k=k, layers=layers, T=17, washout=6)
@@ -693,6 +707,13 @@ def test_non_finite_input_raises(k):
     inputs[0] = np.nan  # before the first window: only the up-front check sees it
     with pytest.raises(DataError, match="non-finite"):
         run_kernel(TimeSeries(inputs, series.targets, series.valid_from), cfg)
+
+
+@pytest.mark.parametrize("k", [None, 3])
+def test_three_dimensional_inputs_raise(k):
+    cfg = kernel_config(3, k=k)
+    with pytest.raises(DataError, match="series of non-empty scalars or 1-d vectors"):
+        run_kernel(TimeSeries(np.zeros((30, 2, 2)), np.zeros(30), valid_from=0), cfg)
 
 
 @pytest.mark.parametrize("n, k", [(3, None), (3, "full"), (8, 2)])

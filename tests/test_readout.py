@@ -79,6 +79,20 @@ class TestFitRidge:
         with pytest.raises(DataError):
             fit_ridge(X, np.array([1.0, 2.0]), alpha=0.1)
 
+    @pytest.mark.parametrize(
+        "X, y, message",
+        [
+            (np.ones(3), np.ones(3), "feature matrix must be 2-d, got ndim=1"),
+            (np.ones((3, 2)), np.ones((3, 1)), "target must be a 1-d vector"),
+            (np.ones((3, 2)), np.ones(4), "row mismatch: 3 feature rows, 4 targets"),
+            (np.ones((0, 2)), np.ones(0), "empty training set"),
+        ],
+        ids=["1-d-features", "2-d-target", "row-mismatch", "no-rows"],
+    )
+    def test_bad_design_rejected(self, X, y, message):
+        with pytest.raises(DataError, match=message):
+            fit_ridge(X, y, alpha=0.1)
+
     def test_gradient_vanishes_at_solution(self):
         # finite-difference gradient of the objective at the fit, central
         # differences; the objective is quadratic so the only error is roundoff

@@ -18,6 +18,7 @@ from qrclab.sim import (
     expectation,
     new_zero_state,
     sample_counts,
+    sign_matrix,
 )
 
 from dense_oracle import apply_dense, random_circuit
@@ -56,6 +57,11 @@ class TestStateVector:
         with pytest.raises(DataError, match="norm.*nan"):
             StateVector(1, np.array([np.nan, 0.0]))
 
+    @pytest.mark.parametrize("n", [0, 25])
+    def test_width_range(self, n):
+        with pytest.raises(ConfigurationError, match=r"n_qubits must be in \[1, 24\]"):
+            StateVector(n, np.array([1.0]))
+
     def test_no_silent_renormalization(self):
         state = new_zero_state(1)
         state.amplitudes[0] = 2.0  # corrupt deliberately
@@ -82,6 +88,11 @@ class TestGateOp:
     def test_non_finite_angle(self):
         with pytest.raises(ConfigurationError):
             GateOp("RY", float("nan"), target=0)
+
+    @pytest.mark.parametrize("target, control", [(-1, None), (0, -1)], ids=["target", "control"])
+    def test_negative_qubit(self, target, control):
+        with pytest.raises(ConfigurationError, match="non-negative"):
+            GateOp("RY" if control is None else "CRY", 0.1, target=target, control=control)
 
 
 class TestApplyGate:
@@ -178,6 +189,15 @@ class TestPauliString:
         with pytest.raises(ConfigurationError):
             PauliString((0, 1, 2))
 
+    def test_negative_qubit(self):
+        with pytest.raises(ConfigurationError, match="non-negative"):
+            PauliString((-1, 0))
+
+
+def test_sign_matrix_rejects_an_observable_out_of_range():
+    with pytest.raises(ConfigurationError, match="observable Z1Z2 out of range for n=2"):
+        sign_matrix([PauliString((0,)), PauliString((1, 2))], 2)
+
 
 class TestSampleCounts:
     def test_deterministic_state(self):
@@ -260,6 +280,13 @@ class TestRandomStream:
         a = RandomStream(123).uniform(size=10)
         b = RandomStream(123).uniform(size=10)
         np.testing.assert_array_equal(a, b)
+
+    def test_is_numpy_generator_on_pcg64(self):
+        stream = RandomStream(2**64 - 1)
+        assert isinstance(stream, np.random.Generator) and isinstance(stream.bit_generator, np.random.PCG64)
+        want = np.random.Generator(np.random.PCG64(2**64 - 1))
+        np.testing.assert_array_equal(stream.uniform(0.0, 2.0, size=5), want.uniform(0.0, 2.0, size=5))
+        np.testing.assert_array_equal(stream.integers(0, 7, size=5), want.integers(0, 7, size=5))
 
     def test_child_depends_only_on_seed_and_label(self):
         # the documented rule: the first 8 bytes of sha256("<seed>/<label>"),

@@ -3,10 +3,12 @@
 import numpy as np
 import pytest
 
-from qrclab.errors import ConfigurationError, SchemaError
+from qrclab import tasks
+from qrclab.errors import ConfigurationError, DataError, SchemaError
 from qrclab.tasks import (
     NARMA_DIVERGENCE_BOUND,
     TaskSpec,
+    TimeSeries,
     gen_narma10,
     gen_parity,
     gen_stm,
@@ -87,6 +89,10 @@ class TestParity:
         with pytest.raises(ConfigurationError):
             gen_parity(10, seed=0, window=1)
 
+    def test_window_longer_than_series(self):
+        with pytest.raises(ConfigurationError, match="window 11 must be <= T=10"):
+            gen_parity(10, seed=0, window=11)
+
     def test_deterministic(self):
         a = gen_parity(64, seed=11)
         b = gen_parity(64, seed=11)
@@ -149,6 +155,16 @@ class TestNarma10:
         np.testing.assert_array_equal(substituted.inputs, direct.inputs)
         assert "diverged" in caplog.text
 
+    def test_redraw_after_the_top_seed_wraps_to_zero(self, monkeypatch, caplog):
+        # at T = 30 the series of seed 2**64 - 1 peaks at 0.501 and that of
+        # seed 0 at 0.478: a bound between them redraws from seed 0, not from
+        # 2**64, which is no seed
+        monkeypatch.setattr(tasks, "NARMA_DIVERGENCE_BOUND", 0.49)
+        with caplog.at_level("WARNING"):
+            redrawn = gen_narma10(30, seed=2**64 - 1)
+        np.testing.assert_array_equal(redrawn.inputs, gen_narma10(30, seed=0).inputs)
+        assert f"diverged for seed {2**64 - 1}; used seed 0 after 1 redraw" in caplog.text
+
     def test_too_short(self):
         with pytest.raises(ConfigurationError):
             gen_narma10(20, seed=0)
@@ -180,3 +196,13 @@ class TestTaskSpec:
     def test_unresolved_seed(self):
         with pytest.raises(ConfigurationError):
             generate(TaskSpec("stm", T=50))
+
+
+@pytest.mark.parametrize(
+    "targets, valid_from, message",
+    [(np.zeros(4), 0, "equal length"), (np.zeros(5), -1, "valid_from"), (np.zeros(5), 6, "valid_from")],
+    ids=["lengths", "negative-valid-from", "valid-from-past-the-end"],
+)
+def test_time_series_rejects_a_bad_layout(targets, valid_from, message):
+    with pytest.raises(DataError, match=message):
+        TimeSeries(np.zeros(5), targets, valid_from)
