@@ -108,6 +108,20 @@ grep -q '^error: output.dir: ' "$RUNNER_TEMP/nul-dir.err"
 status=0
 $QRCLAB theory-scan --replicates 1.5 --out "$RUNNER_TEMP/runs" || status=$?
 test "$status" -eq 1
+# SIGTERM sent to the console script alone, as a supervisor or `timeout` sends it, once its
+# scan's worker process exists: one `error: terminated` line, exit 143, and the worker is gone
+# with it (each wait bounded at 30 s)
+QRCLAB_THREADS=2 $QRCLAB theory-scan --qubits 12,13 --replicates 6 --out "$RUNNER_TEMP/term" 2> "$RUNNER_TEMP/term.err" &
+pid=$!
+for _ in $(seq 300); do pgrep -P "$pid" > /dev/null && break; sleep 0.1; done
+worker=$(pgrep -P "$pid")
+kill -TERM "$pid"
+for _ in $(seq 300); do kill -0 "$pid" 2> /dev/null || break; sleep 0.1; done
+status=0
+wait "$pid" || status=$?
+test "$status" -eq 143
+test "$(cat "$RUNNER_TEMP/term.err")" = "error: terminated"
+if kill -0 $worker 2> /dev/null; then echo "worker $worker outlived the scan" >&2; exit 1; fi
 
 # bench correctness: seed-42 case bundles must match the digests in
 # bench/reference.json, a scan must match tests/data/scan_baseline.csv (in

@@ -5,10 +5,11 @@ Each run writes a timestamped output bundle (atomically, via temp-dir rename)
 containing config_echo.json plus the run's CSV/JSON/SVG artifacts.
 
 Exit codes: 0 success (``--help`` too), 1 config/schema violation or a
-command line argparse rejects (an unknown flag, a missing command or value),
-2 runtime or fit error, out of memory or a worker process that ended, 3 I/O
-error (a closed stdout included: the bundle is written, the summary is not),
-130 interrupted (Ctrl-C).
+command line argparse rejects (an unknown flag, a missing command or value,
+a value that is not a number), 2 runtime or fit error, out of memory or a
+worker process that ended, 3 I/O error (a closed stdout included: the
+bundle is written, the summary is not), 130 interrupted (Ctrl-C), 143
+terminated (SIGTERM, under the console script).
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import argparse
 import json
 import os
 import shutil
+import signal
 import sys
 from dataclasses import replace
 from datetime import datetime
@@ -43,12 +45,22 @@ EXIT_SCHEMA = 1
 EXIT_RUNTIME = 2
 EXIT_IO = 3
 EXIT_INTERRUPTED = 130  # 128 + SIGINT, as a shell reports a command that Ctrl-C ended
+EXIT_TERMINATED = 143  # 128 + SIGTERM
 
 CASE_KINDS = {
     "case-memory": "stm",
     "case-parity": "parity",
     "case-narma10": "narma10",
 }
+
+
+class _Terminated(BaseException):
+    """Raised by the SIGTERM handler that ``entry`` installs, so a run
+    unwinds as on Ctrl-C: its workers are stopped and its temp dir goes."""
+
+
+def _terminate(signum, frame):
+    raise _Terminated
 
 
 class _Parser(argparse.ArgumentParser):
@@ -69,17 +81,22 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     common = argparse.ArgumentParser(add_help=False)  # the flags every command takes
     common.add_argument("--config", help="JSON config file (defaults used when omitted)")
-    common.add_argument("--seed", help="override the master seed")
+    common.add_argument("--seed", type=int, help="override the master seed")
     common.add_argument("--out", help="override the output directory")
 
     for name in CASE_KINDS:
         sub.add_parser(name, parents=[common], help=f"run the {name.removeprefix('case-')} case study")
 
     p = sub.add_parser("theory-scan", parents=[common], help="qubit-width generalization-gap scan")
-    p.add_argument("--qubits", default="2,3,4,5,6,7", help="comma-separated ascending widths")
-    p.add_argument("--delta", default="0.05", help="risk bound failure probability")
-    p.add_argument("--replicates", default="10", help="seed replicates per width")
+    p.add_argument("--qubits", type=int_list, default="2,3,4,5,6,7", help="comma-separated ascending widths")
+    p.add_argument("--delta", type=float, default=0.05, help="risk bound failure probability")
+    p.add_argument("--replicates", type=int, default=10, help="seed replicates per width")
     return parser
+
+
+def int_list(raw: str) -> list[int]:
+    """``--qubits``'s type: comma-separated integers, empty parts skipped."""
+    return [int(part) for part in raw.split(",") if part.strip()]
 
 
 def _load(args, task_kind=None):
@@ -91,7 +108,7 @@ def _load(args, task_kind=None):
         task_kind = "narma10"
     config, output = parse_config(doc, task_kind=task_kind)
     if args.seed is not None:
-        config = replace(config, master_seed=check_seed("--seed", _parse_number("--seed", args.seed)))
+        config = replace(config, master_seed=check_seed("--seed", args.seed))
     if args.out is not None:
         try:
             output = replace(output, dir=args.out)
@@ -162,33 +179,21 @@ def cmd_case(command: str, args):
     return config, output, run
 
 
-def _parse_number(flag: str, raw: str, kind=int):
-    """A numeric flag's value, ``kind(raw)``; a value that does not parse
-    raises SchemaError keyed by the flag, so it exits 1 like any rule."""
-    try:
-        return kind(raw)
-    except ValueError:
-        raise SchemaError(flag, f"must be {'an integer' if kind is int else 'a number'}, got {raw!r}") from None
-
-
 def cmd_theory_scan(args):
     """Set up the theory scan: its config, output options and run."""
     config, output = _load(args)
     for key in SEEDS:  # the echo would name a seed never used
         if attrgetter(key)(config) is not None:
             raise SchemaError(key, "a scan derives every replicate's seeds from master_seed; set that or --seed")
-    qubits = [_parse_number("--qubits", part) for part in args.qubits.split(",") if part.strip() != ""]
-    delta = _parse_number("--delta", args.delta, float)
-    replicates = _parse_number("--replicates", args.replicates)
     try:
-        check_scan_args(config, qubits, delta, replicates)
+        check_scan_args(config, args.qubits, args.delta, args.replicates)
     except SchemaError as exc:  # name the flag that set the argument
         flag = {"qubit_list": "--qubits", "delta": "--delta", "replicates": "--replicates"}[exc.key]
         raise SchemaError(flag, exc.message) from exc
     worker_count()
 
     def run():
-        rows = theory_scan(config, qubits, delta, replicates)
+        rows = theory_scan(config, args.qubits, args.delta, args.replicates)
         files = {"scan.csv": scan_csv(rows)}
         if output.plots:
             files["scan.svg"] = render_scan_svg(rows)
@@ -244,7 +249,8 @@ def _run(config, output, run) -> int:
 
 def main(argv=None) -> int:
     """Run one command; Ctrl-C prints one ``error: interrupted`` line and
-    returns 130, once any worker processes are stopped."""
+    returns 130, and a SIGTERM under ``entry`` one ``error: terminated``
+    line and 143, once any worker processes are stopped."""
     try:
         try:
             args = build_parser().parse_args(argv)
@@ -262,9 +268,14 @@ def main(argv=None) -> int:
     except KeyboardInterrupt:
         print("error: interrupted", file=sys.stderr)
         return EXIT_INTERRUPTED
+    except _Terminated:
+        print("error: terminated", file=sys.stderr)
+        return EXIT_TERMINATED
 
 
 def entry():
+    """The console script: ``main`` with a SIGTERM handler that raises."""
+    signal.signal(signal.SIGTERM, _terminate)
     sys.exit(main())
 
 

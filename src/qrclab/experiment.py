@@ -42,7 +42,6 @@ child; a scan adds ``-n<N>`` to every label but ``data``.
 
 from __future__ import annotations
 
-import numbers
 import os
 import signal
 from dataclasses import dataclass, fields, replace
@@ -669,9 +668,14 @@ def _rows_from(features: FeatureMatrix, t0: int) -> FeatureMatrix:
 def _run_share(conn) -> None:
     """A worker's body: receives its share of the tasks on ``conn``, and
     sends back their scores, or the exception that stopped it. It ignores
-    SIGINT, which the caller held blocked while it started (where the
-    platform has ``signal.pthread_sigmask``): on Ctrl-C the caller stops it."""
+    SIGINT and takes SIGTERM's default action (not a handler the caller
+    may have had when it forked), each held blocked by the caller while it
+    started (where the platform has ``signal.pthread_sigmask``): on Ctrl-C
+    or SIGTERM the caller stops it, with ``terminate()``'s SIGTERM."""
     signal.signal(signal.SIGINT, signal.SIG_IGN)
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
+    if hasattr(signal, "pthread_sigmask"):
+        signal.pthread_sigmask(signal.SIG_UNBLOCK, {signal.SIGTERM})
     try:
         conn.send([_group_scores(task) for task in conn.recv()])
     except Exception as exc:
@@ -708,11 +712,12 @@ def _replicate_scores(widths: list, delays) -> list:
                 conn, child = multiprocessing.Pipe()
                 worker = multiprocessing.Process(target=_run_share, args=(child,))
                 mask = getattr(signal, "pthread_sigmask", None)  # None on Windows: the worker starts unmasked
-                held = mask(signal.SIG_BLOCK, {signal.SIGINT}) if mask else None  # until the worker ignores it
+                stopping = {signal.SIGINT, signal.SIGTERM}  # held until the worker has reset them
+                held = mask(signal.SIG_BLOCK, stopping) if mask else None
                 try:
                     worker.start()
                     started.append((conn, worker))
-                finally:  # a Ctrl-C meanwhile is raised here, with the worker in started
+                finally:  # a Ctrl-C or SIGTERM meanwhile is raised here, with the worker in started
                     if mask:
                         mask(signal.SIG_SETMASK, held)
             except OSError as exc:  # a fork that failed, say at a process limit
@@ -791,9 +796,7 @@ def check_scan_args(config: ExperimentConfig, qubit_list, delta: float, replicat
         raise SchemaError("qubit_list", "must name at least one width")
     if any(b <= a for a, b in zip(qubits, qubits[1:])):
         raise SchemaError("qubit_list", f"must be strictly ascending, got [{', '.join(map(shown, qubits))}]")
-    if isinstance(delta, bool) or not isinstance(delta, numbers.Real):
-        raise SchemaError("delta", f"must be a number, got {delta!r}")
-    if not 0.0 < delta < 1.0:
+    if not 0.0 < check_real("delta", delta) < 1.0:
         raise SchemaError("delta", f"must be in (0, 1), got {shown(delta)}")
     check_int("replicates", replicates, 1)
     for n in qubits:  # building a width's config checks the rules that depend on it

@@ -159,14 +159,16 @@ class TestSchemaFailures:
     @pytest.mark.parametrize(
         "argv, message",
         [
-            (["theory-scan", "--replicates", "1.5"], "--replicates: must be an integer, got '1.5'"),
-            (["theory-scan", "--delta", "x"], "--delta: must be a number, got 'x'"),
-            (["case-parity", "--seed", "abc"], "--seed: must be an integer, got 'abc'"),
+            (["theory-scan", "--replicates", "1.5"], "argument --replicates: invalid int value: '1.5'"),
+            (["theory-scan", "--delta", "x"], "argument --delta: invalid float value: 'x'"),
+            (["case-parity", "--seed", "abc"], "argument --seed: invalid int value: 'abc'"),
+            (["theory-scan", "--qubits", "2,x"], "argument --qubits: invalid int_list value: '2,x'"),
         ],
-        ids=["replicates", "delta", "seed"],
+        ids=["replicates", "delta", "seed", "qubits"],
     )
     def test_malformed_numeric_flag_names_flag(self, tmp_path, capsys, argv, message):
-        # one line and exit 1, as for any rule; not argparse's usage text and exit 2
+        # argparse's message on one line and exit 1, as for any rule; not its
+        # usage text and exit 2
         assert main(argv + ["--out", str(tmp_path / "r")]) == 1
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not (tmp_path / "r").exists()
@@ -429,6 +431,29 @@ def run_in_session(args, threads=1, timeout=60):
     return proc.returncode, err
 
 
+def stop_scan_once_a_worker_runs(tmp_path, stop):
+    """Run a two-worker theory scan through ``python -m qrclab.cli`` (the
+    console script's ``entry``) in its own session, and call ``stop(pid)``
+    as soon as its worker process exists. Returns the exit code, stderr and
+    the live processes of its session once it has exited; those are killed."""
+    env = os.environ | {"QRCLAB_THREADS": "2", "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    argv = ["theory-scan", "--qubits", "12,13", "--replicates", "6", "--out", str(tmp_path / "r")]
+    proc = subprocess.Popen([sys.executable, "-m", "qrclab.cli", *argv], env=env, start_new_session=True,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+    try:
+        deadline = time.monotonic() + 30
+        while len(session_processes(proc.pid)) < 2:
+            assert proc.poll() is None and time.monotonic() < deadline, "no worker process started"
+        stop(proc.pid)
+        _, err = proc.communicate(timeout=60)
+        left = session_processes(proc.pid)
+    finally:
+        if proc.poll() is None or session_processes(proc.pid):
+            os.killpg(proc.pid, signal.SIGKILL)
+            proc.communicate()
+    return proc.returncode, err, left
+
+
 def session_processes(sid: int) -> list:
     """The pids of the live processes of session ``sid``, read from /proc."""
     found = []
@@ -597,22 +622,18 @@ class TestRuntimeFailures:
         # the scan's worker process exists, it gives one error line and exit
         # 130: the worker starts with SIGINT held and then ignores it, and
         # the caller stops it, so no process of the scan's session is left
-        env = os.environ | {"QRCLAB_THREADS": "2", "PYTHONPATH": str(Path(cli.__file__).parents[1])}
-        argv = ["theory-scan", "--qubits", "12,13", "--replicates", "6", "--out", str(tmp_path / "r")]
-        proc = subprocess.Popen([sys.executable, "-m", "qrclab.cli", *argv], env=env, start_new_session=True,
-                                stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
-        try:
-            deadline = time.monotonic() + 30
-            while len(session_processes(proc.pid)) < 2:
-                assert proc.poll() is None and time.monotonic() < deadline, "no worker process started"
-            os.killpg(proc.pid, signal.SIGINT)
-            _, err = proc.communicate(timeout=60)
-        finally:
-            if proc.poll() is None or session_processes(proc.pid):
-                os.killpg(proc.pid, signal.SIGKILL)
-                proc.communicate()
-        assert (proc.returncode, err) == (130, "error: interrupted\n")
-        assert session_processes(proc.pid) == []
+        result = stop_scan_once_a_worker_runs(tmp_path, lambda pid: os.killpg(pid, signal.SIGINT))
+        assert result == (130, "error: interrupted\n", [])
+
+    @pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="reads the session's processes from /proc")
+    def test_sigterm_exit_143(self, tmp_path):
+        # a supervisor, or `timeout`, sends SIGTERM to the CLI alone. Sent as
+        # soon as the scan's worker process exists, it gives one error line
+        # and exit 143: the console script's handler raises, the caller stops
+        # its worker, and no process of the scan's session is left
+        result = stop_scan_once_a_worker_runs(tmp_path, lambda pid: os.kill(pid, signal.SIGTERM))
+        assert result == (143, "error: terminated\n", [])
+        assert list((tmp_path / "r").iterdir()) == []
 
     @pytest.mark.parametrize("command, entry", [("case-memory", "run_case"), ("theory-scan", "theory_scan")])
     @pytest.mark.parametrize("out", ["afile/x", "r/" + "a" * 300], ids=["under-a-file", "name-too-long"])

@@ -471,7 +471,7 @@ class TestTheoryScan:
 
     @pytest.mark.parametrize("delta", ["0.5", None, True], ids=["str", "none", "bool"])
     def test_non_number_delta_rejected(self, delta):
-        with pytest.raises(SchemaError, match="^delta: must be a number"):
+        with pytest.raises(SchemaError, match="^delta: must be a finite number"):
             theory_scan(small_config(), [2], delta=delta, replicates=1)
 
     @pytest.mark.parametrize(
@@ -549,6 +549,26 @@ class TestTheoryScan:
         monkeypatch.delattr(signal, "pthread_sigmask")
         monkeypatch.setenv("QRCLAB_THREADS", "2")
         assert theory_scan(cfg, [2, 3], 0.05, 2) == seq
+
+    @pytest.mark.skipif(not hasattr(signal, "pthread_sigmask"), reason="the start mask needs signal.pthread_sigmask")
+    def test_terminate_ends_a_worker_started_masked(self):
+        # a worker starts with SIGINT and SIGTERM held, as the caller starts
+        # it, and unblocks SIGTERM once it has reset it: terminate() ends a
+        # worker still waiting for its share, not only once its share is done
+        conn, child = multiprocessing.Pipe()
+        held = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT, signal.SIGTERM})
+        try:
+            worker = multiprocessing.Process(target=experiment._run_share, args=(child,))
+            worker.start()
+        finally:
+            signal.pthread_sigmask(signal.SIG_SETMASK, held)
+        try:
+            worker.terminate()
+            worker.join(10)
+            assert worker.exitcode == -signal.SIGTERM
+        finally:
+            worker.kill()
+            worker.join()
 
     def test_pool_is_capped_at_the_task_count(self, monkeypatch):
         starts = []  # each worker process a scan starts
