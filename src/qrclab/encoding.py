@@ -1,7 +1,7 @@
 """Input encoder circuits: plain angle encoding and data re-uploading.
 
 The encoder applies, per layer, one input-dependent RY per qubit followed by
-a fixed interleaving block (a CRZ ring plus a per-qubit RZ layer, drawn once
+a fixed interleaving block (one CRZ ``random_layer`` on the ring, drawn once
 from the interleave seed and reused for every time step). Plain angle
 encoding is the single-layer case with no fixed block.
 """
@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, DataError, SchemaError
-from .reservoir import topology_edges
+from .reservoir import check_width, random_layer, topology_edges
 from .sim import GateOp, RandomStream, StateVector, apply_circuit, check_int, check_seed
 from .sim import apply_gate  # noqa: F401  the bench tracer's self-test rewraps this binding
 
@@ -60,8 +60,8 @@ def build_encoder(spec: EncoderSpec, n_qubits: int) -> EncoderCircuit:
     """Build the encoder on ``n_qubits`` qubits deterministically from
     (spec, interleave seed).
 
-    Draw order per re-upload layer: CRZ angle for each ring edge in ascending
-    order, then one RZ angle per qubit in ascending order.
+    Each re-upload layer's fixed block is ``reservoir.random_layer("CRZ",
+    ring, n_qubits, rng)``, drawn in layer order from one interleave stream.
     """
     if spec.interleave_seed is None:
         raise ConfigurationError("interleave seed unresolved; fill it or go through resolve_seeds")
@@ -70,11 +70,7 @@ def build_encoder(spec: EncoderSpec, n_qubits: int) -> EncoderCircuit:
     ring = topology_edges("ring", n_qubits) if n_qubits > 1 else ()  # 1 qubit: no ring
     layers = []
     for _ in range(spec.layers):
-        fixed: list[GateOp] = []
-        if spec.scheme == "reupload":  # one draw per layer, the same values as one scalar draw per gate
-            angles = rng.uniform(0.0, 2 * np.pi, size=len(ring) + n_qubits).tolist()
-            fixed += [GateOp("CRZ", a, target=j, control=i) for (i, j), a in zip(ring, angles)]
-            fixed += [GateOp("RZ", a, target=q) for q, a in enumerate(angles[len(ring) :])]
+        fixed = random_layer("CRZ", ring, n_qubits, rng) if rng else []
         layers.append(EncoderLayer(angle_qubits=slots, fixed_gates=tuple(fixed)))
     return EncoderCircuit(n_qubits=n_qubits, layers=tuple(layers))
 
@@ -86,10 +82,7 @@ def encode_input(circuit: EncoderCircuit, u, state: StateVector) -> StateVector:
     scalar series drive every qubit. Each re-upload layer re-encodes the same
     input vector.
     """
-    if circuit.n_qubits != state.n_qubits:
-        raise ConfigurationError(
-            f"encoder on {circuit.n_qubits} qubits cannot act on {state.n_qubits}-qubit state"
-        )
+    check_width("encoder", circuit, state)
     u = np.atleast_1d(np.asarray(u, dtype=np.float64))
     if u.ndim != 1 or u.size == 0:
         raise DataError("input must be a non-empty scalar or 1-d vector")

@@ -785,18 +785,18 @@ def stm_delay_sweep(
     return [(d, float(np.mean([replicate[i][1] for replicate in scores]))) for i, d in enumerate(delays)]
 
 
-def check_scan_args(config: ExperimentConfig, qubit_list, delta: float, replicates: int) -> list[int]:
+def check_scan_args(config: ExperimentConfig, qubit_list, delta: float, replicates: int) -> tuple[list[int], float]:
     """The theory scan's argument rules, checked before anything runs: the
     widths are non-empty integers, strictly ascending, delta is a number in
     (0, 1), replicates is an integer >= 1, and each width's replicate config
     builds. Raises SchemaError keyed ``qubit_list``, ``delta`` or
-    ``replicates``; returns the widths."""
+    ``replicates``; returns the widths and delta as a Python float."""
     qubits = [check_int("qubit_list", n) for n in qubit_list]
     if not qubits:
         raise SchemaError("qubit_list", "must name at least one width")
     if any(b <= a for a, b in zip(qubits, qubits[1:])):
         raise SchemaError("qubit_list", f"must be strictly ascending, got [{', '.join(map(shown, qubits))}]")
-    if not 0.0 < check_real("delta", delta) < 1.0:
+    if not 0.0 < (delta := check_real("delta", delta)) < 1.0:
         raise SchemaError("delta", f"must be in (0, 1), got {shown(delta)}")
     check_int("replicates", replicates, 1)
     for n in qubits:  # building a width's config checks the rules that depend on it
@@ -804,7 +804,7 @@ def check_scan_args(config: ExperimentConfig, qubit_list, delta: float, replicat
             _replicate_config(config, 0, n)
         except SchemaError as exc:
             raise SchemaError("qubit_list", f"width {n}: {exc}") from exc
-    return qubits
+    return qubits, delta
 
 
 def theory_scan(
@@ -814,7 +814,7 @@ def theory_scan(
     risk bound's sample-size confidence term. Every width and replicate
     keeps the same rows, so the m test rows follow from the config. The
     replicates' data, reservoir and shot seeds replace the config's own."""
-    qubits = check_scan_args(config, qubit_list, delta, replicates)
+    qubits, delta = check_scan_args(config, qubit_list, delta, replicates)
     t_eff = config.task.T - config.first_row(config.task.valid_from)
     m = t_eff - config.protocol.train_rows(t_eff)
     widths = [[_replicate_config(config, r, n_qubits=n) for r in range(replicates)] for n in qubits]

@@ -1,9 +1,9 @@
 """Fixed random reservoir circuits built once from a seed and held constant.
 
-Each depth layer appends one CRY per topology edge (edges in ascending
-order, control = first endpoint) followed by one RZ per qubit; all angles
-are drawn Uniform[0, 2*pi) in that documented order, so a spec fully
-determines the gate list.
+The layer rule (``random_layer``): one controlled rotation per edge (edges
+ascending, control = first endpoint), then one RZ per qubit, angles drawn
+Uniform[0, 2*pi) in that order. The reservoir is ``depth`` CRY layers on
+its topology, the re-upload encoder's fixed block one CRZ layer on the ring.
 """
 
 from __future__ import annotations
@@ -55,24 +55,30 @@ class ReservoirCircuit:
     gates: tuple[GateOp, ...]
 
 
+def random_layer(kind: str, edges, n_qubits: int, rng: RandomStream) -> list[GateOp]:
+    """One layer, a ``kind`` gate per edge then an RZ per qubit, from one draw of
+    ``len(edges) + n_qubits`` angles: the values of one scalar draw per gate."""
+    angles = rng.uniform(0.0, 2 * np.pi, size=len(edges) + n_qubits).tolist()
+    gates = [GateOp(kind, a, target=j, control=i) for (i, j), a in zip(edges, angles)]
+    return gates + [GateOp("RZ", a, target=q) for q, a in enumerate(angles[len(edges) :])]
+
+
+def check_width(name: str, circuit, state: StateVector) -> None:
+    """Raise ConfigurationError unless ``circuit`` acts on ``state``'s width."""
+    if circuit.n_qubits != state.n_qubits:
+        raise ConfigurationError(f"{name} on {circuit.n_qubits} qubits cannot act on {state.n_qubits}-qubit state")
+
+
 def build_reservoir(spec: ReservoirSpec) -> ReservoirCircuit:
     """Freeze the random reservoir gate list for the lifetime of a run."""
     if spec.seed is None:
         raise ConfigurationError("reservoir seed unresolved; fill it or go through resolve_seeds")
     rng = RandomStream(spec.seed)
     edges = topology_edges(spec.topology, spec.n_qubits)
-    gates: list[GateOp] = []
-    for _ in range(spec.depth):  # one draw per layer, the same values as one scalar draw per gate
-        angles = rng.uniform(0.0, 2 * np.pi, size=len(edges) + spec.n_qubits).tolist()
-        gates += [GateOp("CRY", a, target=j, control=i) for (i, j), a in zip(edges, angles)]
-        gates += [GateOp("RZ", a, target=q) for q, a in enumerate(angles[len(edges) :])]
+    gates = [g for _ in range(spec.depth) for g in random_layer("CRY", edges, spec.n_qubits, rng)]
     return ReservoirCircuit(n_qubits=spec.n_qubits, gates=tuple(gates))
 
 
 def apply_reservoir(circuit: ReservoirCircuit, state: StateVector) -> StateVector:
-    if circuit.n_qubits != state.n_qubits:
-        raise ConfigurationError(
-            f"reservoir on {circuit.n_qubits} qubits cannot act on "
-            f"{state.n_qubits}-qubit state"
-        )
+    check_width("reservoir", circuit, state)
     return apply_circuit(state, circuit.gates)

@@ -1,5 +1,6 @@
 """Temporal driver, protocol, sweep, and scan tests."""
 
+from fractions import Fraction
 import multiprocessing
 import os
 import re
@@ -468,6 +469,12 @@ class TestTheoryScan:
     def test_delta_bounds(self):
         with pytest.raises(ConfigurationError, match="delta"):
             theory_scan(small_config(), [2, 3], delta=0.0, replicates=1)
+
+    @pytest.mark.parametrize("delta", [np.float64(0.1), Fraction(1, 10)], ids=["numpy", "fraction"])
+    def test_rows_store_delta_as_float(self, delta):
+        # np.float64 subclasses float, so the type is compared exactly
+        rows = theory_scan(small_config(), [2, 3], delta, 2)
+        assert [(type(r.delta), r.delta) for r in rows] == [(float, 0.1)] * 2
 
     @pytest.mark.parametrize("delta", ["0.5", None, True], ids=["str", "none", "bool"])
     def test_non_number_delta_rejected(self, delta):
